@@ -74,11 +74,13 @@ class PipelineConfig:
     l_max: int = 15  # harmonic window for the kernel continuation
     r_min: float = 80.0  # physical truncation radius (sets K = ceil(r_min/mu))
     tol: float = 1e-12  # range-equation contraction tolerance
-    kernel_tol: float = 1e-11  # Newton tolerance on the kernel equation
+    # Newton tolerance on the kernel equation; the residual's roundoff floor
+    # grows like a/mu^2, and tolerances near 1e-13 end in ConvergenceError
+    # at mu <= 0.02
+    kernel_tol: float = 1e-11
     residual_l_max: int = 0  # wider window for the final range pass (0 = l_max)
     residual_target: float = 0.0  # when > 0, widen that window automatically
     collocation_factor: int = 4
-    jacobian: str = "auto"
 
     def __post_init__(self):
         check_exponent(self.n, self.p)
@@ -221,7 +223,6 @@ def assemble_breather(config: PipelineConfig):
         phi_dnls,
         prob,
         L_max=config.l_max,
-        jacobian=config.jacobian,
         tol=config.kernel_tol,
         beta=beta,
         range_kwargs=range_kwargs,

@@ -327,7 +327,14 @@ def build_parser():
     sp.add_argument("--l-max", dest="l_max", type=int)
     sp.add_argument("--r-min", dest="r_min", type=float)
     sp.add_argument("--tol", type=float)
-    sp.add_argument("--kernel-tol", dest="kernel_tol", type=float)
+    sp.add_argument(
+        "--kernel-tol",
+        dest="kernel_tol",
+        type=float,
+        help="Newton tolerance on the kernel residual (default 1e-11); its "
+        "roundoff floor grows like a/mu^2, so values near 1e-13 end in a "
+        "ConvergenceError at mu <= 0.02",
+    )
     sp.add_argument("--residual-l-max", dest="residual_l_max", type=int)
     sp.add_argument("--out", type=str)
 
