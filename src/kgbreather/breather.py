@@ -44,12 +44,10 @@ from .lattice import (
 )
 from .rangesolver import RangeOperator, solve_range_equation
 from .timespectral import (
-    analyze,
-    collocation_nodes,
     default_node_count,
     nonlinearity_coefficient,
+    odd_collocation,
     sobolev_time_norm,
-    synthesize,
 )
 
 # short mode codes (CLI spelling) -> descriptive lattice mode names
@@ -171,18 +169,19 @@ def _window_for_residual(phi, w_hat, grid, config, beta, target):
     u = amplitude * w_hat
     u[1] += amplitude * phi
     M = 8 * (l_max + 1)
-    flat = u.reshape(l_max + 1, -1)
-    sup_per_l = np.zeros(M - 1 + 1)
-    chunk = max(1, min(1 << 17, (1 << 24) // M))
-    for lo in range(0, flat.shape[1], chunk):
-        sl = slice(lo, min(lo + chunk, flat.shape[1]))
-        vals = synthesize(flat[:, sl], M)
-        g = beta * np.abs(vals) ** (2.0 * config.p) * vals
-        spectrum = analyze(g, M - 1)
+    # sup over sites of each harmonic of N(u); the even ones are zero
+    sup_per_l = np.zeros(M)
+    for _, spectrum in odd_collocation(
+        (u,),
+        M,
+        lambda v: beta * np.abs(v) ** (2.0 * config.p) * v,
+        analysis=True,
+    ):
         np.maximum(
-            sup_per_l, np.max(np.abs(spectrum), axis=1), out=sup_per_l
+            sup_per_l[1::2], np.max(np.abs(spectrum), axis=1), out=sup_per_l[1::2]
         )
-    cal = np.arange(l_max + 2, min(3 * l_max + 1, M - 1), 2)
+    # calibrate on the odd harmonics above the working window
+    cal = np.arange(l_max + 1 + l_max % 2, min(3 * l_max + 1, M - 1), 2)
     C = float(np.max(sup_per_l[cal] * cal.astype(float) ** 3))
     if C <= 2.0 * target * l_max**2:
         return l_max
@@ -327,7 +326,11 @@ def kg_residual(b: Breather, time_nodes=None):
         max | q_tt - a (lap q) + q - beta |q|^(2p) q |
 
     evaluated on >= 4 (L_max + 1) equispaced times (enough that the cubic
-    image of the harmonic window is sampled alias-free).
+    image of the harmonic window is sampled alias-free).  The linear part
+    acts per harmonic, so it is applied to the coefficients and synthesised
+    alongside q.  This check always runs on the whole box, never on the
+    fundamental block, so it also sees a breather that is not symmetric.
+    A nonzero even harmonic is a GuardError (the collocation is odd-only).
     """
     L = b.L_max
     M = time_nodes if time_nodes is not None else 4 * (L + 1)
@@ -335,21 +338,16 @@ def kg_residual(b: Breather, time_nodes=None):
         raise GuardError(
             f"residual wants >= {4 * (L + 1)} time nodes for L_max={L}, got {M}"
         )
-    tau = collocation_nodes(M)
     l = np.arange(L + 1)
-    cos_basis = np.cos(np.outer(tau, l))
-    acc_basis = -((b.omega * l) ** 2) * cos_basis
-    flat = b.coeffs.reshape(L + 1, -1)
+    factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
+    spatial = tuple(range(1, b.grid.n + 1))
+    linear = factors * b.coeffs - b.coupling * laplacian(b.coeffs, axes=spatial)
     worst = 0.0
-    for m in range(M):
-        q = (cos_basis[m] @ flat).reshape(b.grid.shape)
-        q_tt = (acc_basis[m] @ flat).reshape(b.grid.shape)
-        res = (
-            q_tt
-            - b.coupling * laplacian(q)
-            + q
-            - b.beta * np.abs(q) ** (2.0 * b.p) * q
-        )
+    for _, res in odd_collocation(
+        (b.coeffs, linear),
+        M,
+        lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
+    ):
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
@@ -382,8 +380,10 @@ def error_vs_reference(b: Breather):
     coeffs_ref[1] = b.mu ** (1.0 / b.p) * ref.values
     diff = b.coeffs - coeffs_ref
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
-    M = 4 * (b.L_max + 1)
-    e_sup = float(np.max(np.abs(synthesize(diff, M))))
+    e_sup = max(
+        float(np.max(np.abs(values)))
+        for _, values in odd_collocation((diff,), 4 * (b.L_max + 1))
+    )
     sup_bound = 2.0 * np.sqrt(b.mu) * sum(
         norm_q(dl, b.mu) for dl in diff
     )

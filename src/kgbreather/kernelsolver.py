@@ -37,9 +37,11 @@ from scipy.sparse.linalg import eigsh, splu
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
 from .lattice import (
+    block_slices,
     dirichlet_energy,
     fold_symmetric,
     laplacian,
+    mirror_block,
     symmetry_basis,
     unfold_symmetric,
 )
@@ -200,6 +202,8 @@ def kernel_remainder(phi, prob, op, w_init=None, beta=None, **range_kwargs):
     """R(phi) and the range component behind it.
 
     Returns (R, w, range_report); R = -(P1[N(phi cos + w)] - |phi|^(2p) phi).
+    P1 is projected on the range solve's own node count, and, like the
+    range solve, on the fundamental block of the reflection-even u.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
@@ -207,9 +211,13 @@ def kernel_remainder(phi, prob, op, w_init=None, beta=None, **range_kwargs):
     w, range_report = solve_range_equation(
         phi, op, prob.p, prob.mu, beta=beta, w_init=w_init, **range_kwargs
     )
-    u = np.array(w)
-    u[1] = phi
-    first = apply_nonlinearity(u, prob.p, beta=beta)[1]
+    block = block_slices(prob.grid)
+    u = w[(slice(None),) + block].copy()
+    u[1] = phi[block]
+    first = apply_nonlinearity(
+        u, prob.p, beta=beta, M=range_kwargs.get("collocation")
+    )[1]
+    first = mirror_block(first, prob.grid)
     R = -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
     return R, w, range_report
 

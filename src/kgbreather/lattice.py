@@ -7,7 +7,8 @@ Dirichlet data is imposed outside the box.  With these conventions a
 sequence that is even under reflection through the box center is exactly an
 array invariant under ``np.flip`` along each axis, which the reduction
 helpers below exploit to strip the mirror-image redundancy before handing
-systems to a Newton solver.
+systems to a Newton solver, and to evaluate site-by-site maps on the
+fundamental block alone (``block_slices`` / ``mirror_block``).
 """
 from __future__ import annotations
 
@@ -307,38 +308,46 @@ def orbit_weights(grid):
     return w
 
 
-def fold_symmetric(a, grid):
-    """Reduced coordinates of a reflection-even field (flattened)."""
-    a = np.asarray(a, dtype=np.float64)
-    sl = tuple(
+def orbit_sizes(grid):
+    """Number of box sites (1, 2 or 4) that each block site stands for."""
+    return np.rint(orbit_weights(grid) ** 2)
+
+
+def block_slices(grid):
+    """Index of the fundamental block (indices j >= 0) in a box array."""
+    return tuple(
         slice(grid.K, None) if grid.offsets[ax] == 0.0 else slice(grid.K + 1, None)
         for ax in range(grid.n)
     )
-    return (a[sl] * orbit_weights(grid)).ravel()
+
+
+def mirror_block(block, grid):
+    """Reflection-even box field(s) holding ``block`` on the fundamental
+    block; leading axes beyond the grid's (a harmonic index) ride along."""
+    block = np.asarray(block, dtype=np.float64)
+    lead = (slice(None),) * (block.ndim - grid.n)
+    out = np.zeros(block.shape[: len(lead)] + grid.shape)
+    out[lead + block_slices(grid)] = block
+    K = grid.K
+    for ax in range(grid.n):
+        dst = [slice(None)] * grid.n
+        src = [slice(None)] * grid.n
+        dst[ax] = slice(0, K) if grid.offsets[ax] == 0.0 else slice(0, K + 1)
+        src[ax] = slice(K + 1, None)
+        out[lead + tuple(dst)] = np.flip(out[lead + tuple(src)], axis=len(lead) + ax)
+    return out
+
+
+def fold_symmetric(a, grid):
+    """Reduced coordinates of a reflection-even field (flattened)."""
+    a = np.asarray(a, dtype=np.float64)
+    return (a[block_slices(grid)] * orbit_weights(grid)).ravel()
 
 
 def unfold_symmetric(coeffs, grid):
     """Inverse of fold_symmetric: rebuild the full reflection-even field."""
     block = np.asarray(coeffs, dtype=np.float64).reshape(fundamental_shape(grid))
-    block = block / orbit_weights(grid)
-    out = np.zeros(grid.shape)
-    sl = tuple(
-        slice(grid.K, None) if grid.offsets[ax] == 0.0 else slice(grid.K + 1, None)
-        for ax in range(grid.n)
-    )
-    out[sl] = block
-    for ax in range(grid.n):
-        K = grid.K
-        idx_dst = [slice(None)] * grid.n
-        idx_src = [slice(None)] * grid.n
-        if grid.offsets[ax] == 0.0:
-            idx_dst[ax] = slice(0, K)
-            idx_src[ax] = slice(K + 1, None)
-        else:
-            idx_dst[ax] = slice(0, K + 1)
-            idx_src[ax] = slice(K + 1, None)
-        out[tuple(idx_dst)] = np.flip(out[tuple(idx_src)], axis=ax)
-    return out
+    return mirror_block(block / orbit_weights(grid), grid)
 
 
 def symmetry_basis(grid):

@@ -19,6 +19,15 @@ the fixed-point problem
 
 a contraction for small amplitudes; solve_range_equation iterates it with a
 rate guard and an a-priori smallness estimate.
+
+phi, and with it every iterate w, is even under reflection through the box
+center, and the nonlinearity acts site by site.  So the Picard step and the
+forcing term evaluate it on the fundamental block only (half the sites in
+1d, about a quarter in 2d) and mirror the result onto the box.  The tail
+diagnostic weights each block site by the number of box sites it stands
+for, so it reads the same as a full-box evaluation.  The inversion itself
+still runs on the whole box: on the offset-1/2 axes the half-box sine
+transforms have odd-length denominators, which scipy.fft does not provide.
 """
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .errors import ConvergenceError, GuardError, ResonanceError
-from .lattice import laplacian
+from .lattice import block_slices, laplacian, mirror_block, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
     nonlinearity_coefficient,
@@ -147,9 +156,12 @@ def solve_range_equation(
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
         beta = nonlinearity_coefficient(p)
-    L = op.L_max
-    v = np.zeros((L + 1,) + op.grid.shape)
-    v[1] = phi
+    grid = op.grid
+    block = (slice(None),) + block_slices(grid)
+    # the kernel part phi cos(tau), on the fundamental block
+    phi_block = phi[block[1:]]
+    v = np.zeros((op.L_max + 1,) + phi_block.shape)
+    v[1] = phi_block
 
     # crude contraction estimate: Lipschitz constant of the projected
     # nonlinearity over the inversion margin, at the kernel amplitude
@@ -166,17 +178,25 @@ def solve_range_equation(
     # forcing strength: X0 size of the nonlinearity before any range
     # feedback (the bounded-inverse diagnostic divides w's size by this)
     forcing_norm = mu**2 * sobolev_time_norm(
-        apply_nonlinearity(v, p, beta=beta, M=collocation), order=0
+        mirror_block(apply_nonlinearity(v, p, beta=beta, M=collocation), grid),
+        order=0,
     )
 
-    w = np.zeros_like(v) if w_init is None else np.array(w_init, dtype=np.float64)
+    if w_init is None:
+        w = np.zeros((op.L_max + 1,) + grid.shape)
+    else:
+        w = np.array(w_init, dtype=np.float64)
     tail = {} if tail_check else None
+    weights = orbit_sizes(grid) if tail_check else None
     updates = []
     rate = np.nan
     bad_steps = 0
     converged = False
     for iteration in range(1, max_iter + 1):
-        g = apply_nonlinearity(v + w, p, beta=beta, M=collocation, tail=tail)
+        g = apply_nonlinearity(
+            v + w[block], p, beta=beta, M=collocation, tail=tail, weights=weights
+        )
+        g = mirror_block(g, grid)
         g[1] = 0.0
         w_next = mu**2 * op.solve(g)
         delta = sobolev_time_norm(w_next - w)

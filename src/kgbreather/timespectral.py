@@ -2,19 +2,31 @@
 
 A wave is stored through its cosine coefficients in scaled time,
 u(tau) = sum_l coeffs[l] * cos(l tau), coeffs[l] being a spatial field.
-Even cosine series are closed under the odd nonlinearity, and reversible
-breathers have odd harmonics only (u(tau + pi) = -u(tau)); nothing here
-assumes that, but solvers exploit it by keeping even rows at zero.
+``synthesize`` / ``analyze`` handle a general cosine series on the midpoint
+nodes tau_k = pi (2k+1) / (2M), where they are a DCT-III / DCT-II pair.
 
-Collocation uses midpoint nodes tau_k = pi (2k+1) / (2M), where synthesis
-and analysis are a DCT-III / DCT-II pair.  For integer 2p the nonlinearity
-is a polynomial of degree 2p+1 and M >= (p+1)(L+1) makes the projection
-onto the kept harmonics alias-free; for fractional powers the integrand is
-merely C^(2p+1) in time and M controls a spectrally small aliasing error.
+Every chunked "synthesis -> pointwise map -> analysis" pass goes through
+``odd_collocation`` and works on odd series only.  Reversible breathers
+have u(tau + pi) = -u(tau), so only odd harmonics occur, and the odd
+nonlinearity keeps it that way.  The primitive holds callers to that
+contract: a nonzero even row is a GuardError, and the even rows it returns
+are exact zeros.
+
+Why a quarter period suffices: an odd series obeys u(pi - tau) = -u(tau),
+and so does any odd pointwise map of it.  The series is therefore sampled
+at Q = ceil(M/2) nodes tau_j = pi (2j+1) / (4Q) in (0, pi/2), where
+synthesis is 0.5 * DCT-IV and analysis is DCT-IV / Q.  For even M these
+are exactly the first M/2 midpoint nodes; the other M/2 are their mirror
+images pi - tau_j and carry the same values with the sign flipped, so the
+quarter-period projection equals the midpoint one in exact arithmetic,
+with half the rows and half the nodes.
+
+For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
+M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
+for fractional powers the integrand is merely C^(2p+1) in time and M
+controls a spectrally small aliasing error.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
@@ -71,13 +83,59 @@ def default_node_count(L, p, factor=4):
     return max(factor * (L + 1), exact)
 
 
-def apply_nonlinearity(coeffs, p, beta=None, M=None, chunk=1 << 17, tail=None):
-    """Cosine coefficients 0..L of beta |u|^(2p) u for u given by ``coeffs``.
+def odd_collocation(stacks, M, pointwise=None, analysis=False, chunk=1 << 17):
+    """Chunked collocation of odd cosine series on the quarter period.
+
+    ``stacks`` are cosine stacks of one shape (L+1, *spatial) whose even
+    rows are zero.  Over chunks of the flattened spatial axes this
+    synthesises each stack's odd rows at the Q = ceil(M/2) quarter-period
+    nodes and applies ``pointwise`` to the sample arrays (the identity for
+    one stack when None).  It yields (column slice, result): the (Q, n)
+    samples, or with ``analysis`` their cosine coefficients of the odd
+    harmonics 1, 3, ..., 2Q-1 (row j holds harmonic 2j+1).  Each sample
+    buffer holds about 2^24 values whatever the node count.
+    """
+    flats = []
+    for s in stacks:
+        s = np.asarray(s, dtype=np.float64)
+        flat = s.reshape(s.shape[0], -1)
+        if np.any(flat[0::2]):
+            raise GuardError(
+                "odd-harmonic collocation needs u(tau + pi) = -u(tau): "
+                "an even cosine row is nonzero"
+            )
+        flats.append(flat[1::2])
+    Q = (M + 1) // 2
+    if Q < flats[0].shape[0]:
+        raise GuardError(
+            f"{M} nodes cannot resolve harmonic {2 * flats[0].shape[0] - 1}"
+        )
+    columns = flats[0].shape[1]
+    chunk = max(1, min(chunk, (1 << 24) // Q))
+    for lo in range(0, columns, chunk):
+        sl = slice(lo, min(lo + chunk, columns))
+        values = [dct(f[:, sl], type=4, n=Q, axis=0) for f in flats]
+        for v in values:
+            v *= 0.5
+        g = values[0] if pointwise is None else pointwise(*values)
+        if analysis:
+            g = dct(g, type=4, axis=0, overwrite_x=True)
+            g /= Q
+        yield sl, g
+
+
+def apply_nonlinearity(
+    coeffs, p, beta=None, M=None, chunk=1 << 17, tail=None, weights=None
+):
+    """Cosine coefficients 0..L of beta |u|^(2p) u for the odd series u
+    given by ``coeffs`` (even rows zero in and out).
 
     Works chunk-wise over the flattened spatial axes so the collocation
     buffer stays bounded for large 2d fields.  If ``tail`` is a dict, the
-    relative l2 mass of the discarded harmonics L+1..M-1 is stored under
-    'discarded' (diagnostic for choosing L on non-polynomial powers).
+    relative l2 mass of the discarded odd harmonics L+1..2Q-1 is stored
+    under 'discarded' (diagnostic for choosing L on non-polynomial powers).
+    ``weights`` (one per site, default 1) weight that mass per site, e.g.
+    by orbit size when ``coeffs`` holds only the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     L = coeffs.shape[0] - 1
@@ -85,23 +143,26 @@ def apply_nonlinearity(coeffs, p, beta=None, M=None, chunk=1 << 17, tail=None):
         beta = nonlinearity_coefficient(p)
     if M is None:
         M = default_node_count(L, p)
-    # keep the collocation buffer near 128 MB regardless of node count
-    chunk = max(1, min(chunk, (1 << 24) // M))
-    flat = coeffs.reshape(L + 1, -1)
-    out = np.empty_like(flat)
+    out = np.zeros((L + 1, coeffs.size // (L + 1)))
+    odd_out = out[1::2]
+    n_odd = odd_out.shape[0]
+    if weights is None:
+        weights = np.ones(out.shape[1])
+    weights = np.ravel(weights)
     kept = 0.0
     discarded = 0.0
-    want_tail = tail is not None
-    for lo in range(0, flat.shape[1], chunk):
-        sl = slice(lo, min(lo + chunk, flat.shape[1]))
-        v = synthesize(flat[:, sl], M)
-        g = beta * np.abs(v) ** (2.0 * p) * v
-        full = analyze(g, M - 1) if want_tail else analyze(g, L)
-        out[:, sl] = full[: L + 1]
-        if want_tail:
-            kept += float(np.sum(full[: L + 1] ** 2))
-            discarded += float(np.sum(full[L + 1 :] ** 2))
-    if want_tail:
+    for sl, spectrum in odd_collocation(
+        (coeffs,),
+        M,
+        lambda v: beta * np.abs(v) ** (2.0 * p) * v,
+        analysis=True,
+        chunk=chunk,
+    ):
+        odd_out[:, sl] = spectrum[:n_odd]
+        if tail is not None:
+            kept += float(np.sum(spectrum[:n_odd] ** 2, axis=0) @ weights[sl])
+            discarded += float(np.sum(spectrum[n_odd:] ** 2, axis=0) @ weights[sl])
+    if tail is not None:
         tail["discarded"] = np.sqrt(discarded / kept) if kept > 0.0 else 0.0
     return out.reshape(coeffs.shape)
 
@@ -132,38 +193,3 @@ def sobolev_time_norm(coeffs, order=2, omega=1.0):
     poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
     spatial = np.sum(coeffs.reshape(L + 1, -1) ** 2, axis=1)
     return float(np.sqrt(np.sum(weight * poly * spatial)))
-
-
-@dataclass
-class TimeFourierField:
-    """Cosine-series wave on a lattice box: coeffs[l] is the cos(l tau) field."""
-
-    grid: object
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape[1:] != self.grid.shape:
-            raise GuardError(
-                f"coefficient stack {self.coeffs.shape} does not sit on "
-                f"grid {self.grid.shape}"
-            )
-
-    @property
-    def L_max(self):
-        return self.coeffs.shape[0] - 1
-
-    def at_scaled_times(self, tau):
-        """Field values at arbitrary scaled times (tau = omega t)."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-        basis = np.cos(np.outer(tau, np.arange(self.L_max + 1)))
-        flat = self.coeffs.reshape(self.L_max + 1, -1)
-        return (basis @ flat).reshape((tau.size,) + self.grid.shape)
-
-    def time_derivative_at_scaled_times(self, tau, omega):
-        """du/dt at scaled times: -w sum_l l coeffs[l] sin(l tau)."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-        l = np.arange(self.L_max + 1)
-        basis = -omega * l * np.sin(np.outer(tau, l))
-        flat = self.coeffs.reshape(self.L_max + 1, -1)
-        return (basis @ flat).reshape((tau.size,) + self.grid.shape)

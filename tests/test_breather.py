@@ -34,6 +34,8 @@ from kgbreather.breather import (
     scaling_study,
 )
 from kgbreather.errors import FormatError, GuardError
+from kgbreather.lattice import laplacian
+from kgbreather.timespectral import collocation_nodes
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,46 @@ def test_residual_node_guard(small_1d):
         kg_residual(small_1d, time_nodes=2 * (small_1d.L_max + 1))
 
 
+def _per_node_residual(b):
+    """Reference: kg_residual as one dense mat-vec per midpoint node."""
+    L = b.L_max
+    M = 4 * (L + 1)
+    l = np.arange(L + 1)
+    cos_basis = np.cos(np.outer(collocation_nodes(M), l))
+    acc_basis = -((b.omega * l) ** 2) * cos_basis
+    flat = b.coeffs.reshape(L + 1, -1)
+    worst = 0.0
+    for m in range(M):
+        q = (cos_basis[m] @ flat).reshape(b.grid.shape)
+        q_tt = (acc_basis[m] @ flat).reshape(b.grid.shape)
+        res = (
+            q_tt
+            - b.coupling * laplacian(q)
+            + q
+            - b.beta * np.abs(q) ** (2.0 * b.p) * q
+        )
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["breather", "reference", "golden_2d"])
+def test_residual_matches_per_node_loop(small_1d, case):
+    if case == "golden_2d":
+        b = assemble_breather(PipelineConfig(
+            n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3
+        ))
+    elif case == "reference":
+        b = dataclasses.replace(small_1d, coeffs=reference_coefficients(small_1d))
+    else:
+        b = small_1d
+    # the residual cancels terms of the field's size, so the two orders
+    # of summation may differ by a few ulps of the amplitude
+    ulp = np.finfo(np.float64).eps * float(np.max(np.abs(b.coeffs)))
+    assert kg_residual(b) == pytest.approx(
+        _per_node_residual(b), rel=1e-12, abs=8 * ulp
+    )
+
+
 def test_reference_field_is_much_worse(small_1d):
     """Psi solves the equation only to O(mu^(1/p+2)); the assembled
     breather must beat it by orders of magnitude."""
@@ -147,6 +189,18 @@ def test_auto_window_stays_put_for_polynomial_power():
     b = assemble_breather(cfg)
     assert b.L_max == 7
     assert kg_residual(b) < 1e-10
+
+
+def test_auto_window_widens_for_even_working_window():
+    """The tail is calibrated on odd harmonics, whatever the parity of
+    l_max: an even l_max must not read the empty even rows."""
+    cfg = PipelineConfig(
+        n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, l_max=8,
+        residual_target=1e-9,
+    )
+    b = assemble_breather(cfg)
+    assert b.L_max > 8
+    assert kg_residual(b) < 1e-8
 
 
 def test_roundtrip(tmp_path, small_1d):

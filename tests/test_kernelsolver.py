@@ -27,7 +27,11 @@ from kgbreather.lattice import (
     unfold_symmetric,
 )
 from kgbreather.rangesolver import RangeOperator
-from kgbreather.timespectral import nonlinearity_coefficient
+from kgbreather.timespectral import (
+    apply_nonlinearity,
+    default_node_count,
+    nonlinearity_coefficient,
+)
 
 M_CUBIC = 1.0 / 16.0
 
@@ -150,6 +154,26 @@ def test_remainder_single_site_closed_form():
     predicted = -(3.0 * beta**2 / (16.0 * sigma3)) * mu**2 * c**5
     assert R[grid.K] == pytest.approx(predicted, rel=0.02)
     assert rep.converged
+
+
+def test_remainder_projects_on_the_range_node_count():
+    # R and w must come from one collocation: with twice the default nodes
+    # the p = 1/2 projection differs from the default one by ~1e-4 relative
+    mu, a, p = 0.3, 0.25, 0.5
+    profile = solve_ground_state(1, p)
+    grid = GridSpec.for_radius(1, mu=mu, r_min=20.0)
+    prob = DnlsProblem(
+        grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
+    )
+    phi = sample_reference(profile, grid, coupling=a).values
+    op = RangeOperator(grid, L_max=15, omega_sq=prob.omega_sq, coupling=a)
+    M = default_node_count(15, p, factor=8)
+    R, w, _ = kernel_remainder(phi, prob, op, collocation=M)
+    u = w.copy()
+    u[1] = phi
+    first = apply_nonlinearity(u, p, M=M)[1]
+    R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
+    assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
 
 
 def _contraction(report):

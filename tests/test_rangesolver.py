@@ -5,7 +5,7 @@ import pytest
 
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
-from kgbreather.lattice import GridSpec
+from kgbreather.lattice import GridSpec, block_slices, mirror_block
 from kgbreather.rangesolver import (
     RangeOperator,
     leading_range_response,
@@ -237,3 +237,46 @@ def test_2d_smoke():
     )
     _, report2 = solve_range_equation(phi, op2, p=0.5, mu=mu, tail_check=True)
     assert report2.tail_fraction < 0.3 * report.tail_fraction
+
+
+def _full_box_picard(phi, op, p, mu, iterations):
+    """Reference: the Picard steps with the nonlinearity on every box site."""
+    v = np.zeros((op.L_max + 1,) + op.grid.shape)
+    v[1] = phi
+    w = np.zeros_like(v)
+    tail = {}
+    for _ in range(iterations):
+        g = apply_nonlinearity(v + w, p, tail=tail)
+        g[1] = 0.0
+        w = mu**2 * op.solve(g)
+    forcing = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p), order=0)
+    return w, tail["discarded"], forcing
+
+
+@pytest.mark.parametrize(
+    "n, offsets",
+    [
+        (1, (0.0,)),
+        (1, (0.5,)),
+        (2, (0.0, 0.0)),
+        (2, (0.0, 0.5)),
+        (2, (0.5, 0.0)),
+        (2, (0.5, 0.5)),
+    ],
+)
+def test_block_nonlinearity_matches_full_box(n, offsets):
+    p, mu, a = (1.0, 0.3, 0.4) if n == 1 else (0.5, 0.3, 0.25)
+    profile = solve_ground_state(n, p)
+    grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
+    phi = sample_reference(profile, grid, coupling=a).values
+    phi = mirror_block(phi[block_slices(grid)], grid)
+    op = RangeOperator(
+        grid, L_max=9, omega_sq=omega_sq(mu, profile.multiplier), coupling=a
+    )
+    w, report = solve_range_equation(phi, op, p=p, mu=mu, tail_check=True)
+    w_ref, tail_ref, forcing_ref = _full_box_picard(
+        phi, op, p, mu, report.iterations
+    )
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+    assert report.tail_fraction == pytest.approx(tail_ref, rel=1e-12)
+    assert report.forcing_norm == pytest.approx(forcing_ref, rel=1e-12)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kgbreather.breather import Breather, kg_residual
 from kgbreather.errors import GuardError
 from kgbreather.lattice import GridSpec
 from kgbreather.timespectral import (
-    TimeFourierField,
     analyze,
     apply_nonlinearity,
     collocation_nodes,
@@ -99,9 +99,53 @@ def test_nonlinearity_preserves_odd_parity(p):
     assert np.max(np.abs(out[1::2])) > 1e-4
 
 
+def _odd_stack(rng, rows, columns, scale=0.5):
+    c = np.zeros((rows, columns))
+    c[1::2] = scale * rng.standard_normal(c[1::2].shape)
+    return c
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("L, M", [(7, 32), (12, 26), (15, 64), (16, 40)])
+def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
+    # the odd-row DCT-IV projection against the general DCT-III / DCT-II
+    # pair on all M midpoint nodes: equal in exact arithmetic for even M
+    rng = np.random.default_rng(10 + L)
+    c = _odd_stack(rng, L + 1, 17)
+    beta = nonlinearity_coefficient(p)
+    v = synthesize(c, M)
+    spectrum = analyze(beta * np.abs(v) ** (2 * p) * v, M - 1)
+    tail = {}
+    out = apply_nonlinearity(c, p=p, M=M, tail=tail)
+    scale = np.max(np.abs(spectrum))
+    assert np.max(np.abs(out - spectrum[: L + 1])) <= 1e-14 * scale
+    assert np.all(out[0::2] == 0.0)
+    kept = np.sum(spectrum[: L + 1] ** 2)
+    discarded = np.sum(spectrum[L + 1 :] ** 2)
+    assert tail["discarded"] == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
+
+
+def test_even_harmonics_are_guarded():
+    c = _odd_stack(np.random.default_rng(11), 6, 4)
+    c[2, 1] = 1e-300
+    with pytest.raises(GuardError, match="even cosine row"):
+        apply_nonlinearity(c, p=1.0)
+    grid = GridSpec(n=1, K=3, mu=0.5)
+    coeffs = np.zeros((4,) + grid.shape)
+    coeffs[1] = 0.1
+    b = Breather(
+        grid=grid, p=1.0, coupling=0.25, mu=0.5, mode="st", multiplier=0.0625,
+        omega=0.99, coeffs=coeffs, phi=coeffs[1], phi_dnls=coeffs[1],
+        w_hat=np.zeros_like(coeffs),
+    )
+    assert kg_residual(b) > 0.0
+    b.coeffs[0, 3] = 1e-300
+    with pytest.raises(GuardError, match="even cosine row"):
+        kg_residual(b)
+
+
 def test_chunking_is_transparent():
-    rng = np.random.default_rng(3)
-    c = 0.5 * rng.standard_normal((7, 23))
+    c = _odd_stack(np.random.default_rng(3), 7, 23)
     full = apply_nonlinearity(c, p=0.75)
     chunked = apply_nonlinearity(c, p=0.75, chunk=5)
     assert np.array_equal(full, chunked)
@@ -155,25 +199,3 @@ def test_node_count_guards():
     with pytest.raises(GuardError):
         analyze(np.zeros((4, 1)), 4)
     assert default_node_count(7, 1.0) >= 17  # alias-free for the cubic
-
-
-def test_field_wrapper():
-    g = GridSpec(n=1, K=3, mu=0.5)
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal((3, 7))
-    f = TimeFourierField(g, c)
-    assert f.L_max == 2
-    tau = np.array([0.0, 0.9])
-    vals = f.at_scaled_times(tau)
-    direct = c[0] + c[1] * np.cos(0.9) + c[2] * np.cos(1.8)
-    assert np.allclose(vals[0], c.sum(axis=0), atol=1e-14)
-    assert np.allclose(vals[1], direct, atol=1e-14)
-    # d/dt at tau: finite difference in physical time
-    omega = 0.97
-    eps = 1e-6
-    fd = (f.at_scaled_times(0.9 + omega * eps) - f.at_scaled_times(0.9 - omega * eps)) / (
-        2 * eps
-    )
-    assert np.allclose(f.time_derivative_at_scaled_times(0.9, omega)[0], fd[0], atol=1e-7)
-    with pytest.raises(GuardError):
-        TimeFourierField(g, np.zeros((3, 6)))
