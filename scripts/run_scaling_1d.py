@@ -13,6 +13,7 @@ import argparse
 import time
 
 from kgbreather.breather import SCALING_COLUMNS, scaling_study
+from kgbreather.lattice import BREATHER_MODES
 
 
 def parse_args():
@@ -21,7 +22,7 @@ def parse_args():
                     help="comma separated, strictly decreasing")
     ap.add_argument("--p", type=float, default=1.0)
     ap.add_argument("--a", type=float, default=0.25)
-    ap.add_argument("--mode", default="st", choices=("st", "p"))
+    ap.add_argument("--mode", default="st", choices=tuple(BREATHER_MODES[1]))
     ap.add_argument("--l-max", type=int, default=15)
     ap.add_argument("--r-min", type=float, default=80.0)
     ap.add_argument("--out", default="scaling_1d",

@@ -15,6 +15,7 @@ import argparse
 import time
 
 from kgbreather.breather import SCALING_COLUMNS, scaling_study
+from kgbreather.lattice import BREATHER_MODES
 
 
 def parse_args():
@@ -22,8 +23,7 @@ def parse_args():
     ap.add_argument("--mu-list", default="0.30,0.25,0.20,0.15")
     ap.add_argument("--p", type=float, default=0.5)
     ap.add_argument("--a", type=float, default=0.25)
-    ap.add_argument("--mode", default="h1",
-                    choices=("st", "h1", "h2", "p"))
+    ap.add_argument("--mode", default="h1", choices=tuple(BREATHER_MODES[2]))
     ap.add_argument("--l-max", type=int, default=15)
     ap.add_argument("--r-min", type=float, default=60.0)
     ap.add_argument("--residual-target", type=float, default=8e-10,

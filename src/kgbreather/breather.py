@@ -34,6 +34,7 @@ from .kernelsolver import (
     solve_kernel_equation,
 )
 from .lattice import (
+    BREATHER_MODES,
     GridSpec,
     SymmetricSequence,
     laplacian,
@@ -49,12 +50,6 @@ from .timespectral import (
     odd_collocation,
     sobolev_time_norm,
 )
-
-# short mode codes (CLI spelling) -> descriptive lattice mode names
-MODE_LABELS = {
-    1: {"st": "site", "p": "bond"},
-    2: {"st": "site", "h1": "bond-y", "h2": "bond-x", "p": "plaquette"},
-}
 
 _MAGIC = b"KGBR"
 _VERSION = 1
@@ -78,7 +73,6 @@ class PipelineConfig:
     kernel_tol: float = 1e-11
     residual_l_max: int = 0  # wider window for the final range pass (0 = l_max)
     residual_target: float = 0.0  # when > 0, widen that window automatically
-    collocation_factor: int = 4
 
     def __post_init__(self):
         check_exponent(self.n, self.p)
@@ -86,11 +80,7 @@ class PipelineConfig:
             raise GuardError(f"coupling must sit in (0, 1/2), got {self.coupling}")
         if not (0.0 < self.mu):
             raise GuardError(f"mu must be positive, got {self.mu}")
-        if self.mode not in MODE_LABELS[self.n]:
-            raise GuardError(
-                f"unknown mode {self.mode!r} for n={self.n}; choose from "
-                f"{sorted(MODE_LABELS[self.n])}"
-            )
+        mode_offsets(self.n, self.mode)
         if self.l_max < 3:
             raise GuardError("need at least harmonics 0..3 to see the range part")
         if self.residual_l_max and self.residual_l_max < self.l_max:
@@ -100,7 +90,7 @@ class PipelineConfig:
 
     @property
     def offsets(self):
-        return mode_offsets(self.n, MODE_LABELS[self.n][self.mode])
+        return mode_offsets(self.n, self.mode)
 
     def make_grid(self):
         return GridSpec.for_radius(
@@ -214,9 +204,7 @@ def assemble_breather(config: PipelineConfig):
 
     range_kwargs = {
         "tol": config.tol,
-        "collocation": default_node_count(
-            config.l_max, config.p, factor=config.collocation_factor
-        ),
+        "collocation": default_node_count(config.l_max, config.p),
     }
     phi, w_hat, kernel_report, op = solve_kernel_equation(
         phi_dnls,
@@ -245,9 +233,7 @@ def assemble_breather(config: PipelineConfig):
         w_hat = w_wide
     residual_kwargs = {
         "tol": config.tol,
-        "collocation": default_node_count(
-            L_res, config.p, factor=config.collocation_factor
-        ),
+        "collocation": default_node_count(L_res, config.p),
     }
     w_hat, range_report = solve_range_equation(
         phi,
@@ -319,13 +305,13 @@ def reference_coefficients(b: Breather):
     return coeffs
 
 
-def kg_residual(b: Breather, time_nodes=None):
+def kg_residual(b: Breather):
     """Sup over sites and collocation times of the lattice field equation
     applied to the breather:
 
         max | q_tt - a (lap q) + q - beta |q|^(2p) q |
 
-    evaluated on >= 4 (L_max + 1) equispaced times (enough that the cubic
+    evaluated on 4 (L_max + 1) equispaced times (enough that the cubic
     image of the harmonic window is sampled alias-free).  The linear part
     acts per harmonic, so it is applied to the coefficients and synthesised
     alongside q.  This check always runs on the whole box, never on the
@@ -333,11 +319,6 @@ def kg_residual(b: Breather, time_nodes=None):
     A nonzero even harmonic is a GuardError (the collocation is odd-only).
     """
     L = b.L_max
-    M = time_nodes if time_nodes is not None else 4 * (L + 1)
-    if M < 4 * (L + 1):
-        raise GuardError(
-            f"residual wants >= {4 * (L + 1)} time nodes for L_max={L}, got {M}"
-        )
     l = np.arange(L + 1)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
@@ -345,7 +326,7 @@ def kg_residual(b: Breather, time_nodes=None):
     worst = 0.0
     for _, res in odd_collocation(
         (b.coeffs, linear),
-        M,
+        4 * (L + 1),
         lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
     ):
         worst = max(worst, float(np.max(np.abs(res))))
@@ -567,10 +548,6 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 
 # ----------------------------------------------------------------- file I/O
 
-_MODE_CODES = {"st": 0, "p": 1, "h1": 2, "h2": 3}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-
 def save_breather(path, b: Breather):
     """Binary dump: header (geometry + parameters), then the coefficient
     stack, kernel profile, discrete-NLS profile and range stack."""
@@ -584,7 +561,7 @@ def save_breather(path, b: Breather):
                 g.n,
                 g.K,
                 b.L_max,
-                _MODE_CODES[b.mode],
+                list(BREATHER_MODES[g.n]).index(b.mode),
                 g.mu,
                 b.coupling,
                 b.p,
@@ -616,9 +593,16 @@ def load_breather(path):
         offsets = struct.unpack_from(f"<{n}d", raw, off)
         off += 8 * n
         grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
-        mode = _MODE_NAMES[mode_code]
-    except (struct.error, KeyError, GuardError) as exc:
+    except (struct.error, GuardError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
+    modes = list(BREATHER_MODES[n])
+    if mode_code >= len(modes):
+        raise FormatError(f"{path}: mode code {mode_code} is unknown for n={n}")
+    mode = modes[mode_code]
+    if grid.offsets != BREATHER_MODES[n][mode]:
+        raise FormatError(
+            f"{path}: offsets {grid.offsets} are not those of mode {mode!r}"
+        )
     stack = (L_max + 1) * grid.size
     sizes = (stack, grid.size, grid.size, stack)
     if len(raw) - off != 8 * sum(sizes):

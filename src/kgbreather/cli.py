@@ -40,7 +40,7 @@ from .errors import (
 )
 from .feminterp import FemInterpolant, functional_remainder
 from .groundstate import sample_reference, save_profile, solve_ground_state
-from .lattice import GridSpec, norm_q_mu
+from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
 from .timespectral import sobolev_time_norm
 
 # option name -> (type, default); None default means "required"
@@ -322,7 +322,7 @@ def build_parser():
     sp.add_argument("--p", type=float)
     sp.add_argument("--a", type=float, help="lattice coupling in (0, 1/2)")
     sp.add_argument("--mu", type=float)
-    sp.add_argument("--mode", choices=("st", "p", "h1", "h2"))
+    sp.add_argument("--mode", choices=tuple(BREATHER_MODES[2]))
     sp.add_argument("--K", type=int, help="explicit box half-width (overrides --r-min)")
     sp.add_argument("--l-max", dest="l_max", type=int)
     sp.add_argument("--r-min", dest="r_min", type=float)
@@ -342,7 +342,7 @@ def build_parser():
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=float)
     sp.add_argument("--a", type=float)
-    sp.add_argument("--mode", choices=("st", "p", "h1", "h2"))
+    sp.add_argument("--mode", choices=tuple(BREATHER_MODES[2]))
     sp.add_argument("--mu-list", dest="mu_list", type=str,
                     help="comma-separated, strictly decreasing")
     sp.add_argument("--l-max", dest="l_max", type=int)

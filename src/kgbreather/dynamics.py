@@ -58,7 +58,6 @@ def integrate_period(
     periods=1,
     initial_coeffs=None,
     max_drift=None,
-    sample_every=None,
 ):
     """Velocity-Verlet over whole periods of the breather.
 
@@ -83,8 +82,7 @@ def integrate_period(
     v = np.zeros_like(q)
     dt = (2.0 * np.pi / b.omega) / steps_per_period
     steps = steps_per_period * periods
-    if sample_every is None:
-        sample_every = max(1, steps // 512)
+    sample_every = max(1, steps // 512)  # energy is sampled ~512 times
 
     h0 = lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta)
     h_scale = max(abs(h0), 1.0)

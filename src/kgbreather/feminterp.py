@@ -47,17 +47,13 @@ class FemInterpolant:
         g = self.grid
         x = np.asarray(x, dtype=np.float64)
         if g.n == 1:
-            xi = x / g.mu - g.offsets[0]
-            lo = -g.K if g.offsets[0] == 0.0 else -g.K - 1
-            return (xi - lo,)
+            return (x / g.mu - g.offsets[0] - g.axis_indices(0)[0],)
         if x.shape[-1] != 2:
             raise GuardError("2d interpolant wants points with 2 components")
-        coords = []
-        for ax in range(2):
-            xi = x[..., ax] / g.mu - g.offsets[ax]
-            lo = -g.K if g.offsets[ax] == 0.0 else -g.K - 1
-            coords.append(xi - lo)
-        return tuple(coords)
+        return tuple(
+            x[..., ax] / g.mu - g.offsets[ax] - g.axis_indices(ax)[0]
+            for ax in range(2)
+        )
 
     def __call__(self, x):
         """Evaluate at physical points: scalar/array (1d) or (..., 2) (2d)."""
@@ -217,28 +213,6 @@ def functional_remainder(interp: FemInterpolant, q, nodes=16, refine=2):
         total += float(w @ vals.reshape(len(w), -1).sum(axis=1))
     g_c = 0.5 * mu**2 * total
     return g_c, g_d, g_c - g_d
-
-
-def save_sampled_csv(path, interp: FemInterpolant, per_cell=4):
-    """Write a dense sampling of the interpolant (for external plotting)."""
-    g = interp.grid
-    axes = []
-    for ax in range(g.n):
-        x = g.position_axes()[ax]
-        fine = np.linspace(x[0] - g.mu, x[-1] + g.mu, per_cell * (len(x) + 1) + 1)
-        axes.append(fine)
-    with open(path, "w") as fh:
-        if g.n == 1:
-            fh.write("x,value\n")
-            for x, v in zip(axes[0], interp(axes[0])):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x,y,value\n")
-            xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-            vals = interp(pts)
-            for (x, y), v in zip(pts, vals):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
 
 
 def gradient_identity_gap(seq: SymmetricSequence):

@@ -277,7 +277,7 @@ class HessianDiagnostics:
     min_abs_eigenvalue: float
 
 
-def hessian_diagnostics(phi, prob, dense_limit=2500):
+def hessian_diagnostics(phi, prob):
     """Spectral structure of G0' at a solution, in reduced coordinates.
 
     The solution direction is a strict descent direction:
@@ -297,7 +297,7 @@ def hessian_diagnostics(phi, prob, dense_limit=2500):
     # restricting to the orthogonal complement of q is exact when done as
     # P J P (P the projector): on q-perp this is the compression of J, and
     # shifting the q direction upward keeps it out of the bottom spectrum
-    if dim <= dense_limit:
+    if dim <= 2500:  # dense eigensolve; sparse shift-invert above
         dense = J_red.toarray()
         evals = np.linalg.eigvalsh(dense)
         min_abs = float(np.min(np.abs(evals)))

@@ -9,10 +9,12 @@ array invariant under ``np.flip`` along each axis, which the reduction
 helpers below exploit to strip the mirror-image redundancy before handing
 systems to a Newton solver, and to evaluate site-by-site maps on the
 fundamental block alone (``block_slices`` / ``mirror_block``).
+
+The module does no file I/O; the one snapshot format, ``.kgbr``, is read
+and written by ``breather.save_breather`` / ``load_breather``.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,21 +133,25 @@ class SymmetricSequence:
         return worst
 
 
-# Symmetry centers the breather families can sit on: a lattice site, the
-# midpoint of a bond, or (2d) the center of a plaquette.  The offset per
-# axis is what the reflection symmetry of the box encodes.
+# The one table of symmetry centers the breather families can sit on, by
+# dimension and mode code: st a lattice site, p (1d) the midpoint of a bond
+# or (2d) the center of a plaquette, h1 / h2 (2d) the midpoint of a bond
+# along y / along x.  The offset per axis is what the reflection symmetry
+# of the box encodes.  A mode's position in its dimension's table is its
+# code in .kgbr files (st 0, p 1, h1 2, h2 3), so the order is fixed.
 BREATHER_MODES = {
-    1: {"site": (0.0,), "bond": (0.5,)},
+    1: {"st": (0.0,), "p": (0.5,)},
     2: {
-        "site": (0.0, 0.0),
-        "bond-x": (0.5, 0.0),
-        "bond-y": (0.0, 0.5),
-        "plaquette": (0.5, 0.5),
+        "st": (0.0, 0.0),
+        "p": (0.5, 0.5),
+        "h1": (0.0, 0.5),
+        "h2": (0.5, 0.0),
     },
 }
 
 
 def mode_offsets(n, mode):
+    """Offsets of a mode code; the one check that a code exists for n."""
     try:
         return BREATHER_MODES[n][mode]
     except KeyError:
@@ -153,13 +159,6 @@ def mode_offsets(n, mode):
             f"unknown mode {mode!r} for n={n}; choose from "
             f"{sorted(BREATHER_MODES.get(n, {}))}"
         ) from None
-
-
-def mode_name(n, offsets):
-    for name, off in BREATHER_MODES[n].items():
-        if tuple(offsets) == off:
-            return name
-    raise GuardError(f"offsets {offsets} match no named mode")
 
 
 def _shifted(a, axis, step):
@@ -207,18 +206,6 @@ def dirichlet_energy(a, axes=None):
         d = np.diff(a, axis=ax, prepend=0.0, append=0.0)
         total += float(np.sum(d * d))
     return total
-
-
-def inner_q(a, b):
-    """H^1-type inner product: sum a*b + sum of difference products."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    val = float(np.sum(a * b))
-    for ax in range(a.ndim):
-        da = np.diff(a, axis=ax, prepend=0.0, append=0.0)
-        db = np.diff(b, axis=ax, prepend=0.0, append=0.0)
-        val += float(np.sum(da * db))
-    return val
 
 
 def norm_l2(a):
@@ -371,103 +358,3 @@ def symmetry_basis(grid):
     data = 1.0 / np.sqrt(sigma)
     nred = (grid.K + 1) ** grid.n
     return sparse.csr_matrix((data, (rows, col)), shape=(grid.size, nred))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-_MAGIC = b"KGSQ"
-_VERSION = 1
-
-
-def save_sequence(path, seq):
-    """Binary dump: magic, version, geometry header, raw float64 C-order."""
-    g = seq.grid
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIq d", _VERSION, g.n, g.K, g.mu))
-        fh.write(struct.pack(f"<{g.n}d", *g.offsets))
-        fh.write(np.ascontiguousarray(seq.values, dtype="<f8").tobytes())
-
-
-def load_sequence(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a lattice sequence file")
-    try:
-        version, n, K, mu = struct.unpack_from("<IIq d", raw, 4)
-        off = 4 + struct.calcsize("<IIq d")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        offsets = struct.unpack_from(f"<{n}d", raw, off)
-        off += 8 * n
-        grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
-    except (struct.error, GuardError) as exc:
-        raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    payload = raw[off:]
-    if len(payload) != 8 * grid.size:
-        raise FormatError(
-            f"{path}: payload holds {len(payload) // 8} values, "
-            f"grid needs {grid.size}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
-    return SymmetricSequence(grid, values)
-
-
-def save_sequence_csv(path, seq):
-    """Text dump with repr-exact floats; metadata in '#' comment lines."""
-    g = seq.grid
-    idx = [g.axis_indices(ax) for ax in range(g.n)]
-    with open(path, "w") as fh:
-        fh.write("# kgbreather sequence v1\n")
-        fh.write(f"# n={g.n} K={g.K} mu={g.mu!r} offsets={','.join(map(repr, g.offsets))}\n")
-        fh.write(",".join(f"j{ax + 1}" for ax in range(g.n)) + ",value\n")
-        if g.n == 1:
-            for j, v in zip(idx[0], seq.values):
-                fh.write(f"{j},{float(v)!r}\n")
-        else:
-            for i0, j0 in enumerate(idx[0]):
-                for i1, j1 in enumerate(idx[1]):
-                    fh.write(f"{j0},{j1},{float(seq.values[i0, i1])!r}\n")
-
-
-def load_sequence_csv(path):
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        meta[key] = val
-                continue
-            if line.startswith("j1,"):
-                continue
-            rows.append(line.split(","))
-    try:
-        n = int(meta["n"])
-        grid = GridSpec(
-            n=n,
-            K=int(meta["K"]),
-            mu=float(meta["mu"]),
-            offsets=tuple(float(t) for t in meta["offsets"].split(",")),
-        )
-    except (KeyError, ValueError, GuardError) as exc:
-        raise FormatError(f"{path}: bad or missing metadata ({exc})") from exc
-    if len(rows) != grid.size:
-        raise FormatError(f"{path}: {len(rows)} rows, grid needs {grid.size}")
-    values = np.zeros(grid.shape)
-    lows = [grid.axis_indices(ax)[0] for ax in range(grid.n)]
-    try:
-        for row in rows:
-            pos = tuple(int(row[ax]) - lows[ax] for ax in range(grid.n))
-            values[pos] = float(row[grid.n])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed row ({exc})") from exc
-    return SymmetricSequence(grid, values)

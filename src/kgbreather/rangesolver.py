@@ -243,15 +243,3 @@ def solve_range_equation(
     )
     return w, report
 
-
-def leading_range_response(phi, op, p, mu, beta=None, collocation=None):
-    """First Picard iterate w0 = mu^2 Linv P_range N(phi cos tau): the
-    explicit leading-order part of the range component."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if beta is None:
-        beta = nonlinearity_coefficient(p)
-    v = np.zeros((op.L_max + 1,) + op.grid.shape)
-    v[1] = phi
-    g = apply_nonlinearity(v, p, beta=beta, M=collocation)
-    g[1] = 0.0
-    return mu**2 * op.solve(g)

@@ -16,12 +16,12 @@ Oracle notes:
 """
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from kgbreather.breather import (
-    MODE_LABELS,
     Breather,
     PipelineConfig,
     assemble_breather,
@@ -33,8 +33,9 @@ from kgbreather.breather import (
     save_breather_report,
     scaling_study,
 )
+from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
-from kgbreather.lattice import laplacian
+from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian
 from kgbreather.timespectral import collocation_nodes
 
 
@@ -70,16 +71,15 @@ def test_config_guards():
 
 
 def test_mode_offset_map():
-    assert PipelineConfig(n=1, p=1.0, coupling=0.2, mu=0.3, mode="st").offsets == (0.0,)
-    assert PipelineConfig(n=1, p=1.0, coupling=0.2, mu=0.3, mode="p").offsets == (0.5,)
-    two = {m: PipelineConfig(n=2, p=0.5, coupling=0.2, mu=0.3, mode=m).offsets
-           for m in MODE_LABELS[2]}
-    assert two == {
-        "st": (0.0, 0.0),
-        "h1": (0.0, 0.5),
-        "h2": (0.5, 0.0),
-        "p": (0.5, 0.5),
+    assert BREATHER_MODES == {
+        1: {"st": (0.0,), "p": (0.5,)},
+        2: {"st": (0.0, 0.0), "p": (0.5, 0.5), "h1": (0.0, 0.5), "h2": (0.5, 0.0)},
     }
+    for n, modes in BREATHER_MODES.items():
+        for mode, offsets in modes.items():
+            cfg = PipelineConfig(n=n, p=1.0 / n, coupling=0.2, mu=0.3, mode=mode)
+            assert cfg.offsets == offsets
+            assert cfg.make_grid().offsets == offsets
 
 
 def test_assembly_is_deterministic():
@@ -109,11 +109,6 @@ def test_residual_and_symmetry(small_1d):
     b = small_1d
     assert kg_residual(b) < 1e-12
     assert b.symmetry_error() < 1e-13
-
-
-def test_residual_node_guard(small_1d):
-    with pytest.raises(GuardError):
-        kg_residual(small_1d, time_nodes=2 * (small_1d.L_max + 1))
 
 
 def _per_node_residual(b):
@@ -234,6 +229,69 @@ def test_load_rejects_corrupt_files(tmp_path, small_1d):
         load_breather(tmp_path / "magic.kgbr")
     with pytest.raises(FormatError):
         load_breather(tmp_path / "missing.kgbr")
+
+
+# byte offset of the mode code in a .kgbr header: magic 4, version 4, n 4,
+# K 8, L_max 4
+_MODE_CODE_AT = 24
+
+
+def _tiny_breather(n, mode):
+    """A Breather built directly from small random arrays (not assembled)."""
+    grid = GridSpec(n=n, K=2, mu=0.25, offsets=BREATHER_MODES[n][mode])
+    rng = np.random.default_rng(17)
+    stack = (4,) + grid.shape
+    return Breather(
+        grid=grid,
+        p=1.0 / n,
+        coupling=0.25,
+        mu=0.25,
+        mode=mode,
+        multiplier=0.0625,
+        omega=0.998,
+        coeffs=rng.standard_normal(stack),
+        phi=rng.standard_normal(grid.shape),
+        phi_dnls=rng.standard_normal(grid.shape),
+        w_hat=rng.standard_normal(stack),
+    )
+
+
+@pytest.mark.parametrize(
+    ("n", "mode", "code"),
+    [(1, "st", 0), (1, "p", 1), (2, "st", 0), (2, "p", 1), (2, "h1", 2), (2, "h2", 3)],
+)
+def test_roundtrip_every_centering(tmp_path, n, mode, code):
+    b = _tiny_breather(n, mode)
+    path = tmp_path / "b.kgbr"
+    save_breather(path, b)
+    assert struct.unpack_from("<I", path.read_bytes(), _MODE_CODE_AT)[0] == code
+    b2 = load_breather(path)
+    assert (b2.grid, b2.mode, b2.mu, b2.coupling, b2.p) == (
+        b.grid, b.mode, b.mu, b.coupling, b.p
+    )
+    assert (b2.multiplier, b2.omega) == (b.multiplier, b.omega)
+    for name in ("coeffs", "phi", "phi_dnls", "w_hat"):
+        assert getattr(b2, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("n", "mode", "code"),
+    [
+        (1, "st", 2),  # h1 exists only in 2d
+        (1, "st", 1),  # p, but the header holds site-centred offsets
+        (2, "h2", 2),  # h1, but the header holds the offsets of h2
+        (2, "st", 4),  # no such code
+    ],
+)
+def test_load_rejects_mode_code_contradicting_header(tmp_path, n, mode, code):
+    path = tmp_path / "b.kgbr"
+    save_breather(path, _tiny_breather(n, mode))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, _MODE_CODE_AT, code)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_breather(path)
+    assert main(["validate", "--input", str(path)]) == 4
 
 
 def test_report_json(tmp_path, small_1d):

@@ -25,7 +25,6 @@ from kgbreather.feminterp import (
     functional_remainder,
     gradient_energy,
     gradient_identity_gap,
-    save_sampled_csv,
 )
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.lattice import GridSpec, SymmetricSequence, norm_q_mu
@@ -238,23 +237,3 @@ def test_remainder_shrinks_with_spacing():
     assert max(ratios) < 0.05
     assert max(ratios) / min(ratios) < 1.05
 
-
-# ------------------------------------------------------------------- export
-
-
-def test_save_sampled_csv(tmp_path):
-    seq = _random_seq(1, 3, 0.5, seed=21)
-    path = tmp_path / "interp.csv"
-    save_sampled_csv(path, FemInterpolant(seq), per_cell=2)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    x, v = (float(tok) for tok in lines[1].split(","))
-    assert v == FemInterpolant(seq)(x)
-
-    seq2 = _random_seq(2, 2, 0.5, seed=22)
-    path2 = tmp_path / "interp2.csv"
-    save_sampled_csv(path2, FemInterpolant(seq2), per_cell=2)
-    lines2 = path2.read_text().strip().splitlines()
-    assert lines2[0] == "x,y,value"
-    x, y, v = (float(tok) for tok in lines2[1].split(","))
-    assert v == FemInterpolant(seq2)(np.array([x, y]))

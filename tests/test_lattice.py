@@ -1,4 +1,4 @@
-"""Lattice core: Laplacian stencil, norms, symmetry reduction, serialization."""
+"""Lattice core: Laplacian stencil, norms, symmetry reduction."""
 
 import numpy as np
 import pytest
@@ -13,17 +13,12 @@ from kgbreather.lattice import (
     embedding_checks,
     fold_symmetric,
     fundamental_shape,
-    inner_q,
     laplacian,
     lp_norm,
-    load_sequence,
-    load_sequence_csv,
     norm_l2,
     norm_l2_mu,
     norm_q,
     norm_q_mu,
-    save_sequence,
-    save_sequence_csv,
     sup_norm,
     symmetry_basis,
     unfold_symmetric,
@@ -116,14 +111,6 @@ def test_laplacian_symmetric_negative(seed):
         float(np.dot(laplacian(a), b)), rel=1e-12, abs=1e-12
     )
     assert float(np.dot(a, laplacian(a))) <= 1e-12
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_inner_q_is_polarization_of_norm_q(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(9)
-    assert inner_q(a, a) == pytest.approx(norm_q(a) ** 2, rel=1e-12)
 
 
 @given(
@@ -288,54 +275,3 @@ def test_unfold_is_reflection_even():
     s = SymmetricSequence(grid, unfold_symmetric(c, grid))
     assert s.asymmetry() == 0.0
 
-
-# --- serialization ---------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [GridSpec(n=1, K=6, mu=0.3), GridSpec(n=2, K=3, mu=0.17, offsets=(0.5, 0.0))],
-)
-def test_binary_roundtrip_exact(grid, tmp_path):
-    rng = np.random.default_rng(5)
-    seq = SymmetricSequence(grid, rng.standard_normal(grid.shape))
-    path = tmp_path / "seq.kgsq"
-    save_sequence(path, seq)
-    back = load_sequence(path)
-    assert back.grid == grid
-    assert np.array_equal(back.values, seq.values)
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [GridSpec(n=1, K=6, mu=0.3), GridSpec(n=2, K=3, mu=0.17, offsets=(0.5, 0.5))],
-)
-def test_csv_roundtrip_exact(grid, tmp_path):
-    rng = np.random.default_rng(9)
-    seq = SymmetricSequence(grid, rng.standard_normal(grid.shape) * 1e-7)
-    path = tmp_path / "seq.csv"
-    save_sequence_csv(path, seq)
-    back = load_sequence_csv(path)
-    assert back.grid == grid
-    assert np.array_equal(back.values, seq.values)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(FormatError):
-        load_sequence(path)
-    truncated = tmp_path / "trunc.kgsq"
-    g = GridSpec(n=1, K=3, mu=0.5)
-    save_sequence(truncated, SymmetricSequence(g, np.zeros(7)))
-    data = truncated.read_bytes()
-    truncated.write_bytes(data[:-8])
-    with pytest.raises(FormatError):
-        load_sequence(truncated)
-
-
-def test_csv_rejects_missing_metadata(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("j1,value\n0,1.0\n")
-    with pytest.raises(FormatError):
-        load_sequence_csv(path)

@@ -6,11 +6,7 @@ import pytest
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.lattice import GridSpec, block_slices, mirror_block
-from kgbreather.rangesolver import (
-    RangeOperator,
-    leading_range_response,
-    solve_range_equation,
-)
+from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     nonlinearity_coefficient,
@@ -114,28 +110,18 @@ def test_decoupled_site_closed_form():
     phi = np.zeros(grid.shape)
     phi[grid.K] = c
     op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(mu), coupling=a)
-    w0 = leading_range_response(phi, op, p=1.0, mu=mu)
     beta = nonlinearity_coefficient(1.0)
+    # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau)
+    v = np.zeros((op.L_max + 1,) + grid.shape)
+    v[1] = phi
+    g = apply_nonlinearity(v, 1.0, beta=beta)
+    g[1] = 0.0
+    w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
     assert w0[3, grid.K] == pytest.approx(predicted, rel=1e-9)
     # nothing anywhere else: odd nonlinearity, decoupled lattice
     w0[3, grid.K] = 0.0
     assert np.max(np.abs(w0)) < 1e-9 * abs(predicted)
-
-
-def test_leading_response_captures_picard_limit():
-    mu = 0.25
-    grid, phi, op = cubic_setup(mu)
-    w0 = leading_range_response(phi, op, p=1.0, mu=mu)
-    w, _ = solve_range_equation(phi, op, p=1.0, mu=mu)
-    rel = sobolev_time_norm(w - w0) / sobolev_time_norm(w)
-    assert rel < 0.01
-    # the defect is higher order in mu: it shrinks visibly from mu to mu/2
-    grid2, phi2, op2 = cubic_setup(mu / 2)
-    w02 = leading_range_response(phi2, op2, p=1.0, mu=mu / 2)
-    w2, _ = solve_range_equation(phi2, op2, p=1.0, mu=mu / 2)
-    rel2 = sobolev_time_norm(w2 - w02) / sobolev_time_norm(w2)
-    assert rel2 < 0.3 * rel
 
 
 # --- the contraction solve -------------------------------------------------
