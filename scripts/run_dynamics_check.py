@@ -20,11 +20,12 @@ from kgbreather.breather import (
     reference_coefficients,
 )
 from kgbreather.dynamics import integrate_period
+from kgbreather.lattice import BREATHER_MODES
 
 
-def parse_args():
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=1)
+    ap.add_argument("--n", type=int, default=1, choices=tuple(BREATHER_MODES))
     ap.add_argument("--p", type=float, default=1.0)
     ap.add_argument("--a", type=float, default=0.25)
     ap.add_argument("--mu", type=float, default=0.1)
@@ -34,7 +35,13 @@ def parse_args():
                     help="leapfrog steps per period")
     ap.add_argument("--periods", type=int, default=1)
     ap.add_argument("--out", default="", help="optional JSON report path")
-    return ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.mode not in BREATHER_MODES[args.n]:
+        ap.error(
+            f"argument --mode: invalid choice for --n {args.n}: {args.mode!r} "
+            f"(choose from {', '.join(BREATHER_MODES[args.n])})"
+        )
+    return args
 
 
 def main():

@@ -37,7 +37,9 @@ from .lattice import (
     BREATHER_MODES,
     GridSpec,
     SymmetricSequence,
+    block_slices,
     laplacian,
+    mirror_block,
     mode_offsets,
     norm_l2_mu,
     norm_q,
@@ -152,12 +154,13 @@ def _window_for_residual(phi, w_hat, grid, config, beta, target):
     the measured spectrum just above the working window, and the window is
     widened until sum_{l > L} C / l^3 ~ C / (4 L^2) <= target / 2.  For
     polynomial powers (integer 2p) the measured tail is already roundoff
-    and the working window stands.
+    and the working window stands.  ``w_hat`` is the range stack on the
+    fundamental block, whose sup over sites is the box's.
     """
     l_max = config.l_max
     amplitude = config.mu ** (1.0 / config.p)
     u = amplitude * w_hat
-    u[1] += amplitude * phi
+    u[1] += amplitude * phi[block_slices(grid)]
     M = 8 * (l_max + 1)
     # sup over sites of each harmonic of N(u); the even ones are zero
     sup_per_l = np.zeros(M)
@@ -217,7 +220,8 @@ def assemble_breather(config: PipelineConfig):
 
     # final range pass: fresh report for the returned profile and, when
     # asked, a longer harmonic tail (cheap: warm start, feedback of the
-    # extra harmonics onto the low ones is far below tolerance)
+    # extra harmonics onto the low ones is far below tolerance).  The range
+    # stack stays on the fundamental block until the breather is built.
     L_res = config.residual_l_max or config.l_max
     if config.residual_target > 0.0 and not config.residual_l_max:
         L_res = max(
@@ -228,13 +232,10 @@ def assemble_breather(config: PipelineConfig):
         )
     if L_res > config.l_max:
         op = RangeOperator(grid, L_res, prob.omega_sq, config.coupling)
-        w_wide = np.zeros((L_res + 1,) + grid.shape)
+        w_wide = np.zeros((L_res + 1,) + w_hat.shape[1:])
         w_wide[: config.l_max + 1] = w_hat
         w_hat = w_wide
-    residual_kwargs = {
-        "tol": config.tol,
-        "collocation": default_node_count(L_res, config.p),
-    }
+    M_res = default_node_count(L_res, config.p)
     w_hat, range_report = solve_range_equation(
         phi,
         op,
@@ -242,17 +243,17 @@ def assemble_breather(config: PipelineConfig):
         config.mu,
         beta=beta,
         w_init=w_hat,
+        tol=config.tol,
+        collocation=M_res,
         tail_check=True,
-        **residual_kwargs,
     )
 
-    # kernel-equation residual consistent with the final range component
-    R, _, _ = kernel_remainder(
-        phi, prob, op, w_init=w_hat, beta=beta, **residual_kwargs
-    )
+    # kernel-equation residual of the final range component
+    R = kernel_remainder(phi, prob, w_hat, beta=beta, M=M_res)
     g_residual = prob.apply_g0(phi) + R
 
     amplitude = config.mu ** (1.0 / config.p)
+    w_hat = mirror_block(w_hat, grid)
     coeffs = amplitude * w_hat
     coeffs[1] = amplitude * phi  # w_hat[1] is identically zero
 
@@ -357,9 +358,10 @@ def error_vs_reference(b: Breather):
     recomputed from the stored arrays.
     """
     ref = reference_profile(b)
-    coeffs_ref = np.zeros_like(b.coeffs)
-    coeffs_ref[1] = b.mu ** (1.0 / b.p) * ref.values
-    diff = b.coeffs - coeffs_ref
+    amplitude = b.mu ** (1.0 / b.p)
+    # only harmonic 1 of the reference is nonzero
+    diff = b.coeffs.copy()
+    diff[1] -= amplitude * ref.values
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
     e_sup = max(
         float(np.max(np.abs(values)))
@@ -373,14 +375,14 @@ def error_vs_reference(b: Breather):
             f"sup-embedding invariant violated: e_sup={e_sup:.3e} exceeds "
             f"2 sqrt(mu) sum ||.||_Q = {sup_bound:.3e}"
         )
-    w_phys = b.mu ** (1.0 / b.p) * b.w_hat
-    per_l = np.sqrt(np.sum(b.coeffs.reshape(b.L_max + 1, -1) ** 2, axis=1))
+    flat = b.coeffs.reshape(b.L_max + 1, -1)
+    per_l = np.sqrt(np.einsum("ls,ls->l", flat, flat))
     total = float(np.sqrt(np.sum(per_l**2)))
     return ErrorReport(
         e_h2=e_h2,
         e_sup=e_sup,
         sup_bound=float(sup_bound),
-        w_x2=sobolev_time_norm(w_phys, order=2, omega=1.0),
+        w_x2=amplitude * sobolev_time_norm(b.w_hat, order=2, omega=1.0),
         harmonic_fraction=float(per_l[1] / total) if total else 0.0,
         tail_fraction=float(np.sqrt(np.sum(per_l[2:] ** 2)) / total)
         if total

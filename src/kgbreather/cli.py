@@ -41,7 +41,6 @@ from .errors import (
 from .feminterp import FemInterpolant, functional_remainder
 from .groundstate import sample_reference, save_profile, solve_ground_state
 from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
-from .timespectral import sobolev_time_norm
 
 # option name -> (type, default); None default means "required"
 _SCHEMAS = {

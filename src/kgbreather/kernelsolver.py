@@ -198,28 +198,25 @@ def solve_dnls_ground_state(prob, phi0, tol=1e-12, max_iter=40):
     return phi, report
 
 
-def kernel_remainder(phi, prob, op, w_init=None, beta=None, **range_kwargs):
-    """R(phi) and the range component behind it.
+def kernel_remainder(phi, prob, w, beta=None, M=None):
+    """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
+    component w.
 
-    Returns (R, w, range_report); R = -(P1[N(phi cos + w)] - |phi|^(2p) phi).
-    P1 is projected on the range solve's own node count, and, like the
-    range solve, on the fundamental block of the reflection-even u.
+    ``w`` is a range stack on the fundamental block, as solve_range_equation
+    returns it; no range solve happens here.  N and P1 are evaluated on the
+    block, on ``M`` time nodes (pass the range solve's own count), and R is
+    returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
         beta = nonlinearity_coefficient(prob.p)
-    w, range_report = solve_range_equation(
-        phi, op, prob.p, prob.mu, beta=beta, w_init=w_init, **range_kwargs
+    phi_block = phi[block_slices(prob.grid)]
+    u = np.array(w, dtype=np.float64)
+    u[1] = phi_block
+    first = apply_nonlinearity(u, prob.p, beta=beta, M=M)[1]
+    return mirror_block(
+        -(first - np.abs(phi_block) ** (2.0 * prob.p) * phi_block), prob.grid
     )
-    block = block_slices(prob.grid)
-    u = w[(slice(None),) + block].copy()
-    u[1] = phi[block]
-    first = apply_nonlinearity(
-        u, prob.p, beta=beta, M=range_kwargs.get("collocation")
-    )[1]
-    first = mirror_block(first, prob.grid)
-    R = -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
-    return R, w, range_report
 
 
 def solve_kernel_equation(
@@ -236,11 +233,12 @@ def solve_kernel_equation(
     Every step solves with the exact sparse G0'(phi) in place of G'(phi).
     The dropped part R'(phi) is O(mu^2) small, so the iteration contracts
     at rate O(mu^2) (about 1e-3 per step at mu = 0.3) and needs no
-    derivative of the range solve: each step costs one range solve, the
-    residual evaluation itself.
+    derivative of the range solve.  Each residual evaluation solves the
+    range equation for phi (warm-started from the previous w), then
+    projects the nonlinearity with kernel_remainder on the same nodes.
 
     Returns (phi, w, report, range_op); w is the range component of the
-    returned phi.
+    returned phi, on the fundamental block.
     """
     if beta is None:
         beta = nonlinearity_coefficient(prob.p)
@@ -249,11 +247,14 @@ def solve_kernel_equation(
     state = {"w": None, "range_iters": 0}
 
     def residual(phi):
-        R, w, rep = kernel_remainder(
-            phi, prob, op, w_init=state["w"], beta=beta, **range_kwargs
+        w, rep = solve_range_equation(
+            phi, op, prob.p, prob.mu, beta=beta, w_init=state["w"], **range_kwargs
         )
         state["w"] = w
         state["range_iters"] += rep.iterations
+        R = kernel_remainder(
+            phi, prob, w, beta=beta, M=range_kwargs.get("collocation")
+        )
         return prob.apply_g0(phi) + R
 
     phi, report = _newton_reduced(

@@ -21,28 +21,48 @@ a contraction for small amplitudes; solve_range_equation iterates it with a
 rate guard and an a-priori smallness estimate.
 
 phi, and with it every iterate w, is even under reflection through the box
-center, and the nonlinearity acts site by site.  So the Picard step and the
-forcing term evaluate it on the fundamental block only (half the sites in
-1d, about a quarter in 2d) and mirror the result onto the box.  The tail
-diagnostic weights each block site by the number of box sites it stands
-for, so it reads the same as a full-box evaluation.  The inversion itself
-still runs on the whole box: on the offset-1/2 axes the half-box sine
-transforms have odd-length denominators, which scipy.fft does not provide.
+center, and the nonlinearity acts site by site.  So the whole solve works
+on the fundamental block, indices j = 0..K per axis (half the sites in 1d,
+about a quarter in 2d): the iterates, the nonlinearity and the inversion.
+On one axis of N sites the reflection-even Dirichlet eigenvectors are the
+odd DST-I modes k = 2m + 1, and restricted to the block they read
+
+    V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1) (j + offset) / (N+1)),
+
+m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
+sites that block site j stands for).  So the inverse on the block is
+V (sigma V^T . / symbol) per axis, with the even-sector subset of the DST-I
+symbol: one matrix product each way per axis, for every centering and any
+N.  Norms weight each block site by its orbit size, so they read the same
+as on the box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .errors import ConvergenceError, GuardError, ResonanceError
-from .lattice import block_slices, laplacian, mirror_block, orbit_sizes
+from .lattice import block_slices, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
+
+
+def _even_basis(N, K, offset):
+    """V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1)(j + offset) / (N+1)), j, m = 0..K."""
+    # the angle is pi t / (2 (N+1)) for the integer t = (2j + 2 offset)(2m+1);
+    # reducing t modulo the period 4 (N+1) first keeps cos at full accuracy
+    V = np.multiply.outer(
+        2.0 * np.arange(K + 1) + 2.0 * offset, 2.0 * np.arange(K + 1) + 1.0
+    )
+    np.fmod(V, 4.0 * (N + 1), out=V)
+    V *= np.pi / (2.0 * (N + 1))
+    np.cos(V, out=V)
+    V *= np.sqrt(2.0 / (N + 1))
+    return V
 
 
 class RangeOperator:
@@ -60,14 +80,21 @@ class RangeOperator:
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
         axes_eigs = []
+        self._basis = []
         for ax in range(grid.n):
             N = grid.axis_length(ax)
             k = np.arange(1, N + 1)
             axes_eigs.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
+            self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
+        # the reflection-even modes are the odd k = 2m + 1
+        even_eigs = [s[0::2] for s in axes_eigs]
         if grid.n == 1:
             self._s = axes_eigs[0]
+            self._s_even = even_eigs[0]
         else:
             self._s = axes_eigs[0][:, None] + axes_eigs[1][None, :]
+            self._s_even = even_eigs[0][:, None] + even_eigs[1][None, :]
+        self._sigma = orbit_sizes(grid)
         # invertibility margin over the range harmonics
         self.spectral_margin = np.inf
         self.worst_harmonic = None
@@ -87,28 +114,31 @@ class RangeOperator:
     def symbol(self, l):
         return (1.0 - self.omega_sq * l * l) + self.coupling * self._s
 
-    def apply(self, coeffs):
-        """Forward operator, all harmonics (including l = 1)."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        spatial_axes = tuple(range(1, coeffs.ndim))
-        out = -self.coupling * laplacian(coeffs, axes=spatial_axes)
-        l = np.arange(coeffs.shape[0], dtype=np.float64)
-        factors = 1.0 - self.omega_sq * l * l
-        out += factors.reshape((-1,) + (1,) * self.grid.n) * coeffs
-        return out
+    def _along_axes(self, x, transpose):
+        # apply V^T (transpose) or V along each spatial axis of a row stack
+        for ax, V in enumerate(self._basis):
+            A = V.T if transpose else V
+            if ax == self.grid.n - 1:  # trailing axis: one GEMM for all rows
+                x = (x.reshape(-1, x.shape[-1]) @ A.T).reshape(x.shape)
+            else:
+                x = A @ x
+        return x
 
     def solve(self, coeffs):
-        """L^-1 restricted to the range: harmonic 1 of the input is
-        discarded and comes back as zero."""
+        """L^-1 restricted to the range, on fundamental-block stacks of
+        shape (L+1, K+1[, K+1]): harmonic 1 of the input is discarded and
+        comes back as zero, like every all-zero row."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         out = np.zeros_like(coeffs)
-        axes = tuple(range(self.grid.n))
-        for l in range(coeffs.shape[0]):
-            if l == 1 or not np.any(coeffs[l]):
-                continue
-            hat = dstn(coeffs[l], type=1, norm="ortho", axes=axes)
-            hat /= self.symbol(l)
-            out[l] = idstn(hat, type=1, norm="ortho", axes=axes)
+        rows = [
+            l for l in range(coeffs.shape[0]) if l != 1 and np.any(coeffs[l])
+        ]
+        hat = coeffs[rows]
+        hat *= self._sigma
+        hat = self._along_axes(hat, transpose=True)
+        for i, l in enumerate(rows):
+            hat[i] /= (1.0 - self.omega_sq * l * l) + self.coupling * self._s_even
+        out[rows] = self._along_axes(hat, transpose=False)
         return out
 
 
@@ -122,7 +152,7 @@ class RangeReport:
     spectral_margin: float
     neumann_margin: float
     w_norm: float
-    forcing_norm: float = np.nan  # X0 norm of the nonlinearity at w = 0
+    forcing_norm: float = np.nan  # X0 norm of N at w = 0 (with tail_check)
     response_ratio: float = np.nan  # w_norm / forcing_norm (bounded-inverse check)
     tail_fraction: float = np.nan
     updates: list = field(default_factory=list, repr=False)
@@ -149,17 +179,19 @@ def solve_range_equation(
 ):
     """Picard iteration for the range component given the kernel profile.
 
-    Returns (w, RangeReport); w is the coefficient stack with w[1] = 0.
-    Raises GuardError when the a-priori contraction estimate exceeds
+    ``phi`` lives on the box; ``w_init`` and the returned w are stacks on
+    the fundamental block, (L+1, K+1[, K+1]), with w[1] = 0.  The forcing
+    norm, a diagnostic that costs one more nonlinearity pass, is only
+    computed along with the tail (``tail_check``).  Raises GuardError when the a-priori contraction estimate exceeds
     ``smallness_threshold`` and ConvergenceError on observed divergence.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
         beta = nonlinearity_coefficient(p)
     grid = op.grid
-    block = (slice(None),) + block_slices(grid)
+    sigma = orbit_sizes(grid)
     # the kernel part phi cos(tau), on the fundamental block
-    phi_block = phi[block[1:]]
+    phi_block = phi[block_slices(grid)]
     v = np.zeros((op.L_max + 1,) + phi_block.shape)
     v[1] = phi_block
 
@@ -177,32 +209,33 @@ def solve_range_equation(
 
     # forcing strength: X0 size of the nonlinearity before any range
     # feedback (the bounded-inverse diagnostic divides w's size by this)
-    forcing_norm = mu**2 * sobolev_time_norm(
-        mirror_block(apply_nonlinearity(v, p, beta=beta, M=collocation), grid),
-        order=0,
-    )
+    forcing_norm = np.nan
+    if tail_check:
+        forcing_norm = mu**2 * sobolev_time_norm(
+            apply_nonlinearity(v, p, beta=beta, M=collocation),
+            order=0,
+            weights=sigma,
+        )
 
     if w_init is None:
-        w = np.zeros((op.L_max + 1,) + grid.shape)
+        w = np.zeros_like(v)
     else:
         w = np.array(w_init, dtype=np.float64)
     tail = {} if tail_check else None
-    weights = orbit_sizes(grid) if tail_check else None
     updates = []
     rate = np.nan
     bad_steps = 0
     converged = False
     for iteration in range(1, max_iter + 1):
         g = apply_nonlinearity(
-            v + w[block], p, beta=beta, M=collocation, tail=tail, weights=weights
+            v + w, p, beta=beta, M=collocation, tail=tail, weights=sigma
         )
-        g = mirror_block(g, grid)
         g[1] = 0.0
         w_next = mu**2 * op.solve(g)
-        delta = sobolev_time_norm(w_next - w)
+        delta = sobolev_time_norm(w_next - w, weights=sigma)
         updates.append(delta)
         w = w_next
-        scale = max(1.0, sobolev_time_norm(w))
+        scale = max(1.0, sobolev_time_norm(w, weights=sigma))
         if delta <= tol * scale:
             converged = True
             break
@@ -227,6 +260,7 @@ def solve_range_equation(
     if not converged:
         raise ConvergenceError(f"range iteration not converged in {max_iter} steps")
 
+    w_norm = sobolev_time_norm(w, weights=sigma)
     report = RangeReport(
         converged=True,
         iterations=len(updates),
@@ -235,11 +269,10 @@ def solve_range_equation(
         smallness=smallness,
         spectral_margin=op.spectral_margin,
         neumann_margin=op.neumann_margin,
-        w_norm=sobolev_time_norm(w),
+        w_norm=w_norm,
         forcing_norm=forcing_norm,
-        response_ratio=sobolev_time_norm(w) / forcing_norm if forcing_norm else 0.0,
+        response_ratio=w_norm / forcing_norm if forcing_norm else 0.0,
         tail_fraction=tail["discarded"] if tail_check else np.nan,
         updates=updates,
     )
     return w, report
-

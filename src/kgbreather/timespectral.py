@@ -179,11 +179,13 @@ def project_range(coeffs):
     return out
 
 
-def sobolev_time_norm(coeffs, order=2, omega=1.0):
+def sobolev_time_norm(coeffs, order=2, omega=1.0, weights=None):
     """H^order-in-time l2-in-space norm of u(t) = sum coeffs[l] cos(l w t).
 
     Parseval over one period 2pi/w: the l-th harmonic carries weight
     (2pi/w for l = 0, pi/w otherwise) * sum_{k<=order} (w l)^(2k).
+    ``weights`` (one per site, default 1) weight the spatial sum, e.g. by
+    orbit size when ``coeffs`` holds only the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     L = coeffs.shape[0] - 1
@@ -191,5 +193,9 @@ def sobolev_time_norm(coeffs, order=2, omega=1.0):
     weight = np.full(L + 1, np.pi / omega)
     weight[0] = 2.0 * np.pi / omega
     poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
-    spatial = np.sum(coeffs.reshape(L + 1, -1) ** 2, axis=1)
+    flat = coeffs.reshape(L + 1, -1)
+    if weights is None:
+        spatial = np.einsum("ls,ls->l", flat, flat)
+    else:
+        spatial = np.einsum("ls,ls,s->l", flat, flat, np.ravel(weights))
     return float(np.sqrt(np.sum(weight * poly * spatial)))

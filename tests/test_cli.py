@@ -2,9 +2,11 @@
 exit codes.  Everything runs in-process through main(argv) except one
 subprocess check that the installed entry point exists end-to-end.
 """
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +150,16 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert rc.returncode == 0
     assert "multiplier=0.0625" in rc.stdout
+
+
+def test_dynamics_script_rejects_mode_of_other_dimension(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_dynamics_check.py"
+    spec = importlib.util.spec_from_file_location("run_dynamics_check", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.parse_args(["--n", "2", "--mode", "h1"]).mode == "h1"
+    for argv in (["--n", "1", "--mode", "h1"], ["--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            script.parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -10,7 +10,6 @@ Oracle notes:
 * The continuum reference field seeded into the same integrator must
   return *worse* than the assembled breather: it is not a periodic orbit.
 """
-import dataclasses
 
 import numpy as np
 import pytest

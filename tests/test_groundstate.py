@@ -14,7 +14,6 @@ from scipy.integrate import simpson
 
 from kgbreather.errors import GuardError
 from kgbreather.groundstate import (
-    GroundStateProfile,
     check_exponent,
     sample_reference,
     save_profile,

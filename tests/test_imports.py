@@ -1,0 +1,41 @@
+"""Every name imported in src/, tests/ and scripts/ is used in its module."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source):
+    """Names bound by import statements that nothing in ``source`` reads
+    (a name listed in ``__all__`` counts as read)."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_unused_and_accepts_used():
+    source = "import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(b)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "c")]
+    assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+def test_no_unused_imports():
+    found = []
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for line, name in unused_imports(path.read_text()):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert found == []

@@ -8,7 +8,6 @@ from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.kernelsolver import (
     DnlsProblem,
-    NewtonReport,
     g0_jacobian,
     hessian_diagnostics,
     kernel_remainder,
@@ -23,10 +22,11 @@ from kgbreather.lattice import (
     SymmetricSequence,
     fold_symmetric,
     laplacian,
+    mirror_block,
     symmetry_basis,
     unfold_symmetric,
 )
-from kgbreather.rangesolver import RangeOperator
+from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -146,9 +146,10 @@ def test_remainder_single_site_closed_form():
     op = RangeOperator(grid, L_max=10, omega_sq=prob.omega_sq, coupling=prob.coupling)
     phi = np.zeros(grid.shape)
     phi[grid.K] = c
-    R, w, rep = kernel_remainder(
-        phi, prob, op, smallness_threshold=np.inf
+    w, rep = solve_range_equation(
+        phi, op, prob.p, prob.mu, smallness_threshold=np.inf
     )
+    R = kernel_remainder(phi, prob, w)
     beta = nonlinearity_coefficient(1.0)
     sigma3 = 1.0 - 9.0 * prob.omega_sq
     predicted = -(3.0 * beta**2 / (16.0 * sigma3)) * mu**2 * c**5
@@ -168,8 +169,9 @@ def test_remainder_projects_on_the_range_node_count():
     phi = sample_reference(profile, grid, coupling=a).values
     op = RangeOperator(grid, L_max=15, omega_sq=prob.omega_sq, coupling=a)
     M = default_node_count(15, p, factor=8)
-    R, w, _ = kernel_remainder(phi, prob, op, collocation=M)
-    u = w.copy()
+    w, _ = solve_range_equation(phi, op, p, mu, collocation=M)
+    R = kernel_remainder(phi, prob, w, M=M)
+    u = mirror_block(w, grid)
     u[1] = phi
     first = apply_nonlinearity(u, p, M=M)[1]
     R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
@@ -204,7 +206,8 @@ def _fd_newton_reference(phi0, prob, L_max, tol=1e-11, h=1e-6, max_iter=10):
 
     def G(x):
         phi = unfold_symmetric(x, grid)
-        R, _, _ = kernel_remainder(phi, prob, op)
+        w, _ = solve_range_equation(phi, op, prob.p, prob.mu)
+        R = kernel_remainder(phi, prob, w)
         return fold_symmetric(prob.apply_g0(phi) + R, grid)
 
     x = fold_symmetric(phi0, grid)

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
-from kgbreather.lattice import GridSpec, block_slices, mirror_block
+from kgbreather.lattice import (
+    GridSpec,
+    block_slices,
+    fundamental_shape,
+    laplacian,
+    mirror_block,
+    orbit_sizes,
+)
 from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
@@ -28,6 +36,38 @@ def cubic_setup(mu, K=40, a=0.4, L_max=6):
     return grid, phi, op
 
 
+def _forward(op, w):
+    """Reference forward operator on block stacks, all harmonics: mirror
+    onto the box, apply (1 - omega^2 l^2) - a lap there, restrict."""
+    grid = op.grid
+    full = mirror_block(w, grid)
+    l = np.arange(full.shape[0], dtype=np.float64)
+    out = -op.coupling * laplacian(full, axes=tuple(range(1, grid.n + 1)))
+    out += (1.0 - op.omega_sq * l * l).reshape((-1,) + (1,) * grid.n) * full
+    return out[(slice(None),) + block_slices(grid)]
+
+
+def _dst_inverse(op, coeffs):
+    """Reference inverse on whole-box stacks: one DST-I pair per harmonic."""
+    out = np.zeros_like(coeffs)
+    axes = tuple(range(op.grid.n))
+    for l in range(coeffs.shape[0]):
+        if l != 1:
+            hat = dstn(coeffs[l], type=1, norm="ortho", axes=axes)
+            out[l] = idstn(hat / op.symbol(l), type=1, norm="ortho", axes=axes)
+    return out
+
+
+CENTERINGS = [
+    (1, (0.0,)),
+    (1, (0.5,)),
+    (2, (0.0, 0.0)),
+    (2, (0.0, 0.5)),
+    (2, (0.5, 0.0)),
+    (2, (0.5, 0.5)),
+]
+
+
 # --- operator --------------------------------------------------------------
 
 
@@ -35,25 +75,39 @@ def test_forward_inverse_identity_1d():
     grid = GridSpec(n=1, K=12, mu=0.3)
     op = RangeOperator(grid, L_max=5, omega_sq=omega_sq(0.3), coupling=0.4)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((6,) + grid.shape)
+    x = rng.standard_normal((6,) + fundamental_shape(grid))
     x[1] = 0.0
-    assert np.allclose(op.solve(op.apply(x)), x, atol=1e-12)
-    assert np.allclose(op.apply(op.solve(x)), x, atol=1e-12)
+    assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
+    assert np.allclose(_forward(op, op.solve(x)), x, atol=1e-12)
 
 
 def test_forward_inverse_identity_2d():
     grid = GridSpec(n=2, K=6, mu=0.3, offsets=(0.5, 0.0))
     op = RangeOperator(grid, L_max=4, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((5,) + grid.shape)
+    x = rng.standard_normal((5,) + fundamental_shape(grid))
     x[1] = 0.0
-    assert np.allclose(op.solve(op.apply(x)), x, atol=1e-12)
+    assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, offsets", CENTERINGS)
+def test_block_inverse_matches_dst_reference(n, offsets):
+    # the even-sector basis on the block against the whole-box DST-I pair,
+    # for a reflection-even stack with every row (l = 0 too) populated
+    grid = GridSpec(n=n, K=17, mu=0.3, offsets=offsets)
+    op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((7,) + fundamental_shape(grid))
+    ref = _dst_inverse(op, mirror_block(x, grid))[(slice(None),) + block_slices(grid)]
+    got = op.solve(x)
+    assert np.all(got[1] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
     op = RangeOperator(grid, L_max=3, omega_sq=omega_sq(0.3), coupling=0.4)
-    x = np.ones((4,) + grid.shape)
+    x = np.ones((4,) + fundamental_shape(grid))
     out = op.solve(x)
     assert np.all(out[1] == 0.0)
     assert np.all(out[0] != 0.0)
@@ -111,16 +165,17 @@ def test_decoupled_site_closed_form():
     phi[grid.K] = c
     op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(mu), coupling=a)
     beta = nonlinearity_coefficient(1.0)
-    # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau)
-    v = np.zeros((op.L_max + 1,) + grid.shape)
-    v[1] = phi
+    # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau), on the
+    # fundamental block (whose index 0 is the center site)
+    v = np.zeros((op.L_max + 1,) + fundamental_shape(grid))
+    v[1] = phi[block_slices(grid)]
     g = apply_nonlinearity(v, 1.0, beta=beta)
     g[1] = 0.0
     w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
-    assert w0[3, grid.K] == pytest.approx(predicted, rel=1e-9)
+    assert w0[3, 0] == pytest.approx(predicted, rel=1e-9)
     # nothing anywhere else: odd nonlinearity, decoupled lattice
-    w0[3, grid.K] = 0.0
+    w0[3, 0] = 0.0
     assert np.max(np.abs(w0)) < 1e-9 * abs(predicted)
 
 
@@ -133,23 +188,25 @@ def test_range_solution_is_fixed_point():
     w, report = solve_range_equation(phi, op, p=1.0, mu=mu, tol=1e-13)
     assert report.converged
     v = np.zeros_like(w)
-    v[1] = phi
+    v[1] = phi[block_slices(grid)]
     g = apply_nonlinearity(v + w, p=1.0)
     g[1] = 0.0
     again = mu**2 * op.solve(g)
-    assert sobolev_time_norm(again - w) < 1e-12 * max(1.0, sobolev_time_norm(w))
+    sigma = orbit_sizes(grid)
+    assert sobolev_time_norm(again - w, weights=sigma) < 1e-12 * max(
+        1.0, sobolev_time_norm(w, weights=sigma)
+    )
 
 
 def test_range_solution_structure():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
     w, report = solve_range_equation(phi, op, p=1.0, mu=mu)
+    # a stack on the fundamental block (reflection symmetry by construction)
+    assert w.shape == (op.L_max + 1,) + fundamental_shape(grid)
     # bifurcating harmonic exactly empty, even harmonics at parity zero
     assert np.all(w[1] == 0.0)
     assert np.max(np.abs(w[0::2])) < 1e-14
-    # reflection symmetry inherited from phi
-    for l in range(w.shape[0]):
-        assert np.max(np.abs(w[l] - w[l][::-1])) < 1e-14
     assert report.contraction_rate < 0.1
     assert report.smallness < 0.1
     assert report.iterations < 20
@@ -211,10 +268,9 @@ def test_2d_smoke():
     op = RangeOperator(grid, L_max=8, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=0.5, mu=mu, tail_check=True)
     assert report.converged
+    assert w.shape == (op.L_max + 1,) + fundamental_shape(grid)
     assert np.all(w[1] == 0.0)
     assert report.w_norm > 0.0
-    for ax in (1, 2):
-        assert np.max(np.abs(w - np.flip(w, axis=ax))) < 1e-13
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
     # but nonzero, and grows smaller when more harmonics are kept
     assert 0.0 < report.tail_fraction < 0.02
@@ -234,22 +290,12 @@ def _full_box_picard(phi, op, p, mu, iterations):
     for _ in range(iterations):
         g = apply_nonlinearity(v + w, p, tail=tail)
         g[1] = 0.0
-        w = mu**2 * op.solve(g)
+        w = mu**2 * _dst_inverse(op, g)
     forcing = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p), order=0)
     return w, tail["discarded"], forcing
 
 
-@pytest.mark.parametrize(
-    "n, offsets",
-    [
-        (1, (0.0,)),
-        (1, (0.5,)),
-        (2, (0.0, 0.0)),
-        (2, (0.0, 0.5)),
-        (2, (0.5, 0.0)),
-        (2, (0.5, 0.5)),
-    ],
-)
+@pytest.mark.parametrize("n, offsets", CENTERINGS)
 def test_block_nonlinearity_matches_full_box(n, offsets):
     p, mu, a = (1.0, 0.3, 0.4) if n == 1 else (0.5, 0.3, 0.25)
     profile = solve_ground_state(n, p)
@@ -263,6 +309,7 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     w_ref, tail_ref, forcing_ref = _full_box_picard(
         phi, op, p, mu, report.iterations
     )
+    w_ref = w_ref[(slice(None),) + block_slices(grid)]
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
     assert report.tail_fraction == pytest.approx(tail_ref, rel=1e-12)
     assert report.forcing_norm == pytest.approx(forcing_ref, rel=1e-12)
