@@ -73,8 +73,9 @@ class PipelineConfig:
     # grows like a/mu^2, and tolerances near 1e-13 end in ConvergenceError
     # at mu <= 0.02
     kernel_tol: float = 1e-11
-    residual_l_max: int = 0  # wider window for the final range pass (0 = l_max)
-    residual_target: float = 0.0  # when > 0, widen that window automatically
+    # when > 0, widen the final range pass's harmonic window until the
+    # truncated tail of the nonlinearity is below this residual
+    residual_target: float = 0.0
 
     def __post_init__(self):
         check_exponent(self.n, self.p)
@@ -85,8 +86,6 @@ class PipelineConfig:
         mode_offsets(self.n, self.mode)
         if self.l_max < 3:
             raise GuardError("need at least harmonics 0..3 to see the range part")
-        if self.residual_l_max and self.residual_l_max < self.l_max:
-            raise GuardError("residual_l_max must be >= l_max (or 0 to disable)")
         if self.residual_target < 0.0:
             raise GuardError("residual_target must be >= 0")
 
@@ -124,10 +123,6 @@ class Breather:
     @property
     def beta(self):
         return nonlinearity_coefficient(self.p)
-
-    @property
-    def harmonic_one(self):
-        return self.coeffs[1]
 
     @property
     def period(self):
@@ -222,13 +217,10 @@ def assemble_breather(config: PipelineConfig):
     # asked, a longer harmonic tail (cheap: warm start, feedback of the
     # extra harmonics onto the low ones is far below tolerance).  The range
     # stack stays on the fundamental block until the breather is built.
-    L_res = config.residual_l_max or config.l_max
-    if config.residual_target > 0.0 and not config.residual_l_max:
-        L_res = max(
-            L_res,
-            _window_for_residual(
-                phi, w_hat, grid, config, beta, config.residual_target
-            ),
+    L_res = config.l_max
+    if config.residual_target > 0.0:
+        L_res = _window_for_residual(
+            phi, w_hat, grid, config, beta, config.residual_target
         )
     if L_res > config.l_max:
         op = RangeOperator(grid, L_res, prob.omega_sq, config.coupling)

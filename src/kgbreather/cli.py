@@ -61,7 +61,7 @@ _SCHEMAS = {
         "r_min": (float, 80.0),
         "tol": (float, 1e-12),
         "kernel_tol": (float, 1e-11),
-        "residual_l_max": (int, 0),
+        "residual_target": (float, 0.0),
         "out": (str, "breather"),
     },
     "scaling": {
@@ -72,7 +72,7 @@ _SCHEMAS = {
         "mu_list": (str, None),
         "l_max": (int, 15),
         "r_min": (float, 80.0),
-        "residual_l_max": (int, 0),
+        "residual_target": (float, 0.0),
         "out": (str, "scaling"),
     },
     "validate": {
@@ -183,7 +183,7 @@ def _cmd_breather(opt):
         r_min=r_min,
         tol=opt["tol"],
         kernel_tol=opt["kernel_tol"],
-        residual_l_max=opt["residual_l_max"],
+        residual_target=opt["residual_target"],
     )
     b = assemble_breather(cfg)
     err = error_vs_reference(b)
@@ -204,9 +204,11 @@ def _cmd_breather(opt):
 
 def _cmd_scaling(opt):
     mus = _parse_mu_list(opt["mu_list"])
-    kwargs = {"l_max": opt["l_max"], "r_min": opt["r_min"]}
-    if opt["residual_l_max"]:
-        kwargs["residual_l_max"] = opt["residual_l_max"]
+    kwargs = {
+        "l_max": opt["l_max"],
+        "r_min": opt["r_min"],
+        "residual_target": opt["residual_target"],
+    }
 
     def progress(mu, row):
         if row is None:
@@ -302,6 +304,13 @@ _RUNNERS = {
 }
 
 
+_RESIDUAL_TARGET_HELP = (
+    "widen the harmonic window of the final range pass until the truncated "
+    "tail of the nonlinearity is below this residual (default 0: keep "
+    "--l-max; wanted for non-integer p)"
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kgbreather",
@@ -334,7 +343,8 @@ def build_parser():
         "roundoff floor grows like a/mu^2, so values near 1e-13 end in a "
         "ConvergenceError at mu <= 0.02",
     )
-    sp.add_argument("--residual-l-max", dest="residual_l_max", type=int)
+    sp.add_argument("--residual-target", dest="residual_target", type=float,
+                    help=_RESIDUAL_TARGET_HELP)
     sp.add_argument("--out", type=str)
 
     sp = sub.add_parser("scaling", help="mu sweep with log-log slopes")
@@ -346,7 +356,8 @@ def build_parser():
                     help="comma-separated, strictly decreasing")
     sp.add_argument("--l-max", dest="l_max", type=int)
     sp.add_argument("--r-min", dest="r_min", type=float)
-    sp.add_argument("--residual-l-max", dest="residual_l_max", type=int)
+    sp.add_argument("--residual-target", dest="residual_target", type=float,
+                    help=_RESIDUAL_TARGET_HELP)
     sp.add_argument("--out", type=str)
 
     sp = sub.add_parser("validate", help="recheck a saved breather file")

@@ -38,10 +38,6 @@ class FemInterpolant:
         # over the first exterior cell and vanishes beyond it
         self._padded = np.pad(seq.values, 1)
 
-    @property
-    def element_type(self):
-        return "hat" if self.grid.n == 1 else "pyramid"
-
     def _node_coords(self, x):
         """Map physical coordinates to continuous node indices."""
         g = self.grid

@@ -15,9 +15,13 @@ The normalization of the model coupling beta makes P1[N(phi cos)] equal to
 |phi|^(2p) phi exactly, so R is quadratically small in mu and G0 is the
 discrete NLS that converges to the continuum ground state equation.
 
-Newton runs in reduced coordinates (reflection-symmetric orbit basis): the
-full Jacobian is exactly singular in the odd sector only up to exponentially
-small Peierls-Nabarro splittings, which the reduction removes wholesale.
+Newton runs in reduced coordinates, the orbit coordinates of the
+fundamental block (lattice.fold_symmetric): the full Jacobian is exactly
+singular in the odd sector only up to exponentially small Peierls-Nabarro
+splittings, which the reduction removes wholesale.  G0' is built there
+directly (reduced_g0_jacobian): per axis the Dirichlet -lap on j = 0..K
+with the reflection folded into its first row, the axes joined by a
+Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block.
 
 The kernel equation is solved by a chord iteration with the exact sparse
 G0'(phi) as its Jacobian.  The discrete NLS ground state is nondegenerate
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
@@ -42,7 +46,6 @@ from .lattice import (
     fold_symmetric,
     laplacian,
     mirror_block,
-    symmetry_basis,
     unfold_symmetric,
 )
 from .rangesolver import RangeOperator, solve_range_equation
@@ -102,32 +105,35 @@ def lattice_mass(phi, grid):
     return grid.mu**grid.n * float(np.sum(phi * phi))
 
 
-def minus_laplacian_matrix(grid):
-    mats = []
-    for ax in range(grid.n):
-        N = grid.axis_length(ax)
-        mats.append(
-            sparse.diags(
-                [-np.ones(N - 1), 2.0 * np.ones(N), -np.ones(N - 1)],
-                offsets=[-1, 0, 1],
-            )
-        )
+def _axis_minus_laplacian(K, offset):
+    # -lap along one axis of the block, j = 0..K, in orbit coordinates: the
+    # center of an offset-0 axis meets the orbit {1, -1} with weight sqrt(2);
+    # on an offset-1/2 axis sites 0 and -1 form one orbit, so the bond
+    # between them drops out of the (0, 0) entry
+    diag = np.full(K + 1, 2.0)
+    off = -np.ones(K)
+    if offset == 0.0:
+        off[0] = -np.sqrt(2.0)
+    else:
+        diag[0] = 1.0
+    return sparse.diags([off, diag, off], offsets=[-1, 0, 1])
+
+
+def reduced_g0_jacobian(phi, prob):
+    """Sparse G0'(phi) = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p) in the orbit
+    coordinates of lattice.fold_symmetric, for a reflection-even box phi."""
+    grid = prob.grid
+    mats = [_axis_minus_laplacian(grid.K, offset) for offset in grid.offsets]
     if grid.n == 1:
-        return mats[0].tocsr()
-    eye0 = sparse.identity(grid.axis_length(0))
-    eye1 = sparse.identity(grid.axis_length(1))
-    return (sparse.kron(mats[0], eye1) + sparse.kron(eye0, mats[1])).tocsr()
-
-
-def g0_jacobian(phi, prob):
-    """Sparse G0'(phi) = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p), full coords."""
-    phi = np.asarray(phi, dtype=np.float64)
-    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi.ravel()) ** (
+        minus_lap = mats[0]
+    else:
+        eye = sparse.identity(grid.K + 1)
+        minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
+    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(grid)]
+    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi_block.ravel()) ** (
         2.0 * prob.p
     )
-    return (prob.coupling / prob.mu**2) * minus_laplacian_matrix(
-        prob.grid
-    ) + sparse.diags(diag)
+    return ((prob.coupling / prob.mu**2) * minus_lap + sparse.diags(diag)).tocsc()
 
 
 @dataclass
@@ -139,12 +145,10 @@ class NewtonReport:
     range_iterations: int = 0
 
 
-def _newton_reduced(
-    phi0, prob, residual, jacobian, tol, max_iter, max_backtracks=8
-):
-    """Damped Newton in the reflection-symmetric orbit basis."""
+def _newton_reduced(phi0, prob, residual, tol, max_iter, max_backtracks=8):
+    """Damped Newton in the reflection-symmetric orbit coordinates, every
+    step solved with G0' at the current iterate."""
     grid = prob.grid
-    B = symmetry_basis(grid)
     x = fold_symmetric(np.asarray(phi0, dtype=np.float64), grid)
     phi = unfold_symmetric(x, grid)
     G = residual(phi)
@@ -155,7 +159,7 @@ def _newton_reduced(
         if res <= tol * scale:
             report.converged = True
             break
-        J_red = (B.T @ jacobian(phi) @ B).tocsc()
+        J_red = reduced_g0_jacobian(phi, prob)
         step = splu(J_red).solve(fold_symmetric(G, grid))
         lam = 1.0
         for _ in range(max_backtracks):
@@ -187,15 +191,7 @@ def _newton_reduced(
 
 def solve_dnls_ground_state(prob, phi0, tol=1e-12, max_iter=40):
     """Newton solve of the pure discrete NLS equation G0(phi) = 0."""
-    phi, report = _newton_reduced(
-        phi0,
-        prob,
-        residual=prob.apply_g0,
-        jacobian=lambda phi: g0_jacobian(phi, prob),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return phi, report
+    return _newton_reduced(phi0, prob, prob.apply_g0, tol, max_iter)
 
 
 def kernel_remainder(phi, prob, w, beta=None, M=None):
@@ -257,14 +253,7 @@ def solve_kernel_equation(
         )
         return prob.apply_g0(phi) + R
 
-    phi, report = _newton_reduced(
-        phi0,
-        prob,
-        residual=residual,
-        jacobian=lambda phi: g0_jacobian(phi, prob),
-        tol=tol,
-        max_iter=max_iter,
-    )
+    phi, report = _newton_reduced(phi0, prob, residual, tol, max_iter)
     report.range_iterations = state["range_iters"]
     # the last residual evaluated belongs to the accepted iterate
     return phi, state["w"], report, op
@@ -287,10 +276,8 @@ def hessian_diagnostics(phi, prob):
     is the nondegeneracy condition behind the continuation.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    grid = prob.grid
-    B = symmetry_basis(grid)
-    J_red = (B.T @ g0_jacobian(phi, prob) @ B).tocsc()
-    x = fold_symmetric(phi, grid)
+    J_red = reduced_g0_jacobian(phi, prob)
+    x = fold_symmetric(phi, prob.grid)
     curvature = float(x @ (J_red @ x))
     predicted = -2.0 * prob.p * float(np.sum(np.abs(phi) ** (2.0 * prob.p + 2.0)))
     q = x / np.linalg.norm(x)
@@ -310,7 +297,6 @@ def hessian_diagnostics(phi, prob):
         evals = eigsh(J_red, k=4, sigma=0.0, return_eigenvectors=False)
         min_abs = float(np.min(np.abs(evals)))
         shift = 10.0 * float(abs(eigsh(J_red, k=1, return_eigenvectors=False)[0]))
-        from scipy.sparse.linalg import LinearOperator
 
         def deflated_matvec(v):
             pv = v - q * np.dot(q, v)

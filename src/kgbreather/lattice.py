@@ -5,10 +5,12 @@ j runs over -K..K when the symmetry offset is 0 and over -K-1..K when it is
 1/2; a site sits at the physical position x = mu*(j + offset) and zero
 Dirichlet data is imposed outside the box.  With these conventions a
 sequence that is even under reflection through the box center is exactly an
-array invariant under ``np.flip`` along each axis, which the reduction
-helpers below exploit to strip the mirror-image redundancy before handing
-systems to a Newton solver, and to evaluate site-by-site maps on the
-fundamental block alone (``block_slices`` / ``mirror_block``).
+array invariant under ``np.flip`` along each axis.  Such a field is
+determined by its fundamental block (indices j >= 0 on each axis): the
+helpers below cut the block out and mirror it back (``block_slices`` /
+``mirror_block``), weigh its sites by their orbit sizes, and give the
+orthonormal orbit coordinates (``fold_symmetric`` / ``unfold_symmetric``)
+in which the Newton solves run.
 
 The module does no file I/O; the one snapshot format, ``.kgbr``, is read
 and written by ``breather.save_breather`` / ``load_breather``.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import FormatError, GuardError
 
@@ -54,7 +55,9 @@ class GridSpec:
         """Smallest box with K*mu >= r_min (physical decay radius)."""
         if not (mu > 0.0) or not (r_min > 0.0):
             raise GuardError("need mu > 0 and r_min > 0")
-        K = int(np.ceil(r_min / mu - 1e-12))
+        # relative slack: r_min = K * mu must give back K for any K, and
+        # the rounding error of the ratio grows with it
+        K = int(np.ceil(r_min / mu * (1.0 - 1e-12)))
         return cls(n=n, K=max(K, 2), mu=mu, offsets=offsets)
 
     def axis_length(self, axis):
@@ -108,13 +111,6 @@ class SymmetricSequence:
                 f"values shape {self.values.shape} does not match "
                 f"grid shape {self.grid.shape}"
             )
-
-    def reflect(self, axis=None):
-        axes = range(self.grid.n) if axis is None else (axis,)
-        out = self.values
-        for ax in axes:
-            out = np.flip(out, axis=ax)
-        return SymmetricSequence(self.grid, out)
 
     def symmetrize(self):
         out = self.values
@@ -262,26 +258,10 @@ def embedding_checks(a, q):
 #
 # Per axis the fundamental indices are j = 0..K; an interior orbit {j, -j}
 # (or {j, -1-j} for offset 1/2) has two members, the center j = 0 of an
-# offset-0 axis has one.  Columns of the orthonormal orbit basis carry
-# 1/sqrt(orbit size), so folding a symmetric field multiplies its
-# fundamental values by sqrt(orbit size) and l2 norms are preserved.
-
-
-def _axis_fold(K, offset, length):
-    # map full axis index -> fundamental index 0..K, and per-index orbit size
-    i = np.arange(length)
-    if offset == 0.0:
-        f = np.abs(i - K)
-        sigma = np.where(f == 0, 1.0, 2.0)
-    else:
-        j = i - (K + 1)
-        f = np.where(j >= 0, j, -1 - j)
-        sigma = np.full(length, 2.0)
-    return f, sigma
-
-
-def fundamental_shape(grid):
-    return (grid.K + 1,) * grid.n
+# offset-0 axis has one.  Orbit coordinates scale the block values by
+# sqrt(orbit size), so folding preserves l2 norms and an operator that
+# commutes with the reflections becomes a symmetric matrix on the block
+# (kernelsolver.reduced_g0_jacobian builds G0' that way).
 
 
 def orbit_weights(grid):
@@ -333,28 +313,6 @@ def fold_symmetric(a, grid):
 
 def unfold_symmetric(coeffs, grid):
     """Inverse of fold_symmetric: rebuild the full reflection-even field."""
-    block = np.asarray(coeffs, dtype=np.float64).reshape(fundamental_shape(grid))
-    return mirror_block(block / orbit_weights(grid), grid)
-
-
-def symmetry_basis(grid):
-    """Sparse orthonormal basis B (full size x reduced size) of the
-    reflection-even subspace; fold = B.T @ vec, unfold = B @ coeffs."""
-    folds = []
-    sigmas = []
-    for ax in range(grid.n):
-        f, s = _axis_fold(grid.K, grid.offsets[ax], grid.axis_length(ax))
-        folds.append(f)
-        sigmas.append(s)
-    if grid.n == 1:
-        col = folds[0]
-        sigma = sigmas[0]
-    else:
-        col = folds[0][:, None] * (grid.K + 1) + folds[1][None, :]
-        sigma = sigmas[0][:, None] * sigmas[1][None, :]
-        col = col.ravel()
-        sigma = sigma.ravel()
-    rows = np.arange(grid.size)
-    data = 1.0 / np.sqrt(sigma)
-    nred = (grid.K + 1) ** grid.n
-    return sparse.csr_matrix((data, (rows, col)), shape=(grid.size, nred))
+    weights = orbit_weights(grid)
+    block = np.asarray(coeffs, dtype=np.float64).reshape(weights.shape)
+    return mirror_block(block / weights, grid)

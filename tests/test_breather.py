@@ -59,8 +59,6 @@ def test_config_guards():
     with pytest.raises(GuardError):
         PipelineConfig(**good, l_max=2)
     with pytest.raises(GuardError):
-        PipelineConfig(**good, residual_l_max=10)  # below l_max
-    with pytest.raises(GuardError):
         PipelineConfig(**good, residual_target=-1e-9)
     with pytest.raises(GuardError):
         PipelineConfig(n=1, p=2.5, coupling=0.25, mu=0.2)  # p >= 2/n
@@ -93,7 +91,7 @@ def test_assembly_is_deterministic():
 
 def test_first_harmonic_is_kernel_profile(small_1d):
     b = small_1d
-    assert b.harmonic_one.tobytes() == (b.mu ** (1.0 / b.p) * b.phi).tobytes()
+    assert b.coeffs[1].tobytes() == (b.mu ** (1.0 / b.p) * b.phi).tobytes()
     assert np.all(b.w_hat[1] == 0.0)
 
 

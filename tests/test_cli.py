@@ -113,6 +113,21 @@ def test_explicit_K_overrides_r_min(tmp_path):
     assert report["K"] == 60
 
 
+def test_residual_target_widens_the_window(tmp_path):
+    # p = 1/2 is not band-limited: the target asks for more harmonics than
+    # --l-max keeps, and the report carries the widened window
+    out = tmp_path / "rt"
+    rc = main([
+        "breather", "--n", "1", "--p", "0.5", "--a", "0.25", "--mu", "0.3",
+        "--r-min", "15", "--l-max", "8", "--residual-target", "1e-9",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "rt.json").read_text())
+    assert report["L_max"] > 8
+    assert report["reports"]["config"]["residual_target"] == 1e-9
+
+
 def test_scaling_command(tmp_path, capsys):
     out = tmp_path / "sc"
     rc = main([

@@ -45,7 +45,6 @@ def test_eval_reproduces_nodes_1d():
     interp = FemInterpolant(seq)
     x = seq.grid.position_axes()[0]
     assert np.allclose(interp(x), seq.values, rtol=0, atol=1e-14)
-    assert interp.element_type == "hat"
 
 
 def test_eval_reproduces_nodes_2d():
@@ -55,7 +54,6 @@ def test_eval_reproduces_nodes_2d():
     xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
     assert np.allclose(interp(pts), seq.values.ravel(), rtol=0, atol=1e-14)
-    assert interp.element_type == "pyramid"
 
 
 def test_eval_ghost_decay_and_zero_outside():

@@ -1,4 +1,5 @@
-"""Every name imported in src/, tests/ and scripts/ is used in its module."""
+"""Every name imported in src/, tests/, scripts/ and benchmark/ is used in
+its module."""
 import ast
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def test_checker_flags_unused_and_accepts_used():
 
 def test_no_unused_imports():
     found = []
-    for folder in ("src", "tests", "scripts"):
+    for folder in ("src", "tests", "scripts", "benchmark"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")

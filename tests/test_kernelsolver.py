@@ -8,22 +8,21 @@ from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.kernelsolver import (
     DnlsProblem,
-    g0_jacobian,
     hessian_diagnostics,
     kernel_remainder,
     lattice_energy,
     lattice_mass,
-    minus_laplacian_matrix,
+    reduced_g0_jacobian,
     solve_dnls_ground_state,
     solve_kernel_equation,
 )
 from kgbreather.lattice import (
+    BREATHER_MODES,
     GridSpec,
     SymmetricSequence,
     fold_symmetric,
     laplacian,
     mirror_block,
-    symmetry_basis,
     unfold_symmetric,
 )
 from kgbreather.rangesolver import RangeOperator, solve_range_equation
@@ -53,12 +52,54 @@ def test_energy_impulse_value():
     assert lattice_mass(delta, grid) == 1.0
 
 
-def test_laplacian_matrix_matches_operator():
-    for grid in (GridSpec(n=1, K=6, mu=0.3), GridSpec(n=2, K=3, mu=0.3, offsets=(0.5, 0.0))):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(grid.shape)
-        mat = minus_laplacian_matrix(grid)
-        assert np.allclose(mat @ x.ravel(), -laplacian(x).ravel(), atol=1e-14)
+def _symmetric_problem(n, offsets, K):
+    """Small box of one centering with a reflection-even, nonvanishing phi."""
+    grid = GridSpec(n=n, K=K, mu=0.3, offsets=offsets)
+    prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
+    rng = np.random.default_rng(1)
+    raw = 0.5 + 0.1 * rng.standard_normal(grid.shape)  # keep |phi| away from 0
+    return grid, prob, SymmetricSequence(grid, raw).symmetrize().values
+
+
+CENTERINGS = {
+    f"{n}d-{mode}": (n, offsets)
+    for n, modes in BREATHER_MODES.items()
+    for mode, offsets in modes.items()
+}
+
+
+@pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
+def test_reduced_jacobian_matches_folded_operator(n, offsets):
+    # column k is the box operator G0'(phi) applied to the k-th orbit
+    # basis field and folded back
+    grid, prob, phi = _symmetric_problem(n, offsets, K=6 if n == 1 else 4)
+    J = reduced_g0_jacobian(phi, prob).toarray()
+    d = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi) ** (2.0 * prob.p)
+    ref = np.empty_like(J)
+    for k, e in enumerate(np.eye(J.shape[0])):
+        u = unfold_symmetric(e, grid)
+        ref[:, k] = fold_symmetric(
+            (prob.coupling / prob.mu**2) * (-laplacian(u)) + d * u, grid
+        )
+    assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(J, J.T)
+
+
+def test_reduced_jacobian_is_fd_of_folded_g0():
+    for n, offsets in CENTERINGS.values():
+        grid, prob, phi = _symmetric_problem(n, offsets, K=5 if n == 1 else 3)
+        J = reduced_g0_jacobian(phi, prob).toarray()
+        x = fold_symmetric(phi, grid)
+        h = 1e-6
+
+        def g0(v):
+            return fold_symmetric(prob.apply_g0(unfold_symmetric(v, grid)), grid)
+
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            col = (g0(x + e) - g0(x - e)) / (2 * h)
+            assert np.allclose(col, J[:, j], rtol=0, atol=1e-8)
 
 
 def test_gradient_of_constrained_energy_is_2mun_g0():
@@ -81,20 +122,6 @@ def test_gradient_of_constrained_energy_is_2mun_g0():
         grad_fd[j] = (energy(phi + e) - energy(phi - e)) / (2 * h)
     grad = 2.0 * grid.mu**grid.n * prob.apply_g0(phi)
     assert np.allclose(grad_fd, grad, atol=1e-7)
-
-
-def test_g0_jacobian_is_fd_of_g0():
-    grid = GridSpec(n=1, K=5, mu=0.3)
-    prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
-    rng = np.random.default_rng(1)
-    phi = 0.5 + 0.1 * rng.standard_normal(grid.shape)  # keep |phi| away from 0
-    J = g0_jacobian(phi, prob).toarray()
-    h = 1e-7
-    for j in (0, 3, 7):
-        e = np.zeros_like(phi)
-        e[j] = h
-        col = (prob.apply_g0(phi + e) - prob.apply_g0(phi - e)) / (2 * h)
-        assert np.allclose(col, J[:, j], atol=1e-6)
 
 
 def test_single_site_limit():
@@ -261,8 +288,7 @@ def test_tangent_eigenvalue_against_explicit_complement():
     grid, prob, phi0 = cubic_problem(0.4, r_min=12.0)  # small box, dense path
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
-    B = symmetry_basis(grid)
-    J = (B.T @ g0_jacobian(phi, prob) @ B).toarray()
+    J = reduced_g0_jacobian(phi, prob).toarray()
     q = fold_symmetric(phi, grid)
     q = q / np.linalg.norm(q)
     V = null_space(q[None, :])

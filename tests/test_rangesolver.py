@@ -9,7 +9,6 @@ from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.lattice import (
     GridSpec,
     block_slices,
-    fundamental_shape,
     laplacian,
     mirror_block,
     orbit_sizes,
@@ -26,6 +25,10 @@ M_CUBIC = 1.0 / 16.0  # unit-mass 1d ground state multiplier at p = 1
 
 def omega_sq(mu, m=M_CUBIC):
     return 1.0 - m * mu**2
+
+
+def block_shape(grid):
+    return (grid.K + 1,) * grid.n
 
 
 def cubic_setup(mu, K=40, a=0.4, L_max=6):
@@ -75,7 +78,7 @@ def test_forward_inverse_identity_1d():
     grid = GridSpec(n=1, K=12, mu=0.3)
     op = RangeOperator(grid, L_max=5, omega_sq=omega_sq(0.3), coupling=0.4)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((6,) + fundamental_shape(grid))
+    x = rng.standard_normal((6,) + block_shape(grid))
     x[1] = 0.0
     assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
     assert np.allclose(_forward(op, op.solve(x)), x, atol=1e-12)
@@ -85,7 +88,7 @@ def test_forward_inverse_identity_2d():
     grid = GridSpec(n=2, K=6, mu=0.3, offsets=(0.5, 0.0))
     op = RangeOperator(grid, L_max=4, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((5,) + fundamental_shape(grid))
+    x = rng.standard_normal((5,) + block_shape(grid))
     x[1] = 0.0
     assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
 
@@ -97,7 +100,7 @@ def test_block_inverse_matches_dst_reference(n, offsets):
     grid = GridSpec(n=n, K=17, mu=0.3, offsets=offsets)
     op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
     rng = np.random.default_rng(n)
-    x = rng.standard_normal((7,) + fundamental_shape(grid))
+    x = rng.standard_normal((7,) + block_shape(grid))
     ref = _dst_inverse(op, mirror_block(x, grid))[(slice(None),) + block_slices(grid)]
     got = op.solve(x)
     assert np.all(got[1] == 0.0)
@@ -107,7 +110,7 @@ def test_block_inverse_matches_dst_reference(n, offsets):
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
     op = RangeOperator(grid, L_max=3, omega_sq=omega_sq(0.3), coupling=0.4)
-    x = np.ones((4,) + fundamental_shape(grid))
+    x = np.ones((4,) + block_shape(grid))
     out = op.solve(x)
     assert np.all(out[1] == 0.0)
     assert np.all(out[0] != 0.0)
@@ -167,7 +170,7 @@ def test_decoupled_site_closed_form():
     beta = nonlinearity_coefficient(1.0)
     # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau), on the
     # fundamental block (whose index 0 is the center site)
-    v = np.zeros((op.L_max + 1,) + fundamental_shape(grid))
+    v = np.zeros((op.L_max + 1,) + block_shape(grid))
     v[1] = phi[block_slices(grid)]
     g = apply_nonlinearity(v, 1.0, beta=beta)
     g[1] = 0.0
@@ -203,7 +206,7 @@ def test_range_solution_structure():
     grid, phi, op = cubic_setup(mu)
     w, report = solve_range_equation(phi, op, p=1.0, mu=mu)
     # a stack on the fundamental block (reflection symmetry by construction)
-    assert w.shape == (op.L_max + 1,) + fundamental_shape(grid)
+    assert w.shape == (op.L_max + 1,) + block_shape(grid)
     # bifurcating harmonic exactly empty, even harmonics at parity zero
     assert np.all(w[1] == 0.0)
     assert np.max(np.abs(w[0::2])) < 1e-14
@@ -268,7 +271,7 @@ def test_2d_smoke():
     op = RangeOperator(grid, L_max=8, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=0.5, mu=mu, tail_check=True)
     assert report.converged
-    assert w.shape == (op.L_max + 1,) + fundamental_shape(grid)
+    assert w.shape == (op.L_max + 1,) + block_shape(grid)
     assert np.all(w[1] == 0.0)
     assert report.w_norm > 0.0
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
