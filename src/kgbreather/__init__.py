@@ -25,7 +25,7 @@ from .errors import (
     KGBreatherError,
     ResonanceError,
 )
-from .feminterp import FemInterpolant, functional_remainder, gradient_energy
+from .feminterp import functional_remainder
 from .groundstate import sample_reference, solve_ground_state
 from .kernelsolver import (
     DnlsProblem,
@@ -33,7 +33,7 @@ from .kernelsolver import (
     solve_dnls_ground_state,
     solve_kernel_equation,
 )
-from .lattice import GridSpec, SymmetricSequence
+from .lattice import GridSpec
 from .rangesolver import RangeOperator, solve_range_equation
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "Breather",
     "ConvergenceError",
     "DnlsProblem",
-    "FemInterpolant",
     "FormatError",
     "GridSpec",
     "GuardError",
@@ -51,11 +50,9 @@ __all__ = [
     "RangeOperator",
     "ResonanceError",
     "ScalingTable",
-    "SymmetricSequence",
     "assemble_breather",
     "error_vs_reference",
     "functional_remainder",
-    "gradient_energy",
     "hessian_diagnostics",
     "integrate_period",
     "kg_residual",

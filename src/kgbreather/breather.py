@@ -36,7 +36,7 @@ from .kernelsolver import (
 from .lattice import (
     BREATHER_MODES,
     GridSpec,
-    SymmetricSequence,
+    asymmetry,
     block_slices,
     laplacian,
     mirror_block,
@@ -134,10 +134,7 @@ class Breather:
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
             return 0.0
-        worst = max(
-            SymmetricSequence(self.grid, c).asymmetry() for c in self.coeffs
-        )
-        return worst / scale
+        return max(asymmetry(c) for c in self.coeffs) / scale
 
 
 def _window_for_residual(phi, w_hat, grid, config, beta, target):
@@ -197,7 +194,7 @@ def assemble_breather(config: PipelineConfig):
     beta = nonlinearity_coefficient(config.p)
 
     phi_dnls, dnls_report = solve_dnls_ground_state(
-        prob, reference.values, tol=config.kernel_tol
+        prob, reference, tol=config.kernel_tol
     )
 
     range_kwargs = {
@@ -263,7 +260,7 @@ def assemble_breather(config: PipelineConfig):
         "kernel_residual_sup": float(np.max(np.abs(g_residual))),
         "remainder_norm_mu": norm_l2_mu(R, grid),
         "dist_phi_dnls": norm_q_mu(phi - phi_dnls, grid),
-        "dist_dnls_ref": norm_q_mu(phi_dnls - reference.values, grid),
+        "dist_dnls_ref": norm_q_mu(phi_dnls - reference, grid),
     }
 
     b = Breather(
@@ -294,7 +291,7 @@ def reference_coefficients(b: Breather):
     """Continuum reference Psi as a coefficient stack on b's grid: the
     sampled NLS profile rides the first harmonic alone."""
     coeffs = np.zeros_like(b.coeffs)
-    coeffs[1] = b.mu ** (1.0 / b.p) * reference_profile(b).values
+    coeffs[1] = b.mu ** (1.0 / b.p) * reference_profile(b)
     return coeffs
 
 
@@ -353,7 +350,7 @@ def error_vs_reference(b: Breather):
     amplitude = b.mu ** (1.0 / b.p)
     # only harmonic 1 of the reference is nonzero
     diff = b.coeffs.copy()
-    diff[1] -= amplitude * ref.values
+    diff[1] -= amplitude * ref
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
     e_sup = max(
         float(np.max(np.abs(values)))
@@ -380,7 +377,7 @@ def error_vs_reference(b: Breather):
         if total
         else 0.0,
         dist_phi_dnls=norm_q_mu(b.phi - b.phi_dnls, b.grid),
-        dist_dnls_ref=norm_q_mu(b.phi_dnls - ref.values, b.grid),
+        dist_dnls_ref=norm_q_mu(b.phi_dnls - ref, b.grid),
     )
 
 
@@ -503,38 +500,39 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 
     mu values must be strictly decreasing.  Per-mu failures (guard trips,
     stalled iterations) are recorded, not raised; any later slope fit
-    insists on >= 4 surviving rows.
+    insists on >= 4 surviving rows.  ``progress(mu, row)``, if given, is
+    called after every mu, with row None when that mu failed.
     """
     mus = [float(m) for m in mu_list]
     if len(mus) < 2 or any(b >= a for a, b in zip(mus, mus[1:])):
         raise GuardError("mu list must be strictly decreasing")
     rows, failures = [], {}
     for mu in mus:
+        row = None
         try:
             cfg = PipelineConfig(
                 n=n, p=p, coupling=coupling, mu=mu, mode=mode, **config_kwargs
             )
             b = assemble_breather(cfg)
             err = error_vs_reference(b)
-            rows.append(
-                ScalingRow(
-                    mu=mu,
-                    e_h2=err.e_h2,
-                    e_sup=err.e_sup,
-                    w_x2=err.w_x2,
-                    harmonic_fraction=err.harmonic_fraction,
-                    tail_fraction=err.tail_fraction,
-                    dist_phi_dnls=err.dist_phi_dnls,
-                    dist_dnls_ref=err.dist_dnls_ref,
-                    remainder_norm_mu=b.reports["remainder_norm_mu"],
-                    kg_residual=kg_residual(b),
-                    omega=b.omega,
-                )
+            row = ScalingRow(
+                mu=mu,
+                e_h2=err.e_h2,
+                e_sup=err.e_sup,
+                w_x2=err.w_x2,
+                harmonic_fraction=err.harmonic_fraction,
+                tail_fraction=err.tail_fraction,
+                dist_phi_dnls=err.dist_phi_dnls,
+                dist_dnls_ref=err.dist_dnls_ref,
+                remainder_norm_mu=b.reports["remainder_norm_mu"],
+                kg_residual=kg_residual(b),
+                omega=b.omega,
             )
+            rows.append(row)
         except (GuardError, ConvergenceError) as exc:
             failures[repr(mu)] = str(exc)
         if progress is not None:
-            progress(mu, rows[-1] if rows else None)
+            progress(mu, row)
     return ScalingTable(
         n=n, p=p, coupling=coupling, mode=mode, rows=rows, failures=failures
     )

@@ -38,56 +38,77 @@ from .errors import (
     KGBreatherError,
     ResonanceError,
 )
-from .feminterp import FemInterpolant, functional_remainder
+from .feminterp import functional_remainder
 from .groundstate import sample_reference, save_profile, solve_ground_state
 from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
 
-# option name -> (type, default); None default means "required"
-_SCHEMAS = {
+# The one option table.  Per subcommand, option key -> (type, default,
+# help); a None default means "required".  build_parser turns key k into
+# the flag --k (underscores as dashes), and the config-file merge reads the
+# same keys, so an option exists in both places or in neither.
+_N = (int, None, "lattice dimension, 1 or 2")
+_P = (float, None, "nonlinearity exponent, 1/2 <= p < 2/n")
+_A = (float, None, "lattice coupling in (0, 1/2)")
+_MODE = (str, "st", "breather centering")
+_L_MAX = (int, 15, "harmonic window of the kernel continuation")
+_RESIDUAL_TARGET = (
+    float,
+    0.0,
+    "widen the harmonic window of the final range pass until the truncated "
+    "tail of the nonlinearity is below this residual (0: keep --l-max; "
+    "wanted for non-integer p)",
+)
+_OPTIONS = {
     "groundstate": {
-        "n": (int, None),
-        "p": (float, None),
-        "tol": (float, 1e-11),
-        "out": (str, "groundstate"),
+        "n": _N,
+        "p": _P,
+        "tol": (float, 1e-11, "residual tolerance of the 2d radial solve"),
+        "out": (str, "groundstate", "basename of the .csv and .csv.json outputs"),
     },
     "breather": {
-        "n": (int, None),
-        "p": (float, None),
-        "a": (float, None),
-        "mu": (float, None),
-        "mode": (str, "st"),
-        "K": (int, 0),  # 0: derive from r_min
-        "l_max": (int, 15),
-        "r_min": (float, 80.0),
-        "tol": (float, 1e-12),
-        "kernel_tol": (float, 1e-11),
-        "residual_target": (float, 0.0),
-        "out": (str, "breather"),
+        "n": _N,
+        "p": _P,
+        "a": _A,
+        "mu": (float, None, "amplitude parameter (lattice spacing)"),
+        "mode": _MODE,
+        "K": (int, 0, "explicit box half-width (overrides --r-min; 0: derive it)"),
+        "l_max": _L_MAX,
+        "r_min": (float, 80.0, "physical box radius, K = r_min / mu"),
+        "tol": (float, 1e-12, "range-equation contraction tolerance"),
+        "kernel_tol": (
+            float,
+            1e-11,
+            "Newton tolerance on the kernel residual; its roundoff floor "
+            "grows like a/mu^2, so values near 1e-13 end in a "
+            "ConvergenceError at mu <= 0.02",
+        ),
+        "residual_target": _RESIDUAL_TARGET,
+        "out": (str, "breather", "basename of the .kgbr and .json outputs"),
     },
     "scaling": {
-        "n": (int, None),
-        "p": (float, None),
-        "a": (float, None),
-        "mode": (str, "st"),
-        "mu_list": (str, None),
-        "l_max": (int, 15),
-        "r_min": (float, 80.0),
-        "residual_target": (float, 0.0),
-        "out": (str, "scaling"),
+        "n": _N,
+        "p": _P,
+        "a": _A,
+        "mode": _MODE,
+        "mu_list": (str, None, "comma-separated, strictly decreasing"),
+        "l_max": _L_MAX,
+        "r_min": (float, 80.0, "physical box radius, K = r_min / mu"),
+        "residual_target": _RESIDUAL_TARGET,
+        "out": (str, "scaling", "basename of the .csv and .json outputs"),
     },
     "validate": {
-        "input": (str, None),
-        "integrate": (bool, False),
-        "steps": (int, 2048),
-        "periods": (int, 1),
-        "out": (str, ""),
+        "input": (str, None, "breather snapshot (.kgbr)"),
+        "integrate": (bool, False, "add the leapfrog period check"),
+        "steps": (int, 2048, "leapfrog steps per period"),
+        "periods": (int, 1, "periods to integrate"),
+        "out": (str, "", "JSON report path (default: print it)"),
     },
     "fem-check": {
-        "n": (int, None),
-        "p": (float, None),
-        "mu_list": (str, "0.2,0.15,0.1,0.075,0.05"),
-        "r_min": (float, 45.0),
-        "out": (str, ""),
+        "n": _N,
+        "p": _P,
+        "mu_list": (str, "0.2,0.15,0.1,0.075,0.05", "comma-separated"),
+        "r_min": (float, 45.0, "physical box radius, K = r_min / mu"),
+        "out": (str, "", "JSON report path (default: none)"),
     },
 }
 
@@ -129,10 +150,9 @@ def _coerce(raw, typ, key):
 
 def _merge(args, command):
     """flags > config file > defaults; required keys must land somewhere."""
-    schema = _SCHEMAS[command]
     file_values = _parse_config_file(args.config) if args.config else {}
     merged = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, _) in _OPTIONS[command].items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -204,11 +224,6 @@ def _cmd_breather(opt):
 
 def _cmd_scaling(opt):
     mus = _parse_mu_list(opt["mu_list"])
-    kwargs = {
-        "l_max": opt["l_max"],
-        "r_min": opt["r_min"],
-        "residual_target": opt["residual_target"],
-    }
 
     def progress(mu, row):
         if row is None:
@@ -219,7 +234,8 @@ def _cmd_scaling(opt):
 
     table = scaling_study(
         mus, n=opt["n"], p=opt["p"], coupling=opt["a"], mode=opt["mode"],
-        progress=progress, **kwargs,
+        progress=progress, l_max=opt["l_max"], r_min=opt["r_min"],
+        residual_target=opt["residual_target"],
     )
     table.to_csv(f"{opt['out']}.csv")
     table.to_json(f"{opt['out']}.json")
@@ -271,11 +287,11 @@ def _cmd_fem_check(opt):
     rows = []
     for mu in mus:
         grid = GridSpec.for_radius(opt["n"], mu=mu, r_min=opt["r_min"])
-        seq = sample_reference(profile, grid)
-        g_c, g_d, r_g = functional_remainder(FemInterpolant(seq), q=q)
+        psi = sample_reference(profile, grid)
+        g_c, g_d, r_g = functional_remainder(psi, grid, q=q)
         chain = float(
-            mu**grid.n * np.sum(np.abs(seq.values) ** (4.0 * opt["p"] + 2.0))
-            / norm_q_mu(seq.values, grid) ** (4.0 * opt["p"] + 2.0)
+            mu**grid.n * np.sum(np.abs(psi) ** (4.0 * opt["p"] + 2.0))
+            / norm_q_mu(psi, grid) ** (4.0 * opt["p"] + 2.0)
         )
         rows.append({"mu": mu, "G_c": g_c, "G_d": g_d, "R_G": r_g,
                      "embedding_ratio": chain})
@@ -295,20 +311,13 @@ def _cmd_fem_check(opt):
     return 0
 
 
-_RUNNERS = {
-    "groundstate": _cmd_groundstate,
-    "breather": _cmd_breather,
-    "scaling": _cmd_scaling,
-    "validate": _cmd_validate,
-    "fem-check": _cmd_fem_check,
+_COMMANDS = {
+    "groundstate": (_cmd_groundstate, "solve the continuum NLS profile"),
+    "breather": (_cmd_breather, "assemble one breather and save it"),
+    "scaling": (_cmd_scaling, "mu sweep with log-log slopes"),
+    "validate": (_cmd_validate, "recheck a saved breather file"),
+    "fem-check": (_cmd_fem_check, "lattice-vs-continuum functional gap"),
 }
-
-
-_RESIDUAL_TARGET_HELP = (
-    "widen the harmonic window of the final range pass until the truncated "
-    "tail of the nonlinearity is below this residual (default 0: keep "
-    "--l-max; wanted for non-integer p)"
-)
 
 
 def build_parser():
@@ -318,65 +327,20 @@ def build_parser():
         "continuum NLS limit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("groundstate", help="solve the continuum NLS profile")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out", type=str)
-
-    sp = sub.add_parser("breather", help="assemble one breather and save it")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--a", type=float, help="lattice coupling in (0, 1/2)")
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--mode", choices=tuple(BREATHER_MODES[2]))
-    sp.add_argument("--K", type=int, help="explicit box half-width (overrides --r-min)")
-    sp.add_argument("--l-max", dest="l_max", type=int)
-    sp.add_argument("--r-min", dest="r_min", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument(
-        "--kernel-tol",
-        dest="kernel_tol",
-        type=float,
-        help="Newton tolerance on the kernel residual (default 1e-11); its "
-        "roundoff floor grows like a/mu^2, so values near 1e-13 end in a "
-        "ConvergenceError at mu <= 0.02",
-    )
-    sp.add_argument("--residual-target", dest="residual_target", type=float,
-                    help=_RESIDUAL_TARGET_HELP)
-    sp.add_argument("--out", type=str)
-
-    sp = sub.add_parser("scaling", help="mu sweep with log-log slopes")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--mode", choices=tuple(BREATHER_MODES[2]))
-    sp.add_argument("--mu-list", dest="mu_list", type=str,
-                    help="comma-separated, strictly decreasing")
-    sp.add_argument("--l-max", dest="l_max", type=int)
-    sp.add_argument("--r-min", dest="r_min", type=float)
-    sp.add_argument("--residual-target", dest="residual_target", type=float,
-                    help=_RESIDUAL_TARGET_HELP)
-    sp.add_argument("--out", type=str)
-
-    sp = sub.add_parser("validate", help="recheck a saved breather file")
-    sp.add_argument("--input", type=str)
-    sp.add_argument("--integrate", action="store_const", const=True)
-    sp.add_argument("--steps", type=int, help="leapfrog steps per period")
-    sp.add_argument("--periods", type=int)
-    sp.add_argument("--out", type=str)
-
-    sp = sub.add_parser("fem-check", help="lattice-vs-continuum functional gap")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--mu-list", dest="mu_list", type=str)
-    sp.add_argument("--r-min", dest="r_min", type=float)
-    sp.add_argument("--out", type=str)
-
-    for sp_action in sub.choices.values():
-        sp_action.add_argument("--config", type=str,
-                               help="key=value file; flags take precedence")
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, (typ, _, option_help) in _OPTIONS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if typ is bool:
+                sp.add_argument(flag, action="store_const", const=True,
+                                help=option_help)
+            elif key == "mode":
+                sp.add_argument(flag, choices=tuple(BREATHER_MODES[2]),
+                                help=option_help)
+            else:
+                sp.add_argument(flag, type=typ, help=option_help)
+        sp.add_argument("--config", type=str,
+                        help="key=value file; flags take precedence")
     return parser
 
 
@@ -385,7 +349,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         options = _merge(args, args.command)
-        return _RUNNERS[args.command](options)
+        return _COMMANDS[args.command][0](options)
     except (GuardError, ResonanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

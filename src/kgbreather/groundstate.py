@@ -26,7 +26,6 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma
 
 from .errors import ConvergenceError, GuardError
-from .lattice import SymmetricSequence
 
 
 def check_exponent(n, p):
@@ -66,18 +65,6 @@ class GroundStateProfile:
         out = np.zeros_like(r)
         inside = r < self.r_max
         out[inside] = self._spline(r[inside])
-        return out
-
-    def second_derivative(self, r):
-        r = np.abs(np.asarray(r, dtype=np.float64))
-        if self.n == 1:
-            q = 1.0 / self.p
-            kappa = self.p * np.sqrt(self.multiplier)
-            s = 1.0 / np.cosh(kappa * r)
-            return self.amplitude * q * kappa**2 * s**q * (q - (q + 1.0) * s * s)
-        out = np.zeros_like(r)
-        inside = r < self.r_max
-        out[inside] = self._spline(r[inside], 2)
         return out
 
 
@@ -240,12 +227,12 @@ def save_profile(path, profile, points=2000):
 def sample_reference(profile, grid, coupling=1.0):
     """Ground state for the given coupling sampled at the lattice sites.
 
-    Values are psi(|mu (j + offset)| / sqrt(coupling)); same multiplier and
-    amplitude as the unit-coupling profile.
+    Returns the box field psi(|mu (j + offset)| / sqrt(coupling)); same
+    multiplier and amplitude as the unit-coupling profile.
     """
     if not (coupling > 0.0):
         raise GuardError(f"coupling must be positive, got {coupling}")
     if profile.n != grid.n:
         raise GuardError(f"profile is {profile.n}d, grid is {grid.n}d")
     radii = grid.radius_mesh(scale=np.sqrt(coupling))
-    return SymmetricSequence(grid, profile(radii))
+    return profile(radii)

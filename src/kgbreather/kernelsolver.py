@@ -42,14 +42,17 @@ from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
 from .lattice import (
     block_slices,
-    dirichlet_energy,
     fold_symmetric,
     laplacian,
     mirror_block,
     unfold_symmetric,
 )
 from .rangesolver import RangeOperator, solve_range_equation
-from .timespectral import apply_nonlinearity, nonlinearity_coefficient
+from .timespectral import (
+    default_node_count,
+    nonlinearity_coefficient,
+    odd_collocation,
+)
 
 
 @dataclass(frozen=True)
@@ -84,25 +87,6 @@ class DnlsProblem:
             + self.multiplier * phi
             - np.abs(phi) ** (2.0 * self.p) * phi
         )
-
-
-def lattice_energy(phi, grid, p, coupling):
-    """H0 = mu^n [ (a/mu^2) <phi, -lap phi> - (1/(p+1)) sum |phi|^(2p+2) ].
-
-    Together with m * lattice_mass this is the variational functional of the
-    kernel equation: grad_phi (H0 + m * mass) = 2 mu^n G0(phi).
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    mu = grid.mu
-    quad = (coupling / mu**2) * dirichlet_energy(phi)
-    quart = np.sum(np.abs(phi) ** (2.0 * p + 2.0)) / (p + 1.0)
-    return mu**grid.n * (quad - quart)
-
-
-def lattice_mass(phi, grid):
-    """Scaled l2 mass mu^n sum phi^2 (continuum limit: int psi^2 dx)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    return grid.mu**grid.n * float(np.sum(phi * phi))
 
 
 def _axis_minus_laplacian(K, offset):
@@ -199,17 +183,28 @@ def kernel_remainder(phi, prob, w, beta=None, M=None):
     component w.
 
     ``w`` is a range stack on the fundamental block, as solve_range_equation
-    returns it; no range solve happens here.  N and P1 are evaluated on the
-    block, on ``M`` time nodes (pass the range solve's own count), and R is
-    returned on the whole box.
+    returns it; no range solve happens here.  N is sampled on the block at
+    the Q quarter-period nodes tau_j of ``M`` time nodes (pass the range
+    solve's own count), and P1 reads harmonic 1 straight off the samples,
+    (2/Q) sum_j cos(tau_j) N(tau_j): the first row of the DCT-IV analysis,
+    without the others.  R is returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
         beta = nonlinearity_coefficient(prob.p)
+    if M is None:
+        M = default_node_count(w.shape[0] - 1, prob.p)
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
     u[1] = phi_block
-    first = apply_nonlinearity(u, prob.p, beta=beta, M=M)[1]
+    Q = (M + 1) // 2
+    cos_tau = np.cos(np.pi * (2.0 * np.arange(Q) + 1.0) / (4.0 * Q)) * (2.0 / Q)
+    first = np.empty(phi_block.size)
+    for sl, samples in odd_collocation(
+        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * prob.p) * v
+    ):
+        first[sl] = cos_tau @ samples
+    first = first.reshape(phi_block.shape)
     return mirror_block(
         -(first - np.abs(phi_block) ** (2.0 * prob.p) * phi_block), prob.grid
     )

@@ -1,27 +1,28 @@
-"""Lattice geometry, reflection-symmetric sequences, and the discrete Laplacian.
+"""Lattice geometry, reflection symmetry, and the discrete Laplacian.
 
 Sites live on an n-dimensional box (n = 1 or 2).  Along each axis the index
 j runs over -K..K when the symmetry offset is 0 and over -K-1..K when it is
 1/2; a site sits at the physical position x = mu*(j + offset) and zero
-Dirichlet data is imposed outside the box.  With these conventions a
-sequence that is even under reflection through the box center is exactly an
-array invariant under ``np.flip`` along each axis.  Such a field is
-determined by its fundamental block (indices j >= 0 on each axis): the
-helpers below cut the block out and mirror it back (``block_slices`` /
-``mirror_block``), weigh its sites by their orbit sizes, and give the
-orthonormal orbit coordinates (``fold_symmetric`` / ``unfold_symmetric``)
-in which the Newton solves run.
+Dirichlet data is imposed outside the box.  A field is a plain array of
+the box's shape (``GridSpec.shape``), and with these conventions a field
+that is even under reflection through the box center is exactly an array
+invariant under ``np.flip`` along each axis (``asymmetry`` measures how far
+it is from that).  Such a field is determined by its fundamental block
+(indices j >= 0 on each axis): the helpers below cut the block out and
+mirror it back (``block_slices`` / ``mirror_block``), weigh its sites by
+their orbit sizes, and give the orthonormal orbit coordinates
+(``fold_symmetric`` / ``unfold_symmetric``) in which the Newton solves run.
 
 The module does no file I/O; the one snapshot format, ``.kgbr``, is read
 and written by ``breather.save_breather`` / ``load_breather``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, GuardError
+from .errors import GuardError
 
 _VALID_OFFSETS = (0.0, 0.5)
 
@@ -97,36 +98,12 @@ class GridSpec:
         return np.hypot(x, y)
 
 
-@dataclass
-class SymmetricSequence:
-    """A real-valued field on a GridSpec box, meant to be reflection-even."""
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise FormatError(
-                f"values shape {self.values.shape} does not match "
-                f"grid shape {self.grid.shape}"
-            )
-
-    def symmetrize(self):
-        out = self.values
-        for ax in range(self.grid.n):
-            out = 0.5 * (out + np.flip(out, axis=ax))
-        return SymmetricSequence(self.grid, out)
-
-    def asymmetry(self):
-        """Max deviation from reflection evenness, over all axes."""
-        worst = 0.0
-        for ax in range(self.grid.n):
-            worst = max(
-                worst,
-                float(np.max(np.abs(self.values - np.flip(self.values, axis=ax)))),
-            )
-        return worst
+def asymmetry(a):
+    """Max deviation of a box field from reflection evenness, over all axes."""
+    a = np.asarray(a, dtype=np.float64)
+    return max(
+        float(np.max(np.abs(a - np.flip(a, axis=ax)))) for ax in range(a.ndim)
+    )
 
 
 # The one table of symmetry centers the breather families can sit on, by
@@ -228,29 +205,6 @@ def norm_q_mu(a, grid):
     a = np.asarray(a, dtype=np.float64)
     mu, n = grid.mu, grid.n
     return float(np.sqrt(mu**n * np.sum(a * a) + mu ** (n - 2) * dirichlet_energy(a)))
-
-
-def sup_norm(a):
-    return float(np.max(np.abs(a)))
-
-
-def lp_norm(a, q):
-    """Plain sequence-space l^q norm, (sum |a_j|^q)^(1/q)."""
-    if q < 2.0:
-        raise GuardError(f"embedding checks cover q >= 2 only, got {q}")
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    return float(np.sum(a**q) ** (1.0 / q))
-
-
-def embedding_checks(a, q):
-    """True when the unit-constant embeddings l2 -> l^q and l2 -> l^inf hold.
-
-    On sequence spaces both inequalities are exact with constant 1; this is
-    the runtime check (up to roundoff slack) rather than an assumption.
-    """
-    l2 = norm_l2(a)
-    slack = 1.0 + 1e-12
-    return lp_norm(a, q) <= l2 * slack and sup_norm(a) <= l2 * slack
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 A wave is stored through its cosine coefficients in scaled time,
 u(tau) = sum_l coeffs[l] * cos(l tau), coeffs[l] being a spatial field.
-``synthesize`` / ``analyze`` handle a general cosine series on the midpoint
-nodes tau_k = pi (2k+1) / (2M), where they are a DCT-III / DCT-II pair.
+A general cosine series would be synthesised and analysed on the M
+midpoint nodes tau_k = pi (2k+1) / (2M) by a DCT-III / DCT-II pair; the
+test suite keeps that pair as the reference for what follows.
 
-Every chunked "synthesis -> pointwise map -> analysis" pass goes through
-``odd_collocation`` and works on odd series only.  Reversible breathers
-have u(tau + pi) = -u(tau), so only odd harmonics occur, and the odd
-nonlinearity keeps it that way.  The primitive holds callers to that
-contract: a nonzero even row is a GuardError, and the even rows it returns
-are exact zeros.
+Every chunked "synthesis -> pointwise map -> analysis" pass of the
+pipeline goes through ``odd_collocation`` and works on odd series only.
+Reversible breathers have u(tau + pi) = -u(tau), so only odd harmonics
+occur, and the odd nonlinearity keeps it that way.  The primitive holds
+callers to that contract: a nonzero even row is a GuardError, and the even
+rows it returns are exact zeros.
 
 Why a quarter period suffices: an odd series obeys u(pi - tau) = -u(tau),
 and so does any odd pointwise map of it.  The series is therefore sampled
@@ -48,32 +49,6 @@ def nonlinearity_coefficient(p):
     nonlinearity with unit coefficient.
     """
     return np.pi / cos_moment(p)
-
-
-def collocation_nodes(M):
-    return np.pi * (2.0 * np.arange(M) + 1.0) / (2.0 * M)
-
-
-def synthesize(coeffs, M):
-    """Values sum_l coeffs[l] cos(l tau_k) at the M midpoint nodes (axis 0)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if M < coeffs.shape[0]:
-        raise GuardError(f"need M >= {coeffs.shape[0]} nodes, got {M}")
-    x = coeffs.copy()
-    x[1:] *= 0.5
-    return dct(x, type=3, n=M, axis=0)
-
-
-def analyze(values, L):
-    """Cosine coefficients 0..L from midpoint-node values (axis 0)."""
-    values = np.asarray(values, dtype=np.float64)
-    M = values.shape[0]
-    if L >= M:
-        raise GuardError(f"cannot resolve harmonic {L} from {M} nodes")
-    y = dct(values, type=2, axis=0)[: L + 1]
-    y /= M
-    y[0] *= 0.5
-    return y
 
 
 def default_node_count(L, p, factor=4):
@@ -165,18 +140,6 @@ def apply_nonlinearity(
     if tail is not None:
         tail["discarded"] = np.sqrt(discarded / kept) if kept > 0.0 else 0.0
     return out.reshape(coeffs.shape)
-
-
-def project_kernel(coeffs):
-    """Spatial field multiplying cos(tau) (the bifurcation direction)."""
-    return np.array(coeffs[1], dtype=np.float64)
-
-
-def project_range(coeffs):
-    """Complement of the kernel: all harmonics with the first zeroed."""
-    out = np.array(coeffs, dtype=np.float64)
-    out[1] = 0.0
-    return out
 
 
 def sobolev_time_norm(coeffs, order=2, omega=1.0, weights=None):

@@ -29,30 +29,16 @@ from kgbreather.breather import (
     scaling_study,
 )
 from kgbreather.dynamics import integrate_period
-from kgbreather.feminterp import (
-    FemInterpolant,
-    functional_remainder,
-    gradient_identity_gap,
-)
+from kgbreather.feminterp import functional_remainder
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.kernelsolver import (
     DnlsProblem,
     hessian_diagnostics,
     solve_dnls_ground_state,
 )
-from kgbreather.lattice import (
-    GridSpec,
-    SymmetricSequence,
-    embedding_checks,
-    norm_q_mu,
-)
-from kgbreather.timespectral import (
-    analyze,
-    collocation_nodes,
-    cos_moment,
-    project_kernel,
-    project_range,
-)
+from kgbreather.lattice import GridSpec, norm_q_mu
+from kgbreather.timespectral import cos_moment, odd_collocation
+from references import embedding_checks, gradient_identity_gap, symmetrize
 
 M_CUBIC = 1.0 / 16.0
 
@@ -115,8 +101,8 @@ def test_1_fem_gradient_identity(capsys):
             mu=float(rng.uniform(0.05, 0.5)),
             offsets=(0.5 if rng.integers(2) else 0.0,),
         )
-        seq = SymmetricSequence(grid, rng.standard_normal(grid.shape)).symmetrize()
-        worst = max(worst, gradient_identity_gap(seq))
+        values = symmetrize(rng.standard_normal(grid.shape))
+        worst = max(worst, gradient_identity_gap(values, grid))
     for _ in range(20):
         grid = GridSpec(
             n=2,
@@ -124,8 +110,8 @@ def test_1_fem_gradient_identity(capsys):
             mu=float(rng.uniform(0.05, 0.5)),
             offsets=tuple(0.5 if rng.integers(2) else 0.0 for _ in range(2)),
         )
-        seq = SymmetricSequence(grid, rng.standard_normal(grid.shape)).symmetrize()
-        worst = max(worst, gradient_identity_gap(seq))
+        values = symmetrize(rng.standard_normal(grid.shape))
+        worst = max(worst, gradient_identity_gap(values, grid))
     ok = _verdict(capsys, "1 gradient identity", worst < 1e-12,
                   f"worst relative gap {worst:.2e}, bound 1e-12")
     assert ok
@@ -134,7 +120,7 @@ def test_1_fem_gradient_identity(capsys):
 def test_1_hessian_identity_at_solution(capsys):
     grid = GridSpec.for_radius(1, mu=0.2, r_min=40.0)
     prob = DnlsProblem(grid=grid, p=1.0, mu=0.2, coupling=0.25, multiplier=M_CUBIC)
-    phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.25).values
+    phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.25)
     phi, _ = solve_dnls_ground_state(prob, phi0, tol=1e-13)
     residual = float(np.max(np.abs(prob.apply_g0(phi))))
     assert residual < 1e-12  # precondition for the exact identity
@@ -147,18 +133,23 @@ def test_1_hessian_identity_at_solution(capsys):
     assert ok
 
 
-def test_1_projectors_and_cosine_algebra(capsys):
-    rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal((8, 5))
-    kernel_part = np.zeros_like(coeffs)
-    kernel_part[1] = project_kernel(coeffs)
-    split_gap = float(np.max(np.abs(kernel_part + project_range(coeffs) - coeffs)))
+def test_1_projectors_and_cosine_algebra(capsys, breather_st):
+    # the assembled breather splits exactly: harmonic 1 is the kernel
+    # profile, bit for bit, and the range stack has no harmonic 1
+    b = breather_st
+    kernel_part = b.mu ** (1.0 / b.p) * b.phi
+    split_gap = float(np.max(np.abs(b.coeffs[1] - kernel_part)))
+    split_ok = (
+        b.coeffs[1].tobytes() == kernel_part.tobytes() and not np.any(b.w_hat[1])
+    )
 
-    c = analyze(np.cos(collocation_nodes(64)) ** 3, 5)
+    # cos^3 = (3/4) cos + (1/4) cos 3, through the pipeline's collocation
+    unit = np.zeros((6, 1))
+    unit[1] = 1.0
+    ((_, c),) = odd_collocation((unit,), 64, lambda v: v**3, analysis=True)
+    # row j of c holds harmonic 2j + 1
     cos3_gap = max(
-        abs(c[1] - 0.75),
-        abs(c[3] - 0.25),
-        float(np.max(np.abs(c[[0, 2, 4, 5]]))),
+        abs(c[0, 0] - 0.75), abs(c[1, 0] - 0.25), float(np.max(np.abs(c[2:])))
     )
 
     t = np.linspace(0.0, 2.0 * np.pi, 4097)
@@ -167,7 +158,7 @@ def test_1_projectors_and_cosine_algebra(capsys):
         abs(cos_moment(1.0) - 0.75 * np.pi), abs(cos_moment(1.0) - quadrature)
     )
 
-    ok = split_gap == 0.0 and cos3_gap < 1e-13 and c1_gap < 1e-12
+    ok = split_ok and cos3_gap < 1e-13 and c1_gap < 1e-12
     ok = _verdict(
         capsys, "1 projectors + cosine algebra", ok,
         f"split {split_gap:.1e}, cos^3 {cos3_gap:.2e} (<1e-13), "
@@ -223,7 +214,7 @@ def test_2_hessian_signs(capsys):
         prob = DnlsProblem(
             grid=grid, p=1.0, mu=mu, coupling=0.25, multiplier=M_CUBIC
         )
-        phi0 = sample_reference(ground, grid, coupling=0.25).values
+        phi0 = sample_reference(ground, grid, coupling=0.25)
         phi, _ = solve_dnls_ground_state(prob, phi0)
         hd = hessian_diagnostics(phi, prob)
         assert hd.curvature_along_solution < 0.0
@@ -381,8 +372,8 @@ def test_7_fem_remainder_slopes(capsys):
         remainders = []
         for mu in mus:
             grid = GridSpec.for_radius(n, mu=mu, r_min=r_min)
-            seq = sample_reference(profile, grid)
-            _, _, r_g = functional_remainder(FemInterpolant(seq), q=2.0 * p)
+            psi = sample_reference(profile, grid)
+            _, _, r_g = functional_remainder(psi, grid, q=2.0 * p)
             remainders.append(abs(r_g))
         slopes[n] = float(np.polyfit(np.log(mus), np.log(remainders), 1)[0])
     ok = all(s >= 0.75 for s in slopes.values())

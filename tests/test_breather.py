@@ -21,6 +21,7 @@ import struct
 import numpy as np
 import pytest
 
+import kgbreather.breather as breather
 from kgbreather.breather import (
     Breather,
     PipelineConfig,
@@ -36,7 +37,6 @@ from kgbreather.breather import (
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
 from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian
-from kgbreather.timespectral import collocation_nodes
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,8 @@ def _per_node_residual(b):
     L = b.L_max
     M = 4 * (L + 1)
     l = np.arange(L + 1)
-    cos_basis = np.cos(np.outer(collocation_nodes(M), l))
+    tau = np.pi * (2.0 * np.arange(M) + 1.0) / (2.0 * M)  # midpoint nodes
+    cos_basis = np.cos(np.outer(tau, l))
     acc_basis = -((b.omega * l) ** 2) * cos_basis
     flat = b.coeffs.reshape(L + 1, -1)
     worst = 0.0
@@ -321,6 +322,25 @@ def test_scaling_records_failures_instead_of_raising():
     tab = scaling_study([0.9, 0.2], n=1, p=1.0, coupling=0.25,
                         r_min=10.0, l_max=5)
     assert len(tab.rows) == 1 and repr(0.9) in tab.failures
+
+
+def test_scaling_progress_reports_a_failed_mu_as_none(monkeypatch):
+    # a failure after a success must not hand the callback the earlier row
+    def assemble(cfg):
+        if cfg.mu == 0.2:
+            raise GuardError("injected failure")
+        return assemble_breather(cfg)
+
+    monkeypatch.setattr(breather, "assemble_breather", assemble)
+    seen = []
+    tab = scaling_study([0.4, 0.3, 0.2], n=1, p=1.0, coupling=0.25,
+                        r_min=10.0, l_max=5,
+                        progress=lambda mu, row: seen.append((mu, row)))
+    assert [mu for mu, _ in seen] == [0.4, 0.3, 0.2]
+    assert [row.mu for _, row in seen[:2]] == [0.4, 0.3]
+    assert seen[2][1] is None
+    assert tab.failures == {repr(0.2): "injected failure"}
+    assert [row.mu for row in tab.rows] == [0.4, 0.3]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Every name imported in src/, tests/, scripts/ and benchmark/ is used in
-its module."""
+its module, and every function, class and method that src/ defines is read
+by the program itself (src/, scripts/, benchmark/), not by the tests alone."""
 import ast
 from pathlib import Path
 
@@ -38,5 +39,63 @@ def test_no_unused_imports():
     for folder in ("src", "tests", "scripts", "benchmark"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for line, name in unused_imports(path.read_text()):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert found == []
+
+
+def defined_names(source):
+    """(line, name) of the top-level functions and classes in ``source``
+    and of their non-dunder methods, the latter as Class.method."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.lineno, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return found
+
+
+def read_names(source):
+    """Identifiers that ``source`` reads: plain names, attribute names, and
+    string constants spelling an identifier (``__all__`` entries, and the
+    attribute names the benchmark's tracer wraps by string)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
+    return read
+
+
+def test_name_checker_flags_unread_and_accepts_read():
+    lib = (
+        "class A:\n    def used(self): pass\n    def spare(self): pass\n"
+        "    def __call__(self): pass\n"
+        "def f(): pass\ndef g(): pass\ndef h(): pass\n"
+        "__all__ = ['h']\n"
+    )
+    read = read_names(lib) | read_names("A().used()\nf()\n")
+    unread = [name for _, name in defined_names(lib) if name.split(".")[-1] not in read]
+    assert unread == ["A.spare", "g"]
+
+
+def test_no_names_only_tests_use():
+    read = set()
+    for folder in ("src", "scripts", "benchmark"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= read_names(path.read_text())
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in defined_names(path.read_text()):
+            if name.split(".")[-1] not in read:
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []

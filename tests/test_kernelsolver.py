@@ -10,8 +10,6 @@ from kgbreather.kernelsolver import (
     DnlsProblem,
     hessian_diagnostics,
     kernel_remainder,
-    lattice_energy,
-    lattice_mass,
     reduced_g0_jacobian,
     solve_dnls_ground_state,
     solve_kernel_equation,
@@ -19,7 +17,7 @@ from kgbreather.kernelsolver import (
 from kgbreather.lattice import (
     BREATHER_MODES,
     GridSpec,
-    SymmetricSequence,
+    dirichlet_energy,
     fold_symmetric,
     laplacian,
     mirror_block,
@@ -31,14 +29,32 @@ from kgbreather.timespectral import (
     default_node_count,
     nonlinearity_coefficient,
 )
+from references import symmetrize
 
 M_CUBIC = 1.0 / 16.0
+
+
+def lattice_energy(phi, grid, p, coupling):
+    """H0 = mu^n [ (a/mu^2) <phi, -lap phi> - (1/(p+1)) sum |phi|^(2p+2) ].
+
+    Together with m * lattice_mass this is the variational functional of the
+    kernel equation: grad_phi (H0 + m * mass) = 2 mu^n G0(phi).
+    """
+    mu = grid.mu
+    quad = (coupling / mu**2) * dirichlet_energy(phi)
+    quart = np.sum(np.abs(phi) ** (2.0 * p + 2.0)) / (p + 1.0)
+    return mu**grid.n * (quad - quart)
+
+
+def lattice_mass(phi, grid):
+    """Scaled l2 mass mu^n sum phi^2 (continuum limit: int psi^2 dx)."""
+    return grid.mu**grid.n * float(np.sum(phi * phi))
 
 
 def cubic_problem(mu, a=0.4, r_min=60.0):
     grid = GridSpec.for_radius(1, mu=mu, r_min=r_min)
     prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=a, multiplier=M_CUBIC)
-    phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=a).values
+    phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=a)
     return grid, prob, phi0
 
 
@@ -58,7 +74,7 @@ def _symmetric_problem(n, offsets, K):
     prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
     rng = np.random.default_rng(1)
     raw = 0.5 + 0.1 * rng.standard_normal(grid.shape)  # keep |phi| away from 0
-    return grid, prob, SymmetricSequence(grid, raw).symmetrize().values
+    return grid, prob, symmetrize(raw)
 
 
 CENTERINGS = {
@@ -107,7 +123,7 @@ def test_gradient_of_constrained_energy_is_2mun_g0():
     grid = GridSpec(n=1, K=6, mu=0.35)
     prob = DnlsProblem(grid=grid, p=1.0, mu=0.35, coupling=0.3, multiplier=M_CUBIC)
     rng = np.random.default_rng(3)
-    phi = SymmetricSequence(grid, 0.4 * rng.standard_normal(grid.shape)).symmetrize().values
+    phi = symmetrize(0.4 * rng.standard_normal(grid.shape))
 
     def energy(v):
         return lattice_energy(v, grid, prob.p, prob.coupling) + (
@@ -193,7 +209,7 @@ def test_remainder_projects_on_the_range_node_count():
     prob = DnlsProblem(
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
-    phi = sample_reference(profile, grid, coupling=a).values
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, L_max=15, omega_sq=prob.omega_sq, coupling=a)
     M = default_node_count(15, p, factor=8)
     w, _ = solve_range_equation(phi, op, p, mu, collocation=M)
@@ -296,12 +312,40 @@ def test_tangent_eigenvalue_against_explicit_complement():
     assert hd.tangent_min_eigenvalue == pytest.approx(evals[0], rel=1e-9)
 
 
+def test_hessian_sparse_branch_matches_dense():
+    # 2d K = 50 has 51^2 = 2601 block sites, past the dense cutoff of 2500:
+    # hessian_diagnostics takes its sparse eigsh branch, checked here
+    # against dense eigensolves of the same reduced matrix
+    prof = solve_ground_state(2, 0.5)
+    mu, a = 0.3, 0.25
+    grid = GridSpec(n=2, K=50, mu=mu)
+    prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
+    phi, _ = solve_dnls_ground_state(prob, sample_reference(prof, grid, coupling=a))
+    hd = hessian_diagnostics(phi, prob)
+    J = reduced_g0_jacobian(phi, prob).toarray()
+    assert J.shape == (2601, 2601)
+    evals = np.linalg.eigvalsh(J)
+    q = fold_symmetric(phi, grid)
+    q /= np.linalg.norm(q)
+    # P J P on the complement of q (P = 1 - q q^T), q itself shifted to the
+    # top of the spectrum
+    Jq = J @ q
+    top = q @ Jq + 10.0 * np.max(np.abs(evals))
+    deflated = J - np.outer(q, Jq) - np.outer(Jq, q) + top * np.outer(q, q)
+    assert hd.min_abs_eigenvalue == pytest.approx(
+        np.min(np.abs(evals)), rel=1e-10
+    )
+    assert hd.tangent_min_eigenvalue == pytest.approx(
+        np.linalg.eigvalsh(deflated)[0], rel=1e-10
+    )
+
+
 def test_2d_kernel_smoke():
     prof = solve_ground_state(2, 0.5)
     mu, a = 0.3, 0.25
     grid = GridSpec(n=2, K=45, mu=mu)
     prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
-    phi0 = sample_reference(prof, grid, coupling=a).values
+    phi0 = sample_reference(prof, grid, coupling=a)
     phi, w, rep, op = solve_kernel_equation(phi0, prob, L_max=8)
     assert rep.converged
     assert rep.residuals[-1] < 1e-10

@@ -5,22 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgbreather.errors import FormatError, GuardError
+from kgbreather.errors import GuardError
 from kgbreather.lattice import (
     GridSpec,
-    SymmetricSequence,
+    asymmetry,
     dirichlet_energy,
-    embedding_checks,
     fold_symmetric,
     laplacian,
-    lp_norm,
     norm_l2,
     norm_l2_mu,
     norm_q,
     norm_q_mu,
-    sup_norm,
     unfold_symmetric,
 )
+from references import embedding_checks, lp_norm, symmetrize
 
 
 def delta_center(grid):
@@ -121,7 +119,7 @@ def test_sup_bounded_by_scaled_q_norm_1d(seed, mu, K):
     # discrete Agmon inequality: sup|a|^2 <= 2 ||a|| ||da|| <= ||a||_{Q,mu}^2
     g = GridSpec(n=1, K=K, mu=mu)
     a = _values(g.shape[0], seed)
-    assert sup_norm(a) <= norm_q_mu(a, g) * (1.0 + 1e-12)
+    assert np.max(np.abs(a)) <= norm_q_mu(a, g) * (1.0 + 1e-12)
 
 
 @given(
@@ -135,7 +133,7 @@ def test_sup_bounded_by_sqrt_mu_q_norm(seed, mu, n):
     # nontrivial because the constant 2 sqrt(mu) drops below 1
     g = GridSpec(n=n, K=6, mu=mu)
     a = _values(g.size, seed).reshape(g.shape)
-    assert sup_norm(a) <= 2.0 * np.sqrt(mu) * norm_q(a, mu) * (1.0 + 1e-12)
+    assert np.max(np.abs(a)) <= 2.0 * np.sqrt(mu) * norm_q(a, mu) * (1.0 + 1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), q=st.sampled_from([2.0, 3.0, 4.0, 6.0]))
@@ -147,6 +145,7 @@ def test_embedding_checks_random(seed, q):
 
 
 def test_embedding_checks_examples_and_guard():
+    # hand-computed oracles for the reference norms the acceptance gate uses
     # single site: every norm is 1, the embedding is tight
     d = np.zeros(7)
     d[3] = 1.0
@@ -156,8 +155,8 @@ def test_embedding_checks_examples_and_guard():
     two = np.array([1.0, 1.0])
     assert lp_norm(two, 4.0) == pytest.approx(2.0**0.25, rel=1e-14)
     assert embedding_checks(two, 4.0)
-    with pytest.raises(GuardError):
-        embedding_checks(two, 1.5)
+    # below q = 2 the embedding fails: l^1 norm 2 exceeds l2 norm sqrt(2)
+    assert not embedding_checks(two, 1.0)
 
 
 def test_mu_scaled_norms_match_continuum():
@@ -217,17 +216,13 @@ def test_gridspec_validation():
         GridSpec(n=2, K=4, mu=0.1, offsets=(0.5,))
 
 
-def test_sequence_shape_checked():
-    g = GridSpec(n=1, K=2, mu=1.0)
-    with pytest.raises(FormatError):
-        SymmetricSequence(g, np.zeros(6))
-
-
 def test_reflect_and_asymmetry():
-    g = GridSpec(n=1, K=2, mu=1.0)
-    s = SymmetricSequence(g, np.array([0.0, 1.0, 2.0, 1.0, 0.5]))
-    assert s.asymmetry() == 0.5
-    assert s.symmetrize().asymmetry() == 0.0
+    a = np.array([0.0, 1.0, 2.0, 1.0, 0.5])
+    assert asymmetry(a) == 0.5
+    assert asymmetry(symmetrize(a)) == 0.0
+    b = np.zeros((3, 4))
+    b[0, 1] = 0.25  # mirror image b[2, 2] is 0
+    assert asymmetry(b) == 0.25
 
 
 # --- symmetry reduction ----------------------------------------------------
@@ -245,18 +240,17 @@ def test_reflect_and_asymmetry():
 )
 def test_fold_unfold_roundtrip(grid):
     rng = np.random.default_rng(7)
-    raw = SymmetricSequence(grid, rng.standard_normal(grid.shape)).symmetrize()
-    c = fold_symmetric(raw.values, grid)
+    raw = symmetrize(rng.standard_normal(grid.shape))
+    c = fold_symmetric(raw, grid)
     assert c.shape == ((grid.K + 1) ** grid.n,)
     back = unfold_symmetric(c, grid)
-    assert np.allclose(back, raw.values, rtol=0, atol=1e-15)
+    assert np.allclose(back, raw, rtol=0, atol=1e-15)
     # orthonormality: the fold preserves the l2 norm of symmetric fields
-    assert norm_l2(c) == pytest.approx(norm_l2(raw.values), rel=1e-13)
+    assert norm_l2(c) == pytest.approx(norm_l2(raw), rel=1e-13)
 
 
 def test_unfold_is_reflection_even():
     grid = GridSpec(n=2, K=3, mu=0.5, offsets=(0.5, 0.0))
     c = np.random.default_rng(11).standard_normal((grid.K + 1) ** 2)
-    s = SymmetricSequence(grid, unfold_symmetric(c, grid))
-    assert s.asymmetry() == 0.0
+    assert asymmetry(unfold_symmetric(c, grid)) == 0.0
 

@@ -34,7 +34,7 @@ def block_shape(grid):
 def cubic_setup(mu, K=40, a=0.4, L_max=6):
     grid = GridSpec(n=1, K=K, mu=mu)
     profile = solve_ground_state(1, 1.0)
-    phi = sample_reference(profile, grid, coupling=a).values
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, L_max=L_max, omega_sq=omega_sq(mu), coupling=a)
     return grid, phi, op
 
@@ -267,7 +267,7 @@ def test_2d_smoke():
     mu, a = 0.3, 0.25
     profile = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=12, mu=mu)
-    phi = sample_reference(profile, grid, coupling=a).values
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, L_max=8, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=0.5, mu=mu, tail_check=True)
     assert report.converged
@@ -303,7 +303,7 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     p, mu, a = (1.0, 0.3, 0.4) if n == 1 else (0.5, 0.3, 0.25)
     profile = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
-    phi = sample_reference(profile, grid, coupling=a).values
+    phi = sample_reference(profile, grid, coupling=a)
     phi = mirror_block(phi[block_slices(grid)], grid)
     op = RangeOperator(
         grid, L_max=9, omega_sq=omega_sq(mu, profile.multiplier), coupling=a

@@ -4,23 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from kgbreather.breather import Breather, kg_residual
 from kgbreather.errors import GuardError
 from kgbreather.lattice import GridSpec
 from kgbreather.timespectral import (
-    analyze,
     apply_nonlinearity,
-    collocation_nodes,
     cos_moment,
     default_node_count,
     nonlinearity_coefficient,
-    project_kernel,
-    project_range,
+    odd_collocation,
     sobolev_time_norm,
-    synthesize,
 )
+
+
+# Reference transforms: a general cosine series (even harmonics included)
+# on the M midpoint nodes tau_k = pi (2k+1) / (2M), where synthesis and
+# analysis are a DCT-III / DCT-II pair.  The library works on the quarter
+# period instead and is checked against these.
+
+
+def collocation_nodes(M):
+    return np.pi * (2.0 * np.arange(M) + 1.0) / (2.0 * M)
+
+
+def synthesize(coeffs, M):
+    """Values sum_l coeffs[l] cos(l tau_k) at the M midpoint nodes (axis 0)."""
+    x = np.array(coeffs, dtype=np.float64)
+    assert M >= x.shape[0]
+    x[1:] *= 0.5
+    return dct(x, type=3, n=M, axis=0)
+
+
+def analyze(values, L):
+    """Cosine coefficients 0..L from midpoint-node values (axis 0)."""
+    values = np.asarray(values, dtype=np.float64)
+    M = values.shape[0]
+    assert L < M
+    y = dct(values, type=2, axis=0)[: L + 1]
+    y /= M
+    y[0] *= 0.5
+    return y
 
 
 def test_cos_moment_cubic_case():
@@ -163,19 +189,6 @@ def test_tail_diagnostic():
     assert tail["discarded"] == 0.0
 
 
-def test_projections():
-    rng = np.random.default_rng(6)
-    c = rng.standard_normal((5, 4))
-    kern = project_kernel(c)
-    rng_part = project_range(c)
-    assert np.array_equal(kern, c[1])
-    assert np.all(rng_part[1] == 0.0)
-    assert np.array_equal(rng_part[0], c[0])
-    recombined = rng_part.copy()
-    recombined[1] = kern
-    assert np.array_equal(recombined, c)
-
-
 def test_sobolev_norm_against_time_integral():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, 3))
@@ -194,8 +207,11 @@ def test_sobolev_norm_against_time_integral():
 
 
 def test_node_count_guards():
+    # 4 nodes sample the quarter period at Q = 2 points: odd harmonics 1
+    # and 3 fit, harmonic 5 does not
+    list(odd_collocation((np.zeros((4, 1)),), 4))
+    with pytest.raises(GuardError, match="cannot resolve harmonic 5"):
+        list(odd_collocation((np.zeros((6, 1)),), 4))
     with pytest.raises(GuardError):
-        synthesize(np.zeros((5, 1)), 4)
-    with pytest.raises(GuardError):
-        analyze(np.zeros((4, 1)), 4)
+        apply_nonlinearity(np.zeros((6, 1)), p=1.0, M=4)
     assert default_node_count(7, 1.0) >= 17  # alias-free for the cubic
