@@ -48,17 +48,19 @@ def main():
     args = parse_args()
     cfg = PipelineConfig(n=args.n, p=args.p, coupling=args.a, mu=args.mu,
                          mode=args.mode, r_min=args.r_min)
-    t0 = time.time()
+    t0 = time.perf_counter()
     b = assemble_breather(cfg)
     print(f"assembled n={args.n} mode={args.mode} mu={args.mu} "
-          f"K={b.grid.K} in {time.time() - t0:.1f}s")
+          f"K={b.grid.K} in {time.perf_counter() - t0:.1f}s")
     print(f"spectral residual {kg_residual(b):.2e}, period {b.period:.6f}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = integrate_period(b, steps_per_period=args.steps,
                            periods=args.periods)
+    elapsed = time.perf_counter() - t0
+    site_steps = args.steps * args.periods * b.grid.size
     print(f"leapfrog {args.steps} steps/period x {args.periods}: "
-          f"{time.time() - t0:.1f}s")
+          f"{elapsed:.2f}s ({site_steps / elapsed:.3g} site-steps/s)")
     print(f"  return error  {rep.return_error:.3e}")
     print(f"  energy drift  {rep.energy_drift:.3e}")
 

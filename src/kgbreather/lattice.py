@@ -134,34 +134,23 @@ def mode_offsets(n, mode):
         ) from None
 
 
-def _shifted(a, axis, step):
-    # a with indices displaced by `step` along `axis`, zero-filled boundary
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
-def laplacian(a, axes=None):
+def laplacian(a, axes=None, out=None):
     """Nearest-neighbor discrete Laplacian with zero Dirichlet exterior.
 
     (lap a)_j = sum_{|e|=1} a_{j+e} - 2n a_j, acting over ``axes`` (all axes
     by default, so stacks of fields can restrict to their spatial axes).
+    The neighbors are added in place, slice by slice, so with a
+    preallocated ``out`` (not ``a`` itself) the call allocates no array.
     """
     a = np.asarray(a, dtype=np.float64)
     if axes is None:
-        axes = tuple(range(a.ndim))
-    out = (-2.0 * len(axes)) * a
+        axes = range(a.ndim)
+    out = np.multiply(a, -2.0 * len(axes), out=out)
     for ax in axes:
-        out += _shifted(a, ax, +1)
-        out += _shifted(a, ax, -1)
+        lead = (slice(None),) * ax
+        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+        out[lo] += a[hi]
+        out[hi] += a[lo]
     return out
 
 

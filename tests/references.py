@@ -1,13 +1,16 @@
 """Reference formulas that the library itself does not need.
 
 The tests use them as independent oracles (the gradient energy of the P1
-interpolant, l^q norms) or to build inputs (the reflection-even part of a
-random field).  Each is the plain textbook formula, written for clarity
-rather than speed.
+interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
+that the in-place library versions must match bit for bit) or to build
+inputs (the reflection-even part of a random field).  Each is the plain
+textbook formula, written for clarity rather than speed.
 """
 import numpy as np
 
+from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
 from kgbreather.lattice import dirichlet_energy, norm_l2
+from kgbreather.timespectral import nonlinearity_coefficient
 
 
 def symmetrize(a):
@@ -58,3 +61,67 @@ def embedding_checks(a, q):
     l2 = norm_l2(a)
     slack = 1.0 + 1e-12
     return lp_norm(a, q) <= l2 * slack and float(np.max(np.abs(a))) <= l2 * slack
+
+
+def padded_laplacian(a, axes=None):
+    """Zero-Dirichlet Laplacian off an explicitly zero-padded copy: each
+    axis adds its forward then its backward neighbor, the exterior
+    contributing literal zeros."""
+    a = np.asarray(a, dtype=np.float64)
+    if axes is None:
+        axes = tuple(range(a.ndim))
+    pad = np.pad(a, [(1, 1) if ax in axes else (0, 0) for ax in range(a.ndim)])
+    inner = [slice(1, -1) if ax in axes else slice(None) for ax in range(a.ndim)]
+    out = (-2.0 * len(axes)) * a
+    for ax in axes:
+        for start in (2, 0):
+            window = list(inner)
+            window[ax] = slice(start, start + a.shape[ax])
+            out += pad[tuple(window)]
+    return out
+
+
+def verlet_report(b, steps_per_period, periods=1, initial_coeffs=None):
+    """``IntegrationReport.to_dict()`` of the textbook velocity-Verlet loop,
+    one fresh array per operation, with the same energy sampling as
+    ``kgbreather.dynamics.integrate_period``."""
+    coeffs = b.coeffs if initial_coeffs is None else np.asarray(initial_coeffs)
+    beta = nonlinearity_coefficient(b.p)
+
+    def acceleration(q):
+        return (
+            b.coupling * padded_laplacian(q) - q
+            + beta * np.abs(q) ** (2.0 * b.p) * q
+        )
+
+    def energy(q, v):
+        return lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta)
+
+    q0 = np.sum(coeffs, axis=0)
+    q, v = q0.copy(), np.zeros_like(q0)
+    dt = (2.0 * np.pi / b.omega) / steps_per_period
+    steps = steps_per_period * periods
+    sample_every = max(1, steps // 512)
+    h0 = energy(q, v)
+    drift = 0.0
+    acc = acceleration(q)
+    for step in range(1, steps + 1):
+        v_half = v + 0.5 * dt * acc
+        q = q + dt * v_half
+        acc = acceleration(q)
+        v = v_half + 0.5 * dt * acc
+        if step % sample_every == 0 or step == steps:
+            drift = max(drift, abs(energy(q, v) - h0) / max(abs(h0), 1.0))
+    norm0 = float(np.linalg.norm(q0))
+    return_error = float(
+        np.linalg.norm(q - q0) / norm0 + np.linalg.norm(v) / (b.omega * norm0)
+    )
+    return IntegrationReport(
+        periods=periods,
+        steps_per_period=steps_per_period,
+        dt=dt,
+        return_error=return_error,
+        energy_drift=drift,
+        h_initial=h0,
+        h_final=energy(q, v),
+    ).to_dict()

@@ -9,6 +9,8 @@ Oracle notes:
   dt four times the steps must shrink the error by ~16.
 * The continuum reference field seeded into the same integrator must
   return *worse* than the assembled breather: it is not a periodic orbit.
+* The in-place stepper must reproduce, bit for bit, the textbook loop in
+  ``tests/references.py`` that allocates a fresh array per operation.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from kgbreather.breather import (
 )
 from kgbreather.dynamics import integrate_period, lattice_hamiltonian
 from kgbreather.errors import ConvergenceError, GuardError
+from references import verlet_report
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,13 @@ def test_guards(b_small):
         integrate_period(b_small, steps_per_period=64, periods=0)
     with pytest.raises(GuardError):
         integrate_period(b_small, initial_coeffs=np.zeros((3, 7)))
+    with pytest.raises(GuardError, match="integer"):
+        integrate_period(b_small, steps_per_period=1e3)
+    with pytest.raises(GuardError, match="integer"):
+        integrate_period(b_small, steps_per_period=64, periods=1.5)
+    # numpy integers are counts too
+    rep = integrate_period(b_small, steps_per_period=np.int64(64), periods=np.int32(1))
+    assert rep.to_dict() == integrate_period(b_small, steps_per_period=64).to_dict()
 
 
 def test_zero_data_returns_zero_error(b_small):
@@ -94,6 +104,43 @@ def test_energy_conservation(b_small):
 def test_max_drift_guard(b_small):
     with pytest.raises(ConvergenceError):
         integrate_period(b_small, steps_per_period=64, max_drift=1e-30)
+
+
+def test_blowup_reports_infinite_drift(b_small):
+    # a state that goes non-finite between two energy samples has no
+    # finite drift; the report must not keep the last finite value
+    blown = 1e4 * b_small.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = integrate_period(b_small, steps_per_period=4096, initial_coeffs=blown)
+        assert np.isnan(rep.return_error) and np.isnan(rep.h_final)
+        assert rep.energy_drift == np.inf
+        with pytest.raises(ConvergenceError):
+            integrate_period(
+                b_small, steps_per_period=4096, initial_coeffs=blown, max_drift=1.0
+            )
+
+
+_BITWISE_CONFIGS = {
+    "1d-st-p1": dict(n=1, p=1.0, coupling=0.25, mu=0.2, r_min=30.0, mode="st"),
+    "1d-p-p0.5": dict(n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, mode="p"),
+    "2d-h1-p0.5": dict(n=2, p=0.5, coupling=0.25, mu=0.4, r_min=8.0, mode="h1"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BITWISE_CONFIGS))
+def b_config(request):
+    return assemble_breather(PipelineConfig(**_BITWISE_CONFIGS[request.param]))
+
+
+@pytest.mark.parametrize("seed", ["breather", "continuum"])
+@pytest.mark.parametrize("periods", [1, 3])
+def test_stepper_is_bitwise_the_textbook_loop(b_config, seed, periods):
+    coeffs = None if seed == "breather" else reference_coefficients(b_config)
+    got = integrate_period(
+        b_config, steps_per_period=512, periods=periods, initial_coeffs=coeffs
+    )
+    want = verlet_report(b_config, 512, periods=periods, initial_coeffs=coeffs)
+    assert got.to_dict() == want  # exact: same operations, same order
 
 
 def test_multiple_periods_accumulate(b_small):

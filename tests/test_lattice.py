@@ -18,7 +18,7 @@ from kgbreather.lattice import (
     norm_q_mu,
     unfold_symmetric,
 )
-from references import embedding_checks, lp_norm, symmetrize
+from references import embedding_checks, lp_norm, padded_laplacian, symmetrize
 
 
 def delta_center(grid):
@@ -70,6 +70,23 @@ def test_stack_axes_restriction():
     lap = laplacian(stack, axes=(1,))
     assert np.array_equal(lap[0], laplacian(delta_center(g)))
     assert np.array_equal(lap[1], 2.0 * laplacian(delta_center(g)))
+
+
+@pytest.mark.parametrize(
+    "shape, axes",
+    [((9,), None), ((10,), None), ((9, 10), None), ((4, 9, 10), (1, 2)), ((3, 8), (1,))],
+    ids=["1d-odd", "1d-even", "2d", "stack-2d", "stack-1d"],
+)
+def test_laplacian_is_bitwise_the_padded_reference(shape, axes):
+    # the in-place accumulation skips only the reference's boundary "+ 0.0"
+    # and keeps its order (forward then backward neighbor, axis by axis)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    want = padded_laplacian(a, axes=axes)
+    assert np.array_equal(laplacian(a, axes=axes), want)
+    out = np.full(shape, np.nan)  # stale contents must not leak through
+    assert laplacian(a, axes=axes, out=out) is out
+    assert np.array_equal(out, want)
 
 
 # --- quadratic-form identities (property tests) ----------------------------
