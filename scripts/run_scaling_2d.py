@@ -4,14 +4,16 @@
 The nonlinearity |u|u is not polynomial in the cosine coefficients, so the
 truncated harmonic tail decays only like L^-2; the residual_target option
 widens the residual window per mu until the pointwise equation residual
-sits below the target.  Defaults reproduce the headline 2D run (~10 min,
-peak memory a few GB):
+sits below the target.  Defaults reproduce the headline 2D run (about
+1.5 min and a peak RSS of 1.8 GB on a 2-core machine; every progress line
+prints the process peak so far):
 
     python3 scripts/run_scaling_2d.py --out out/scaling_2d
 
 Expected at the defaults: residuals < 1e-9 at every mu, slope(e_h2) 3.00.
 """
 import argparse
+import resource
 import time
 
 from kgbreather.breather import SCALING_COLUMNS, scaling_study
@@ -37,11 +39,14 @@ def main():
     mus = [float(tok) for tok in args.mu_list.split(",") if tok]
 
     def progress(mu, row):
+        # process high-water mark so far (ru_maxrss is in KiB on Linux)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if row is None:
-            print(f"mu={mu:6.4f}  FAILED", flush=True)
+            print(f"mu={mu:6.4f}  FAILED  peak_rss={peak:.0f} MB", flush=True)
         else:
             print(f"mu={mu:6.4f}  e_h2={row.e_h2:.5e}  e_sup={row.e_sup:.5e}  "
-                  f"residual={row.kg_residual:.2e}", flush=True)
+                  f"residual={row.kg_residual:.2e}  peak_rss={peak:.0f} MB",
+                  flush=True)
 
     t0 = time.time()
     table = scaling_study(

@@ -56,6 +56,11 @@ from .timespectral import (
 _MAGIC = b"KGBR"
 _VERSION = 1
 
+# collocation values per slab of the whole-box checks (kg_residual and the
+# sup error of error_vs_reference): their sample buffers stay near 2 MB
+# whatever the box, instead of growing with it
+_SLAB_VALUES = 1 << 18
+
 
 @dataclass
 class PipelineConfig:
@@ -131,7 +136,7 @@ class Breather:
     def symmetry_error(self):
         """Largest reflection asymmetry across all harmonics, relative to
         the overall amplitude."""
-        scale = float(np.max(np.abs(self.coeffs)))
+        scale = float(max(self.coeffs.max(), -self.coeffs.min()))
         if scale == 0.0:
             return 0.0
         return max(asymmetry(c) for c in self.coeffs) / scale
@@ -307,19 +312,34 @@ def kg_residual(b: Breather):
     alongside q.  This check always runs on the whole box, never on the
     fundamental block, so it also sees a breather that is not symmetric.
     A nonzero even harmonic is a GuardError (the collocation is odd-only).
+
+    The box is walked in slabs of whole rows along the first spatial axis,
+    each about ``_SLAB_VALUES`` collocation values (one slab for the usual
+    1d box).  A slab's Laplacian reads one neighbour row on each side, none
+    at the box edge, so every value is computed as on the whole box and
+    the result does not depend on the slab size.
     """
     L = b.L_max
+    M = 4 * (L + 1)
     l = np.arange(L + 1)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
-    linear = factors * b.coeffs - b.coupling * laplacian(b.coeffs, axes=spatial)
+    rows = b.grid.shape[0]
+    step = max(1, _SLAB_VALUES // ((M // 2) * (b.grid.size // rows)))
     worst = 0.0
-    for _, res in odd_collocation(
-        (b.coeffs, linear),
-        4 * (L + 1),
-        lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
-    ):
-        worst = max(worst, float(np.max(np.abs(res))))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        start, stop = max(lo - 1, 0), min(hi + 1, rows)
+        c = b.coeffs[:, lo:hi]
+        linear = factors * c - b.coupling * laplacian(
+            b.coeffs[:, start:stop], axes=spatial
+        )[:, lo - start : hi - start]
+        for _, res in odd_collocation(
+            (c, linear),
+            M,
+            lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
+        ):
+            worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
 
@@ -344,29 +364,39 @@ def error_vs_reference(b: Breather):
     """Measure the breather against Psi = mu^(1/p) psi cos(omega t).
 
     Works on assembled and on loaded breathers alike: everything is
-    recomputed from the stored arrays.
+    recomputed from the stored arrays.  Psi has harmonic 1 only, so the
+    difference to it is formed in place in ``b.coeffs`` (which must be
+    writable) and that row is restored bit for bit before returning; do
+    not read ``b`` from another thread meanwhile.  The sup error is
+    synthesised in chunks of ``_SLAB_VALUES`` samples.
     """
     ref = reference_profile(b)
     amplitude = b.mu ** (1.0 / b.p)
-    # only harmonic 1 of the reference is nonzero
-    diff = b.coeffs.copy()
-    diff[1] -= amplitude * ref
-    e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
-    e_sup = max(
-        float(np.max(np.abs(values)))
-        for _, values in odd_collocation((diff,), 4 * (b.L_max + 1))
-    )
-    sup_bound = 2.0 * np.sqrt(b.mu) * sum(
-        norm_q(dl, b.mu) for dl in diff
-    )
+    flat = b.coeffs.reshape(b.L_max + 1, -1)
+    per_l = np.sqrt(np.einsum("ls,ls->l", flat, flat))
+    total = float(np.sqrt(np.sum(per_l**2)))
+    M = 4 * (b.L_max + 1)
+    harmonic_one = b.coeffs[1].copy()
+    b.coeffs[1] -= amplitude * ref
+    try:
+        diff = b.coeffs
+        e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
+        e_sup = max(
+            float(np.max(np.abs(values)))
+            for _, values in odd_collocation(
+                (diff,), M, chunk=max(1, _SLAB_VALUES // (M // 2))
+            )
+        )
+        sup_bound = 2.0 * np.sqrt(b.mu) * sum(
+            norm_q(dl, b.mu) for dl in diff
+        )
+    finally:
+        b.coeffs[1] = harmonic_one
     if e_sup > sup_bound * (1.0 + 1e-10):
         raise GuardError(
             f"sup-embedding invariant violated: e_sup={e_sup:.3e} exceeds "
             f"2 sqrt(mu) sum ||.||_Q = {sup_bound:.3e}"
         )
-    flat = b.coeffs.reshape(b.L_max + 1, -1)
-    per_l = np.sqrt(np.einsum("ls,ls->l", flat, flat))
-    total = float(np.sqrt(np.sum(per_l**2)))
     return ErrorReport(
         e_h2=e_h2,
         e_sup=e_sup,

@@ -47,7 +47,10 @@ class IntegrationReport:
     h_final: float
 
     def to_dict(self):
-        return {k: float(v) for k, v in self.__dict__.items()}
+        return {
+            k: int(v) if k in ("periods", "steps_per_period") else float(v)
+            for k, v in self.__dict__.items()
+        }
 
 
 def integrate_period(

@@ -67,8 +67,12 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, chunk=1 << 17):
     nodes and applies ``pointwise`` to the sample arrays (the identity for
     one stack when None).  It yields (column slice, result): the (Q, n)
     samples, or with ``analysis`` their cosine coefficients of the odd
-    harmonics 1, 3, ..., 2Q-1 (row j holds harmonic 2j+1).  Each sample
-    buffer holds about 2^24 values whatever the node count.
+    harmonics 1, 3, ..., 2Q-1 (row j holds harmonic 2j+1).  A chunk is
+    ``chunk`` columns, at most 2^24 // Q, so each sample buffer holds at
+    most about 2^24 values (134 MB) whatever the node count; the whole-box
+    checks of ``breather`` pass chunks of about 2^18 values instead.  Each
+    column is transformed on its own, so the results do not depend on how
+    the columns are chunked.
     """
     flats = []
     for s in stacks:

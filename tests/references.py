@@ -2,15 +2,16 @@
 
 The tests use them as independent oracles (the gradient energy of the P1
 interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
-that the in-place library versions must match bit for bit) or to build
-inputs (the reflection-even part of a random field).  Each is the plain
+that the in-place library versions must match bit for bit, the whole-box
+equation residual that the slab-wise one must match bit for bit) or to
+build inputs (the reflection-even part of a random field).  Each is the plain
 textbook formula, written for clarity rather than speed.
 """
 import numpy as np
 
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
-from kgbreather.lattice import dirichlet_energy, norm_l2
-from kgbreather.timespectral import nonlinearity_coefficient
+from kgbreather.lattice import dirichlet_energy, laplacian, norm_l2
+from kgbreather.timespectral import nonlinearity_coefficient, odd_collocation
 
 
 def symmetrize(a):
@@ -125,3 +126,22 @@ def verlet_report(b, steps_per_period, periods=1, initial_coeffs=None):
         h_initial=h0,
         h_final=energy(q, v),
     ).to_dict()
+
+
+def whole_box_kg_residual(b):
+    """``kgbreather.breather.kg_residual`` in one pass over the whole box:
+    the linear part of every harmonic as one full stack, collocated in
+    ``odd_collocation``'s default chunks."""
+    L = b.L_max
+    l = np.arange(L + 1)
+    factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
+    spatial = tuple(range(1, b.grid.n + 1))
+    linear = factors * b.coeffs - b.coupling * laplacian(b.coeffs, axes=spatial)
+    worst = 0.0
+    for _, res in odd_collocation(
+        (b.coeffs, linear),
+        4 * (L + 1),
+        lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
+    ):
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst

@@ -17,6 +17,7 @@ Oracle notes:
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from kgbreather.breather import (
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
 from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian
+from references import whole_box_kg_residual
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,123 @@ def test_reference_field_is_much_worse(small_1d):
     assert res_b < 1e-12
     assert res_ref > 1e-6
     assert res_ref > 1e5 * res_b
+
+
+CENTERINGS = [(n, mode) for n in (1, 2) for mode in BREATHER_MODES[n]]
+
+
+def _odd_breather(n, mode, seed=5, K=5, L=7):
+    """A Breather on a small box holding a random odd cosine stack."""
+    grid = GridSpec(n=n, K=K, mu=0.4, offsets=BREATHER_MODES[n][mode])
+    coeffs = np.zeros((L + 1,) + grid.shape)
+    coeffs[1::2] = 0.3 * np.random.default_rng(seed).standard_normal(
+        coeffs[1::2].shape
+    )
+    return Breather(
+        grid=grid, p=0.5, coupling=0.25, mu=0.4, mode=mode, multiplier=0.1,
+        omega=0.99, coeffs=coeffs, phi=coeffs[1].copy(),
+        phi_dnls=coeffs[1].copy(), w_hat=np.zeros_like(coeffs),
+    )
+
+
+def _set_slab_rows(monkeypatch, b, rows):
+    """Make kg_residual walk ``b`` in slabs of ``rows`` rows."""
+    width = b.grid.size // b.grid.shape[0]
+    monkeypatch.setattr(
+        breather, "_SLAB_VALUES", rows * 2 * (b.L_max + 1) * width
+    )
+
+
+@pytest.fixture(scope="module")
+def small_2d():
+    """A cheap assembled 2d breather (62 x 62 sites, L = 7)."""
+    return assemble_breather(PipelineConfig(
+        n=2, p=0.5, coupling=0.25, mu=0.4, mode="p", r_min=12.0, l_max=7,
+    ))
+
+
+@pytest.mark.parametrize("rows", [1, 5, None])
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, rows):
+    """Slabs of one row, of five (11 or 12 rows leave a short last slab)
+    and of the whole box all give the whole-box residual bit for bit."""
+    b = _odd_breather(n, mode)
+    _set_slab_rows(monkeypatch, b, rows or b.grid.shape[0])
+    assert kg_residual(b) == whole_box_kg_residual(b)
+
+
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_even_harmonic_in_the_last_slab_is_guarded(monkeypatch, n, mode):
+    b = _odd_breather(n, mode)
+    b.coeffs[2, -1] = 1e-300
+    _set_slab_rows(monkeypatch, b, 1)
+    with pytest.raises(GuardError, match="even cosine row"):
+        kg_residual(b)
+
+
+def test_corner_asymmetry_in_the_last_slab_shows(monkeypatch, small_2d):
+    """One perturbed corner site of an assembled symmetric breather: the
+    streamed residual sees it, exactly as the whole-box one does."""
+    b = dataclasses.replace(small_2d, coeffs=small_2d.coeffs.copy())
+    _set_slab_rows(monkeypatch, b, 1)
+    clean = kg_residual(b)
+    b.coeffs[1, -1, -1] += 1e-4
+    assert b.symmetry_error() > 0.0
+    assert kg_residual(b) == whole_box_kg_residual(b)
+    assert kg_residual(b) > 10.0 * clean
+
+
+def test_error_report_does_not_depend_on_chunks(monkeypatch, small_2d):
+    """The sup error is synthesised in chunks; no ErrorReport field moves
+    with their size, and the stack comes back bit for bit."""
+    before = small_2d.coeffs.tobytes()
+    full = error_vs_reference(small_2d).to_dict()
+    monkeypatch.setattr(breather, "_SLAB_VALUES", 100)
+    assert error_vs_reference(small_2d).to_dict() == full
+    assert small_2d.coeffs.tobytes() == before
+
+
+def test_error_report_restores_the_stack_on_error():
+    """The difference to Psi is formed in place; a GuardError raised while
+    it is there (here: the even rows of a random stack) still undoes it."""
+    b = _tiny_breather(2, "h1")
+    before = b.coeffs.tobytes()
+    with pytest.raises(GuardError, match="even cosine row"):
+        error_vs_reference(b)
+    assert b.coeffs.tobytes() == before
+
+
+def _allocation_peak(call):
+    """Peak bytes that ``call()`` allocates beyond what was resident."""
+    tracemalloc.start()
+    try:
+        resident = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - resident
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_box_checks_allocate_no_stack(monkeypatch):
+    """kg_residual, error_vs_reference and symmetry_error keep no
+    stack-sized temporary.  The golden 2d box is a single slab at the
+    default bound, so the bound drops to 2^12 collocation values (one row
+    of that box); each check then peaks at a fraction of one coefficient
+    stack.  What remains are fields of one harmonic's size (the reference
+    profile, one row of the difference); at L = 15 each is 1/16 of the
+    stack."""
+    b = assemble_breather(PipelineConfig(
+        n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3
+    ))
+    monkeypatch.setattr(breather, "_SLAB_VALUES", 1 << 12)
+    stack = b.coeffs.nbytes
+    for call in (
+        lambda: kg_residual(b),
+        lambda: error_vs_reference(b),
+        b.symmetry_error,
+    ):
+        call()  # warm caches (the ground state) outside the measurement
+        assert _allocation_peak(call) < 0.6 * stack
 
 
 def test_error_report_structure(small_1d):

@@ -96,6 +96,10 @@ def test_breather_and_validate_roundtrip(tmp_path):
     assert v["kg_residual"] < 1e-12
     assert v["errors"]["e_sup"] <= v["errors"]["sup_bound"]
     assert v["integration"]["energy_drift"] < 1e-4
+    # the step counts stay integers in the JSON (1 and 256, not 1.0, 256.0)
+    assert type(v["integration"]["periods"]) is int
+    assert v["integration"]["steps_per_period"] == 256
+    assert type(v["integration"]["steps_per_period"]) is int
 
 
 def test_validate_missing_file_exits_4(tmp_path, capsys):

@@ -164,4 +164,7 @@ def test_report_dict(b_small):
     rep = integrate_period(b_small, steps_per_period=64)
     d = rep.to_dict()
     assert set(d) >= {"return_error", "energy_drift", "dt", "h_initial"}
-    assert all(isinstance(v, float) for v in d.values())
+    counts = {"periods": 1, "steps_per_period": 64}
+    assert {k: d[k] for k in counts} == counts
+    assert all(type(d[k]) is int for k in counts)
+    assert all(isinstance(v, float) for k, v in d.items() if k not in counts)
