@@ -5,8 +5,8 @@ The nonlinearity |u|u is not polynomial in the cosine coefficients, so the
 truncated harmonic tail decays only like L^-2; the residual_target option
 widens the residual window per mu until the pointwise equation residual
 sits below the target.  Defaults reproduce the headline 2D run (about
-1.5 min and a peak RSS of 1.8 GB on a 2-core machine; every progress line
-prints the process peak so far):
+65 s and a peak RSS of 1.0 GB on a 2-core machine; every progress line
+prints that mu's wall time and the process peak so far):
 
     python3 scripts/run_scaling_2d.py --out out/scaling_2d
 
@@ -38,17 +38,22 @@ def main():
     args = parse_args()
     mus = [float(tok) for tok in args.mu_list.split(",") if tok]
 
+    t0 = last = time.time()
+
     def progress(mu, row):
-        # process high-water mark so far (ru_maxrss is in KiB on Linux)
+        # this mu's wall time, and the process high-water mark so far
+        # (ru_maxrss is in KiB on Linux)
+        nonlocal last
+        now = time.time()
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        cost = f"wall={now - last:.1f}s  peak_rss={peak:.0f} MB"
+        last = now
         if row is None:
-            print(f"mu={mu:6.4f}  FAILED  peak_rss={peak:.0f} MB", flush=True)
+            print(f"mu={mu:6.4f}  FAILED  {cost}", flush=True)
         else:
             print(f"mu={mu:6.4f}  e_h2={row.e_h2:.5e}  e_sup={row.e_sup:.5e}  "
-                  f"residual={row.kg_residual:.2e}  peak_rss={peak:.0f} MB",
-                  flush=True)
+                  f"residual={row.kg_residual:.2e}  {cost}", flush=True)
 
-    t0 = time.time()
     table = scaling_study(
         mus, n=2, p=args.p, coupling=args.a, mode=args.mode,
         l_max=args.l_max, r_min=args.r_min,

@@ -538,7 +538,8 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
         raise GuardError("mu list must be strictly decreasing")
     rows, failures = [], {}
     for mu in mus:
-        row = None
+        # release the last mu's breather (two full stacks) before the next
+        row = b = None
         try:
             cfg = PipelineConfig(
                 n=n, p=p, coupling=coupling, mu=mu, mode=mode, **config_kwargs
@@ -668,7 +669,7 @@ def save_breather_report(path, b: Breather, extra=None):
         "multiplier": b.multiplier,
         "omega": b.omega,
         "L_max": b.L_max,
-        "amplitude": float(np.max(np.abs(b.coeffs))),
+        "amplitude": float(max(b.coeffs.max(), -b.coeffs.min())),
         "reports": b.reports,
     }
     if extra:

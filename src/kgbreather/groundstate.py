@@ -109,13 +109,19 @@ def _petviashvili(p, extent, h, tol=1e-13, max_iter=500):
             break
     else:
         raise ConvergenceError("Petviashvili iteration did not settle")
-    # Newton polish of the unscaled equation
+    # Newton polish of the unscaled equation, down to the roundoff floor of
+    # A u (entries up to 4/h^2) or until the residual stops decreasing
+    floor = np.finfo(float).eps * abs(A).sum(axis=1).max() * np.max(u)
+    res = np.inf
     for _ in range(30):
         F = A @ u - u ** (2.0 * p + 1.0)
-        if np.max(np.abs(F)) < 1e-13:
+        res, last = float(np.max(np.abs(F))), res
+        if res <= floor or res >= last:
             break
         J = A - sparse.diags((2.0 * p + 1.0) * u ** (2.0 * p))
         u = u - splu(J.tocsc()).solve(F)
+    if res > 10.0 * floor:
+        raise ConvergenceError(f"ground-state polish stalled at {res:.2e}")
     return r, u
 
 

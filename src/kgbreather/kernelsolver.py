@@ -184,10 +184,10 @@ def kernel_remainder(phi, prob, w, beta=None, M=None):
 
     ``w`` is a range stack on the fundamental block, as solve_range_equation
     returns it; no range solve happens here.  N is sampled on the block at
-    the Q quarter-period nodes tau_j of ``M`` time nodes (pass the range
-    solve's own count), and P1 reads harmonic 1 straight off the samples,
-    (2/Q) sum_j cos(tau_j) N(tau_j): the first row of the DCT-IV analysis,
-    without the others.  R is returned on the whole box.
+    the Q quarter-period nodes of ``M`` time nodes (pass the range solve's
+    own count), and P1 is row 0 of the same analysis product over the
+    window's odd harmonics that apply_nonlinearity computes, so R and the
+    range solve share one projection.  R is returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
@@ -197,13 +197,12 @@ def kernel_remainder(phi, prob, w, beta=None, M=None):
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
     u[1] = phi_block
-    Q = (M + 1) // 2
-    cos_tau = np.cos(np.pi * (2.0 * np.arange(Q) + 1.0) / (4.0 * Q)) * (2.0 / Q)
     first = np.empty(phi_block.size)
-    for sl, samples in odd_collocation(
-        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * prob.p) * v
+    for sl, spectrum in odd_collocation(
+        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * prob.p) * v,
+        analysis=True, rows=w.shape[0] // 2,
     ):
-        first[sl] = cos_tau @ samples
+        first[sl] = spectrum[0]
     first = first.reshape(phi_block.shape)
     return mirror_block(
         -(first - np.abs(phi_block) ** (2.0 * prob.p) * phi_block), prob.grid

@@ -19,6 +19,7 @@ and written by ``breather.save_breather`` / ``load_breather``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -233,18 +234,21 @@ def block_slices(grid):
 
 def mirror_block(block, grid):
     """Reflection-even box field(s) holding ``block`` on the fundamental
-    block; leading axes beyond the grid's (a harmonic index) ride along."""
+    block; leading axes beyond the grid's (a harmonic index) ride along.
+    Every orthant is written straight from ``block``, so nothing is copied
+    twice."""
     block = np.asarray(block, dtype=np.float64)
     lead = (slice(None),) * (block.ndim - grid.n)
-    out = np.zeros(block.shape[: len(lead)] + grid.shape)
-    out[lead + block_slices(grid)] = block
-    K = grid.K
-    for ax in range(grid.n):
-        dst = [slice(None)] * grid.n
-        src = [slice(None)] * grid.n
-        dst[ax] = slice(0, K) if grid.offsets[ax] == 0.0 else slice(0, K + 1)
-        src[ax] = slice(K + 1, None)
-        out[lead + tuple(dst)] = np.flip(out[lead + tuple(src)], axis=len(lead) + ax)
+    out = np.empty(block.shape[: len(lead)] + grid.shape)
+    home = block_slices(grid)
+    for mirrored in product((False, True), repeat=grid.n):
+        dst, src = list(lead), list(lead)
+        for ax, flip in enumerate(mirrored):
+            # an offset-0 axis leaves its center out of the mirror image
+            center = grid.offsets[ax] == 0.0
+            dst.append(slice(0, grid.K + 1 - center) if flip else home[ax])
+            src.append(slice(None, 0 if center else None, -1) if flip else slice(None))
+        out[tuple(dst)] = block[tuple(src)]
     return out
 
 

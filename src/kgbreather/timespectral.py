@@ -15,12 +15,14 @@ rows it returns are exact zeros.
 
 Why a quarter period suffices: an odd series obeys u(pi - tau) = -u(tau),
 and so does any odd pointwise map of it.  The series is therefore sampled
-at Q = ceil(M/2) nodes tau_j = pi (2j+1) / (4Q) in (0, pi/2), where
-synthesis is 0.5 * DCT-IV and analysis is DCT-IV / Q.  For even M these
-are exactly the first M/2 midpoint nodes; the other M/2 are their mirror
-images pi - tau_j and carry the same values with the sign flipped, so the
-quarter-period projection equals the midpoint one in exact arithmetic,
-with half the rows and half the nodes.
+at Q = ceil(M/2) nodes tau_j = pi (2j+1) / (4Q) in (0, pi/2).  For even M
+these are exactly the first M/2 midpoint nodes; the other M/2 are their
+mirror images pi - tau_j and carry the same values with the sign flipped,
+so the quarter-period projection equals the midpoint one in exact
+arithmetic, with half the rows and half the nodes.  Both directions are
+products with the cached C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) (Q^2
+doubles, 3.0 MB at Q = 610): synthesis C[:, :n] @ odd rows, analysis
+(2/Q) C[:rows] @ samples, over only the harmonics asked for.
 
 For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
 M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
@@ -29,8 +31,9 @@ controls a spectrally small aliasing error.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.fft import dct
 from scipy.special import gamma
 
 from .errors import GuardError
@@ -58,7 +61,17 @@ def default_node_count(L, p, factor=4):
     return max(factor * (L + 1), exact)
 
 
-def odd_collocation(stacks, M, pointwise=None, analysis=False, chunk=1 << 17):
+@lru_cache(maxsize=4)
+def _quarter_cosines(Q):
+    """Read-only C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)), j, k = 0..Q-1; the
+    integer angle is reduced modulo its period 8Q first."""
+    t = np.multiply.outer(2 * np.arange(Q) + 1, 2 * np.arange(Q) + 1) % (8 * Q)
+    C = np.cos(t * (np.pi / (4.0 * Q)))
+    C.flags.writeable = False
+    return C
+
+
+def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=1 << 17):
     """Chunked collocation of odd cosine series on the quarter period.
 
     ``stacks`` are cosine stacks of one shape (L+1, *spatial) whose even
@@ -66,13 +79,13 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, chunk=1 << 17):
     synthesises each stack's odd rows at the Q = ceil(M/2) quarter-period
     nodes and applies ``pointwise`` to the sample arrays (the identity for
     one stack when None).  It yields (column slice, result): the (Q, n)
-    samples, or with ``analysis`` their cosine coefficients of the odd
-    harmonics 1, 3, ..., 2Q-1 (row j holds harmonic 2j+1).  A chunk is
-    ``chunk`` columns, at most 2^24 // Q, so each sample buffer holds at
-    most about 2^24 values (134 MB) whatever the node count; the whole-box
-    checks of ``breather`` pass chunks of about 2^18 values instead.  Each
-    column is transformed on its own, so the results do not depend on how
-    the columns are chunked.
+    samples, or with ``analysis`` their cosine coefficients of the first
+    ``rows`` (default all Q) odd harmonics 1, 3, ..., 2 rows - 1 (row j
+    holds harmonic 2j+1).  A chunk is ``chunk`` columns, at most 2^24 // Q,
+    so each sample buffer holds at most about 2^24 values (134 MB) whatever
+    the node count; the whole-box checks of ``breather`` pass chunks of
+    about 2^18 values instead.  A BLAS product rounds according to its
+    shape, so the chunking can move a result in its last bits.
     """
     flats = []
     for s in stacks:
@@ -89,17 +102,16 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, chunk=1 << 17):
         raise GuardError(
             f"{M} nodes cannot resolve harmonic {2 * flats[0].shape[0] - 1}"
         )
+    C = _quarter_cosines(Q)
     columns = flats[0].shape[1]
     chunk = max(1, min(chunk, (1 << 24) // Q))
     for lo in range(0, columns, chunk):
         sl = slice(lo, min(lo + chunk, columns))
-        values = [dct(f[:, sl], type=4, n=Q, axis=0) for f in flats]
-        for v in values:
-            v *= 0.5
+        values = [C[:, : f.shape[0]] @ f[:, sl] for f in flats]
         g = values[0] if pointwise is None else pointwise(*values)
         if analysis:
-            g = dct(g, type=4, axis=0, overwrite_x=True)
-            g /= Q
+            g = C[: rows or Q] @ g
+            g /= 0.5 * Q
         yield sl, g
 
 
@@ -135,6 +147,7 @@ def apply_nonlinearity(
         M,
         lambda v: beta * np.abs(v) ** (2.0 * p) * v,
         analysis=True,
+        rows=None if tail is not None else n_odd,
         chunk=chunk,
     ):
         odd_out[:, sl] = spectrum[:n_odd]

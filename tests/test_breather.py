@@ -91,6 +91,19 @@ def test_assembly_is_deterministic():
     assert b1.w_hat.tobytes() == b2.w_hat.tobytes()
 
 
+def test_2d_assembly_with_a_wide_window_is_deterministic():
+    # the auto-widened window runs the cached cosine products at Q = 2(L+1)
+    cfg = PipelineConfig(
+        n=2, p=0.5, coupling=0.25, mu=0.4, mode="h1", r_min=8.0,
+        residual_target=1e-8,
+    )
+    b1 = assemble_breather(cfg)
+    b2 = assemble_breather(cfg)
+    assert b1.L_max > cfg.l_max
+    assert b1.coeffs.tobytes() == b2.coeffs.tobytes()
+    assert b1.reports["range"] == b2.reports["range"]
+
+
 def test_first_harmonic_is_kernel_profile(small_1d):
     b = small_1d
     assert b.coeffs[1].tobytes() == (b.mu ** (1.0 / b.p) * b.phi).tobytes()
@@ -467,6 +480,26 @@ def sweep_1d():
     return scaling_study(
         [0.3, 0.25, 0.2, 0.15], n=1, p=1.0, coupling=0.25, r_min=40.0
     )
+
+
+def test_scaling_study_holds_one_breather_at_a_time(monkeypatch):
+    """The last mu's breather is released before the next one assembles:
+    a two-mu study peaks where its larger point alone does, not two
+    stacks of the first point above it.  The checks' slab buffers are
+    shrunk so that assembly sets every peak."""
+    monkeypatch.setattr(breather, "_SLAB_VALUES", 1 << 12)
+    kw = dict(n=2, p=0.5, coupling=0.25, mode="p", r_min=12.0, l_max=7)
+
+    def point(mu):
+        b = assemble_breather(PipelineConfig(mu=mu, **kw))
+        error_vs_reference(b)
+        kg_residual(b)
+        return b.coeffs.nbytes
+
+    stack = point(0.4)  # warm the ground state outside the measurements
+    alone = _allocation_peak(lambda: point(0.3))
+    study = _allocation_peak(lambda: scaling_study([0.4, 0.3], **kw))
+    assert study < alone + 0.5 * stack
 
 
 def test_scaling_slopes_match_frozen_rates(sweep_1d):

@@ -1,5 +1,7 @@
 """Lattice core: Laplacian stencil, norms, symmetry reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from kgbreather.lattice import (
     asymmetry,
     dirichlet_energy,
     fold_symmetric,
+    block_slices,
     laplacian,
+    mirror_block,
     norm_l2,
     norm_l2_mu,
     norm_q,
@@ -271,3 +275,22 @@ def test_unfold_is_reflection_even():
     c = np.random.default_rng(11).standard_normal((grid.K + 1) ** 2)
     assert asymmetry(unfold_symmetric(c, grid)) == 0.0
 
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)])
+def test_mirror_block_writes_its_output_once(offsets):
+    """Every orthant comes straight from the block: the result is the
+    reflection-even field holding the block, and the only allocation is
+    the output (flips between overlapping views of it would first copy
+    half of it again, a 1.5x peak)."""
+    grid = GridSpec(n=2, K=60, mu=0.5, offsets=offsets)
+    block = np.random.default_rng(3).standard_normal((40, 61, 61))
+    tracemalloc.start()
+    try:
+        out = mirror_block(block, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * out.nbytes
+    assert np.array_equal(out[(slice(None),) + block_slices(grid)], block)
+    assert all(asymmetry(row) == 0.0 for row in out[:3])

@@ -11,6 +11,7 @@ from kgbreather.breather import Breather, kg_residual
 from kgbreather.errors import GuardError
 from kgbreather.lattice import GridSpec
 from kgbreather.timespectral import (
+    _quarter_cosines,
     apply_nonlinearity,
     cos_moment,
     default_node_count,
@@ -215,3 +216,68 @@ def test_node_count_guards():
     with pytest.raises(GuardError):
         apply_nonlinearity(np.zeros((6, 1)), p=1.0, M=4)
     assert default_node_count(7, 1.0) >= 17  # alias-free for the cubic
+
+
+# The quarter-period primitive against the SciPy DCT-IV pair it replaced:
+# synthesis is 0.5 * DCT-IV of the odd rows zero-padded to Q, analysis is
+# DCT-IV / Q.  Q = 610 = 2 * 5 * 61 is the benchmark's 2d window, and
+# Q = 614 = 2 * 307 is 2 (L+1) with L+1 prime; odd M rounds Q up.
+
+
+@pytest.mark.parametrize("M", [1220, 1219, 1228, 1227, 62, 61])
+def test_collocation_matches_the_dct_iv_pair(M):
+    Q = (M + 1) // 2
+    L = Q // 2  # half the node budget, as the pipeline's windows use it
+    rng = np.random.default_rng(M)
+    c = _odd_stack(rng, L + 1, 37, scale=1.0)
+    ((_, samples),) = odd_collocation((c,), M)
+    ref = 0.5 * dct(c[1::2], type=4, n=Q, axis=0)
+    assert samples.shape == (Q, 37)
+    assert np.max(np.abs(samples - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ((_, spectrum),) = odd_collocation((c,), M, np.sin, analysis=True)
+    ref = dct(np.sin(ref), type=4, axis=0) / Q
+    assert spectrum.shape == (Q, 37)
+    assert np.max(np.abs(spectrum - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 77, 305])
+def test_analysis_rows_are_the_leading_rows(rows):
+    c = _odd_stack(np.random.default_rng(rows), 305, 53)
+    ((_, full),) = odd_collocation((c,), 1220, np.tanh, analysis=True)
+    ((_, part),) = odd_collocation((c,), 1220, np.tanh, analysis=True, rows=rows)
+    assert part.shape == (rows, 53)
+    assert np.max(np.abs(part - full[:rows])) <= 1e-14 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("analysis", [False, True])
+def test_collocation_does_not_depend_on_chunks(analysis):
+    # a BLAS product rounds by its shape, so chunks may move a column by
+    # roundoff of its sums (about 1e-15 relative here), and no more
+    c = _odd_stack(np.random.default_rng(9), 153, 300)
+    M = 1220
+
+    def run(chunk):
+        out = np.empty(((M + 1) // 2, 300))
+        for sl, g in odd_collocation((c,), M, np.tanh, analysis, chunk=chunk):
+            out[:, sl] = g
+        return out
+
+    whole = run(1 << 17)
+    scale = np.max(np.abs(whole))
+    for chunk in (1, 7, 128, 299):
+        assert np.max(np.abs(run(chunk) - whole)) <= 1e-14 * scale
+
+
+def test_cosine_cache_is_bounded_and_read_only():
+    assert _quarter_cosines.cache_info().maxsize is not None
+    list(odd_collocation((np.zeros((4, 1)),), 12))
+    C = _quarter_cosines(6)
+    assert C.shape == (6, 6) and not C.flags.writeable
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.0
+    j = np.arange(6)
+    exact = np.cos(np.pi * np.outer(2 * j + 1, 2 * j + 1) / 24.0)
+    assert np.max(np.abs(C - exact)) <= 1e-15
+    # C C^T = (Q/2) I: the analysis inverts the synthesis
+    C = _quarter_cosines(610)
+    assert np.max(np.abs(C @ C.T - 305.0 * np.eye(610))) <= 1e-11
