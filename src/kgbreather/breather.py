@@ -162,9 +162,7 @@ def _window_for_residual(phi, w_hat, grid, config, beta, target):
     # sup over sites of each harmonic of N(u); the even ones are zero
     sup_per_l = np.zeros(M)
     for _, spectrum in odd_collocation(
-        (u,),
-        M,
-        lambda v: beta * np.abs(v) ** (2.0 * config.p) * v,
+        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * config.p) * v,
         analysis=True,
     ):
         np.maximum(
@@ -316,8 +314,8 @@ def kg_residual(b: Breather):
     The box is walked in slabs of whole rows along the first spatial axis,
     each about ``_SLAB_VALUES`` collocation values (one slab for the usual
     1d box).  A slab's Laplacian reads one neighbour row on each side, none
-    at the box edge, so every value is computed as on the whole box and
-    the result does not depend on the slab size.
+    at the box edge, so its linear part is the whole box's bit for bit; the
+    BLAS products of the collocation may round by the slab's shape.
     """
     L = b.L_max
     M = 4 * (L + 1)
@@ -368,7 +366,8 @@ def error_vs_reference(b: Breather):
     difference to it is formed in place in ``b.coeffs`` (which must be
     writable) and that row is restored bit for bit before returning; do
     not read ``b`` from another thread meanwhile.  The sup error is
-    synthesised in chunks of ``_SLAB_VALUES`` samples.
+    synthesised in chunks of ``_SLAB_VALUES`` samples, whose BLAS products
+    may round by the chunk's shape.
     """
     ref = reference_profile(b)
     amplitude = b.mu ** (1.0 / b.p)

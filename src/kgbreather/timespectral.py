@@ -20,9 +20,10 @@ these are exactly the first M/2 midpoint nodes; the other M/2 are their
 mirror images pi - tau_j and carry the same values with the sign flipped,
 so the quarter-period projection equals the midpoint one in exact
 arithmetic, with half the rows and half the nodes.  Both directions are
-products with the cached C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) (Q^2
-doubles, 3.0 MB at Q = 610): synthesis C[:, :n] @ odd rows, analysis
-(2/Q) C[:rows] @ samples, over only the harmonics asked for.
+products with the symmetric C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) over
+the r harmonics used: C[:r].T @ odd rows, (2/Q) C[:r] @ samples.  At
+most eight r x Q slices of <= 2^19 entries (4 MB) stay cached; a larger
+product is a zero-padded DCT-IV, as fast there on a 2-vCPU Xeon.
 
 For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
 M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
@@ -34,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dct
 from scipy.special import gamma
 
 from .errors import GuardError
@@ -61,31 +63,41 @@ def default_node_count(L, p, factor=4):
     return max(factor * (L + 1), exact)
 
 
-@lru_cache(maxsize=4)
-def _quarter_cosines(Q):
-    """Read-only C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)), j, k = 0..Q-1; the
-    integer angle is reduced modulo its period 8Q first."""
-    t = np.multiply.outer(2 * np.arange(Q) + 1, 2 * np.arange(Q) + 1) % (8 * Q)
+_MATRIX_ENTRIES = 1 << 19
+
+
+@lru_cache(maxsize=8)
+def _quarter_cosines(Q, r):
+    """Read-only C[:r] over Q columns, the angle reduced modulo 8Q first."""
+    t = np.multiply.outer(2 * np.arange(r) + 1, 2 * np.arange(Q) + 1) % (8 * Q)
     C = np.cos(t * (np.pi / (4.0 * Q)))
     C.flags.writeable = False
     return C
 
 
+def _cosine_product(x, Q, r, analysis):
+    """Unscaled C[:r] @ x, the first r analysis rows of Q samples x (which
+    it may overwrite), or C[:r].T @ x, r odd rows x synthesised at Q nodes."""
+    if r * Q <= _MATRIX_ENTRIES:
+        C = _quarter_cosines(Q, r)
+        return C @ x if analysis else C.T @ x
+    y = dct(x, type=4, n=Q, axis=0, overwrite_x=analysis)[: r if analysis else Q]
+    y *= 0.5
+    return y
+
+
 def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=1 << 17):
     """Chunked collocation of odd cosine series on the quarter period.
 
-    ``stacks`` are cosine stacks of one shape (L+1, *spatial) whose even
-    rows are zero.  Over chunks of the flattened spatial axes this
-    synthesises each stack's odd rows at the Q = ceil(M/2) quarter-period
-    nodes and applies ``pointwise`` to the sample arrays (the identity for
-    one stack when None).  It yields (column slice, result): the (Q, n)
-    samples, or with ``analysis`` their cosine coefficients of the first
-    ``rows`` (default all Q) odd harmonics 1, 3, ..., 2 rows - 1 (row j
-    holds harmonic 2j+1).  A chunk is ``chunk`` columns, at most 2^24 // Q,
-    so each sample buffer holds at most about 2^24 values (134 MB) whatever
-    the node count; the whole-box checks of ``breather`` pass chunks of
-    about 2^18 values instead.  A BLAS product rounds according to its
-    shape, so the chunking can move a result in its last bits.
+    ``stacks`` are cosine stacks of one shape (L+1, *spatial) with zero
+    even rows.  Chunk by chunk of the flattened spatial axes, each stack's
+    odd rows are synthesised at the Q = ceil(M/2) quarter-period nodes and
+    ``pointwise`` (the identity for one stack when None) maps the samples.
+    Yields (column slice, result): the (Q, n) samples or, with
+    ``analysis``, the coefficients of their first ``rows`` (default Q) odd
+    harmonics, row j holding harmonic 2j+1.  Chunks of ``chunk`` columns,
+    at most 2^24 // Q, bound a sample buffer by 2^24 values (134 MB).  A
+    BLAS product rounds by its shape: chunking can move the last bits.
     """
     flats = []
     for s in stacks:
@@ -102,15 +114,14 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=
         raise GuardError(
             f"{M} nodes cannot resolve harmonic {2 * flats[0].shape[0] - 1}"
         )
-    C = _quarter_cosines(Q)
     columns = flats[0].shape[1]
     chunk = max(1, min(chunk, (1 << 24) // Q))
     for lo in range(0, columns, chunk):
         sl = slice(lo, min(lo + chunk, columns))
-        values = [C[:, : f.shape[0]] @ f[:, sl] for f in flats]
+        values = [_cosine_product(f[:, sl], Q, len(f), False) for f in flats]
         g = values[0] if pointwise is None else pointwise(*values)
         if analysis:
-            g = C[: rows or Q] @ g
+            g = _cosine_product(g, Q, rows or Q, True)
             g /= 0.5 * Q
         yield sl, g
 
@@ -137,11 +148,8 @@ def apply_nonlinearity(
     out = np.zeros((L + 1, coeffs.size // (L + 1)))
     odd_out = out[1::2]
     n_odd = odd_out.shape[0]
-    if weights is None:
-        weights = np.ones(out.shape[1])
-    weights = np.ravel(weights)
-    kept = 0.0
-    discarded = 0.0
+    weights = np.ones(out.shape[1]) if weights is None else np.ravel(weights)
+    kept = discarded = 0.0
     for sl, spectrum in odd_collocation(
         (coeffs,),
         M,

@@ -329,6 +329,21 @@ def test_auto_window_widens_for_even_working_window():
     assert kg_residual(b) < 1e-8
 
 
+def test_oversize_residual_window_is_refused_up_front():
+    # a target this tight asks for ~1e13 harmonics: the guard must refuse
+    # before any stack or cosine matrix of that size is allocated
+    cfg = PipelineConfig(
+        n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, l_max=8,
+        residual_target=1e-30,
+    )
+    tracemalloc.start()
+    with pytest.raises(GuardError, match="would not fit"):
+        assemble_breather(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 << 20
+
+
 def test_roundtrip(tmp_path, small_1d):
     b = small_1d
     path = tmp_path / "b.kgbr"

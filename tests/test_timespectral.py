@@ -1,5 +1,7 @@
 """Cosine-harmonic transforms and the projected nonlinearity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from kgbreather.breather import Breather, kg_residual
 from kgbreather.errors import GuardError
 from kgbreather.lattice import GridSpec
 from kgbreather.timespectral import (
+    _MATRIX_ENTRIES,
     _quarter_cosines,
     apply_nonlinearity,
     cos_moment,
@@ -269,15 +272,36 @@ def test_collocation_does_not_depend_on_chunks(analysis):
 
 
 def test_cosine_cache_is_bounded_and_read_only():
-    assert _quarter_cosines.cache_info().maxsize is not None
+    # every cached slice has at most 2^19 entries: 32 MB for a full cache
+    assert _quarter_cosines.cache_info().maxsize * 8 * _MATRIX_ENTRIES <= 32 << 20
     list(odd_collocation((np.zeros((4, 1)),), 12))
-    C = _quarter_cosines(6)
-    assert C.shape == (6, 6) and not C.flags.writeable
+    C = _quarter_cosines(6, 2)
+    assert C.shape == (2, 6) and not C.flags.writeable
     with pytest.raises(ValueError):
         C[0, 0] = 0.0
     j = np.arange(6)
     exact = np.cos(np.pi * np.outer(2 * j + 1, 2 * j + 1) / 24.0)
-    assert np.max(np.abs(C - exact)) <= 1e-15
+    assert np.max(np.abs(C - exact[:2])) <= 1e-15
+    assert np.max(np.abs(_quarter_cosines(6, 6) - exact)) <= 1e-15
     # C C^T = (Q/2) I: the analysis inverts the synthesis
-    C = _quarter_cosines(610)
+    C = _quarter_cosines(610, 610)
     assert np.max(np.abs(C @ C.T - 305.0 * np.eye(610))) <= 1e-11
+
+
+@pytest.mark.parametrize("rows", [0, 77, 1000, 4002])
+def test_large_windows_build_no_large_matrix(rows):
+    # L = 2000 at M = 4 (L+1): a square cosine matrix would take 128 MB and
+    # the 1000 synthesis rows 32 MB; past 2^19 entries a DCT-IV runs instead.
+    # Building a cached matrix briefly takes three buffers of its size.
+    L, M, Q = 2000, 8004, 4002
+    c = _odd_stack(np.random.default_rng(rows), L + 1, 3, scale=1.0)
+    tracemalloc.start()
+    ((_, out),) = odd_collocation((c,), M, np.sin, rows > 0, rows=rows or None)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * 8 * _MATRIX_ENTRIES + (1 << 20)
+    ref = np.sin(0.5 * dct(c[1::2], type=4, n=Q, axis=0))
+    if rows:
+        ref = dct(ref, type=4, axis=0)[:rows] / Q
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
