@@ -5,7 +5,7 @@ The nonlinearity |u|u is not polynomial in the cosine coefficients, so the
 truncated harmonic tail decays only like L^-2; the residual_target option
 widens the residual window per mu until the pointwise equation residual
 sits below the target.  Defaults reproduce the headline 2D run (about
-65 s and a peak RSS of 1.0 GB on a 2-core machine; every progress line
+55 s and a peak RSS of 0.8 GB on a 2-core machine; every progress line
 prints that mu's wall time and the process peak so far):
 
     python3 scripts/run_scaling_2d.py --out out/scaling_2d

@@ -8,9 +8,11 @@ range pass, optionally with a longer harmonic tail, so the reported
 breather and its convergence report always belong together.
 
 Physical units: the breather is q_j(t) = sum_l coeffs[l, j] cos(l omega t)
-with omega^2 = 1 - m mu^2.  The first harmonic is exactly mu^(1/p) phi by
-construction (the range projector zeroes l = 1), so the kernel profile can
-be read back off the assembled coefficients at any time.
+with omega^2 = 1 - m mu^2 and coeffs = mu^(1/p) (phi, w): harmonic 1 is
+exactly mu^(1/p) phi by construction (the range projector zeroes l = 1),
+and the odd harmonics l >= 3 are mu^(1/p) w, the range part mirrored from
+the fundamental block.  The breather keeps phi and that one block stack;
+the whole-box checks build box values from them slab by slab.
 
 Accuracy is always reported against the continuum reference field
 Psi = mu^(1/p) psi(mu (j + offset) / sqrt(a)) cos(omega t): the sup and
@@ -28,38 +30,28 @@ import numpy as np
 from .errors import ConvergenceError, FormatError, GuardError
 from .groundstate import check_exponent, sample_reference, solve_ground_state
 from .kernelsolver import (
-    DnlsProblem,
-    kernel_remainder,
-    solve_dnls_ground_state,
-    solve_kernel_equation,
+    DnlsProblem, kernel_remainder, solve_dnls_ground_state, solve_kernel_equation,
 )
 from .lattice import (
-    BREATHER_MODES,
-    GridSpec,
-    asymmetry,
-    block_slices,
-    laplacian,
-    mirror_block,
-    mode_offsets,
-    norm_l2_mu,
-    norm_q,
-    norm_q_mu,
+    BREATHER_MODES, GridSpec, asymmetry, block_slices, laplacian, mirror_block,
+    mode_offsets, norm_l2, norm_l2_mu, norm_q, norm_q_mu, orbit_sizes,
 )
 from .rangesolver import RangeOperator, solve_range_equation
 from .timespectral import (
-    default_node_count,
-    nonlinearity_coefficient,
-    odd_collocation,
-    sobolev_time_norm,
+    default_node_count, nonlinearity_map, odd_collocation, sobolev_time_norm,
 )
 
 _MAGIC = b"KGBR"
 _VERSION = 1
+_HEAD = "<IIqII d d d d d"  # version, n, K, L_max, mode code, mu, a, p, m, omega
 
 # collocation values per slab of the whole-box checks (kg_residual and the
 # sup error of error_vs_reference): their sample buffers stay near 2 MB
 # whatever the box, instead of growing with it
 _SLAB_VALUES = 1 << 18
+
+# the box must reach this many decay lengths sqrt(a/m)/mu of the profile
+_DECAY_LENGTHS = 2.0
 
 
 @dataclass
@@ -106,7 +98,14 @@ class PipelineConfig:
 
 @dataclass
 class Breather:
-    """Assembled breather: physical cosine coefficients plus provenance."""
+    """Assembled breather: kernel profile, range part, provenance.
+
+    ``phi`` and ``phi_dnls`` are box fields.  ``w`` is the one range stack,
+    on the fundamental block, odd rows only: row j holds harmonic 2j+1
+    (row 0 is zero, the range has no harmonic 1), in scaled units; 1/8 of
+    a box stack in 2d.  Box values are built slab by slab (``box_rows``),
+    the same rounded products amplitude * mirror(w_l) a box stack holds.
+    """
 
     grid: GridSpec
     p: float
@@ -115,34 +114,60 @@ class Breather:
     mode: str
     multiplier: float
     omega: float
-    coeffs: np.ndarray = field(repr=False)  # (L_max+1, *grid.shape), physical
+    L_max: int
     phi: np.ndarray = field(repr=False)  # kernel profile, scaled units
     phi_dnls: np.ndarray = field(repr=False)  # pure discrete-NLS solution
-    w_hat: np.ndarray = field(repr=False)  # range stack, scaled units
+    w: np.ndarray = field(repr=False)  # odd-row range stack on the block
     reports: dict = field(default_factory=dict, repr=False)
 
     @property
-    def L_max(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def beta(self):
-        return nonlinearity_coefficient(self.p)
+    def amplitude(self):
+        return self.mu ** (1.0 / self.p)
 
     @property
     def period(self):
         return 2.0 * np.pi / self.omega
 
+    @property
+    def coeffs(self):
+        """The physical cosine stack on the box, (L_max+1, *grid.shape), built
+        read-only per read for callers that want it whole; the package never does."""
+        out = np.zeros((self.L_max + 1,) + self.grid.shape)
+        out[1::2] = self.box_rows()
+        out.flags.writeable = False
+        return out
+
+    def box_rows(self, rows=slice(None)):
+        """Physical odd cosine rows (row j harmonic 2j+1) of the box rows
+        ``rows`` along the first axis: amplitude * mirror(w), row 0
+        amplitude * phi."""
+        out = mirror_block(self.w, self.grid, rows)
+        out *= self.amplitude
+        out[0] = self.amplitude * self.phi[rows]
+        return out
+
+    def start_field(self):
+        """q(0) = sum_l coeffs[l] (every cos(l omega t) is 1 at t = 0), one
+        harmonic at a time in row order: np.sum(coeffs, axis=0) bit for bit."""
+        q = np.zeros(self.grid.shape)
+        for row in _box_stack(self, self.amplitude, self.amplitude * self.phi):
+            q += row
+        return q
+
+    def peak(self):
+        """max |coeffs| bit for bit: scaling by the amplitude is monotone."""
+        top = max(0.0, self.phi.max(), -self.phi.min(), self.w.max(), -self.w.min())
+        return float(self.amplitude * top)
+
     def symmetry_error(self):
         """Largest reflection asymmetry across all harmonics, relative to
-        the overall amplitude."""
-        scale = float(max(self.coeffs.max(), -self.coeffs.min()))
-        if scale == 0.0:
-            return 0.0
-        return max(asymmetry(c) for c in self.coeffs) / scale
+        the overall amplitude.  The range harmonics are mirrored from the
+        block, so only harmonic 1, amplitude * phi, can be asymmetric."""
+        scale = self.peak()
+        return asymmetry(self.amplitude * self.phi) / scale if scale else 0.0
 
 
-def _window_for_residual(phi, w_hat, grid, config, beta, target):
+def _window_for_residual(phi, w, grid, config, target):
     """Harmonic window needed for a truncation residual below ``target``.
 
     The cosine spectrum of N(u) = beta |u|^(2p) u beyond the kept window
@@ -151,26 +176,23 @@ def _window_for_residual(phi, w_hat, grid, config, beta, target):
     the measured spectrum just above the working window, and the window is
     widened until sum_{l > L} C / l^3 ~ C / (4 L^2) <= target / 2.  For
     polynomial powers (integer 2p) the measured tail is already roundoff
-    and the working window stands.  ``w_hat`` is the range stack on the
-    fundamental block, whose sup over sites is the box's.
+    and the working window stands.  ``w`` is the odd-row range stack on
+    the fundamental block, whose sup over sites is the box's.
     """
     l_max = config.l_max
     amplitude = config.mu ** (1.0 / config.p)
-    u = amplitude * w_hat
-    u[1] += amplitude * phi[block_slices(grid)]
+    u = amplitude * w
+    u[0] += amplitude * phi[block_slices(grid)]
     M = 8 * (l_max + 1)
-    # sup over sites of each harmonic of N(u); the even ones are zero
-    sup_per_l = np.zeros(M)
+    # sup over sites of each odd harmonic of N(u), row j harmonic 2j+1
+    sup_odd = np.zeros(M // 2)
     for _, spectrum in odd_collocation(
-        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * config.p) * v,
-        analysis=True,
+        (u,), M, nonlinearity_map(config.p), analysis=True
     ):
-        np.maximum(
-            sup_per_l[1::2], np.max(np.abs(spectrum), axis=1), out=sup_per_l[1::2]
-        )
+        np.maximum(sup_odd, np.max(np.abs(spectrum), axis=1), out=sup_odd)
     # calibrate on the odd harmonics above the working window
     cal = np.arange(l_max + 1 + l_max % 2, min(3 * l_max + 1, M - 1), 2)
-    C = float(np.max(sup_per_l[cal] * cal.astype(float) ** 3))
+    C = float(np.max(sup_odd[cal // 2] * cal.astype(float) ** 3))
     if C <= 2.0 * target * l_max**2:
         return l_max
     L = int(np.ceil(np.sqrt(C / (2.0 * target))))
@@ -187,67 +209,53 @@ def assemble_breather(config: PipelineConfig):
     grid = config.make_grid()
     profile = solve_ground_state(config.n, config.p)
     reference = sample_reference(profile, grid, coupling=config.coupling)
-    prob = DnlsProblem(
-        grid=grid,
-        p=config.p,
-        mu=config.mu,
-        coupling=config.coupling,
-        multiplier=profile.multiplier,
-    )
-    beta = nonlinearity_coefficient(config.p)
+    prob = DnlsProblem(grid=grid, p=config.p, mu=config.mu,
+                       coupling=config.coupling, multiplier=profile.multiplier)
+    # a box narrower than the profile leaves the discrete NLS nothing to
+    # localise, and its Newton solve then lands on the zero field
+    decay = np.sqrt(config.coupling / profile.multiplier) / config.mu
+    if grid.K < _DECAY_LENGTHS * decay:
+        raise GuardError(f"box half-width K = {grid.K} is short of {_DECAY_LENGTHS:g} "
+                         f"decay lengths sqrt(a/m)/mu = {decay:.3g}; raise r_min")
 
     phi_dnls, dnls_report = solve_dnls_ground_state(
         prob, reference, tol=config.kernel_tol
     )
+    kept = norm_l2(phi_dnls) / norm_l2(reference)
+    if not kept >= 0.5:
+        raise GuardError(f"the discrete NLS solution kept {kept:.2e} of the "
+                         f"sampled profile's l2 norm: no breather on this box")
 
     range_kwargs = {
         "tol": config.tol,
         "collocation": default_node_count(config.l_max, config.p),
     }
-    phi, w_hat, kernel_report, op = solve_kernel_equation(
-        phi_dnls,
-        prob,
-        L_max=config.l_max,
-        tol=config.kernel_tol,
-        beta=beta,
+    phi, w, kernel_report, op = solve_kernel_equation(
+        phi_dnls, prob, L_max=config.l_max, tol=config.kernel_tol,
         range_kwargs=range_kwargs,
     )
 
     # final range pass: fresh report for the returned profile and, when
     # asked, a longer harmonic tail (cheap: warm start, feedback of the
     # extra harmonics onto the low ones is far below tolerance).  The range
-    # stack stays on the fundamental block until the breather is built.
+    # stack stays on the fundamental block, odd rows only, for good.
     L_res = config.l_max
     if config.residual_target > 0.0:
         L_res = _window_for_residual(
-            phi, w_hat, grid, config, beta, config.residual_target
+            phi, w, grid, config, config.residual_target
         )
     if L_res > config.l_max:
         op = RangeOperator(grid, L_res, prob.omega_sq, config.coupling)
-        w_wide = np.zeros((L_res + 1,) + w_hat.shape[1:])
-        w_wide[: config.l_max + 1] = w_hat
-        w_hat = w_wide
+        w = np.concatenate([w, np.zeros(((L_res + 1) // 2 - len(w),) + w.shape[1:])])
     M_res = default_node_count(L_res, config.p)
-    w_hat, range_report = solve_range_equation(
-        phi,
-        op,
-        config.p,
-        config.mu,
-        beta=beta,
-        w_init=w_hat,
-        tol=config.tol,
-        collocation=M_res,
-        tail_check=True,
+    w, range_report = solve_range_equation(
+        phi, op, config.p, config.mu, w_init=w, tol=config.tol,
+        collocation=M_res, tail_check=True,
     )
 
     # kernel-equation residual of the final range component
-    R = kernel_remainder(phi, prob, w_hat, beta=beta, M=M_res)
+    R = kernel_remainder(phi, prob, w, M=M_res)
     g_residual = prob.apply_g0(phi) + R
-
-    amplitude = config.mu ** (1.0 / config.p)
-    w_hat = mirror_block(w_hat, grid)
-    coeffs = amplitude * w_hat
-    coeffs[1] = amplitude * phi  # w_hat[1] is identically zero
 
     reports = {
         "config": asdict(config),
@@ -267,18 +275,10 @@ def assemble_breather(config: PipelineConfig):
     }
 
     b = Breather(
-        grid=grid,
-        p=config.p,
-        coupling=config.coupling,
-        mu=config.mu,
-        mode=config.mode,
-        multiplier=profile.multiplier,
-        omega=float(np.sqrt(prob.omega_sq)),
-        coeffs=coeffs,
-        phi=phi,
-        phi_dnls=phi_dnls,
-        w_hat=w_hat,
-        reports=reports,
+        grid=grid, p=config.p, coupling=config.coupling, mu=config.mu,
+        mode=config.mode, multiplier=profile.multiplier,
+        omega=float(np.sqrt(prob.omega_sq)), L_max=L_res, phi=phi,
+        phi_dnls=phi_dnls, w=w, reports=reports,
     )
     reports["symmetry_error"] = b.symmetry_error()
     return b
@@ -293,9 +293,17 @@ def reference_profile(b: Breather):
 def reference_coefficients(b: Breather):
     """Continuum reference Psi as a coefficient stack on b's grid: the
     sampled NLS profile rides the first harmonic alone."""
-    coeffs = np.zeros_like(b.coeffs)
-    coeffs[1] = b.mu ** (1.0 / b.p) * reference_profile(b)
+    coeffs = np.zeros((b.L_max + 1,) + b.grid.shape)
+    coeffs[1] = b.amplitude * reference_profile(b)
     return coeffs
+
+
+def _slabs(b, M):
+    """Box rows along the first axis in slabs of about ``_SLAB_VALUES``
+    collocation values at M nodes (one slab for the usual 1d box)."""
+    rows = b.grid.shape[0]
+    step = max(1, _SLAB_VALUES // ((M // 2) * (b.grid.size // rows)))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def kg_residual(b: Breather):
@@ -307,35 +315,30 @@ def kg_residual(b: Breather):
     evaluated on 4 (L_max + 1) equispaced times (enough that the cubic
     image of the harmonic window is sampled alias-free).  The linear part
     acts per harmonic, so it is applied to the coefficients and synthesised
-    alongside q.  This check always runs on the whole box, never on the
-    fundamental block, so it also sees a breather that is not symmetric.
-    A nonzero even harmonic is a GuardError (the collocation is odd-only).
+    alongside q.  This check runs on the whole box, never on the
+    fundamental block: it builds the box values from the stored arrays and
+    applies the lattice operator there.
 
-    The box is walked in slabs of whole rows along the first spatial axis,
-    each about ``_SLAB_VALUES`` collocation values (one slab for the usual
-    1d box).  A slab's Laplacian reads one neighbour row on each side, none
-    at the box edge, so its linear part is the whole box's bit for bit; the
-    BLAS products of the collocation may round by the slab's shape.
+    The box is walked in slabs of whole rows along the first spatial axis
+    (``_slabs``).  A slab's Laplacian reads one neighbour row on each side,
+    none at the box edge, so its linear part is the whole box's bit for
+    bit; the BLAS products of the collocation may round by the slab's
+    shape.
     """
-    L = b.L_max
-    M = 4 * (L + 1)
-    l = np.arange(L + 1)
+    M = 4 * (b.L_max + 1)
+    l = np.arange(1, b.L_max + 1, 2)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
-    rows = b.grid.shape[0]
-    step = max(1, _SLAB_VALUES // ((M // 2) * (b.grid.size // rows)))
+    nonlinear = nonlinearity_map(b.p)
     worst = 0.0
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        start, stop = max(lo - 1, 0), min(hi + 1, rows)
-        c = b.coeffs[:, lo:hi]
-        linear = factors * c - b.coupling * laplacian(
-            b.coeffs[:, start:stop], axes=spatial
-        )[:, lo - start : hi - start]
+    for sl in _slabs(b, M):
+        start, stop = max(sl.start - 1, 0), min(sl.stop + 1, b.grid.shape[0])
+        inner = slice(sl.start - start, sl.stop - start)
+        ext = b.box_rows(slice(start, stop))
+        c = ext[:, inner]
+        linear = factors * c - b.coupling * laplacian(ext, axes=spatial)[:, inner]
         for _, res in odd_collocation(
-            (c, linear),
-            M,
-            lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
+            (c, linear), M, lambda q, lq: np.subtract(lq, nonlinear(q), out=lq)
         ):
             worst = max(worst, float(np.max(np.abs(res))))
     return worst
@@ -362,51 +365,49 @@ def error_vs_reference(b: Breather):
     """Measure the breather against Psi = mu^(1/p) psi cos(omega t).
 
     Works on assembled and on loaded breathers alike: everything is
-    recomputed from the stored arrays.  Psi has harmonic 1 only, so the
-    difference to it is formed in place in ``b.coeffs`` (which must be
-    writable) and that row is restored bit for bit before returning; do
-    not read ``b`` from another thread meanwhile.  The sup error is
-    synthesised in chunks of ``_SLAB_VALUES`` samples, whose BLAS products
-    may round by the chunk's shape.
+    recomputed from the stored arrays, and ``b`` is left untouched.  The
+    l2 norms (e_h2, w_x2, the harmonic fractions) are orbit-weighted sums
+    over the fundamental block.  The sup error walks the box in the slabs
+    of kg_residual, and sup_bound takes the Q norm of one box harmonic at
+    a time.
     """
-    ref = reference_profile(b)
-    amplitude = b.mu ** (1.0 / b.p)
-    flat = b.coeffs.reshape(b.L_max + 1, -1)
-    per_l = np.sqrt(np.einsum("ls,ls->l", flat, flat))
+    grid = b.grid
+    home = block_slices(grid)
+    sigma = orbit_sizes(grid)
+    amplitude = b.amplitude
+    psi = reference_profile(b)
+    dist_dnls_ref = norm_q_mu(b.phi_dnls - psi, grid)
+    psi *= amplitude  # Psi's one harmonic, physical
+    diff = amplitude * b.w  # the physical harmonics, harmonic 1 below
+    diff[0] = amplitude * b.phi[home]
+    flat = diff.reshape(len(diff), -1)
+    per_l = np.sqrt(np.einsum("ls,ls,s->l", flat, flat, sigma.ravel()))
     total = float(np.sqrt(np.sum(per_l**2)))
+    diff[0] -= psi[home]
+    e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega, weights=sigma)
+    del diff, flat
     M = 4 * (b.L_max + 1)
-    harmonic_one = b.coeffs[1].copy()
-    b.coeffs[1] -= amplitude * ref
-    try:
-        diff = b.coeffs
-        e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega)
-        e_sup = max(
-            float(np.max(np.abs(values)))
-            for _, values in odd_collocation(
-                (diff,), M, chunk=max(1, _SLAB_VALUES // (M // 2))
-            )
-        )
-        sup_bound = 2.0 * np.sqrt(b.mu) * sum(
-            norm_q(dl, b.mu) for dl in diff
-        )
-    finally:
-        b.coeffs[1] = harmonic_one
+    e_sup = 0.0
+    for sl in _slabs(b, M):
+        rows = b.box_rows(sl)
+        rows[0] -= psi[sl]
+        for _, values in odd_collocation((rows,), M):
+            e_sup = max(e_sup, float(np.max(np.abs(values))))
+    sup_bound = norm_q(amplitude * b.phi - psi, b.mu)
+    for row in b.w[1:]:
+        sup_bound += norm_q(amplitude * mirror_block(row, grid), b.mu)
+    sup_bound *= 2.0 * np.sqrt(b.mu)
     if e_sup > sup_bound * (1.0 + 1e-10):
         raise GuardError(
             f"sup-embedding invariant violated: e_sup={e_sup:.3e} exceeds "
             f"2 sqrt(mu) sum ||.||_Q = {sup_bound:.3e}"
         )
     return ErrorReport(
-        e_h2=e_h2,
-        e_sup=e_sup,
-        sup_bound=float(sup_bound),
-        w_x2=amplitude * sobolev_time_norm(b.w_hat, order=2, omega=1.0),
-        harmonic_fraction=float(per_l[1] / total) if total else 0.0,
-        tail_fraction=float(np.sqrt(np.sum(per_l[2:] ** 2)) / total)
-        if total
-        else 0.0,
-        dist_phi_dnls=norm_q_mu(b.phi - b.phi_dnls, b.grid),
-        dist_dnls_ref=norm_q_mu(b.phi_dnls - ref, b.grid),
+        e_h2=e_h2, e_sup=e_sup, sup_bound=float(sup_bound),
+        w_x2=amplitude * sobolev_time_norm(b.w, order=2, omega=1.0, weights=sigma),
+        harmonic_fraction=float(per_l[0] / total) if total else 0.0,
+        tail_fraction=float(np.sqrt(np.sum(per_l[1:] ** 2)) / total) if total else 0.0,
+        dist_phi_dnls=norm_q_mu(b.phi - b.phi_dnls, grid), dist_dnls_ref=dist_dnls_ref,
     )
 
 
@@ -530,33 +531,27 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
     mu values must be strictly decreasing.  Per-mu failures (guard trips,
     stalled iterations) are recorded, not raised; any later slope fit
     insists on >= 4 surviving rows.  ``progress(mu, row)``, if given, is
-    called after every mu, with row None when that mu failed.
+    called after every mu, with row None when that mu failed.  One
+    breather is alive at a time: phi on the box and its range stack, odd
+    rows on the block.
     """
     mus = [float(m) for m in mu_list]
     if len(mus) < 2 or any(b >= a for a, b in zip(mus, mus[1:])):
         raise GuardError("mu list must be strictly decreasing")
     rows, failures = [], {}
     for mu in mus:
-        # release the last mu's breather (two full stacks) before the next
+        # release the last mu's breather before the next one assembles
         row = b = None
         try:
             cfg = PipelineConfig(
                 n=n, p=p, coupling=coupling, mu=mu, mode=mode, **config_kwargs
             )
             b = assemble_breather(cfg)
-            err = error_vs_reference(b)
+            err = error_vs_reference(b).to_dict()
+            del err["sup_bound"]  # every other distance is a column
             row = ScalingRow(
-                mu=mu,
-                e_h2=err.e_h2,
-                e_sup=err.e_sup,
-                w_x2=err.w_x2,
-                harmonic_fraction=err.harmonic_fraction,
-                tail_fraction=err.tail_fraction,
-                dist_phi_dnls=err.dist_phi_dnls,
-                dist_dnls_ref=err.dist_dnls_ref,
-                remainder_norm_mu=b.reports["remainder_norm_mu"],
-                kg_residual=kg_residual(b),
-                omega=b.omega,
+                mu=mu, **err, remainder_norm_mu=b.reports["remainder_norm_mu"],
+                kg_residual=kg_residual(b), omega=b.omega,
             )
             rows.append(row)
         except (GuardError, ConvergenceError) as exc:
@@ -570,33 +565,50 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 
 # ----------------------------------------------------------------- file I/O
 
+def _box_stack(b, scale, first=None):
+    """Rows 0..L_max of a box stack, one field at a time: even rows zero,
+    odd rows scale * mirror(w), harmonic 1 replaced by ``first`` if given."""
+    zero = np.zeros(b.grid.shape)
+    for l in range(b.L_max + 1):
+        if l % 2 == 0:
+            yield zero
+        else:
+            yield first if l == 1 and first is not None else (
+                scale * mirror_block(b.w[l // 2], b.grid)
+            )
+
+
+def _payload(b):
+    """The box fields of a .kgbr payload in file order: the physical stack
+    coeffs, phi, phi_dnls, then the scaled range stack mirrored onto the box."""
+    yield from _box_stack(b, b.amplitude, b.amplitude * b.phi)
+    yield from (b.phi, b.phi_dnls)
+    yield from _box_stack(b, 1.0)
+
+
 def save_breather(path, b: Breather):
     """Binary dump: header (geometry + parameters), then the coefficient
-    stack, kernel profile, discrete-NLS profile and range stack."""
+    stack, kernel profile, discrete-NLS profile and range stack, all on the
+    box, streamed one field at a time."""
     g = b.grid
+    mode_code = list(BREATHER_MODES[g.n]).index(b.mode)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIqII d d d d d",
-                _VERSION,
-                g.n,
-                g.K,
-                b.L_max,
-                list(BREATHER_MODES[g.n]).index(b.mode),
-                g.mu,
-                b.coupling,
-                b.p,
-                b.multiplier,
-                b.omega,
-            )
-        )
+        fh.write(_MAGIC + struct.pack(_HEAD, _VERSION, g.n, g.K, b.L_max, mode_code,
+                                      g.mu, b.coupling, b.p, b.multiplier, b.omega))
         fh.write(struct.pack(f"<{g.n}d", *g.offsets))
-        for arr in (b.coeffs, b.phi, b.phi_dnls, b.w_hat):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for arr in _payload(b):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_breather(path):
+    """Read a .kgbr file into the one representation.
+
+    The file's box stacks are folded onto the fundamental block, odd rows
+    only, and the file must be exactly what save_breather writes for the
+    folded breather: mirror-even fields, zero even rows and harmonic-1 range
+    row, coeffs = amplitude * range stack with harmonic 1 amplitude * phi,
+    all bit for bit.  Anything else is a FormatError.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -604,12 +616,11 @@ def load_breather(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: not a breather file")
-    head = "<IIqII d d d d d"
     try:
         version, n, K, L_max, mode_code, mu, coupling, p, m, omega = (
-            struct.unpack_from(head, raw, 4)
+            struct.unpack_from(_HEAD, raw, 4)
         )
-        off = 4 + struct.calcsize(head)
+        off = 4 + struct.calcsize(_HEAD)
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         offsets = struct.unpack_from(f"<{n}d", raw, off)
@@ -625,51 +636,36 @@ def load_breather(path):
         raise FormatError(
             f"{path}: offsets {grid.offsets} are not those of mode {mode!r}"
         )
-    stack = (L_max + 1) * grid.size
-    sizes = (stack, grid.size, grid.size, stack)
-    if len(raw) - off != 8 * sum(sizes):
+    fields = 2 * (L_max + 1) + 2  # coeffs rows, phi, phi_dnls, range rows
+    if L_max < 1 or len(raw) - off != 8 * fields * grid.size:
         raise FormatError(
-            f"{path}: payload holds {(len(raw) - off) // 8} values, "
-            f"expected {sum(sizes)}"
+            f"{path}: payload holds {(len(raw) - off) // 8} values; a window "
+            f"L_max = {L_max} (at least 1) needs {fields * grid.size}"
         )
-    arrays = []
-    for count in sizes:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off))
-        off += 8 * count
-    coeffs = arrays[0].reshape((L_max + 1,) + grid.shape).copy()
-    phi = arrays[1].reshape(grid.shape).copy()
-    phi_dnls = arrays[2].reshape(grid.shape).copy()
-    w_hat = arrays[3].reshape((L_max + 1,) + grid.shape).copy()
-    return Breather(
-        grid=grid,
-        p=p,
-        coupling=coupling,
-        mu=mu,
-        mode=mode,
-        multiplier=m,
-        omega=omega,
-        coeffs=coeffs,
-        phi=phi,
-        phi_dnls=phi_dnls,
-        w_hat=w_hat,
-        reports={},
-    )
+    box = np.frombuffer(raw, dtype="<f8", offset=off).reshape((-1,) + grid.shape)
+    home = (slice(None),) + block_slices(grid)
+    w = np.array(box[L_max + 4 :: 2][home])  # the odd range rows on the block
+    w[0] = 0.0
+    phi, phi_dnls = (mirror_block(f, grid) for f in box[L_max + 1 : L_max + 3][home])
+    b = Breather(grid=grid, p=p, coupling=coupling, mu=mu, mode=mode,
+                 multiplier=m, omega=omega, L_max=L_max, phi=phi,
+                 phi_dnls=phi_dnls, w=w)
+    for i, (arr, stored) in enumerate(zip(_payload(b), box)):
+        bits = np.ascontiguousarray(arr, dtype="<f8").view("<u8")
+        if not np.array_equal(bits, stored.view("<u8")):
+            name = (f"coeffs row {i}" if i <= L_max else f"range row {i - L_max - 3}"
+                    if i > L_max + 2 else ("phi", "phi_dnls")[i - L_max - 1])
+            raise FormatError(f"{path}: {name} is not that of the mirror-even, "
+                              f"odd-harmonic breather folded from the file")
+    return b
 
 
 def save_breather_report(path, b: Breather, extra=None):
     """Human-readable JSON: parameters, convergence reports, diagnostics."""
     payload = {
-        "n": b.grid.n,
-        "K": b.grid.K,
-        "mu": b.mu,
-        "coupling": b.coupling,
-        "p": b.p,
-        "mode": b.mode,
-        "multiplier": b.multiplier,
-        "omega": b.omega,
-        "L_max": b.L_max,
-        "amplitude": float(max(b.coeffs.max(), -b.coeffs.min())),
-        "reports": b.reports,
+        "n": b.grid.n, "K": b.grid.K, "mu": b.mu, "coupling": b.coupling, "p": b.p,
+        "mode": b.mode, "multiplier": b.multiplier, "omega": b.omega,
+        "L_max": b.L_max, "amplitude": b.peak(), "reports": b.reports,
     }
     if extra:
         payload.update(extra)

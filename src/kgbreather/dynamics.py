@@ -7,9 +7,10 @@ independent check that it actually moves like a periodic orbit of
 
 under a plain symplectic integrator that knows nothing about the spectral
 construction.  Starting from q(0) = sum_l coeffs[l] (a cosine series has
-zero velocity at t = 0), one period of velocity-Verlet should return the
-state to where it started, with the return error limited only by the
-integrator's O(dt^2) phase drag, and the energy wandering at roundoff.
+zero velocity at t = 0; ``Breather.start_field`` adds it up), one period
+of velocity-Verlet should return the state to where it started, with the
+return error limited only by the integrator's O(dt^2) phase drag, and the
+energy wandering at roundoff.
 The stepper updates preallocated buffers in place, in the textbook
 operation order, so it is bitwise the plain velocity-Verlet loop.
 """
@@ -72,13 +73,14 @@ def integrate_period(
         raise GuardError(f"need integer steps >= 16 per period, got {steps_per_period!r}")
     if not isinstance(periods, (int, np.integer)) or periods < 1:
         raise GuardError(f"need integer periods >= 1, got {periods!r}")
-    coeffs = b.coeffs if initial_coeffs is None else np.asarray(initial_coeffs)
-    if coeffs.shape[1:] != b.grid.shape:
+    # cos(l omega t) all equal 1 at t = 0
+    q0 = b.start_field() if initial_coeffs is None else np.sum(initial_coeffs, axis=0)
+    if q0.shape != b.grid.shape:
         raise GuardError(
-            f"initial stack {coeffs.shape} does not sit on grid {b.grid.shape}"
+            f"initial stack {np.shape(initial_coeffs)} does not sit on grid "
+            f"{b.grid.shape}"
         )
     beta = nonlinearity_coefficient(b.p)
-    q0 = np.sum(coeffs, axis=0)  # cos(l omega t) all equal 1 at t = 0
     q = q0.copy()
     v = np.zeros_like(q)
     nonlin, kick, scratch = (np.empty_like(q) for _ in range(3))

@@ -49,8 +49,9 @@ from .lattice import (
 )
 from .rangesolver import RangeOperator, solve_range_equation
 from .timespectral import (
+    _MATRIX_ENTRIES,
     default_node_count,
-    nonlinearity_coefficient,
+    nonlinearity_map,
     odd_collocation,
 )
 
@@ -182,28 +183,28 @@ def kernel_remainder(phi, prob, w, beta=None, M=None):
     """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
     component w.
 
-    ``w`` is a range stack on the fundamental block, as solve_range_equation
-    returns it; no range solve happens here.  N is sampled on the block at
-    the Q quarter-period nodes of ``M`` time nodes (pass the range solve's
-    own count), and P1 is row 0 of the same analysis product over the
-    window's odd harmonics that apply_nonlinearity computes, so R and the
-    range solve share one projection.  R is returned on the whole box.
+    ``w`` is an odd-row range stack on the fundamental block, as
+    solve_range_equation returns it; no range solve happens here.  N is
+    sampled on the block at the Q quarter-period nodes of ``M`` time nodes
+    (pass the range solve's own count), and P1 is row 0 of the same
+    analysis product over the window's odd harmonics that
+    apply_nonlinearity computes, so R and the range solve share one
+    projection.  Past the size switch that product would be a full DCT-IV,
+    so there the one cached cosine row reads P1.  R is returned on the
+    whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if beta is None:
-        beta = nonlinearity_coefficient(prob.p)
     if M is None:
-        M = default_node_count(w.shape[0] - 1, prob.p)
+        M = default_node_count(2 * len(w) - 1, prob.p)
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
-    u[1] = phi_block
-    first = np.empty(phi_block.size)
+    u[0] = phi_block
+    rows = len(u) if len(u) * ((M + 1) // 2) <= _MATRIX_ENTRIES else 1
+    first = np.empty(phi_block.shape)
     for sl, spectrum in odd_collocation(
-        (u,), M, lambda v: beta * np.abs(v) ** (2.0 * prob.p) * v,
-        analysis=True, rows=w.shape[0] // 2,
+        (u,), M, nonlinearity_map(prob.p, beta), analysis=True, rows=rows
     ):
-        first[sl] = spectrum[0]
-    first = first.reshape(phi_block.shape)
+        first.reshape(-1)[sl] = spectrum[0]
     return mirror_block(
         -(first - np.abs(phi_block) ** (2.0 * prob.p) * phi_block), prob.grid
     )
@@ -228,10 +229,8 @@ def solve_kernel_equation(
     projects the nonlinearity with kernel_remainder on the same nodes.
 
     Returns (phi, w, report, range_op); w is the range component of the
-    returned phi, on the fundamental block.
+    returned phi, an odd-row stack on the fundamental block.
     """
-    if beta is None:
-        beta = nonlinearity_coefficient(prob.p)
     range_kwargs = dict(range_kwargs or {})
     op = RangeOperator(prob.grid, L_max, prob.omega_sq, prob.coupling)
     state = {"w": None, "range_iters": 0}

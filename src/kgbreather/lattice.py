@@ -19,7 +19,6 @@ and written by ``breather.save_breather`` / ``load_breather``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -232,24 +231,20 @@ def block_slices(grid):
     )
 
 
-def mirror_block(block, grid):
+def mirror_block(block, grid, rows=slice(None)):
     """Reflection-even box field(s) holding ``block`` on the fundamental
     block; leading axes beyond the grid's (a harmonic index) ride along.
-    Every orthant is written straight from ``block``, so nothing is copied
-    twice."""
+    ``rows`` picks box rows along the first spatial axis, so a slab of the
+    box costs no more than the slab.  Each box index reads its block index
+    (j, or its mirror image -j or -1-j) in one gather, so the output is
+    the only allocation."""
     block = np.asarray(block, dtype=np.float64)
-    lead = (slice(None),) * (block.ndim - grid.n)
-    out = np.empty(block.shape[: len(lead)] + grid.shape)
-    home = block_slices(grid)
-    for mirrored in product((False, True), repeat=grid.n):
-        dst, src = list(lead), list(lead)
-        for ax, flip in enumerate(mirrored):
-            # an offset-0 axis leaves its center out of the mirror image
-            center = grid.offsets[ax] == 0.0
-            dst.append(slice(0, grid.K + 1 - center) if flip else home[ax])
-            src.append(slice(None, 0 if center else None, -1) if flip else slice(None))
-        out[tuple(dst)] = block[tuple(src)]
-    return out
+    index = []
+    for ax in range(grid.n):
+        j = grid.axis_indices(ax)
+        index.append(np.where(j >= 0, j, -j - (grid.offsets[ax] != 0.0)))
+    index[0] = index[0][rows]
+    return block[(slice(None),) * (block.ndim - grid.n) + np.ix_(*index)]
 
 
 def fold_symmetric(a, grid):

@@ -24,6 +24,8 @@ phi, and with it every iterate w, is even under reflection through the box
 center, and the nonlinearity acts site by site.  So the whole solve works
 on the fundamental block, indices j = 0..K per axis (half the sites in 1d,
 about a quarter in 2d): the iterates, the nonlinearity and the inversion.
+Only odd harmonics occur (timespectral), so every stack holds the odd
+rows alone, row j harmonic 2j+1: one eighth of a whole-box stack in 2d.
 On one axis of N sites the reflection-even Dirichlet eigenvectors are the
 odd DST-I modes k = 2m + 1, and restricted to the block they read
 
@@ -125,18 +127,18 @@ class RangeOperator:
         return x
 
     def solve(self, coeffs):
-        """L^-1 restricted to the range, on fundamental-block stacks of
-        shape (L+1, K+1[, K+1]): harmonic 1 of the input is discarded and
-        comes back as zero, like every all-zero row."""
+        """L^-1 restricted to the range, on odd-row fundamental-block
+        stacks of shape (r, K+1[, K+1]), row j harmonic 2j+1: harmonic 1
+        (row 0) of the input is discarded and comes back as zero, like
+        every all-zero row."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
         out = np.zeros_like(coeffs)
-        rows = [
-            l for l in range(coeffs.shape[0]) if l != 1 and np.any(coeffs[l])
-        ]
+        rows = [j for j in range(1, coeffs.shape[0]) if np.any(coeffs[j])]
         hat = coeffs[rows]
         hat *= self._sigma
         hat = self._along_axes(hat, transpose=True)
-        for i, l in enumerate(rows):
+        for i, j in enumerate(rows):
+            l = 2 * j + 1
             hat[i] /= (1.0 - self.omega_sq * l * l) + self.coupling * self._s_even
         out[rows] = self._along_axes(hat, transpose=False)
         return out
@@ -179,11 +181,13 @@ def solve_range_equation(
 ):
     """Picard iteration for the range component given the kernel profile.
 
-    ``phi`` lives on the box; ``w_init`` and the returned w are stacks on
-    the fundamental block, (L+1, K+1[, K+1]), with w[1] = 0.  The forcing
-    norm, a diagnostic that costs one more nonlinearity pass, is only
-    computed along with the tail (``tail_check``).  Raises GuardError when the a-priori contraction estimate exceeds
-    ``smallness_threshold`` and ConvergenceError on observed divergence.
+    ``phi`` lives on the box; ``w_init`` and the returned w are odd-row
+    stacks on the fundamental block, ((L+1)//2, K+1[, K+1]) with row j
+    harmonic 2j+1, and w[0] = 0 (no harmonic 1).  The forcing norm, a
+    diagnostic that costs one more nonlinearity pass, is only computed
+    along with the tail (``tail_check``).  Raises GuardError when the
+    a-priori contraction estimate exceeds ``smallness_threshold`` and
+    ConvergenceError on observed divergence.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if beta is None:
@@ -192,8 +196,8 @@ def solve_range_equation(
     sigma = orbit_sizes(grid)
     # the kernel part phi cos(tau), on the fundamental block
     phi_block = phi[block_slices(grid)]
-    v = np.zeros((op.L_max + 1,) + phi_block.shape)
-    v[1] = phi_block
+    v = np.zeros(((op.L_max + 1) // 2,) + phi_block.shape)
+    v[0] = phi_block
 
     # crude contraction estimate: Lipschitz constant of the projected
     # nonlinearity over the inversion margin, at the kernel amplitude
@@ -230,7 +234,7 @@ def solve_range_equation(
         g = apply_nonlinearity(
             v + w, p, beta=beta, M=collocation, tail=tail, weights=sigma
         )
-        g[1] = 0.0
+        g[0] = 0.0
         w_next = mu**2 * op.solve(g)
         delta = sobolev_time_norm(w_next - w, weights=sigma)
         updates.append(delta)

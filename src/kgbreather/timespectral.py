@@ -9,9 +9,9 @@ test suite keeps that pair as the reference for what follows.
 Every chunked "synthesis -> pointwise map -> analysis" pass of the
 pipeline goes through ``odd_collocation`` and works on odd series only.
 Reversible breathers have u(tau + pi) = -u(tau), so only odd harmonics
-occur, and the odd nonlinearity keeps it that way.  The primitive holds
-callers to that contract: a nonzero even row is a GuardError, and the even
-rows it returns are exact zeros.
+occur, and the odd nonlinearity keeps it that way.  So stacks hold the odd
+rows alone: row j of a stack is harmonic 2j+1, and an even harmonic has
+no row to sit in.
 
 Why a quarter period suffices: an odd series obeys u(pi - tau) = -u(tau),
 and so does any odd pointwise map of it.  The series is therefore sampled
@@ -21,7 +21,7 @@ mirror images pi - tau_j and carry the same values with the sign flipped,
 so the quarter-period projection equals the midpoint one in exact
 arithmetic, with half the rows and half the nodes.  Both directions are
 products with the symmetric C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) over
-the r harmonics used: C[:r].T @ odd rows, (2/Q) C[:r] @ samples.  At
+the r harmonics used: C[:r].T @ rows, (2/Q) C[:r] @ samples.  At
 most eight r x Q slices of <= 2^19 entries (4 MB) stay cached; a larger
 product is a zero-padded DCT-IV, as fast there on a 2-vCPU Xeon.
 
@@ -89,26 +89,18 @@ def _cosine_product(x, Q, r, analysis):
 def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=1 << 17):
     """Chunked collocation of odd cosine series on the quarter period.
 
-    ``stacks`` are cosine stacks of one shape (L+1, *spatial) with zero
-    even rows.  Chunk by chunk of the flattened spatial axes, each stack's
-    odd rows are synthesised at the Q = ceil(M/2) quarter-period nodes and
-    ``pointwise`` (the identity for one stack when None) maps the samples.
-    Yields (column slice, result): the (Q, n) samples or, with
-    ``analysis``, the coefficients of their first ``rows`` (default Q) odd
-    harmonics, row j holding harmonic 2j+1.  Chunks of ``chunk`` columns,
-    at most 2^24 // Q, bound a sample buffer by 2^24 values (134 MB).  A
-    BLAS product rounds by its shape: chunking can move the last bits.
+    ``stacks`` are odd-row stacks of one shape (r, *spatial), row j holding
+    harmonic 2j+1.  Chunk by chunk of the flattened spatial axes, each
+    stack is synthesised at the Q = ceil(M/2) quarter-period nodes and
+    ``pointwise`` (the identity for one stack when None) maps the samples;
+    it may overwrite them.  Yields (column slice, result): the (Q, n)
+    samples or, with ``analysis``, the coefficients of their first
+    ``rows`` (default Q) odd harmonics, row j holding harmonic 2j+1.
+    Chunks of ``chunk`` columns, at most 2^24 // Q, bound a sample buffer
+    by 2^24 values (134 MB).  A BLAS product rounds by its shape: chunking
+    can move the last bits.
     """
-    flats = []
-    for s in stacks:
-        s = np.asarray(s, dtype=np.float64)
-        flat = s.reshape(s.shape[0], -1)
-        if np.any(flat[0::2]):
-            raise GuardError(
-                "odd-harmonic collocation needs u(tau + pi) = -u(tau): "
-                "an even cosine row is nonzero"
-            )
-        flats.append(flat[1::2])
+    flats = [np.asarray(s, dtype=np.float64).reshape(len(s), -1) for s in stacks]
     Q = (M + 1) // 2
     if Q < flats[0].shape[0]:
         raise GuardError(
@@ -126,39 +118,53 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=
         yield sl, g
 
 
+def nonlinearity_map(p, beta=None):
+    """The pointwise map v -> beta |v|^(2p) v, written into v: the formula's
+    operations in its order, so its bits, with one temporary of v's size
+    instead of two."""
+    beta = nonlinearity_coefficient(p) if beta is None else beta
+
+    def apply(v):
+        t = np.abs(v)
+        t **= 2.0 * p
+        t *= beta
+        v *= t
+        return v
+
+    return apply
+
+
 def apply_nonlinearity(
     coeffs, p, beta=None, M=None, chunk=1 << 17, tail=None, weights=None
 ):
-    """Cosine coefficients 0..L of beta |u|^(2p) u for the odd series u
-    given by ``coeffs`` (even rows zero in and out).
+    """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
+    given by the odd-row stack ``coeffs`` (row j harmonic 2j+1); the
+    result has the same rows.
 
     Works chunk-wise over the flattened spatial axes so the collocation
     buffer stays bounded for large 2d fields.  If ``tail`` is a dict, the
-    relative l2 mass of the discarded odd harmonics L+1..2Q-1 is stored
-    under 'discarded' (diagnostic for choosing L on non-polynomial powers).
-    ``weights`` (one per site, default 1) weight that mass per site, e.g.
-    by orbit size when ``coeffs`` holds only the fundamental block.
+    relative l2 mass of the discarded odd harmonics past the stack's rows
+    is stored under 'discarded' (diagnostic for choosing L on
+    non-polynomial powers).  ``weights`` (one per site, default 1) weight
+    that mass per site, e.g. by orbit size when ``coeffs`` holds only the
+    fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    L = coeffs.shape[0] - 1
-    if beta is None:
-        beta = nonlinearity_coefficient(p)
+    n_odd = coeffs.shape[0]
     if M is None:
-        M = default_node_count(L, p)
-    out = np.zeros((L + 1, coeffs.size // (L + 1)))
-    odd_out = out[1::2]
-    n_odd = odd_out.shape[0]
+        M = default_node_count(2 * n_odd - 1, p)
+    out = np.empty((n_odd, coeffs.size // n_odd))
     weights = np.ones(out.shape[1]) if weights is None else np.ravel(weights)
     kept = discarded = 0.0
     for sl, spectrum in odd_collocation(
         (coeffs,),
         M,
-        lambda v: beta * np.abs(v) ** (2.0 * p) * v,
+        nonlinearity_map(p, beta),
         analysis=True,
         rows=None if tail is not None else n_odd,
         chunk=chunk,
     ):
-        odd_out[:, sl] = spectrum[:n_odd]
+        out[:, sl] = spectrum[:n_odd]
         if tail is not None:
             kept += float(np.sum(spectrum[:n_odd] ** 2, axis=0) @ weights[sl])
             discarded += float(np.sum(spectrum[n_odd:] ** 2, axis=0) @ weights[sl])
@@ -168,22 +174,20 @@ def apply_nonlinearity(
 
 
 def sobolev_time_norm(coeffs, order=2, omega=1.0, weights=None):
-    """H^order-in-time l2-in-space norm of u(t) = sum coeffs[l] cos(l w t).
+    """H^order-in-time l2-in-space norm of u(t) = sum_j coeffs[j] cos(l w t)
+    for the odd-row stack ``coeffs``, l = 2j+1.
 
     Parseval over one period 2pi/w: the l-th harmonic carries weight
-    (2pi/w for l = 0, pi/w otherwise) * sum_{k<=order} (w l)^(2k).
-    ``weights`` (one per site, default 1) weight the spatial sum, e.g. by
-    orbit size when ``coeffs`` holds only the fundamental block.
+    (pi/w) * sum_{k<=order} (w l)^(2k).  ``weights`` (one per site,
+    default 1) weight the spatial sum, e.g. by orbit size when ``coeffs``
+    holds only the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    L = coeffs.shape[0] - 1
-    l = np.arange(L + 1, dtype=np.float64)
-    weight = np.full(L + 1, np.pi / omega)
-    weight[0] = 2.0 * np.pi / omega
+    l = 2.0 * np.arange(coeffs.shape[0]) + 1.0
     poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
-    flat = coeffs.reshape(L + 1, -1)
+    flat = coeffs.reshape(coeffs.shape[0], -1)
     if weights is None:
         spatial = np.einsum("ls,ls->l", flat, flat)
     else:
         spatial = np.einsum("ls,ls,s->l", flat, flat, np.ravel(weights))
-    return float(np.sqrt(np.sum(weight * poly * spatial)))
+    return float(np.sqrt(np.sum(np.pi / omega * poly * spatial)))

@@ -130,18 +130,20 @@ def verlet_report(b, steps_per_period, periods=1, initial_coeffs=None):
 
 def whole_box_kg_residual(b):
     """``kgbreather.breather.kg_residual`` in one pass over the whole box:
-    the linear part of every harmonic as one full stack, collocated in
-    ``odd_collocation``'s default chunks."""
+    the linear part of every odd harmonic of the whole coefficient stack
+    ``b.coeffs`` at once, collocated in ``odd_collocation``'s default
+    chunks."""
     L = b.L_max
-    l = np.arange(L + 1)
+    l = np.arange(1, L + 1, 2)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
-    linear = factors * b.coeffs - b.coupling * laplacian(b.coeffs, axes=spatial)
+    odd = b.coeffs[1::2]
+    linear = factors * odd - b.coupling * laplacian(odd, axes=spatial)
     worst = 0.0
     for _, res in odd_collocation(
-        (b.coeffs, linear),
+        (odd, linear),
         4 * (L + 1),
-        lambda q, lq: lq - b.beta * np.abs(q) ** (2.0 * b.p) * q,
+        lambda q, lq: lq - nonlinearity_coefficient(b.p) * np.abs(q) ** (2.0 * b.p) * q,
     ):
         worst = max(worst, float(np.max(np.abs(res))))
     return worst

@@ -140,12 +140,12 @@ def test_1_projectors_and_cosine_algebra(capsys, breather_st):
     kernel_part = b.mu ** (1.0 / b.p) * b.phi
     split_gap = float(np.max(np.abs(b.coeffs[1] - kernel_part)))
     split_ok = (
-        b.coeffs[1].tobytes() == kernel_part.tobytes() and not np.any(b.w_hat[1])
+        b.coeffs[1].tobytes() == kernel_part.tobytes() and not np.any(b.w[0])
     )
 
     # cos^3 = (3/4) cos + (1/4) cos 3, through the pipeline's collocation
-    unit = np.zeros((6, 1))
-    unit[1] = 1.0
+    unit = np.zeros((3, 1))  # odd rows: harmonics 1, 3, 5
+    unit[0] = 1.0
     ((_, c),) = odd_collocation((unit,), 64, lambda v: v**3, analysis=True)
     # row j of c holds harmonic 2j + 1
     cos3_gap = max(

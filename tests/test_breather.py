@@ -31,13 +31,15 @@ from kgbreather.breather import (
     kg_residual,
     load_breather,
     reference_coefficients,
+    reference_profile,
     save_breather,
     save_breather_report,
     scaling_study,
 )
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
-from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian
+from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian, mirror_block
+from kgbreather.timespectral import nonlinearity_coefficient
 from references import whole_box_kg_residual
 
 
@@ -88,7 +90,7 @@ def test_assembly_is_deterministic():
     b2 = assemble_breather(cfg)
     assert b1.coeffs.tobytes() == b2.coeffs.tobytes()
     assert b1.phi.tobytes() == b2.phi.tobytes()
-    assert b1.w_hat.tobytes() == b2.w_hat.tobytes()
+    assert b1.w.tobytes() == b2.w.tobytes()
 
 
 def test_2d_assembly_with_a_wide_window_is_deterministic():
@@ -107,7 +109,7 @@ def test_2d_assembly_with_a_wide_window_is_deterministic():
 def test_first_harmonic_is_kernel_profile(small_1d):
     b = small_1d
     assert b.coeffs[1].tobytes() == (b.mu ** (1.0 / b.p) * b.phi).tobytes()
-    assert np.all(b.w_hat[1] == 0.0)
+    assert np.all(b.w[0] == 0.0)
 
 
 def test_frequency_convention(small_1d):
@@ -122,6 +124,14 @@ def test_residual_and_symmetry(small_1d):
     b = small_1d
     assert kg_residual(b) < 1e-12
     assert b.symmetry_error() < 1e-13
+
+
+def _reference_breather(b):
+    """``b`` with its kernel profile replaced by the sampled continuum
+    profile and no range part: its stack is reference_coefficients(b)."""
+    fake = dataclasses.replace(b, phi=reference_profile(b), w=np.zeros_like(b.w))
+    assert fake.coeffs.tobytes() == reference_coefficients(b).tobytes()
+    return fake
 
 
 def _per_node_residual(b):
@@ -141,7 +151,7 @@ def _per_node_residual(b):
             q_tt
             - b.coupling * laplacian(q)
             + q
-            - b.beta * np.abs(q) ** (2.0 * b.p) * q
+            - nonlinearity_coefficient(b.p) * np.abs(q) ** (2.0 * b.p) * q
         )
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
@@ -154,7 +164,7 @@ def test_residual_matches_per_node_loop(small_1d, case):
             n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3
         ))
     elif case == "reference":
-        b = dataclasses.replace(small_1d, coeffs=reference_coefficients(small_1d))
+        b = _reference_breather(small_1d)
     else:
         b = small_1d
     # the residual cancels terms of the field's size, so the two orders
@@ -169,7 +179,7 @@ def test_reference_field_is_much_worse(small_1d):
     """Psi solves the equation only to O(mu^(1/p+2)); the assembled
     breather must beat it by orders of magnitude."""
     b = small_1d
-    fake = dataclasses.replace(b, coeffs=reference_coefficients(b))
+    fake = _reference_breather(b)
     res_ref = kg_residual(fake)
     res_b = kg_residual(b)
     assert res_b < 1e-12
@@ -180,18 +190,40 @@ def test_reference_field_is_much_worse(small_1d):
 CENTERINGS = [(n, mode) for n in (1, 2) for mode in BREATHER_MODES[n]]
 
 
-def _odd_breather(n, mode, seed=5, K=5, L=7):
-    """A Breather on a small box holding a random odd cosine stack."""
-    grid = GridSpec(n=n, K=K, mu=0.4, offsets=BREATHER_MODES[n][mode])
-    coeffs = np.zeros((L + 1,) + grid.shape)
-    coeffs[1::2] = 0.3 * np.random.default_rng(seed).standard_normal(
-        coeffs[1::2].shape
-    )
+def _odd_breather(n, mode, seed=5, K=5, L=7, mu=0.4):
+    """A Breather on a small box from random arrays (not assembled): a
+    mirror-even phi and phi_dnls and a random odd-row range stack."""
+    grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
+    rng = np.random.default_rng(seed)
+    block = ((L + 1) // 2,) + (K + 1,) * n
+    w = 0.3 * rng.standard_normal(block)
+    w[0] = 0.0
     return Breather(
-        grid=grid, p=0.5, coupling=0.25, mu=0.4, mode=mode, multiplier=0.1,
-        omega=0.99, coeffs=coeffs, phi=coeffs[1].copy(),
-        phi_dnls=coeffs[1].copy(), w_hat=np.zeros_like(coeffs),
+        grid=grid, p=0.5, coupling=0.25, mu=mu, mode=mode, multiplier=0.1,
+        omega=0.99, L_max=L, phi=mirror_block(rng.standard_normal(block[1:]), grid),
+        phi_dnls=mirror_block(rng.standard_normal(block[1:]), grid), w=w,
     )
+
+
+# a .kgbr payload starts after magic 4, the packed header 64 and 8 per axis
+def _payload_at(n):
+    return 4 + struct.calcsize("<IIqII d d d d d") + 8 * n
+
+
+def _perturbed_file(tmp_path, b, field, site, delta):
+    """Save ``b`` and add ``delta`` to box site ``site`` of payload field
+    ``field`` (coeffs rows 0..L_max, then phi, phi_dnls, range rows)."""
+    path = tmp_path / "perturbed.kgbr"
+    save_breather(path, b)
+    raw = bytearray(path.read_bytes())
+    site = np.ravel_multi_index(
+        [i % size for i, size in zip(site, b.grid.shape)], b.grid.shape
+    )
+    at = _payload_at(b.grid.n) + 8 * (field * b.grid.size + int(site))
+    (value,) = struct.unpack_from("<d", raw, at)
+    struct.pack_into("<d", raw, at, value + delta)
+    path.write_bytes(bytes(raw))
+    return path
 
 
 def _set_slab_rows(monkeypatch, b, rows):
@@ -221,44 +253,50 @@ def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, rows):
 
 
 @pytest.mark.parametrize(("n", "mode"), CENTERINGS)
-def test_even_harmonic_in_the_last_slab_is_guarded(monkeypatch, n, mode):
+def test_even_harmonic_in_the_last_slab_is_guarded(tmp_path, n, mode):
+    """A .kgbr file whose even harmonic 2 is nonzero at the last box site
+    (the last slab of the checks) has no odd-row representation: loading
+    it is a FormatError and ``validate`` exits 4."""
     b = _odd_breather(n, mode)
-    b.coeffs[2, -1] = 1e-300
-    _set_slab_rows(monkeypatch, b, 1)
-    with pytest.raises(GuardError, match="even cosine row"):
-        kg_residual(b)
+    path = _perturbed_file(tmp_path, b, 2, (-1,) * n, 1e-300)
+    with pytest.raises(FormatError, match="coeffs row 2"):
+        load_breather(path)
+    assert main(["validate", "--input", str(path)]) == 4
 
 
-def test_corner_asymmetry_in_the_last_slab_shows(monkeypatch, small_2d):
-    """One perturbed corner site of an assembled symmetric breather: the
-    streamed residual sees it, exactly as the whole-box one does."""
-    b = dataclasses.replace(small_2d, coeffs=small_2d.coeffs.copy())
-    _set_slab_rows(monkeypatch, b, 1)
-    clean = kg_residual(b)
-    b.coeffs[1, -1, -1] += 1e-4
-    assert b.symmetry_error() > 0.0
-    assert kg_residual(b) == whole_box_kg_residual(b)
-    assert kg_residual(b) > 10.0 * clean
+def test_corner_asymmetry_in_the_last_slab_shows(tmp_path, small_2d):
+    """One perturbed corner site of an assembled symmetric breather's file
+    (the mirror image of a block site), in harmonic 1, in phi or in a range
+    row: the file is not mirror-even,
+    so loading it is a FormatError and ``validate`` exits 4."""
+    L = small_2d.L_max
+    for field, name in ((1, "coeffs row 1"), (L + 1, "phi"), (L + 6, "range row 3")):
+        path = _perturbed_file(tmp_path, small_2d, field, (0, 0), 1e-4)
+        with pytest.raises(FormatError, match=name):
+            load_breather(path)
+        assert main(["validate", "--input", str(path)]) == 4
 
 
 def test_error_report_does_not_depend_on_chunks(monkeypatch, small_2d):
-    """The sup error is synthesised in chunks; no ErrorReport field moves
-    with their size, and the stack comes back bit for bit."""
-    before = small_2d.coeffs.tobytes()
+    """The sup error is synthesised in slabs; no ErrorReport field moves
+    with their size, and the breather is left as it was."""
+    before = small_2d.w.tobytes(), small_2d.phi.tobytes()
     full = error_vs_reference(small_2d).to_dict()
     monkeypatch.setattr(breather, "_SLAB_VALUES", 100)
     assert error_vs_reference(small_2d).to_dict() == full
-    assert small_2d.coeffs.tobytes() == before
+    assert (small_2d.w.tobytes(), small_2d.phi.tobytes()) == before
 
 
-def test_error_report_restores_the_stack_on_error():
-    """The difference to Psi is formed in place; a GuardError raised while
-    it is there (here: the even rows of a random stack) still undoes it."""
-    b = _tiny_breather(2, "h1")
-    before = b.coeffs.tobytes()
-    with pytest.raises(GuardError, match="even cosine row"):
+def test_error_report_restores_the_stack_on_error(monkeypatch):
+    """The difference to Psi is formed in temporaries, never in the
+    breather: a GuardError (here the sup-embedding check, its bound forced
+    to zero) leaves every stored array as it was."""
+    b = _odd_breather(2, "h1")
+    before = [getattr(b, name).tobytes() for name in ("phi", "phi_dnls", "w")]
+    monkeypatch.setattr(breather, "norm_q", lambda a, mu: 0.0)
+    with pytest.raises(GuardError, match="sup-embedding"):
         error_vs_reference(b)
-    assert b.coeffs.tobytes() == before
+    assert [getattr(b, name).tobytes() for name in ("phi", "phi_dnls", "w")] == before
 
 
 def _allocation_peak(call):
@@ -292,6 +330,56 @@ def test_whole_box_checks_allocate_no_stack(monkeypatch):
     ):
         call()  # warm caches (the ground state) outside the measurement
         assert _allocation_peak(call) < 0.6 * stack
+
+
+def test_assembled_2d_breather_holds_an_eighth_of_a_stack():
+    """Beyond its box fields (phi, phi_dnls) a breather keeps one range
+    stack on the fundamental block with its odd harmonics only: on a
+    plaquette-centred box with an odd window exactly 1/8 of one box stack
+    (two whole stacks were kept before).  The rest is the reports."""
+    cfg = PipelineConfig(
+        n=2, p=0.5, coupling=0.25, mu=0.4, mode="p", r_min=12.0, l_max=7
+    )
+    assemble_breather(cfg)  # warm the caches outside the measurement
+    tracemalloc.start()
+    try:
+        resident = tracemalloc.get_traced_memory()[0]
+        b = assemble_breather(cfg)
+        held = tracemalloc.get_traced_memory()[0] - resident
+    finally:
+        tracemalloc.stop()
+    stack = 8 * (b.L_max + 1) * b.grid.size
+    assert b.w.nbytes == stack // 8
+    assert held - b.phi.nbytes - b.phi_dnls.nbytes <= stack // 8 + (32 << 10)
+
+
+def test_box_narrower_than_the_profile_is_refused_up_front(tmp_path):
+    """2d p = 3/4 has m = 1.8e-4, a profile decaying over sqrt(a/m)/mu = 93
+    sites at mu = 0.4, on a box of K = 30: the discrete NLS Newton would
+    converge to a zero field (max |phi| ~ 1e-24) and every check would
+    pass on it.  The guard refuses the box before any solve."""
+    kw = dict(n=2, p=0.75, coupling=0.25, mu=0.4, mode="st", r_min=12.0, l_max=7)
+    with pytest.raises(GuardError, match="decay lengths"):
+        assemble_breather(PipelineConfig(**kw))
+    argv = ["breather", "--n", "2", "--p", "0.75", "--a", "0.25", "--mu", "0.4",
+            "--r-min", "12", "--l-max", "7", "--out", str(tmp_path / "zero")]
+    assert main(argv) == 2
+    assert not (tmp_path / "zero.kgbr").exists()
+
+
+def test_dnls_solution_that_lost_its_norm_is_refused(monkeypatch):
+    """A discrete NLS solve that loses most of the sampled profile's norm
+    found no breather: a GuardError, not a zero breather."""
+    solve = breather.solve_dnls_ground_state
+
+    def collapsing(prob, phi0, **kwargs):
+        phi, report = solve(prob, phi0, **kwargs)
+        return 1e-20 * phi, report
+
+    monkeypatch.setattr(breather, "solve_dnls_ground_state", collapsing)
+    with pytest.raises(GuardError, match="l2 norm"):
+        assemble_breather(PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.3,
+                                         r_min=15.0, l_max=5))
 
 
 def test_error_report_structure(small_1d):
@@ -352,7 +440,7 @@ def test_roundtrip(tmp_path, small_1d):
     assert b2.coeffs.tobytes() == b.coeffs.tobytes()
     assert b2.phi.tobytes() == b.phi.tobytes()
     assert b2.phi_dnls.tobytes() == b.phi_dnls.tobytes()
-    assert b2.w_hat.tobytes() == b.w_hat.tobytes()
+    assert b2.w.tobytes() == b.w.tobytes() and b2.L_max == b.L_max
     assert (b2.mu, b2.coupling, b2.p, b2.mode) == (b.mu, b.coupling, b.p, b.mode)
     assert b2.omega == b.omega and b2.multiplier == b.multiplier
     assert b2.grid == b.grid
@@ -375,6 +463,12 @@ def test_load_rejects_corrupt_files(tmp_path, small_1d):
         load_breather(tmp_path / "magic.kgbr")
     with pytest.raises(FormatError):
         load_breather(tmp_path / "missing.kgbr")
+    # a header claiming 2^31 harmonics is refused before anything is built
+    huge = bytearray(raw)
+    struct.pack_into("<I", huge, 20, 1 << 31)
+    (tmp_path / "huge.kgbr").write_bytes(bytes(huge))
+    with pytest.raises(FormatError, match="at least 1"):
+        load_breather(tmp_path / "huge.kgbr")
 
 
 # byte offset of the mode code in a .kgbr header: magic 4, version 4, n 4,
@@ -384,21 +478,9 @@ _MODE_CODE_AT = 24
 
 def _tiny_breather(n, mode):
     """A Breather built directly from small random arrays (not assembled)."""
-    grid = GridSpec(n=n, K=2, mu=0.25, offsets=BREATHER_MODES[n][mode])
-    rng = np.random.default_rng(17)
-    stack = (4,) + grid.shape
-    return Breather(
-        grid=grid,
-        p=1.0 / n,
-        coupling=0.25,
-        mu=0.25,
-        mode=mode,
-        multiplier=0.0625,
-        omega=0.998,
-        coeffs=rng.standard_normal(stack),
-        phi=rng.standard_normal(grid.shape),
-        phi_dnls=rng.standard_normal(grid.shape),
-        w_hat=rng.standard_normal(stack),
+    return dataclasses.replace(
+        _odd_breather(n, mode, seed=17, K=2, L=3, mu=0.25),
+        p=1.0 / n, multiplier=0.0625, omega=0.998,
     )
 
 
@@ -407,17 +489,30 @@ def _tiny_breather(n, mode):
     [(1, "st", 0), (1, "p", 1), (2, "st", 0), (2, "p", 1), (2, "h1", 2), (2, "h2", 3)],
 )
 def test_roundtrip_every_centering(tmp_path, n, mode, code):
+    """A random breather of every centering survives the file bit for bit,
+    the file holds its box stacks in the .kgbr layout, and saving the
+    loaded breather writes the same bytes."""
     b = _tiny_breather(n, mode)
     path = tmp_path / "b.kgbr"
     save_breather(path, b)
-    assert struct.unpack_from("<I", path.read_bytes(), _MODE_CODE_AT)[0] == code
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, _MODE_CODE_AT)[0] == code
+    payload = np.frombuffer(raw, "<f8", offset=_payload_at(n)).reshape(
+        (-1,) + b.grid.shape
+    )
+    assert payload[:4].tobytes() == b.coeffs.tobytes()
+    assert payload[4:6].tobytes() == np.stack([b.phi, b.phi_dnls]).tobytes()
+    assert np.all(payload[6::2] == 0.0) and np.all(payload[7] == 0.0)
+    assert payload[9].tobytes() == mirror_block(b.w[1], b.grid).tobytes()
     b2 = load_breather(path)
-    assert (b2.grid, b2.mode, b2.mu, b2.coupling, b2.p) == (
-        b.grid, b.mode, b.mu, b.coupling, b.p
+    assert (b2.grid, b2.mode, b2.mu, b2.coupling, b2.p, b2.L_max) == (
+        b.grid, b.mode, b.mu, b.coupling, b.p, b.L_max
     )
     assert (b2.multiplier, b2.omega) == (b.multiplier, b.omega)
-    for name in ("coeffs", "phi", "phi_dnls", "w_hat"):
+    for name in ("phi", "phi_dnls", "w"):
         assert getattr(b2, name).tobytes() == getattr(b, name).tobytes()
+    save_breather(tmp_path / "again.kgbr", b2)
+    assert (tmp_path / "again.kgbr").read_bytes() == raw
 
 
 @pytest.mark.parametrize(
@@ -509,7 +604,7 @@ def test_scaling_study_holds_one_breather_at_a_time(monkeypatch):
         b = assemble_breather(PipelineConfig(mu=mu, **kw))
         error_vs_reference(b)
         kg_residual(b)
-        return b.coeffs.nbytes
+        return 8 * (b.L_max + 1) * b.grid.size  # one box stack
 
     stack = point(0.4)  # warm the ground state outside the measurements
     alone = _allocation_peak(lambda: point(0.3))

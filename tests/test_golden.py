@@ -5,7 +5,8 @@ show "same behaviour" without the full acceptance sweep.  The pins hold to
 1e-7 relative: tight enough to catch any change of discretisation, window
 or stopping rule, loose enough for the kernel Newton solve to land anywhere
 inside its tolerance (1e-11 on the kernel residual moves e_h2 and e_sup by
-a few 1e-9 relative at mu = 0.2).
+a few 1e-9 relative at mu = 0.2).  Each point's .kgbr snapshot loads back
+into the same breather and saves to the same bytes.
 """
 import pytest
 
@@ -14,19 +15,27 @@ from kgbreather.breather import (
     assemble_breather,
     error_vs_reference,
     kg_residual,
+    load_breather,
+    save_breather,
 )
 
 GOLDEN_REL = 1e-7
 
 
-def _measure(cfg):
+def _measure(cfg, tmp_path):
     b = assemble_breather(cfg)
+    save_breather(tmp_path / "golden.kgbr", b)
+    again = load_breather(tmp_path / "golden.kgbr")
+    save_breather(tmp_path / "again.kgbr", again)
+    raw = (tmp_path / "golden.kgbr").read_bytes()
+    assert (tmp_path / "again.kgbr").read_bytes() == raw
+    assert again.w.tobytes() == b.w.tobytes()
     return b, error_vs_reference(b), kg_residual(b)
 
 
-def test_golden_1d_site_centered():
+def test_golden_1d_site_centered(tmp_path):
     cfg = PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.2, mode="st", r_min=30.0)
-    b, err, residual = _measure(cfg)
+    b, err, residual = _measure(cfg, tmp_path)
     assert b.grid.K == 150 and b.L_max == 15
     assert err.e_h2 == pytest.approx(1.1560713188702588e-03, rel=GOLDEN_REL)
     assert err.e_sup == pytest.approx(5.597771654617172e-05, rel=GOLDEN_REL)
@@ -36,11 +45,11 @@ def test_golden_1d_site_centered():
     assert b.symmetry_error() <= 1e-13
 
 
-def test_golden_2d_bond_centered():
+def test_golden_2d_bond_centered(tmp_path):
     cfg = PipelineConfig(
         n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3
     )
-    b, err, residual = _measure(cfg)
+    b, err, residual = _measure(cfg, tmp_path)
     assert b.grid.K == 40 and b.L_max == 15
     assert err.e_h2 == pytest.approx(1.394897041560693e-02, rel=GOLDEN_REL)
     assert err.e_sup == pytest.approx(1.5549102240586154e-04, rel=GOLDEN_REL)

@@ -1,8 +1,12 @@
 """Every name imported in src/, tests/, scripts/ and benchmark/ is used in
-its module, and every function, class and method that src/ defines is read
-by the program itself (src/, scripts/, benchmark/), not by the tests alone."""
+its module, every function, class and method that src/ defines is read
+by the program itself (src/, scripts/, benchmark/), not by the tests alone,
+and every entry point that the benchmark's tracer rebinds is still there."""
 import ast
+import importlib.util
 from pathlib import Path
+
+import kgbreather.breather as breather
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,3 +103,39 @@ def test_no_names_only_tests_use():
             if name.split(".")[-1] not in read:
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """``benchmark/tracing.py`` rebinds the entry points of every timed
+    layer by name and reads their results.  Install it, run a small
+    breather through every traced layer, and uninstall it: a renamed or
+    dropped entry point, or a changed return shape, fails here rather than
+    in a ``--trace 1`` benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", ROOT / "benchmark" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(vars(breather))
+    tracer = tracing.Tracer("tier-1")
+    tracing.install(tracer)
+    try:
+        tracer.start_op("op")
+        b = breather.assemble_breather(breather.PipelineConfig(
+            n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, l_max=8,
+            residual_target=1e-7,
+        ))
+        breather.kg_residual(b)
+        breather.error_vs_reference(b)
+        b.symmetry_error()
+        tracer.finish_op()
+    finally:
+        tracer.uninstall()
+    assert vars(breather) == before
+    spans = {span[0] for span in tracer.spans}
+    assert spans >= {"assemble", "dnls", "kernel", "range", "final_range",
+                     "final_remainder", "window", "residual", "errors",
+                     "symmetry"}
+    counts = tracer.counts[0]
+    assert counts["window.L"] == b.L_max > 8
+    assert counts["range.calls"] >= 1 and counts["kernel.remainder_calls"] >= 1

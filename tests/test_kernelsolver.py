@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+import kgbreather.kernelsolver as kernelsolver
+import kgbreather.timespectral as timespectral
 from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.kernelsolver import (
@@ -215,10 +217,41 @@ def test_remainder_projects_on_the_range_node_count():
     w, _ = solve_range_equation(phi, op, p, mu, collocation=M)
     R = kernel_remainder(phi, prob, w, M=M)
     u = mirror_block(w, grid)
-    u[1] = phi
-    first = apply_nonlinearity(u, p, M=M)[1]
+    u[0] = phi
+    first = apply_nonlinearity(u, p, M=M)[0]
     R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
     assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
+
+
+def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
+    # a window whose analysis product would pass the 2^19 entries of the
+    # cosine cache: P1 comes from the one cached cosine row, not from a
+    # full-length DCT-IV analysis, and agrees with the matrix-side value
+    mu, a, p = 0.3, 0.25, 0.5
+    profile = solve_ground_state(1, p)
+    grid = GridSpec(n=1, K=8, mu=mu)
+    prob = DnlsProblem(
+        grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
+    )
+    phi = sample_reference(profile, grid, coupling=a)
+    rows, M = 512, 4096  # harmonics 1..1023 at Q = 2048: 2^20 entries
+    l = 2.0 * np.arange(rows)[:, None] + 1.0
+    w = np.random.default_rng(6).standard_normal((rows, grid.K + 1)) / l**2
+    w[0] = 0.0
+    analyses = []
+    synthesis_or_analysis = timespectral.dct
+
+    def spy(x, *args, **kwargs):
+        analyses.append(kwargs.get("overwrite_x", False))
+        return synthesis_or_analysis(x, *args, **kwargs)
+
+    monkeypatch.setattr(timespectral, "dct", spy)
+    R = kernel_remainder(phi, prob, w, M=M)
+    assert analyses and not any(analyses)  # DCT-IV synthesis only
+    for module in (timespectral, kernelsolver):
+        monkeypatch.setattr(module, "_MATRIX_ENTRIES", 1 << 21)
+    R_matrix = kernel_remainder(phi, prob, w, M=M)
+    assert np.max(np.abs(R - R_matrix)) <= 1e-13 * np.max(np.abs(R_matrix))
 
 
 def _contraction(report):
@@ -235,7 +268,7 @@ def test_kernel_newton_full_jacobian_quadratic():
         phi, w, report, op = solve_kernel_equation(phi0, prob, L_max=8)
         assert report.converged
         assert report.residuals[-1] < 1e-11
-        assert np.all(w[1] == 0.0)
+        assert np.all(w[0] == 0.0)
         rates.append(_contraction(report))
     assert max(rates) < 1e-2
     assert rates[1] < 0.35 * rates[0]

@@ -40,24 +40,25 @@ def cubic_setup(mu, K=40, a=0.4, L_max=6):
 
 
 def _forward(op, w):
-    """Reference forward operator on block stacks, all harmonics: mirror
-    onto the box, apply (1 - omega^2 l^2) - a lap there, restrict."""
+    """Reference forward operator on odd-row block stacks (row j harmonic
+    2j+1): mirror onto the box, apply (1 - omega^2 l^2) - a lap there,
+    restrict."""
     grid = op.grid
     full = mirror_block(w, grid)
-    l = np.arange(full.shape[0], dtype=np.float64)
+    l = 2.0 * np.arange(full.shape[0]) + 1.0
     out = -op.coupling * laplacian(full, axes=tuple(range(1, grid.n + 1)))
     out += (1.0 - op.omega_sq * l * l).reshape((-1,) + (1,) * grid.n) * full
     return out[(slice(None),) + block_slices(grid)]
 
 
 def _dst_inverse(op, coeffs):
-    """Reference inverse on whole-box stacks: one DST-I pair per harmonic."""
+    """Reference inverse on odd-row whole-box stacks: one DST-I pair per
+    harmonic l = 2j+1 >= 3."""
     out = np.zeros_like(coeffs)
     axes = tuple(range(op.grid.n))
-    for l in range(coeffs.shape[0]):
-        if l != 1:
-            hat = dstn(coeffs[l], type=1, norm="ortho", axes=axes)
-            out[l] = idstn(hat / op.symbol(l), type=1, norm="ortho", axes=axes)
+    for j in range(1, coeffs.shape[0]):
+        hat = dstn(coeffs[j], type=1, norm="ortho", axes=axes)
+        out[j] = idstn(hat / op.symbol(2 * j + 1), type=1, norm="ortho", axes=axes)
     return out
 
 
@@ -78,8 +79,8 @@ def test_forward_inverse_identity_1d():
     grid = GridSpec(n=1, K=12, mu=0.3)
     op = RangeOperator(grid, L_max=5, omega_sq=omega_sq(0.3), coupling=0.4)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((6,) + block_shape(grid))
-    x[1] = 0.0
+    x = rng.standard_normal((3,) + block_shape(grid))  # harmonics 1, 3, 5
+    x[0] = 0.0
     assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
     assert np.allclose(_forward(op, op.solve(x)), x, atol=1e-12)
 
@@ -88,32 +89,32 @@ def test_forward_inverse_identity_2d():
     grid = GridSpec(n=2, K=6, mu=0.3, offsets=(0.5, 0.0))
     op = RangeOperator(grid, L_max=4, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((5,) + block_shape(grid))
-    x[1] = 0.0
+    x = rng.standard_normal((2,) + block_shape(grid))  # harmonics 1, 3
+    x[0] = 0.0
     assert np.allclose(op.solve(_forward(op, x)), x, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, offsets", CENTERINGS)
 def test_block_inverse_matches_dst_reference(n, offsets):
     # the even-sector basis on the block against the whole-box DST-I pair,
-    # for a reflection-even stack with every row (l = 0 too) populated
+    # for a reflection-even stack with every odd row (l = 1 too) populated
     grid = GridSpec(n=n, K=17, mu=0.3, offsets=offsets)
-    op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
+    op = RangeOperator(grid, L_max=7, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
     rng = np.random.default_rng(n)
-    x = rng.standard_normal((7,) + block_shape(grid))
+    x = rng.standard_normal((4,) + block_shape(grid))
     ref = _dst_inverse(op, mirror_block(x, grid))[(slice(None),) + block_slices(grid)]
     got = op.solve(x)
-    assert np.all(got[1] == 0.0)
+    assert np.all(got[0] == 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
     op = RangeOperator(grid, L_max=3, omega_sq=omega_sq(0.3), coupling=0.4)
-    x = np.ones((4,) + block_shape(grid))
+    x = np.ones((2,) + block_shape(grid))  # harmonics 1 and 3
     out = op.solve(x)
-    assert np.all(out[1] == 0.0)
-    assert np.all(out[0] != 0.0)
+    assert np.all(out[0] == 0.0)
+    assert np.all(out[1] != 0.0)
 
 
 def test_resonance_detection():
@@ -170,15 +171,15 @@ def test_decoupled_site_closed_form():
     beta = nonlinearity_coefficient(1.0)
     # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau), on the
     # fundamental block (whose index 0 is the center site)
-    v = np.zeros((op.L_max + 1,) + block_shape(grid))
-    v[1] = phi[block_slices(grid)]
+    v = np.zeros(((op.L_max + 1) // 2,) + block_shape(grid))
+    v[0] = phi[block_slices(grid)]
     g = apply_nonlinearity(v, 1.0, beta=beta)
-    g[1] = 0.0
+    g[0] = 0.0
     w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
-    assert w0[3, 0] == pytest.approx(predicted, rel=1e-9)
+    assert w0[1, 0] == pytest.approx(predicted, rel=1e-9)  # harmonic 3
     # nothing anywhere else: odd nonlinearity, decoupled lattice
-    w0[3, 0] = 0.0
+    w0[1, 0] = 0.0
     assert np.max(np.abs(w0)) < 1e-9 * abs(predicted)
 
 
@@ -191,9 +192,9 @@ def test_range_solution_is_fixed_point():
     w, report = solve_range_equation(phi, op, p=1.0, mu=mu, tol=1e-13)
     assert report.converged
     v = np.zeros_like(w)
-    v[1] = phi[block_slices(grid)]
+    v[0] = phi[block_slices(grid)]
     g = apply_nonlinearity(v + w, p=1.0)
-    g[1] = 0.0
+    g[0] = 0.0
     again = mu**2 * op.solve(g)
     sigma = orbit_sizes(grid)
     assert sobolev_time_norm(again - w, weights=sigma) < 1e-12 * max(
@@ -205,11 +206,11 @@ def test_range_solution_structure():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
     w, report = solve_range_equation(phi, op, p=1.0, mu=mu)
-    # a stack on the fundamental block (reflection symmetry by construction)
-    assert w.shape == (op.L_max + 1,) + block_shape(grid)
-    # bifurcating harmonic exactly empty, even harmonics at parity zero
-    assert np.all(w[1] == 0.0)
-    assert np.max(np.abs(w[0::2])) < 1e-14
+    # an odd-row stack on the fundamental block (reflection symmetry by
+    # construction; even harmonics have no row)
+    assert w.shape == ((op.L_max + 1) // 2,) + block_shape(grid)
+    # bifurcating harmonic exactly empty
+    assert np.all(w[0] == 0.0)
     assert report.contraction_rate < 0.1
     assert report.smallness < 0.1
     assert report.iterations < 20
@@ -222,7 +223,7 @@ def test_quadratic_amplitude_scaling():
     w2, _ = solve_range_equation(phi2, op2, p=1.0, mu=0.1)
     # at frozen kernel amplitude the response scales like mu^2 (the phi
     # samples differ between grids, so compare peak thirds per site scale)
-    ratio = np.max(np.abs(w[3])) / np.max(np.abs(w2[3]))
+    ratio = np.max(np.abs(w[1])) / np.max(np.abs(w2[1]))  # harmonic 3
     assert ratio == pytest.approx(4.0, rel=0.05)
 
 
@@ -271,8 +272,8 @@ def test_2d_smoke():
     op = RangeOperator(grid, L_max=8, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=0.5, mu=mu, tail_check=True)
     assert report.converged
-    assert w.shape == (op.L_max + 1,) + block_shape(grid)
-    assert np.all(w[1] == 0.0)
+    assert w.shape == ((op.L_max + 1) // 2,) + block_shape(grid)
+    assert np.all(w[0] == 0.0)
     assert report.w_norm > 0.0
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
     # but nonzero, and grows smaller when more harmonics are kept
@@ -286,13 +287,13 @@ def test_2d_smoke():
 
 def _full_box_picard(phi, op, p, mu, iterations):
     """Reference: the Picard steps with the nonlinearity on every box site."""
-    v = np.zeros((op.L_max + 1,) + op.grid.shape)
-    v[1] = phi
+    v = np.zeros(((op.L_max + 1) // 2,) + op.grid.shape)
+    v[0] = phi
     w = np.zeros_like(v)
     tail = {}
     for _ in range(iterations):
         g = apply_nonlinearity(v + w, p, tail=tail)
-        g[1] = 0.0
+        g[0] = 0.0
         w = mu**2 * _dst_inverse(op, g)
     forcing = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p), order=0)
     return w, tail["discarded"], forcing

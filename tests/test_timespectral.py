@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import dct
 from scipy.integrate import quad
 
-from kgbreather.breather import Breather, kg_residual
 from kgbreather.errors import GuardError
-from kgbreather.lattice import GridSpec
 from kgbreather.timespectral import (
     _MATRIX_ENTRIES,
     _quarter_cosines,
@@ -19,6 +17,7 @@ from kgbreather.timespectral import (
     cos_moment,
     default_node_count,
     nonlinearity_coefficient,
+    nonlinearity_map,
     odd_collocation,
     sobolev_time_norm,
 )
@@ -27,7 +26,9 @@ from kgbreather.timespectral import (
 # Reference transforms: a general cosine series (even harmonics included)
 # on the M midpoint nodes tau_k = pi (2k+1) / (2M), where synthesis and
 # analysis are a DCT-III / DCT-II pair.  The library works on the quarter
-# period instead and is checked against these.
+# period with odd-row stacks (row j harmonic 2j+1) instead and is checked
+# against these: a general stack ``c`` with zero even rows is the odd-row
+# stack c[1::2].
 
 
 def collocation_nodes(M):
@@ -68,38 +69,40 @@ def test_first_harmonic_of_projected_nonlinearity_is_identity():
     # the defining property of beta(p): P_1[beta |v cos|^(2p) v cos] = |v|^(2p) v
     for p in (0.5, 0.75, 1.0, 1.5):
         for v in (0.3, -1.7):
-            c = np.zeros((8, 1))
-            c[1, 0] = v
+            c = np.zeros((4, 1))
+            c[0, 0] = v
             out = apply_nonlinearity(c, p=p, M=4096)
-            assert out[1, 0] == pytest.approx(np.abs(v) ** (2 * p) * v, rel=1e-12)
+            assert out[0, 0] == pytest.approx(np.abs(v) ** (2 * p) * v, rel=1e-12)
 
 
 def test_cubic_single_mode_harmonics():
     # beta cos^3 = cos + (1/3) cos(3 tau) exactly at p = 1
-    c = np.zeros((6, 1))
-    c[1, 0] = 1.0
+    c = np.zeros((3, 1))
+    c[0, 0] = 1.0
     out = apply_nonlinearity(c, p=1.0)
-    expected = np.zeros((6, 1))
-    expected[1, 0] = 1.0
-    expected[3, 0] = 1.0 / 3.0
+    expected = np.zeros((3, 1))
+    expected[0, 0] = 1.0
+    expected[1, 0] = 1.0 / 3.0
     assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_cubic_two_mode_against_quadrature():
     rng = np.random.default_rng(2)
-    c = np.zeros((10, 2))
-    c[1] = [0.7, -0.2]
-    c[3] = [-0.3, 0.5]
+    c = np.zeros((5, 2))
+    c[0] = [0.7, -0.2]
+    c[1] = [-0.3, 0.5]
     out = apply_nonlinearity(c, p=1.0)
     beta = nonlinearity_coefficient(1.0)
     t = np.linspace(0.0, 2 * np.pi, 20001)
     for j in range(2):
-        u = c[1, j] * np.cos(t) + c[3, j] * np.cos(3 * t)
+        u = c[0, j] * np.cos(t) + c[1, j] * np.cos(3 * t)
         g = beta * u**3
-        for l in range(10):
-            w = 2 * np.pi if l == 0 else np.pi
-            coeff = np.trapezoid(g * np.cos(l * t), t) / w
-            assert out[l, j] == pytest.approx(coeff, abs=1e-9)
+        for row in range(5):
+            coeff = np.trapezoid(g * np.cos((2 * row + 1) * t), t) / np.pi
+            assert out[row, j] == pytest.approx(coeff, abs=1e-9)
+        # the even harmonics of the odd series' image vanish
+        for l in range(0, 10, 2):
+            assert abs(np.trapezoid(g * np.cos(l * t), t)) < 1e-9
 
 
 @given(seed=st.integers(0, 2**32 - 1), L=st.integers(0, 12), M_extra=st.integers(1, 20))
@@ -121,12 +124,27 @@ def test_synthesize_matches_direct_evaluation():
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
 def test_nonlinearity_preserves_odd_parity(p):
+    # the general midpoint analysis of N(u) for an odd series u has no
+    # even harmonics, which is why odd-row stacks lose nothing
     rng = np.random.default_rng(8)
     c = np.zeros((12, 4))
     c[1::2] = 0.3 * rng.standard_normal(c[1::2].shape)
-    out = apply_nonlinearity(c, p=p)
-    assert np.max(np.abs(out[0::2])) < 1e-14
-    assert np.max(np.abs(out[1::2])) > 1e-4
+    v = synthesize(c, 48)
+    spectrum = analyze(nonlinearity_coefficient(p) * np.abs(v) ** (2 * p) * v, 11)
+    assert np.max(np.abs(spectrum[0::2])) < 1e-14
+    out = apply_nonlinearity(c[1::2], p=p, M=48)
+    assert np.max(np.abs(out - spectrum[1::2])) < 1e-14
+    assert np.max(np.abs(out)) > 1e-4
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.5])
+def test_pointwise_map_is_the_written_formula_bitwise(p):
+    v = 0.4 * np.random.default_rng(12).standard_normal((61, 37))
+    beta = nonlinearity_coefficient(p)
+    want = beta * np.abs(v) ** (2.0 * p) * v
+    got = nonlinearity_map(p)(v)
+    assert got is v  # evaluated into the sample buffer
+    assert got.tobytes() == want.tobytes()
 
 
 def _odd_stack(rng, rows, columns, scale=0.5):
@@ -146,59 +164,38 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
     v = synthesize(c, M)
     spectrum = analyze(beta * np.abs(v) ** (2 * p) * v, M - 1)
     tail = {}
-    out = apply_nonlinearity(c, p=p, M=M, tail=tail)
+    out = apply_nonlinearity(c[1::2], p=p, M=M, tail=tail)
     scale = np.max(np.abs(spectrum))
-    assert np.max(np.abs(out - spectrum[: L + 1])) <= 1e-14 * scale
-    assert np.all(out[0::2] == 0.0)
+    assert np.max(np.abs(out - spectrum[1 : L + 1 : 2])) <= 1e-14 * scale
     kept = np.sum(spectrum[: L + 1] ** 2)
     discarded = np.sum(spectrum[L + 1 :] ** 2)
     assert tail["discarded"] == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
 
 
-def test_even_harmonics_are_guarded():
-    c = _odd_stack(np.random.default_rng(11), 6, 4)
-    c[2, 1] = 1e-300
-    with pytest.raises(GuardError, match="even cosine row"):
-        apply_nonlinearity(c, p=1.0)
-    grid = GridSpec(n=1, K=3, mu=0.5)
-    coeffs = np.zeros((4,) + grid.shape)
-    coeffs[1] = 0.1
-    b = Breather(
-        grid=grid, p=1.0, coupling=0.25, mu=0.5, mode="st", multiplier=0.0625,
-        omega=0.99, coeffs=coeffs, phi=coeffs[1], phi_dnls=coeffs[1],
-        w_hat=np.zeros_like(coeffs),
-    )
-    assert kg_residual(b) > 0.0
-    b.coeffs[0, 3] = 1e-300
-    with pytest.raises(GuardError, match="even cosine row"):
-        kg_residual(b)
-
-
 def test_chunking_is_transparent():
-    c = _odd_stack(np.random.default_rng(3), 7, 23)
+    c = _odd_stack(np.random.default_rng(3), 7, 23)[1::2]
     full = apply_nonlinearity(c, p=0.75)
     chunked = apply_nonlinearity(c, p=0.75, chunk=5)
     assert np.array_equal(full, chunked)
 
 
 def test_tail_diagnostic():
-    c = np.zeros((3, 1))
-    c[1, 0] = 1.0
+    c = np.ones((1, 1))
     tail = {}
     apply_nonlinearity(c, p=1.0, tail=tail)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
     assert tail["discarded"] == pytest.approx(1.0 / 3.0, rel=1e-12)
     tail = {}
-    apply_nonlinearity(np.zeros((3, 1)), p=1.0, tail=tail)
+    apply_nonlinearity(np.zeros((1, 1)), p=1.0, tail=tail)
     assert tail["discarded"] == 0.0
 
 
 def test_sobolev_norm_against_time_integral():
     rng = np.random.default_rng(5)
-    c = rng.standard_normal((4, 3))
+    c = rng.standard_normal((3, 3))
     omega = 0.83
     t = np.linspace(0.0, 2 * np.pi / omega, 40001)
-    l = np.arange(4)[:, None]
+    l = 2 * np.arange(3)[:, None] + 1  # odd rows: harmonics 1, 3, 5
     total = 0.0
     for j in range(3):
         u = np.sum(c[:, j : j + 1] * np.cos(omega * l * t), axis=0)
@@ -213,11 +210,11 @@ def test_sobolev_norm_against_time_integral():
 def test_node_count_guards():
     # 4 nodes sample the quarter period at Q = 2 points: odd harmonics 1
     # and 3 fit, harmonic 5 does not
-    list(odd_collocation((np.zeros((4, 1)),), 4))
+    list(odd_collocation((np.zeros((2, 1)),), 4))
     with pytest.raises(GuardError, match="cannot resolve harmonic 5"):
-        list(odd_collocation((np.zeros((6, 1)),), 4))
+        list(odd_collocation((np.zeros((3, 1)),), 4))
     with pytest.raises(GuardError):
-        apply_nonlinearity(np.zeros((6, 1)), p=1.0, M=4)
+        apply_nonlinearity(np.zeros((3, 1)), p=1.0, M=4)
     assert default_node_count(7, 1.0) >= 17  # alias-free for the cubic
 
 
@@ -232,9 +229,9 @@ def test_collocation_matches_the_dct_iv_pair(M):
     Q = (M + 1) // 2
     L = Q // 2  # half the node budget, as the pipeline's windows use it
     rng = np.random.default_rng(M)
-    c = _odd_stack(rng, L + 1, 37, scale=1.0)
+    c = _odd_stack(rng, L + 1, 37, scale=1.0)[1::2]
     ((_, samples),) = odd_collocation((c,), M)
-    ref = 0.5 * dct(c[1::2], type=4, n=Q, axis=0)
+    ref = 0.5 * dct(c, type=4, n=Q, axis=0)
     assert samples.shape == (Q, 37)
     assert np.max(np.abs(samples - ref)) <= 1e-14 * np.max(np.abs(ref))
     ((_, spectrum),) = odd_collocation((c,), M, np.sin, analysis=True)
@@ -245,7 +242,7 @@ def test_collocation_matches_the_dct_iv_pair(M):
 
 @pytest.mark.parametrize("rows", [1, 2, 77, 305])
 def test_analysis_rows_are_the_leading_rows(rows):
-    c = _odd_stack(np.random.default_rng(rows), 305, 53)
+    c = _odd_stack(np.random.default_rng(rows), 305, 53)[1::2]
     ((_, full),) = odd_collocation((c,), 1220, np.tanh, analysis=True)
     ((_, part),) = odd_collocation((c,), 1220, np.tanh, analysis=True, rows=rows)
     assert part.shape == (rows, 53)
@@ -256,7 +253,7 @@ def test_analysis_rows_are_the_leading_rows(rows):
 def test_collocation_does_not_depend_on_chunks(analysis):
     # a BLAS product rounds by its shape, so chunks may move a column by
     # roundoff of its sums (about 1e-15 relative here), and no more
-    c = _odd_stack(np.random.default_rng(9), 153, 300)
+    c = _odd_stack(np.random.default_rng(9), 153, 300)[1::2]
     M = 1220
 
     def run(chunk):
@@ -274,7 +271,7 @@ def test_collocation_does_not_depend_on_chunks(analysis):
 def test_cosine_cache_is_bounded_and_read_only():
     # every cached slice has at most 2^19 entries: 32 MB for a full cache
     assert _quarter_cosines.cache_info().maxsize * 8 * _MATRIX_ENTRIES <= 32 << 20
-    list(odd_collocation((np.zeros((4, 1)),), 12))
+    list(odd_collocation((np.zeros((2, 1)),), 12))
     C = _quarter_cosines(6, 2)
     assert C.shape == (2, 6) and not C.flags.writeable
     with pytest.raises(ValueError):
@@ -294,13 +291,13 @@ def test_large_windows_build_no_large_matrix(rows):
     # the 1000 synthesis rows 32 MB; past 2^19 entries a DCT-IV runs instead.
     # Building a cached matrix briefly takes three buffers of its size.
     L, M, Q = 2000, 8004, 4002
-    c = _odd_stack(np.random.default_rng(rows), L + 1, 3, scale=1.0)
+    c = _odd_stack(np.random.default_rng(rows), L + 1, 3, scale=1.0)[1::2]
     tracemalloc.start()
     ((_, out),) = odd_collocation((c,), M, np.sin, rows > 0, rows=rows or None)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3 * 8 * _MATRIX_ENTRIES + (1 << 20)
-    ref = np.sin(0.5 * dct(c[1::2], type=4, n=Q, axis=0))
+    ref = np.sin(0.5 * dct(c, type=4, n=Q, axis=0))
     if rows:
         ref = dct(ref, type=4, axis=0)[:rows] / Q
     assert out.shape == ref.shape
