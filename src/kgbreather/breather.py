@@ -11,8 +11,9 @@ Physical units: the breather is q_j(t) = sum_l coeffs[l, j] cos(l omega t)
 with omega^2 = 1 - m mu^2 and coeffs = mu^(1/p) (phi, w): harmonic 1 is
 exactly mu^(1/p) phi by construction (the range projector zeroes l = 1),
 and the odd harmonics l >= 3 are mu^(1/p) w, the range part mirrored from
-the fundamental block.  The breather keeps phi and that one block stack;
-the whole-box checks build box values from them slab by slab.
+the fundamental block.  The breather keeps phi, phi_dnls and that one block
+stack, and a .kgbr file holds just these; the whole-box checks build box
+values from them slab by slab.
 
 Accuracy is always reported against the continuum reference field
 Psi = mu^(1/p) psi(mu (j + offset) / sqrt(a)) cos(omega t): the sup and
@@ -42,7 +43,7 @@ from .timespectral import (
 )
 
 _MAGIC = b"KGBR"
-_VERSION = 1
+_VERSION = 2
 _HEAD = "<IIqII d d d d d"  # version, n, K, L_max, mode code, mu, a, p, m, omega
 
 # collocation values per slab of the whole-box checks (kg_residual and the
@@ -100,11 +101,12 @@ class PipelineConfig:
 class Breather:
     """Assembled breather: kernel profile, range part, provenance.
 
-    ``phi`` and ``phi_dnls`` are box fields.  ``w`` is the one range stack,
-    on the fundamental block, odd rows only: row j holds harmonic 2j+1
-    (row 0 is zero, the range has no harmonic 1), in scaled units; 1/8 of
-    a box stack in 2d.  Box values are built slab by slab (``box_rows``),
-    the same rounded products amplitude * mirror(w_l) a box stack holds.
+    ``phi`` and ``phi_dnls`` are mirror-even box fields.  ``w`` is the one
+    range stack, on the fundamental block, odd rows only: row j holds
+    harmonic 2j+1 (row 0 is zero, the range has no harmonic 1), in scaled
+    units; 1/8 of a box stack in 2d.  Box values are built slab by slab
+    (``box_rows``), amplitude * mirror(w_l) as a box stack would hold them.
+    A .kgbr file holds the blocks of phi and phi_dnls and w past row 0.
     """
 
     grid: GridSpec
@@ -148,10 +150,12 @@ class Breather:
 
     def start_field(self):
         """q(0) = sum_l coeffs[l] (every cos(l omega t) is 1 at t = 0), one
-        harmonic at a time in row order: np.sum(coeffs, axis=0) bit for bit."""
+        harmonic at a time in row order, amplitude * phi then amplitude *
+        mirror(w_l): np.sum(coeffs, axis=0) bit for bit (q never holds -0)."""
         q = np.zeros(self.grid.shape)
-        for row in _box_stack(self, self.amplitude, self.amplitude * self.phi):
-            q += row
+        q += self.amplitude * self.phi
+        for row in self.w[1:]:
+            q += self.amplitude * mirror_block(row, self.grid)
         return q
 
     def peak(self):
@@ -565,99 +569,75 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 
 # ----------------------------------------------------------------- file I/O
 
-def _box_stack(b, scale, first=None):
-    """Rows 0..L_max of a box stack, one field at a time: even rows zero,
-    odd rows scale * mirror(w), harmonic 1 replaced by ``first`` if given."""
-    zero = np.zeros(b.grid.shape)
-    for l in range(b.L_max + 1):
-        if l % 2 == 0:
-            yield zero
-        else:
-            yield first if l == 1 and first is not None else (
-                scale * mirror_block(b.w[l // 2], b.grid)
-            )
-
-
-def _payload(b):
-    """The box fields of a .kgbr payload in file order: the physical stack
-    coeffs, phi, phi_dnls, then the scaled range stack mirrored onto the box."""
-    yield from _box_stack(b, b.amplitude, b.amplitude * b.phi)
-    yield from (b.phi, b.phi_dnls)
-    yield from _box_stack(b, 1.0)
-
-
 def save_breather(path, b: Breather):
-    """Binary dump: header (geometry + parameters), then the coefficient
-    stack, kernel profile, discrete-NLS profile and range stack, all on the
-    box, streamed one field at a time."""
+    """Binary dump: header (geometry, parameters, offsets), then phi, phi_dnls
+    and the range rows of harmonics 3, 5, ..., L_max on the fundamental
+    block.  A breather the file cannot give back bit for bit (phi or
+    phi_dnls not mirror-even, harmonic-1 range row not +0) is a GuardError."""
     g = b.grid
+    home = block_slices(g)
+    if any(mirror_block(f[home], g).tobytes() != f.tobytes()
+           for f in (b.phi, b.phi_dnls)):
+        raise GuardError("phi and phi_dnls must be mirror-even bit for bit: "
+                         "a .kgbr file holds their fundamental block only")
+    if b.w[0].any() or np.signbit(b.w[0]).any():
+        raise GuardError("a .kgbr file holds no harmonic-1 range row; it must be +0")
     mode_code = list(BREATHER_MODES[g.n]).index(b.mode)
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack(_HEAD, _VERSION, g.n, g.K, b.L_max, mode_code,
                                       g.mu, b.coupling, b.p, b.multiplier, b.omega))
         fh.write(struct.pack(f"<{g.n}d", *g.offsets))
-        for arr in _payload(b):
+        for arr in (b.phi[home], b.phi_dnls[home], b.w[1:]):
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_breather(path):
-    """Read a .kgbr file into the one representation.
-
-    The file's box stacks are folded onto the fundamental block, odd rows
-    only, and the file must be exactly what save_breather writes for the
-    folded breather: mirror-even fields, zero even rows and harmonic-1 range
-    row, coeffs = amplitude * range stack with harmonic 1 amplitude * phi,
-    all bit for bit.  Anything else is a FormatError.
-    """
+    """Read the save_breather layout in two reads into the arrays the
+    breather keeps, then mirror phi and phi_dnls onto the box.  Anything
+    else is a FormatError, version-1 files (box stacks) included: re-run
+    ``breather`` with the config in their JSON report to rebuild them."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a breather file")
-    try:
-        version, n, K, L_max, mode_code, mu, coupling, p, m, omega = (
-            struct.unpack_from(_HEAD, raw, 4)
-        )
+    with fh:
         off = 4 + struct.calcsize(_HEAD)
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        offsets = struct.unpack_from(f"<{n}d", raw, off)
-        off += 8 * n
-        grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
-    except (struct.error, GuardError) as exc:
-        raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    modes = list(BREATHER_MODES[n])
-    if mode_code >= len(modes):
-        raise FormatError(f"{path}: mode code {mode_code} is unknown for n={n}")
-    mode = modes[mode_code]
-    if grid.offsets != BREATHER_MODES[n][mode]:
-        raise FormatError(
-            f"{path}: offsets {grid.offsets} are not those of mode {mode!r}"
-        )
-    fields = 2 * (L_max + 1) + 2  # coeffs rows, phi, phi_dnls, range rows
-    if L_max < 1 or len(raw) - off != 8 * fields * grid.size:
-        raise FormatError(
-            f"{path}: payload holds {(len(raw) - off) // 8} values; a window "
-            f"L_max = {L_max} (at least 1) needs {fields * grid.size}"
-        )
-    box = np.frombuffer(raw, dtype="<f8", offset=off).reshape((-1,) + grid.shape)
-    home = (slice(None),) + block_slices(grid)
-    w = np.array(box[L_max + 4 :: 2][home])  # the odd range rows on the block
-    w[0] = 0.0
-    phi, phi_dnls = (mirror_block(f, grid) for f in box[L_max + 1 : L_max + 3][home])
-    b = Breather(grid=grid, p=p, coupling=coupling, mu=mu, mode=mode,
-                 multiplier=m, omega=omega, L_max=L_max, phi=phi,
-                 phi_dnls=phi_dnls, w=w)
-    for i, (arr, stored) in enumerate(zip(_payload(b), box)):
-        bits = np.ascontiguousarray(arr, dtype="<f8").view("<u8")
-        if not np.array_equal(bits, stored.view("<u8")):
-            name = (f"coeffs row {i}" if i <= L_max else f"range row {i - L_max - 3}"
-                    if i > L_max + 2 else ("phi", "phi_dnls")[i - L_max - 1])
-            raise FormatError(f"{path}: {name} is not that of the mirror-even, "
-                              f"odd-harmonic breather folded from the file")
-    return b
+        head = fh.read(off + 16)  # the offsets of up to two axes follow
+        if head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not a breather file")
+        try:
+            version, n, K, L_max, mode_code, mu, coupling, p, m, omega = (
+                struct.unpack_from(_HEAD, head, 4)
+            )
+            if version != _VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            offsets = struct.unpack_from(f"<{n}d", head, off)
+            off += 8 * n
+            grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
+        except (struct.error, GuardError) as exc:
+            raise FormatError(f"{path}: corrupt header ({exc})") from exc
+        modes = list(BREATHER_MODES[n].items())
+        if mode_code >= len(modes) or modes[mode_code][1] != grid.offsets:
+            raise FormatError(f"{path}: mode code {mode_code} does not name the "
+                              f"offsets {grid.offsets} for n={n}")
+        mode = modes[mode_code][0]
+        block = (K + 1,) * n
+        fields = 1 + (L_max + 1) // 2  # phi, phi_dnls, rows of harmonics 3..L_max
+        size = fh.seek(0, 2) - off
+        if L_max < 1 or size != 8 * fields * (K + 1) ** n:
+            raise FormatError(
+                f"{path}: payload holds {size // 8} values; a window "
+                f"L_max = {L_max} (at least 1) needs {fields * (K + 1) ** n}"
+            )
+        profiles = np.empty((2,) + block, "<f8")
+        w = np.zeros(((L_max + 1) // 2,) + block, "<f8")
+        fh.seek(off)
+        fh.readinto(profiles)
+        fh.readinto(w[1:])
+    phi, phi_dnls = mirror_block(profiles, grid)
+    return Breather(grid=grid, p=p, coupling=coupling, mu=mu, mode=mode,
+                    multiplier=m, omega=omega, L_max=L_max, phi=phi,
+                    phi_dnls=phi_dnls, w=w)
 
 
 def save_breather_report(path, b: Breather, extra=None):

@@ -25,10 +25,9 @@ from .lattice import dirichlet_energy, laplacian
 from .timespectral import nonlinearity_coefficient
 
 
-def lattice_hamiltonian(q, qdot, coupling, p, beta=None):
+def lattice_hamiltonian(q, qdot, coupling, p):
     """H = sum [ qdot^2/2 + q^2/2 - beta |q|^(2p+2)/(2p+2) ] + (a/2) sum_bonds (dq)^2."""
-    if beta is None:
-        beta = nonlinearity_coefficient(p)
+    beta = nonlinearity_coefficient(p)
     q = np.asarray(q, dtype=np.float64)
     qdot = np.asarray(qdot, dtype=np.float64)
     onsite = 0.5 * np.sum(qdot * qdot) + 0.5 * np.sum(q * q) - beta / (
@@ -99,7 +98,7 @@ def integrate_period(
         np.multiply(np.multiply(nonlin, beta_0d, out=nonlin), q, out=nonlin)
         np.multiply(np.add(kick, nonlin, out=kick), half_dt, out=kick)
 
-    h0 = lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta)
+    h0 = lattice_hamiltonian(q, v, b.coupling, b.p)
     h_scale = max(abs(h0), 1.0)
     drift = 0.0
     evaluate_kick()
@@ -109,7 +108,7 @@ def integrate_period(
         evaluate_kick()
         v += kick
         if step % sample_every == 0 or step == steps:
-            h = lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta)
+            h = lattice_hamiltonian(q, v, b.coupling, b.p)
             # a blown-up state has a non-finite H, which max() would skip
             drift = max(drift, abs(h - h0) / h_scale) if np.isfinite(h) else np.inf
             if max_drift is not None and drift > max_drift:
@@ -133,5 +132,5 @@ def integrate_period(
         return_error=return_error,
         energy_drift=drift,
         h_initial=h0,
-        h_final=lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta),
+        h_final=lattice_hamiltonian(q, v, b.coupling, b.p),
     )

@@ -179,7 +179,7 @@ def solve_dnls_ground_state(prob, phi0, tol=1e-12, max_iter=40):
     return _newton_reduced(phi0, prob, prob.apply_g0, tol, max_iter)
 
 
-def kernel_remainder(phi, prob, w, beta=None, M=None):
+def kernel_remainder(phi, prob, w, M=None):
     """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
     component w.
 
@@ -202,7 +202,7 @@ def kernel_remainder(phi, prob, w, beta=None, M=None):
     rows = len(u) if len(u) * ((M + 1) // 2) <= _MATRIX_ENTRIES else 1
     first = np.empty(phi_block.shape)
     for sl, spectrum in odd_collocation(
-        (u,), M, nonlinearity_map(prob.p, beta), analysis=True, rows=rows
+        (u,), M, nonlinearity_map(prob.p), analysis=True, rows=rows
     ):
         first.reshape(-1)[sl] = spectrum[0]
     return mirror_block(
@@ -216,7 +216,6 @@ def solve_kernel_equation(
     L_max=8,
     tol=1e-11,
     max_iter=30,
-    beta=None,
     range_kwargs=None,
 ):
     """Chord Newton continuation of G(phi) = G0(phi) + R(phi) = 0 from phi0.
@@ -237,13 +236,11 @@ def solve_kernel_equation(
 
     def residual(phi):
         w, rep = solve_range_equation(
-            phi, op, prob.p, prob.mu, beta=beta, w_init=state["w"], **range_kwargs
+            phi, op, prob.p, prob.mu, w_init=state["w"], **range_kwargs
         )
         state["w"] = w
         state["range_iters"] += rep.iterations
-        R = kernel_remainder(
-            phi, prob, w, beta=beta, M=range_kwargs.get("collocation")
-        )
+        R = kernel_remainder(phi, prob, w, M=range_kwargs.get("collocation"))
         return prob.apply_g0(phi) + R
 
     phi, report = _newton_reduced(phi0, prob, residual, tol, max_iter)

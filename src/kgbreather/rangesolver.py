@@ -52,6 +52,8 @@ from .timespectral import (
     sobolev_time_norm,
 )
 
+_RESONANCE_MARGIN = 1e-8  # a smaller |symbol| on a range harmonic is a ResonanceError
+
 
 def _even_basis(N, K, offset):
     """V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1)(j + offset) / (N+1)), j, m = 0..K."""
@@ -70,7 +72,7 @@ def _even_basis(N, K, offset):
 class RangeOperator:
     """Per-harmonic spectral inverse of L = omega^2 d_tautau + I - a lap."""
 
-    def __init__(self, grid, L_max, omega_sq, coupling, resonance_margin=1e-8):
+    def __init__(self, grid, L_max, omega_sq, coupling):
         if not (0.0 < coupling < 0.5):
             raise GuardError(f"need coupling in (0, 1/2), got {coupling}")
         if not (abs(omega_sq - 1.0) < 0.5):
@@ -104,7 +106,7 @@ class RangeOperator:
             if l == 1:
                 continue
             m = float(np.min(np.abs(self.symbol(l))))
-            if m < resonance_margin:
+            if m < _RESONANCE_MARGIN:
                 raise ResonanceError(l, m)
             if m < self.spectral_margin:
                 self.spectral_margin = m
@@ -170,7 +172,6 @@ def solve_range_equation(
     op,
     p,
     mu,
-    beta=None,
     w_init=None,
     tol=1e-12,
     max_iter=200,
@@ -190,8 +191,7 @@ def solve_range_equation(
     ConvergenceError on observed divergence.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if beta is None:
-        beta = nonlinearity_coefficient(p)
+    beta = nonlinearity_coefficient(p)
     grid = op.grid
     sigma = orbit_sizes(grid)
     # the kernel part phi cos(tau), on the fundamental block
@@ -216,7 +216,7 @@ def solve_range_equation(
     forcing_norm = np.nan
     if tail_check:
         forcing_norm = mu**2 * sobolev_time_norm(
-            apply_nonlinearity(v, p, beta=beta, M=collocation),
+            apply_nonlinearity(v, p, M=collocation),
             order=0,
             weights=sigma,
         )
@@ -232,7 +232,7 @@ def solve_range_equation(
     converged = False
     for iteration in range(1, max_iter + 1):
         g = apply_nonlinearity(
-            v + w, p, beta=beta, M=collocation, tail=tail, weights=sigma
+            v + w, p, M=collocation, tail=tail, weights=sigma
         )
         g[0] = 0.0
         w_next = mu**2 * op.solve(g)

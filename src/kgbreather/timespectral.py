@@ -118,11 +118,11 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=
         yield sl, g
 
 
-def nonlinearity_map(p, beta=None):
+def nonlinearity_map(p):
     """The pointwise map v -> beta |v|^(2p) v, written into v: the formula's
     operations in its order, so its bits, with one temporary of v's size
     instead of two."""
-    beta = nonlinearity_coefficient(p) if beta is None else beta
+    beta = nonlinearity_coefficient(p)
 
     def apply(v):
         t = np.abs(v)
@@ -134,9 +134,7 @@ def nonlinearity_map(p, beta=None):
     return apply
 
 
-def apply_nonlinearity(
-    coeffs, p, beta=None, M=None, chunk=1 << 17, tail=None, weights=None
-):
+def apply_nonlinearity(coeffs, p, M=None, chunk=1 << 17, tail=None, weights=None):
     """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
     given by the odd-row stack ``coeffs`` (row j harmonic 2j+1); the
     result has the same rows.
@@ -159,7 +157,7 @@ def apply_nonlinearity(
     for sl, spectrum in odd_collocation(
         (coeffs,),
         M,
-        nonlinearity_map(p, beta),
+        nonlinearity_map(p),
         analysis=True,
         rows=None if tail is not None else n_odd,
         chunk=chunk,

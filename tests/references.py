@@ -96,7 +96,7 @@ def verlet_report(b, steps_per_period, periods=1, initial_coeffs=None):
         )
 
     def energy(q, v):
-        return lattice_hamiltonian(q, v, b.coupling, b.p, beta=beta)
+        return lattice_hamiltonian(q, v, b.coupling, b.p)
 
     q0 = np.sum(coeffs, axis=0)
     q, v = q0.copy(), np.zeros_like(q0)

@@ -38,7 +38,9 @@ from kgbreather.breather import (
 )
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
-from kgbreather.lattice import BREATHER_MODES, GridSpec, laplacian, mirror_block
+from kgbreather.lattice import (
+    BREATHER_MODES, GridSpec, block_slices, laplacian, mirror_block,
+)
 from kgbreather.timespectral import nonlinearity_coefficient
 from references import whole_box_kg_residual
 
@@ -205,25 +207,9 @@ def _odd_breather(n, mode, seed=5, K=5, L=7, mu=0.4):
     )
 
 
-# a .kgbr payload starts after magic 4, the packed header 64 and 8 per axis
+# a .kgbr payload starts after the magic, the packed header and 8 per axis
 def _payload_at(n):
-    return 4 + struct.calcsize("<IIqII d d d d d") + 8 * n
-
-
-def _perturbed_file(tmp_path, b, field, site, delta):
-    """Save ``b`` and add ``delta`` to box site ``site`` of payload field
-    ``field`` (coeffs rows 0..L_max, then phi, phi_dnls, range rows)."""
-    path = tmp_path / "perturbed.kgbr"
-    save_breather(path, b)
-    raw = bytearray(path.read_bytes())
-    site = np.ravel_multi_index(
-        [i % size for i, size in zip(site, b.grid.shape)], b.grid.shape
-    )
-    at = _payload_at(b.grid.n) + 8 * (field * b.grid.size + int(site))
-    (value,) = struct.unpack_from("<d", raw, at)
-    struct.pack_into("<d", raw, at, value + delta)
-    path.write_bytes(bytes(raw))
-    return path
+    return 4 + struct.calcsize(breather._HEAD) + 8 * n
 
 
 def _set_slab_rows(monkeypatch, b, rows):
@@ -252,29 +238,21 @@ def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, rows):
     assert kg_residual(b) == whole_box_kg_residual(b)
 
 
-@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
-def test_even_harmonic_in_the_last_slab_is_guarded(tmp_path, n, mode):
-    """A .kgbr file whose even harmonic 2 is nonzero at the last box site
-    (the last slab of the checks) has no odd-row representation: loading
-    it is a FormatError and ``validate`` exits 4."""
-    b = _odd_breather(n, mode)
-    path = _perturbed_file(tmp_path, b, 2, (-1,) * n, 1e-300)
-    with pytest.raises(FormatError, match="coeffs row 2"):
-        load_breather(path)
-    assert main(["validate", "--input", str(path)]) == 4
-
-
-def test_corner_asymmetry_in_the_last_slab_shows(tmp_path, small_2d):
-    """One perturbed corner site of an assembled symmetric breather's file
-    (the mirror image of a block site), in harmonic 1, in phi or in a range
-    row: the file is not mirror-even,
-    so loading it is a FormatError and ``validate`` exits 4."""
-    L = small_2d.L_max
-    for field, name in ((1, "coeffs row 1"), (L + 1, "phi"), (L + 6, "range row 3")):
-        path = _perturbed_file(tmp_path, small_2d, field, (0, 0), 1e-4)
-        with pytest.raises(FormatError, match=name):
-            load_breather(path)
-        assert main(["validate", "--input", str(path)]) == 4
+@pytest.mark.parametrize("name", ["phi", "phi_dnls", "w"])
+def test_save_refuses_what_the_file_cannot_give_back(tmp_path, small_2d, name):
+    """One perturbed corner site of phi or phi_dnls (the mirror image of a
+    block site) or a nonzero harmonic-1 range row: the block-only file
+    would drop it, so saving is a GuardError before any file exists."""
+    arr = getattr(small_2d, name).copy()
+    if name == "w":
+        arr[0, 3, 3] = 1e-300
+    else:
+        arr[0, 0] += 1e-4
+    b = dataclasses.replace(small_2d, **{name: arr})
+    path = tmp_path / "asymmetric.kgbr"
+    with pytest.raises(GuardError, match="harmonic-1" if name == "w" else "mirror-even"):
+        save_breather(path, b)
+    assert not path.exists()
 
 
 def test_error_report_does_not_depend_on_chunks(monkeypatch, small_2d):
@@ -471,6 +449,42 @@ def test_load_rejects_corrupt_files(tmp_path, small_1d):
         load_breather(tmp_path / "huge.kgbr")
 
 
+@pytest.mark.parametrize("L", [7, 8])
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_file_holds_the_block_arrays_only(tmp_path, n, mode, L):
+    """header, offsets, then phi, phi_dnls and the range rows of harmonics
+    3, 5, ..., L on the (K+1)^n block, for odd and even windows alike."""
+    b = _odd_breather(n, mode, L=L)
+    path = tmp_path / "b.kgbr"
+    save_breather(path, b)
+    K = b.grid.K
+    assert path.stat().st_size == _payload_at(n) + 8 * (1 + (L + 1) // 2) * (K + 1) ** n
+
+
+def test_version_1_file_is_refused(tmp_path, small_1d):
+    """The box-stack files of version 1 are not read: a FormatError that
+    names the version, and ``validate`` exits 4."""
+    path = tmp_path / "old.kgbr"
+    save_breather(path, small_1d)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 4, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="version 1"):
+        load_breather(path)
+    assert main(["validate", "--input", str(path)]) == 4
+
+
+def test_load_holds_one_block_stack(tmp_path):
+    """Loading reads the block arrays straight into their places: on a 2d
+    K = 40, L = 31 file it peaks below three block stacks plus two box
+    fields."""
+    b = _odd_breather(2, "h1", K=40, L=31)
+    path = tmp_path / "b.kgbr"
+    save_breather(path, b)
+    peak = _allocation_peak(lambda: load_breather(path))
+    assert peak < 3 * b.w.nbytes + 2 * b.phi.nbytes
+
+
 # byte offset of the mode code in a .kgbr header: magic 4, version 4, n 4,
 # K 8, L_max 4
 _MODE_CODE_AT = 24
@@ -490,20 +504,21 @@ def _tiny_breather(n, mode):
 )
 def test_roundtrip_every_centering(tmp_path, n, mode, code):
     """A random breather of every centering survives the file bit for bit,
-    the file holds its box stacks in the .kgbr layout, and saving the
-    loaded breather writes the same bytes."""
+    the file holds its block arrays in the .kgbr layout (phi, phi_dnls,
+    the range row of harmonic 3), and saving the loaded breather writes
+    the same bytes."""
     b = _tiny_breather(n, mode)
     path = tmp_path / "b.kgbr"
     save_breather(path, b)
     raw = path.read_bytes()
     assert struct.unpack_from("<I", raw, _MODE_CODE_AT)[0] == code
     payload = np.frombuffer(raw, "<f8", offset=_payload_at(n)).reshape(
-        (-1,) + b.grid.shape
+        (-1,) + b.w.shape[1:]
     )
-    assert payload[:4].tobytes() == b.coeffs.tobytes()
-    assert payload[4:6].tobytes() == np.stack([b.phi, b.phi_dnls]).tobytes()
-    assert np.all(payload[6::2] == 0.0) and np.all(payload[7] == 0.0)
-    assert payload[9].tobytes() == mirror_block(b.w[1], b.grid).tobytes()
+    home = block_slices(b.grid)
+    assert len(payload) == 3
+    assert payload[:2].tobytes() == np.stack([b.phi[home], b.phi_dnls[home]]).tobytes()
+    assert payload[2].tobytes() == b.w[1].tobytes()
     b2 = load_breather(path)
     assert (b2.grid, b2.mode, b2.mu, b2.coupling, b2.p, b2.L_max) == (
         b.grid, b.mode, b.mu, b.coupling, b.p, b.L_max

@@ -171,14 +171,34 @@ def test_console_entry_point_subprocess(tmp_path):
     assert "multiplier=0.0625" in rc.stdout
 
 
+def _load_file(*parts):
+    """Import a repository file that lives outside the package."""
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_dynamics_script_rejects_mode_of_other_dimension(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_dynamics_check.py"
-    spec = importlib.util.spec_from_file_location("run_dynamics_check", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_file("scripts", "run_dynamics_check.py")
     assert script.parse_args(["--n", "2", "--mode", "h1"]).mode == "h1"
     for argv in (["--n", "1", "--mode", "h1"], ["--n", "3"]):
         with pytest.raises(SystemExit) as exc:
             script.parse_args(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def test_benchmark_validate_workload_reads_its_snapshot(tmp_path):
+    """The benchmark's validate-1d workload at its self-check size saves a
+    snapshot in setup, loads it in its op and checks the loaded coeffs bit
+    for bit: a snapshot format that breaks the workload fails here."""
+    workloads = _load_file("benchmark", "workloads.py")
+    workload = workloads.Validate1D(0, tiny=True)
+    workload.setup(str(tmp_path))
+    try:
+        assert workload.check(workload.op()) == []
+    finally:
+        workload.teardown()
+    assert list(tmp_path.iterdir()) == []

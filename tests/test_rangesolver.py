@@ -173,7 +173,7 @@ def test_decoupled_site_closed_form():
     # fundamental block (whose index 0 is the center site)
     v = np.zeros(((op.L_max + 1) // 2,) + block_shape(grid))
     v[0] = phi[block_slices(grid)]
-    g = apply_nonlinearity(v, 1.0, beta=beta)
+    g = apply_nonlinearity(v, 1.0)
     g[0] = 0.0
     w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
