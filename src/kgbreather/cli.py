@@ -31,13 +31,7 @@ from .breather import (
     scaling_study,
 )
 from .dynamics import integrate_period
-from .errors import (
-    ConvergenceError,
-    FormatError,
-    GuardError,
-    KGBreatherError,
-    ResonanceError,
-)
+from .errors import ConvergenceError, FormatError, GuardError
 from .feminterp import functional_remainder
 from .groundstate import sample_reference, save_profile, solve_ground_state
 from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
@@ -350,7 +344,7 @@ def main(argv=None):
     try:
         options = _merge(args, args.command)
         return _COMMANDS[args.command][0](options)
-    except (GuardError, ResonanceError) as exc:
+    except GuardError as exc:  # ResonanceError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -359,9 +353,6 @@ def main(argv=None):
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except KGBreatherError as exc:  # pragma: no cover - future subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

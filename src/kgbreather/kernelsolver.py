@@ -130,7 +130,7 @@ class NewtonReport:
     range_iterations: int = 0
 
 
-def _newton_reduced(phi0, prob, residual, tol, max_iter, max_backtracks=8):
+def _newton_reduced(phi0, prob, residual, tol, max_iter):
     """Damped Newton in the reflection-symmetric orbit coordinates, every
     step solved with G0' at the current iterate."""
     grid = prob.grid
@@ -147,7 +147,7 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter, max_backtracks=8):
         J_red = reduced_g0_jacobian(phi, prob)
         step = splu(J_red).solve(fold_symmetric(G, grid))
         lam = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(8):  # step halvings before the search gives up
             x_try = x - lam * step
             phi_try = unfold_symmetric(x_try, grid)
             G_try = residual(phi_try)

@@ -8,12 +8,8 @@ acts per cosine harmonic as the symbol
 
 where s runs over the spectrum of minus the Dirichlet Laplacian of the box
 (DST-I modes, s in (0, 4n)).  Harmonic l = 1 carries the bifurcation and is
-excluded; every other harmonic is boundedly invertible as long as no
-sigma(l, .) comes close to zero, which the constructor checks and reports
-(ResonanceError names the offending l).
-
-The range component w of a wave u = mu^(1/p) (phi cos tau + w) then solves
-the fixed-point problem
+excluded.  The range component w of a wave u = mu^(1/p) (phi cos tau + w)
+then solves the fixed-point problem
 
     w = mu^2 Linv P_range beta |phi cos + w|^(2p) (phi cos + w),
 
@@ -33,10 +29,15 @@ odd DST-I modes k = 2m + 1, and restricted to the block they read
 
 m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
 sites that block site j stands for).  So the inverse on the block is
-V (sigma V^T . / symbol) per axis, with the even-sector subset of the DST-I
-symbol: one matrix product each way per axis, for every centering and any
-N.  Norms weight each block site by its orbit size, so they read the same
-as on the box.
+V (sigma V^T . / symbol) per axis: one matrix product each way per axis,
+for every centering and any N.  Norms weight each block site by its orbit
+size, so they read the same as on the box.
+
+The symbol is therefore only ever divided on this even sector and for the
+odd harmonics l = 3, 5, ..., L, and that is where the constructor checks
+it (ResonanceError names the offending l) and takes spectral_margin.
+With omega^2 > 1/2 and a < 1/2, |1 - 9 omega^2 + a s| > 3/2 in 1d, so a
+resonance is possible only in 2d (a s up to 8a), with omega^2 < 5/9.
 """
 from __future__ import annotations
 
@@ -70,7 +71,11 @@ def _even_basis(N, K, offset):
 
 
 class RangeOperator:
-    """Per-harmonic spectral inverse of L = omega^2 d_tautau + I - a lap."""
+    """Per-harmonic spectral inverse of L = omega^2 d_tautau + I - a lap on
+    the range: the odd harmonics l >= 3 on the reflection-even sector.  The
+    symbol is checked and inverted there alone, on the even-sector DST-I
+    spectrum ``_s``; spectral_margin, worst_harmonic and neumann_margin
+    read the same sector."""
 
     def __init__(self, grid, L_max, omega_sq, coupling):
         if not (0.0 < coupling < 0.5):
@@ -83,29 +88,21 @@ class RangeOperator:
         self.L_max = int(L_max)
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
-        axes_eigs = []
+        s = []
         self._basis = []
         for ax in range(grid.n):
             N = grid.axis_length(ax)
-            k = np.arange(1, N + 1)
-            axes_eigs.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
+            # the reflection-even Dirichlet modes are the odd k = 2m + 1
+            k = np.arange(1, N + 1, 2)
+            s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
             self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
-        # the reflection-even modes are the odd k = 2m + 1
-        even_eigs = [s[0::2] for s in axes_eigs]
-        if grid.n == 1:
-            self._s = axes_eigs[0]
-            self._s_even = even_eigs[0]
-        else:
-            self._s = axes_eigs[0][:, None] + axes_eigs[1][None, :]
-            self._s_even = even_eigs[0][:, None] + even_eigs[1][None, :]
+        self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
         self._sigma = orbit_sizes(grid)
-        # invertibility margin over the range harmonics
+        # invertibility margin over the range harmonics l = 3, 5, ..., L
         self.spectral_margin = np.inf
         self.worst_harmonic = None
-        for l in range(self.L_max + 1):
-            if l == 1:
-                continue
-            m = float(np.min(np.abs(self.symbol(l))))
+        for l in range(3, self.L_max + 1, 2):
+            m = float(np.min(np.abs(self._symbol(l))))
             if m < _RESONANCE_MARGIN:
                 raise ResonanceError(l, m)
             if m < self.spectral_margin:
@@ -115,7 +112,7 @@ class RangeOperator:
         # direct per-mode inversion above does not rely on it)
         self.neumann_margin = 1.0 - self.coupling * float(np.max(self._s))
 
-    def symbol(self, l):
+    def _symbol(self, l):
         return (1.0 - self.omega_sq * l * l) + self.coupling * self._s
 
     def _along_axes(self, x, transpose):
@@ -140,8 +137,7 @@ class RangeOperator:
         hat *= self._sigma
         hat = self._along_axes(hat, transpose=True)
         for i, j in enumerate(rows):
-            l = 2 * j + 1
-            hat[i] /= (1.0 - self.omega_sq * l * l) + self.coupling * self._s_even
+            hat[i] /= self._symbol(2 * j + 1)
         out[rows] = self._along_axes(hat, transpose=False)
         return out
 

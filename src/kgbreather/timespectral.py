@@ -56,11 +56,11 @@ def nonlinearity_coefficient(p):
     return np.pi / cos_moment(p)
 
 
-def default_node_count(L, p, factor=4):
+def default_node_count(L, p):
     """Node count for projecting |u|^(2p) u: alias-free for integer 2p,
-    comfortably oversampled otherwise."""
+    comfortably oversampled (4 (L+1)) otherwise."""
     exact = int(np.ceil((p + 1.0) * (L + 1))) + 1
-    return max(factor * (L + 1), exact)
+    return max(4 * (L + 1), exact)
 
 
 _MATRIX_ENTRIES = 1 << 19

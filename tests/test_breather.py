@@ -360,6 +360,24 @@ def test_dnls_solution_that_lost_its_norm_is_refused(monkeypatch):
                                          r_min=15.0, l_max=5))
 
 
+def test_2d_breather_beside_an_even_resonance_assembles():
+    """2d p = 1/2, a = 0.4, mu = 0.3, K = 30: the l = 2 symbol passes within
+    2.2e-3 of zero, but no stack holds an even harmonic.  The margin and
+    the smallness estimate read the odd harmonics l >= 3 alone (margin
+    4.78), so the point assembles instead of being refused with an
+    estimate of 8.594."""
+    cfg = PipelineConfig(n=2, p=0.5, coupling=0.4, mu=0.3, mode="st",
+                         r_min=30 * 0.3, l_max=7)
+    b = assemble_breather(cfg)
+    assert b.grid.K == 30
+    report = b.reports["range"]
+    assert report["converged"] and report["smallness"] < 0.01
+    assert report["spectral_margin"] == pytest.approx(4.7759, rel=1e-4)
+    assert b.symmetry_error() == 0.0
+    # l_max = 7 truncates the p = 1/2 tail; the residual is that truncation
+    assert kg_residual(b) < 1e-6
+
+
 def test_error_report_structure(small_1d):
     err = error_vs_reference(small_1d)
     assert 0.0 < err.e_sup <= err.sup_bound
@@ -574,11 +592,12 @@ def test_scaling_guards():
 
 
 def test_scaling_records_failures_instead_of_raising():
-    # mu = 1.2 violates m mu^2 < 1/2 only for huge m; here the smallness
-    # guard of the contraction trips first at mu far outside the regime
-    tab = scaling_study([0.9, 0.2], n=1, p=1.0, coupling=0.25,
+    # m mu^2 = 0.14 < 1/2 at mu = 1.5, so the kernel problem is posed; the
+    # smallness guard of the contraction refuses it (estimate 0.213 > 0.1)
+    tab = scaling_study([1.5, 0.2], n=1, p=1.0, coupling=0.25,
                         r_min=10.0, l_max=5)
-    assert len(tab.rows) == 1 and repr(0.9) in tab.failures
+    assert len(tab.rows) == 1
+    assert "contraction regime" in tab.failures[repr(1.5)]
 
 
 def test_scaling_progress_reports_a_failed_mu_as_none(monkeypatch):

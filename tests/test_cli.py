@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgbreather.cli as cli
 from kgbreather.cli import _parse_mu_list, build_parser, main
-from kgbreather.errors import FormatError
+from kgbreather.errors import (
+    ConvergenceError, FormatError, GuardError, ResonanceError,
+)
 
 
 def test_parser_builds_and_knows_subcommands():
@@ -73,6 +76,21 @@ def test_guard_violation_exits_2(tmp_path, capsys):
     rc = main(["breather", "--n", "1", "--p", "1", "--a", "0.25",
                "--mu", "0.2", "--mode", "h1", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (GuardError("guard"), 2),
+    (ResonanceError(3, 1e-9), 2),
+    (ConvergenceError("diverged"), 3),
+    (FormatError("bad file"), 4),
+])
+def test_exit_codes_follow_the_error_classes(monkeypatch, capsys, error, code):
+    def command(options):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "groundstate", (command, "raises"))
+    assert main(["groundstate", "--n", "1", "--p", "1"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_breather_and_validate_roundtrip(tmp_path):

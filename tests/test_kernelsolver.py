@@ -213,7 +213,8 @@ def test_remainder_projects_on_the_range_node_count():
     )
     phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, L_max=15, omega_sq=prob.omega_sq, coupling=a)
-    M = default_node_count(15, p, factor=8)
+    M = 8 * 16
+    assert M == 2 * default_node_count(15, p)
     w, _ = solve_range_equation(phi, op, p, mu, collocation=M)
     R = kernel_remainder(phi, prob, w, M=M)
     u = mirror_block(w, grid)

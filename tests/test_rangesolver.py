@@ -51,14 +51,28 @@ def _forward(op, w):
     return out[(slice(None),) + block_slices(grid)]
 
 
+def _box_spectrum(grid, odd_only=False):
+    """Dirichlet eigenvalues of minus the box Laplacian, s over the DST-I
+    modes k = 1..N per axis (only the odd, reflection-even k if asked)."""
+    s = 0.0
+    for ax in range(grid.n):
+        N = grid.axis_length(ax)
+        k = np.arange(1, N + 1, 2 if odd_only else 1)
+        s = np.add.outer(s, 2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
+    return s
+
+
 def _dst_inverse(op, coeffs):
     """Reference inverse on odd-row whole-box stacks: one DST-I pair per
-    harmonic l = 2j+1 >= 3."""
+    harmonic l = 2j+1 >= 3, with the symbol over the whole box spectrum."""
     out = np.zeros_like(coeffs)
     axes = tuple(range(op.grid.n))
+    s = _box_spectrum(op.grid)
     for j in range(1, coeffs.shape[0]):
+        l = 2 * j + 1
+        symbol = (1.0 - op.omega_sq * l * l) + op.coupling * s
         hat = dstn(coeffs[j], type=1, norm="ortho", axes=axes)
-        out[j] = idstn(hat / op.symbol(2 * j + 1), type=1, norm="ortho", axes=axes)
+        out[j] = idstn(hat / symbol, type=1, norm="ortho", axes=axes)
     return out
 
 
@@ -118,15 +132,17 @@ def test_solve_discards_bifurcating_harmonic():
 
 
 def test_resonance_detection():
-    # K = 2 box: Laplacian spectrum {2-sqrt3, 1, 2, 3, 2+sqrt3}; picking
-    # omega^2 = (1 + a s_max)/4 puts the l = 2 symbol exactly on zero at the
-    # stiffest mode while keeping |omega^2 - 1| < 1/2
-    grid = GridSpec(n=1, K=2, mu=0.3)
-    a = 0.3
-    w2 = (1.0 + a * (2.0 + np.sqrt(3.0))) / 4.0
+    # in 1d |1 - 9 omega^2 + a s| > 3/2 under the guards, so only a 2d box
+    # can resonate.  K = 10 (N = 21): the stiffest even-sector mode is
+    # k = 21 on both axes, s_max = 2 (2 - 2 cos(21 pi/22)); picking
+    # omega^2 = (1 + a s_max)/9 puts the l = 3 symbol exactly on zero there
+    # while keeping |omega^2 - 1| < 1/2
+    grid = GridSpec(n=2, K=10, mu=0.3)
+    a = 0.49
+    w2 = (1.0 + 2.0 * a * (2.0 - 2.0 * np.cos(21.0 * np.pi / 22.0))) / 9.0
     with pytest.raises(ResonanceError) as err:
-        RangeOperator(grid, L_max=3, omega_sq=w2, coupling=a)
-    assert err.value.harmonic == 2
+        RangeOperator(grid, L_max=5, omega_sq=w2, coupling=a)
+    assert err.value.harmonic == 3
     assert err.value.magnitude < 1e-12
 
 
@@ -140,12 +156,35 @@ def test_operator_guards_and_margins():
         RangeOperator(grid, L_max=3, omega_sq=0.9, coupling=-0.1)
     with pytest.raises(GuardError):
         RangeOperator(grid, L_max=3, omega_sq=0.9, coupling=0.6)
-    op = RangeOperator(grid, L_max=2, omega_sq=0.99, coupling=0.2)
+    # K = 2 (N = 5): the even-sector modes k = 1, 3, 5 have s = 2 - sqrt3,
+    # 2, 2 + sqrt3, and the stiffest one is also the whole box's
+    op = RangeOperator(grid, L_max=5, omega_sq=0.99, coupling=0.2)
     assert op.neumann_margin == pytest.approx(1.0 - 0.2 * (2.0 + np.sqrt(3.0)))
-    # the tightest symbol is the zero harmonic at the softest lattice mode:
-    # 1 + 0.2 (2 - sqrt 3), closer to zero than any |l = 2| value
-    assert op.spectral_margin == pytest.approx(1.0 + 0.2 * (2.0 - np.sqrt(3.0)))
-    assert op.worst_harmonic == 0
+    # the tightest symbol is l = 3 at the stiffest even mode:
+    # |1 - 9 * 0.99 + 0.2 (2 + sqrt3)|, closer to zero than any |l = 5| value
+    assert op.spectral_margin == pytest.approx(7.91 - 0.2 * (2.0 + np.sqrt(3.0)))
+    assert op.worst_harmonic == 3
+    # a window without range harmonics leaves nothing to invert
+    op = RangeOperator(grid, L_max=2, omega_sq=0.99, coupling=0.2)
+    assert op.spectral_margin == np.inf and op.worst_harmonic is None
+
+
+@pytest.mark.parametrize("n, offsets", CENTERINGS)
+def test_margins_read_the_odd_harmonics_on_the_even_sector(n, offsets):
+    # the margins against the whole-box DST-I spectrum restricted to the
+    # reflection-even modes (odd k) and the range harmonics l = 3, 5, ..., L
+    grid = GridSpec(n=n, K=7, mu=0.3, offsets=offsets)
+    w2, a = omega_sq(0.3, 0.03), 0.25
+    op = RangeOperator(grid, L_max=9, omega_sq=w2, coupling=a)
+    s = _box_spectrum(grid, odd_only=True)
+    margins = {l: np.min(np.abs((1.0 - w2 * l * l) + a * s)) for l in (3, 5, 7, 9)}
+    assert op.spectral_margin == pytest.approx(min(margins.values()), rel=1e-14)
+    assert op.worst_harmonic == min(margins, key=margins.get) == 3
+    assert op.neumann_margin == pytest.approx(1.0 - a * np.max(s), rel=1e-14)
+    # an offset-1/2 axis has an even number of sites, so its stiffest mode
+    # k = N is odd in the reflection and the even sector stops below it
+    s_box = _box_spectrum(grid)
+    assert (np.max(s) < np.max(s_box)) == (0.5 in offsets)
 
 
 def test_2d_neumann_margin_is_negative_but_solvable():
@@ -237,12 +276,25 @@ def test_warm_start_short_circuits():
 
 
 def test_smallness_guard_trips_at_large_mu():
-    grid, phi, op = cubic_setup(0.8)
+    # the estimate is 0.219 at mu = 1.5 (observed rate 0.106)
+    grid, phi, op = cubic_setup(1.5)
     with pytest.raises(GuardError, match="contraction regime"):
-        solve_range_equation(phi, op, p=1.0, mu=0.8)
+        solve_range_equation(phi, op, p=1.0, mu=1.5)
     # sweep amplitudes stay inside the regime
     grid, phi, op = cubic_setup(0.4)
     solve_range_equation(phi, op, p=1.0, mu=0.4)
+
+
+@pytest.mark.parametrize("mu", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4])
+def test_smallness_estimate_tracks_the_observed_rate(mu):
+    # the a-priori estimate bounds the contraction the Picard loop shows,
+    # and by a factor near 2 (measured 2.07-2.39 on this table), so the
+    # guard refuses only amplitudes that really contract slowly
+    grid, phi, op = cubic_setup(mu)
+    _, report = solve_range_equation(
+        phi, op, p=1.0, mu=mu, smallness_threshold=np.inf
+    )
+    assert report.contraction_rate < report.smallness < 3.0 * report.contraction_rate
 
 
 def test_divergence_reported():
