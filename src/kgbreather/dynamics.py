@@ -11,8 +11,9 @@ zero velocity at t = 0; ``Breather.start_field`` adds it up), one period
 of velocity-Verlet should return the state to where it started, with the
 return error limited only by the integrator's O(dt^2) phase drag, and the
 energy wandering at roundoff.
-The stepper updates preallocated buffers in place, in the textbook
-operation order, so it is bitwise the plain velocity-Verlet loop.
+The stepper builds its buffers and the Laplacian's neighbor views once per
+run, then updates them in place in the textbook operation order, so it is
+bitwise the plain velocity-Verlet loop.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GuardError
-from .lattice import dirichlet_energy, laplacian
+from .lattice import _neighbor_views, dirichlet_energy
 from .timespectral import nonlinearity_coefficient
 
 
@@ -80,33 +81,36 @@ def integrate_period(
             f"{b.grid.shape}"
         )
     beta = nonlinearity_coefficient(b.p)
-    q = q0.copy()
-    v = np.zeros_like(q)
+    q, v = q0.copy(), np.zeros_like(q0)
     nonlin, kick, scratch = (np.empty_like(q) for _ in range(3))
+    neighbors = _neighbor_views(q, kick, range(q.ndim))
     dt = (2.0 * np.pi / b.omega) / steps_per_period
     # 0-d arrays spare each ufunc call the conversion of a Python float
-    scalars = (b.coupling, beta, 2.0 * b.p, dt, 0.5 * dt)
-    coupling, beta_0d, power, dt_0d, half_dt = map(np.array, scalars)
+    scalars = (-2.0 * q.ndim, b.coupling, beta, 2.0 * b.p, dt, 0.5 * dt)
+    diagonal, coupling, beta_0d, power, dt_0d, half_dt = map(np.array, scalars)
+    add, sub, mul, absolute, power_ = np.add, np.subtract, np.multiply, np.abs, np.power
     steps = steps_per_period * periods
     sample_every = max(1, steps // 512)  # energy is sampled ~512 times
 
     def evaluate_kick():
         # kick = (dt/2) (a lap q - q + beta |q|^(2p) q), grouped as written
-        np.multiply(laplacian(q, out=kick), coupling, out=kick)
-        np.subtract(kick, q, out=kick)
-        np.power(np.abs(q, out=nonlin), power, out=nonlin)
-        np.multiply(np.multiply(nonlin, beta_0d, out=nonlin), q, out=nonlin)
-        np.multiply(np.add(kick, nonlin, out=kick), half_dt, out=kick)
+        mul(q, diagonal, kick)
+        for into, neighbor in neighbors:  # lap q, summed as laplacian sums it
+            add(into, neighbor, into)
+        sub(mul(kick, coupling, kick), q, kick)
+        power_(absolute(q, nonlin), power, nonlin)
+        mul(mul(nonlin, beta_0d, nonlin), q, nonlin)
+        mul(add(kick, nonlin, kick), half_dt, kick)
 
     h0 = lattice_hamiltonian(q, v, b.coupling, b.p)
     h_scale = max(abs(h0), 1.0)
     drift = 0.0
     evaluate_kick()
     for step in range(1, steps + 1):
-        v += kick  # the same half kick ends one step and opens the next
-        q += np.multiply(v, dt_0d, out=scratch)
+        add(v, kick, v)  # the same half kick ends one step and opens the next
+        add(q, mul(v, dt_0d, scratch), q)
         evaluate_kick()
-        v += kick
+        add(v, kick, v)
         if step % sample_every == 0 or step == steps:
             h = lattice_hamiltonian(q, v, b.coupling, b.p)
             # a blown-up state has a non-finite H, which max() would skip

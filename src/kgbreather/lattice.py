@@ -134,23 +134,34 @@ def mode_offsets(n, mode):
         ) from None
 
 
+def _neighbor_views(a, out, axes):
+    """(out view, a view) pairs that laplacian sums in place, in its order."""
+    if np.shares_memory(a, out):
+        raise GuardError("laplacian output must not overlap its input")
+    pairs = []
+    for ax in axes:
+        lead = (slice(None),) * ax
+        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+        pairs += [(out[lo], a[hi]), (out[hi], a[lo])]  # forward, then backward
+    return pairs
+
+
 def laplacian(a, axes=None, out=None):
     """Nearest-neighbor discrete Laplacian with zero Dirichlet exterior.
 
     (lap a)_j = sum_{|e|=1} a_{j+e} - 2n a_j, acting over ``axes`` (all axes
     by default, so stacks of fields can restrict to their spatial axes).
-    The neighbors are added in place, slice by slice, so with a
-    preallocated ``out`` (not ``a`` itself) the call allocates no array.
+    Neighbors are added in place, so with a preallocated ``out`` the call
+    allocates no array; an ``out`` that overlaps ``a`` raises GuardError.
     """
     a = np.asarray(a, dtype=np.float64)
     if axes is None:
         axes = range(a.ndim)
-    out = np.multiply(a, -2.0 * len(axes), out=out)
-    for ax in axes:
-        lead = (slice(None),) * ax
-        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
-        out[lo] += a[hi]
-        out[hi] += a[lo]
+    out = np.empty_like(a) if out is None else out
+    neighbors = _neighbor_views(a, out, axes)
+    np.multiply(a, -2.0 * len(axes), out=out)
+    for into, neighbor in neighbors:
+        into += neighbor
     return out
 
 

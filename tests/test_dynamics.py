@@ -10,8 +10,15 @@ Oracle notes:
 * The continuum reference field seeded into the same integrator must
   return *worse* than the assembled breather: it is not a periodic orbit.
 * The in-place stepper must reproduce, bit for bit, the textbook loop in
-  ``tests/references.py`` that allocates a fresh array per operation.
+  ``tests/references.py`` that allocates a fresh array per operation, on
+  every centering's stride pattern of the neighbor views.
+* The stepper allocates nothing per step: 64 and 4,096 steps per period
+  peak at the same traced memory, and between two energy samples the
+  traced peak rises by no more than one ``laplacian`` call's own buffers.
 """
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +28,10 @@ from kgbreather.breather import (
     assemble_breather,
     reference_coefficients,
 )
+from kgbreather import dynamics
 from kgbreather.dynamics import integrate_period, lattice_hamiltonian
 from kgbreather.errors import ConvergenceError, GuardError
+from kgbreather.lattice import laplacian
 from references import verlet_report
 
 
@@ -124,12 +133,19 @@ _BITWISE_CONFIGS = {
     "1d-st-p1": dict(n=1, p=1.0, coupling=0.25, mu=0.2, r_min=30.0, mode="st"),
     "1d-p-p0.5": dict(n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, mode="p"),
     "2d-h1-p0.5": dict(n=2, p=0.5, coupling=0.25, mu=0.4, r_min=8.0, mode="h1"),
+    "2d-st-p0.5": dict(n=2, p=0.5, coupling=0.25, mu=0.4, r_min=8.0, mode="st"),
+    "2d-p-p0.5": dict(n=2, p=0.5, coupling=0.25, mu=0.4, r_min=8.0, mode="p"),
 }
+
+
+@functools.cache
+def _assembled(name):
+    return assemble_breather(PipelineConfig(**_BITWISE_CONFIGS[name]))
 
 
 @pytest.fixture(scope="module", params=sorted(_BITWISE_CONFIGS))
 def b_config(request):
-    return assemble_breather(PipelineConfig(**_BITWISE_CONFIGS[request.param]))
+    return _assembled(request.param)
 
 
 @pytest.mark.parametrize("seed", ["breather", "continuum"])
@@ -141,6 +157,54 @@ def test_stepper_is_bitwise_the_textbook_loop(b_config, seed, periods):
     )
     want = verlet_report(b_config, 512, periods=periods, initial_coeffs=coeffs)
     assert got.to_dict() == want  # exact: same operations, same order
+
+
+@pytest.mark.parametrize("name", ["1d-st-p1", "2d-h1-p0.5"])
+def test_stepper_allocates_nothing_per_step(name, monkeypatch):
+    b = _assembled(name)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            integrate_period(b, steps_per_period=steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # warm numpy's caches
+    short, long = peak(64), peak(4096)
+    assert abs(long - short) < 4096, (short, long)
+
+    # The energy samples' own temporaries set that peak and would hide a
+    # per-step temporary.  Between two samples the peak may rise only by
+    # the buffers numpy's iterator takes for one Laplacian (none in 1D, three
+    # operands' worth for the strided adds along the last axis in 2D), well
+    # below what one more field alive during the step would add.
+    q, lap = b.start_field(), np.empty(b.grid.shape)
+    tracemalloc.start()
+    try:
+        laplacian(q, out=lap)
+        buffers = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rises = []
+
+    def sampled_hamiltonian(*args):
+        held, peak_since = tracemalloc.get_traced_memory()
+        rises.append(peak_since - held)
+        h = lattice_hamiltonian(*args)
+        tracemalloc.reset_peak()
+        return h
+
+    monkeypatch.setattr(dynamics, "lattice_hamiltonian", sampled_hamiltonian)
+    tracemalloc.start()
+    try:
+        integrate_period(b, steps_per_period=4096)
+    finally:
+        tracemalloc.stop()
+    # the first sample follows the set-up, the last the return-error norms
+    assert len(rises) == 514
+    assert max(rises[1:-1]) < buffers + lap.nbytes / 2, (buffers, rises[1:9])
 
 
 def test_multiple_periods_accumulate(b_small):

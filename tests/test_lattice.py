@@ -93,6 +93,25 @@ def test_laplacian_is_bitwise_the_padded_reference(shape, axes):
     assert np.array_equal(out, want)
 
 
+def test_laplacian_refuses_an_out_that_overlaps_its_input():
+    # summed in place into b itself, the neighbors would be read after they
+    # were overwritten: [-2, -8, -16, -24, -22] instead of [1, 0, 0, 0, -5]
+    buf = np.arange(6.0)
+    b = buf[:5]
+    assert np.array_equal(laplacian(b), [1.0, 0.0, 0.0, 0.0, -5.0])
+    for out in (b, b[::-1], buf[1:]):
+        with pytest.raises(GuardError, match="overlap"):
+            laplacian(b, out=out)
+    assert np.array_equal(buf, np.arange(6.0))  # refused before any write
+    a = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(GuardError, match="overlap"):
+        laplacian(a, axes=(1,), out=a[:, ::-1])
+    # disjoint halves of one buffer do not overlap: accepted
+    pair = np.zeros(10)
+    pair[:5] = b
+    assert np.array_equal(laplacian(pair[:5], out=pair[5:]), [1.0, 0.0, 0.0, 0.0, -5.0])
+
+
 # --- quadratic-form identities (property tests) ----------------------------
 
 
