@@ -7,7 +7,8 @@ m is fixed by that normalization and later sets the breather frequency
 through omega^2 = 1 - m mu^2.  In 1d everything is closed form.  In 2d the
 profile is computed radially: Petviashvili iteration for the unscaled
 equation, then a bordered Newton solve (profile + multiplier, mass pinned
-by Simpson quadrature) on a fine grid.
+by Simpson quadrature) on a fine grid.  scipy.integrate and
+scipy.interpolate are imported by that 2d branch, so 1d never loads them.
 
 A profile for coupling a is the unit-coupling profile sampled at r/sqrt(a):
 if -psi'' + m psi = psi^(2p+1) then psi(x/sqrt(a)) solves the same equation
@@ -20,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 from scipy.special import gamma
 
@@ -141,6 +140,9 @@ def solve_ground_state(n, p, r_max=200.0, h=0.01, tol=1e-11, max_iter=50):
             n=1, p=p, multiplier=m, amplitude=A, r_max=np.inf, el_residual=0.0
         )
 
+    # imported here: they pull in scipy.optimize and scipy.spatial, 1d needs none
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
     # 2d: Petviashvili for the unscaled profile, rescale to unit mass,
     # then polish profile and multiplier together with the mass pinned.
     r_u, u = _petviashvili(p, extent=60.0, h=h)

@@ -23,7 +23,8 @@ arithmetic, with half the rows and half the nodes.  Both directions are
 products with the symmetric C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) over
 the r harmonics used: C[:r].T @ rows, (2/Q) C[:r] @ samples.  At
 most eight r x Q slices of <= 2^19 entries (4 MB) stay cached; a larger
-product is a zero-padded DCT-IV, as fast there on a 2-vCPU Xeon.
+product is a zero-padded DCT-IV, as fast there on a 2-vCPU Xeon, and
+scipy.fft is imported only when such a product is first taken.
 
 For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
 M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
@@ -35,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 from scipy.special import gamma
 
 from .errors import GuardError
@@ -81,6 +81,7 @@ def _cosine_product(x, Q, r, analysis):
     if r * Q <= _MATRIX_ENTRIES:
         C = _quarter_cosines(Q, r)
         return C @ x if analysis else C.T @ x
+    from scipy.fft import dct  # imported here: only products past the cache need it
     y = dct(x, type=4, n=Q, axis=0, overwrite_x=analysis)[: r if analysis else Q]
     y *= 0.5
     return y

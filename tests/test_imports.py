@@ -1,9 +1,14 @@
 """Every name imported in src/, tests/, scripts/ and benchmark/ is used in
 its module, every function, class and method that src/ defines is read
 by the program itself (src/, scripts/, benchmark/), not by the tests alone,
-and every entry point that the benchmark's tracer rebinds is still there."""
+every entry point that the benchmark's tracer rebinds is still there, and
+a 1D run loads none of the scipy subpackages that only 2D needs."""
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kgbreather.breather as breather
@@ -139,3 +144,43 @@ def test_benchmark_tracer_installs_and_uninstalls():
     counts = tracer.counts[0]
     assert counts["window.L"] == b.L_max > 8
     assert counts["range.calls"] >= 1 and counts["kernel.remainder_calls"] >= 1
+
+
+_TWO_D_ONLY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.fft")
+
+_LOADS_SCRIPT = """
+import json, sys
+loaded = lambda: [m for m in {only} if m in sys.modules]
+seen = {{}}
+import kgbreather as kg
+seen["import"] = loaded()
+b = kg.assemble_breather(kg.PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.3,
+                                           r_min=15.0, l_max=8))
+kg.kg_residual(b)
+kg.error_vs_reference(b)
+kg.save_breather(sys.argv[1], b)
+kg.integrate_period(kg.load_breather(sys.argv[1]), steps_per_period=64)
+seen["1d run"] = loaded()
+kg.solve_ground_state(2, 0.5)
+seen["2d ground state"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_a_1d_run_loads_no_scipy_subpackage_that_only_2d_needs(tmp_path):
+    """``import kgbreather`` and a whole 1D run (assemble, residual, errors,
+    save/load, leapfrog) leave scipy.interpolate, integrate, optimize and
+    fft unloaded; the first 2D ground-state solve loads what it uses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADS_SCRIPT.format(only=_TWO_D_ONLY),
+         str(tmp_path / "b.kgbr")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    seen = json.loads(out)
+    assert seen["import"] == []
+    assert seen["1d run"] == []
+    assert {"scipy.interpolate", "scipy.integrate"} <= set(seen["2d ground state"])

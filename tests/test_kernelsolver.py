@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import null_space
 
 import kgbreather.kernelsolver as kernelsolver
@@ -240,13 +241,14 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     w = np.random.default_rng(6).standard_normal((rows, grid.K + 1)) / l**2
     w[0] = 0.0
     analyses = []
-    synthesis_or_analysis = timespectral.dct
+    synthesis_or_analysis = scipy.fft.dct
 
     def spy(x, *args, **kwargs):
         analyses.append(kwargs.get("overwrite_x", False))
         return synthesis_or_analysis(x, *args, **kwargs)
 
-    monkeypatch.setattr(timespectral, "dct", spy)
+    # _cosine_product imports dct at call time, so the spy goes on scipy.fft
+    monkeypatch.setattr(scipy.fft, "dct", spy)
     R = kernel_remainder(phi, prob, w, M=M)
     assert analyses and not any(analyses)  # DCT-IV synthesis only
     for module in (timespectral, kernelsolver):
