@@ -37,10 +37,8 @@ from .lattice import (
     BREATHER_MODES, GridSpec, asymmetry, block_slices, laplacian, mirror_block,
     mode_offsets, norm_l2, norm_l2_mu, norm_q, norm_q_mu, orbit_sizes,
 )
-from .rangesolver import RangeOperator, solve_range_equation
-from .timespectral import (
-    default_node_count, nonlinearity_map, odd_collocation, sobolev_time_norm,
-)
+from .rangesolver import solve_range_equation
+from .timespectral import nonlinearity_map, odd_collocation, sobolev_time_norm
 
 _MAGIC = b"KGBR"
 _VERSION = 2
@@ -230,35 +228,28 @@ def assemble_breather(config: PipelineConfig):
         raise GuardError(f"the discrete NLS solution kept {kept:.2e} of the "
                          f"sampled profile's l2 norm: no breather on this box")
 
-    range_kwargs = {
-        "tol": config.tol,
-        "collocation": default_node_count(config.l_max, config.p),
-    }
     phi, w, kernel_report, op = solve_kernel_equation(
         phi_dnls, prob, L_max=config.l_max, tol=config.kernel_tol,
-        range_kwargs=range_kwargs,
+        range_tol=config.tol,
     )
 
     # final range pass: fresh report for the returned profile and, when
-    # asked, a longer harmonic tail (cheap: warm start, feedback of the
-    # extra harmonics onto the low ones is far below tolerance).  The range
-    # stack stays on the fundamental block, odd rows only, for good.
+    # asked, a longer harmonic tail (cheap: the same operator, warm start,
+    # feedback of the extra harmonics onto the low ones is far below
+    # tolerance).  The range stack stays on the fundamental block, odd rows
+    # only, for good.
     L_res = config.l_max
     if config.residual_target > 0.0:
         L_res = _window_for_residual(
             phi, w, grid, config, config.residual_target
         )
-    if L_res > config.l_max:
-        op = RangeOperator(grid, L_res, prob.omega_sq, config.coupling)
-        w = np.concatenate([w, np.zeros(((L_res + 1) // 2 - len(w),) + w.shape[1:])])
-    M_res = default_node_count(L_res, config.p)
     w, range_report = solve_range_equation(
-        phi, op, config.p, config.mu, w_init=w, tol=config.tol,
-        collocation=M_res, tail_check=True,
+        phi, op, config.p, config.mu, L_res, w_init=w, tol=config.tol,
+        tail_check=True,
     )
 
     # kernel-equation residual of the final range component
-    R = kernel_remainder(phi, prob, w, M=M_res)
+    R = kernel_remainder(phi, prob, w, L_res)
     g_residual = prob.apply_g0(phi) + R
 
     reports = {

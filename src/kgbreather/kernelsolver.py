@@ -179,23 +179,22 @@ def solve_dnls_ground_state(prob, phi0, tol=1e-12, max_iter=40):
     return _newton_reduced(phi0, prob, prob.apply_g0, tol, max_iter)
 
 
-def kernel_remainder(phi, prob, w, M=None):
+def kernel_remainder(phi, prob, w, L_max):
     """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
     component w.
 
     ``w`` is an odd-row range stack on the fundamental block, as
-    solve_range_equation returns it; no range solve happens here.  N is
-    sampled on the block at the Q quarter-period nodes of ``M`` time nodes
-    (pass the range solve's own count), and P1 is row 0 of the same
-    analysis product over the window's odd harmonics that
-    apply_nonlinearity computes, so R and the range solve share one
-    projection.  Past the size switch that product would be a full DCT-IV,
-    so there the one cached cosine row reads P1.  R is returned on the
-    whole box.
+    solve_range_equation returns it for the window ``L_max``; no range
+    solve happens here.  N is sampled on the block at the Q quarter-period
+    nodes of the range solve's own M = default_node_count(L_max, p) time
+    nodes, and P1 is row 0 of the same analysis product over the window's
+    odd harmonics that apply_nonlinearity computes, so R and the range
+    solve share one projection.  Past the size switch that product would
+    be a full DCT-IV, so there the one cached cosine row reads P1.  R is
+    returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    if M is None:
-        M = default_node_count(2 * len(w) - 1, prob.p)
+    M = default_node_count(L_max, prob.p)
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
     u[0] = phi_block
@@ -216,7 +215,7 @@ def solve_kernel_equation(
     L_max=8,
     tol=1e-11,
     max_iter=30,
-    range_kwargs=None,
+    range_tol=1e-12,
 ):
     """Chord Newton continuation of G(phi) = G0(phi) + R(phi) = 0 from phi0.
 
@@ -224,23 +223,24 @@ def solve_kernel_equation(
     The dropped part R'(phi) is O(mu^2) small, so the iteration contracts
     at rate O(mu^2) (about 1e-3 per step at mu = 0.3) and needs no
     derivative of the range solve.  Each residual evaluation solves the
-    range equation for phi (warm-started from the previous w), then
-    projects the nonlinearity with kernel_remainder on the same nodes.
+    range equation for phi in the harmonic window ``L_max`` to ``range_tol``
+    (warm-started from the previous w), then projects the nonlinearity
+    with kernel_remainder on the same nodes.
 
     Returns (phi, w, report, range_op); w is the range component of the
-    returned phi, an odd-row stack on the fundamental block.
+    returned phi, an odd-row stack on the fundamental block, and range_op
+    serves any window on this grid.
     """
-    range_kwargs = dict(range_kwargs or {})
-    op = RangeOperator(prob.grid, L_max, prob.omega_sq, prob.coupling)
+    op = RangeOperator(prob.grid, prob.omega_sq, prob.coupling)
     state = {"w": None, "range_iters": 0}
 
     def residual(phi):
         w, rep = solve_range_equation(
-            phi, op, prob.p, prob.mu, w_init=state["w"], **range_kwargs
+            phi, op, prob.p, prob.mu, L_max, w_init=state["w"], tol=range_tol
         )
         state["w"] = w
         state["range_iters"] += rep.iterations
-        R = kernel_remainder(phi, prob, w, M=range_kwargs.get("collocation"))
+        R = kernel_remainder(phi, prob, w, L_max)
         return prob.apply_g0(phi) + R
 
     phi, report = _newton_reduced(phi0, prob, residual, tol, max_iter)

@@ -34,10 +34,14 @@ for every centering and any N.  Norms weight each block site by its orbit
 size, so they read the same as on the box.
 
 The symbol is therefore only ever divided on this even sector and for the
-odd harmonics l = 3, 5, ..., L, and that is where the constructor checks
-it (ResonanceError names the offending l) and takes spectral_margin.
-With omega^2 > 1/2 and a < 1/2, |1 - 9 omega^2 + a s| > 3/2 in 1d, so a
-resonance is possible only in 2d (a s up to 8a), with omega^2 < 5/9.
+odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
+so it knows no window L: the window is an argument of the range solve.
+Under the guards 1/2 < omega^2 < 3/2 and 0 < a s < 4, every l >= 5 has
+symbol < 1 - 25/2 + 4 = -7.5, further from zero than any l = 3 value, so
+the constructor checks the symbol (ResonanceError) and takes
+spectral_margin at l = 3 alone.  With omega^2 > 1/2 and a < 1/2,
+|1 - 9 omega^2 + a s| > 3/2 in 1d, so a resonance is possible only in 2d
+(a s up to 8a), with omega^2 < 5/9.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from .errors import ConvergenceError, GuardError, ResonanceError
 from .lattice import block_slices, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
+    default_node_count,
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
@@ -72,12 +77,14 @@ def _even_basis(N, K, offset):
 
 class RangeOperator:
     """Per-harmonic spectral inverse of L = omega^2 d_tautau + I - a lap on
-    the range: the odd harmonics l >= 3 on the reflection-even sector.  The
-    symbol is checked and inverted there alone, on the even-sector DST-I
-    spectrum ``_s``; spectral_margin, worst_harmonic and neumann_margin
-    read the same sector."""
+    the range: the odd harmonics l >= 3 on the reflection-even sector, for
+    any harmonic window.  The symbol is checked and inverted there alone,
+    on the even-sector DST-I spectrum ``_s``; spectral_margin and
+    neumann_margin read the same sector.  The smallest |symbol| over all
+    l >= 3 is the l = 3 one (module docstring), so the check and
+    spectral_margin read l = 3."""
 
-    def __init__(self, grid, L_max, omega_sq, coupling):
+    def __init__(self, grid, omega_sq, coupling):
         if not (0.0 < coupling < 0.5):
             raise GuardError(f"need coupling in (0, 1/2), got {coupling}")
         if not (abs(omega_sq - 1.0) < 0.5):
@@ -85,7 +92,6 @@ class RangeOperator:
                 f"need |omega^2 - 1| < 1/2 for invertibility, got {omega_sq}"
             )
         self.grid = grid
-        self.L_max = int(L_max)
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
         s = []
@@ -97,17 +103,11 @@ class RangeOperator:
             s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
             self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
         self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
-        self._sigma = orbit_sizes(grid)
-        # invertibility margin over the range harmonics l = 3, 5, ..., L
-        self.spectral_margin = np.inf
-        self.worst_harmonic = None
-        for l in range(3, self.L_max + 1, 2):
-            m = float(np.min(np.abs(self._symbol(l))))
-            if m < _RESONANCE_MARGIN:
-                raise ResonanceError(l, m)
-            if m < self.spectral_margin:
-                self.spectral_margin = m
-                self.worst_harmonic = l
+        self.sigma = orbit_sizes(grid)
+        # invertibility margin over every range harmonic, taken at l = 3
+        self.spectral_margin = float(np.min(np.abs(self._symbol(3))))
+        if self.spectral_margin < _RESONANCE_MARGIN:
+            raise ResonanceError(3, self.spectral_margin)
         # margin of the naive Neumann-series bound (diagnostic only: the
         # direct per-mode inversion above does not rely on it)
         self.neumann_margin = 1.0 - self.coupling * float(np.max(self._s))
@@ -128,17 +128,14 @@ class RangeOperator:
     def solve(self, coeffs):
         """L^-1 restricted to the range, on odd-row fundamental-block
         stacks of shape (r, K+1[, K+1]), row j harmonic 2j+1: harmonic 1
-        (row 0) of the input is discarded and comes back as zero, like
-        every all-zero row."""
+        (row 0) of the input is discarded and comes back as zero."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        out = np.zeros_like(coeffs)
-        rows = [j for j in range(1, coeffs.shape[0]) if np.any(coeffs[j])]
-        hat = coeffs[rows]
-        hat *= self._sigma
-        hat = self._along_axes(hat, transpose=True)
-        for i, j in enumerate(rows):
-            hat[i] /= self._symbol(2 * j + 1)
-        out[rows] = self._along_axes(hat, transpose=False)
+        out = np.empty_like(coeffs)
+        out[0] = 0.0
+        hat = self._along_axes(coeffs[1:] * self.sigma, transpose=True)
+        for j, row in enumerate(hat, start=1):
+            row /= self._symbol(2 * j + 1)
+        out[1:] = self._along_axes(hat, transpose=False)
         return out
 
 
@@ -168,31 +165,35 @@ def solve_range_equation(
     op,
     p,
     mu,
+    L_max,
     w_init=None,
     tol=1e-12,
     max_iter=200,
     rate_guard=0.9,
     smallness_threshold=0.1,
-    collocation=None,
     tail_check=False,
 ):
     """Picard iteration for the range component given the kernel profile.
 
-    ``phi`` lives on the box; ``w_init`` and the returned w are odd-row
-    stacks on the fundamental block, ((L+1)//2, K+1[, K+1]) with row j
-    harmonic 2j+1, and w[0] = 0 (no harmonic 1).  The forcing norm, a
-    diagnostic that costs one more nonlinearity pass, is only computed
-    along with the tail (``tail_check``).  Raises GuardError when the
-    a-priori contraction estimate exceeds ``smallness_threshold`` and
-    ConvergenceError on observed divergence.
+    ``L_max`` is the harmonic window L: the returned w keeps the odd
+    harmonics up to L, and the nonlinearity is sampled at
+    M = default_node_count(L, p) time nodes.  ``phi`` lives on the box;
+    ``w_init`` and the returned w are odd-row stacks on the fundamental
+    block, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
+    (no harmonic 1).  A ``w_init`` with fewer rows warm-starts those rows;
+    the others start at zero.  The forcing norm, a diagnostic that costs
+    one more nonlinearity pass, is only computed along with the tail
+    (``tail_check``).  Raises GuardError when the a-priori contraction
+    estimate exceeds ``smallness_threshold`` and ConvergenceError on
+    observed divergence.
     """
     phi = np.asarray(phi, dtype=np.float64)
     beta = nonlinearity_coefficient(p)
-    grid = op.grid
-    sigma = orbit_sizes(grid)
+    sigma = op.sigma
+    M = default_node_count(L_max, p)
     # the kernel part phi cos(tau), on the fundamental block
-    phi_block = phi[block_slices(grid)]
-    v = np.zeros(((op.L_max + 1) // 2,) + phi_block.shape)
+    phi_block = phi[block_slices(op.grid)]
+    v = np.zeros(((L_max + 1) // 2,) + phi_block.shape)
     v[0] = phi_block
 
     # crude contraction estimate: Lipschitz constant of the projected
@@ -212,24 +213,21 @@ def solve_range_equation(
     forcing_norm = np.nan
     if tail_check:
         forcing_norm = mu**2 * sobolev_time_norm(
-            apply_nonlinearity(v, p, M=collocation),
+            apply_nonlinearity(v, p, M=M),
             order=0,
             weights=sigma,
         )
 
-    if w_init is None:
-        w = np.zeros_like(v)
-    else:
-        w = np.array(w_init, dtype=np.float64)
+    w = np.zeros_like(v)
+    if w_init is not None:
+        w[: len(w_init)] = w_init
     tail = {} if tail_check else None
     updates = []
     rate = np.nan
     bad_steps = 0
     converged = False
     for iteration in range(1, max_iter + 1):
-        g = apply_nonlinearity(
-            v + w, p, M=collocation, tail=tail, weights=sigma
-        )
+        g = apply_nonlinearity(v + w, p, M=M, tail=tail, weights=sigma)
         g[0] = 0.0
         w_next = mu**2 * op.solve(g)
         delta = sobolev_time_norm(w_next - w, weights=sigma)

@@ -65,6 +65,9 @@ def default_node_count(L, p):
 
 _MATRIX_ENTRIES = 1 << 19
 
+# columns per collocation chunk, capped at 2^24 // Q (odd_collocation)
+_CHUNK = 1 << 17
+
 
 @lru_cache(maxsize=8)
 def _quarter_cosines(Q, r):
@@ -87,7 +90,7 @@ def _cosine_product(x, Q, r, analysis):
     return y
 
 
-def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=1 << 17):
+def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None):
     """Chunked collocation of odd cosine series on the quarter period.
 
     ``stacks`` are odd-row stacks of one shape (r, *spatial), row j holding
@@ -97,7 +100,7 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=
     it may overwrite them.  Yields (column slice, result): the (Q, n)
     samples or, with ``analysis``, the coefficients of their first
     ``rows`` (default Q) odd harmonics, row j holding harmonic 2j+1.
-    Chunks of ``chunk`` columns, at most 2^24 // Q, bound a sample buffer
+    Chunks of ``_CHUNK`` columns, at most 2^24 // Q, bound a sample buffer
     by 2^24 values (134 MB).  A BLAS product rounds by its shape: chunking
     can move the last bits.
     """
@@ -108,7 +111,7 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None, chunk=
             f"{M} nodes cannot resolve harmonic {2 * flats[0].shape[0] - 1}"
         )
     columns = flats[0].shape[1]
-    chunk = max(1, min(chunk, (1 << 24) // Q))
+    chunk = max(1, min(_CHUNK, (1 << 24) // Q))
     for lo in range(0, columns, chunk):
         sl = slice(lo, min(lo + chunk, columns))
         values = [_cosine_product(f[:, sl], Q, len(f), False) for f in flats]
@@ -135,7 +138,7 @@ def nonlinearity_map(p):
     return apply
 
 
-def apply_nonlinearity(coeffs, p, M=None, chunk=1 << 17, tail=None, weights=None):
+def apply_nonlinearity(coeffs, p, M=None, tail=None, weights=None):
     """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
     given by the odd-row stack ``coeffs`` (row j harmonic 2j+1); the
     result has the same rows.
@@ -161,7 +164,6 @@ def apply_nonlinearity(coeffs, p, M=None, chunk=1 << 17, tail=None, weights=None
         nonlinearity_map(p),
         analysis=True,
         rows=None if tail is not None else n_odd,
-        chunk=chunk,
     ):
         out[:, sl] = spectrum[:n_odd]
         if tail is not None:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import kgbreather.breather as breather
+import kgbreather.rangesolver as rangesolver
 from kgbreather.breather import (
     Breather,
     PipelineConfig,
@@ -411,6 +412,25 @@ def test_auto_window_widens_for_even_working_window():
     b = assemble_breather(cfg)
     assert b.L_max > 8
     assert kg_residual(b) < 1e-8
+
+
+def test_a_widened_window_builds_one_range_operator(monkeypatch):
+    """The range operator knows no harmonic window, so the final pass of a
+    widened window inverts with the kernel continuation's operator."""
+    built = []
+    init = rangesolver.RangeOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rangesolver.RangeOperator, "__init__", counting)
+    b = assemble_breather(PipelineConfig(
+        n=1, p=0.5, coupling=0.25, mu=0.3, r_min=15.0, l_max=8,
+        residual_target=1e-7,
+    ))
+    assert b.L_max > 8
+    assert len(built) == 1
 
 
 def test_oversize_residual_window_is_refused_up_front():

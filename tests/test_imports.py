@@ -1,6 +1,7 @@
 """Every name imported in src/, tests/, scripts/ and benchmark/ is used in
 its module, every function, class and method that src/ defines is read
 by the program itself (src/, scripts/, benchmark/), not by the tests alone,
+and so is every attribute that a src/ class stores on ``self``,
 every entry point that the benchmark's tracer rebinds is still there, and
 a 1D run loads none of the scipy subpackages that only 2D needs."""
 import ast
@@ -106,6 +107,67 @@ def test_no_names_only_tests_use():
     for path in sorted((ROOT / "src").rglob("*.py")):
         for line, name in defined_names(path.read_text()):
             if name.split(".")[-1] not in read:
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert found == []
+
+
+def stored_attributes(source):
+    """(line, Class.attr) of every ``self.attr = ...`` store in the
+    top-level classes of ``source``, exceptions aside: an exception's
+    fields are read by whoever catches it."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or any(
+            isinstance(base, ast.Name) and base.id.endswith(("Error", "Exception"))
+            for base in node.bases
+        ):
+            continue
+        for item in ast.walk(node):
+            if (
+                isinstance(item, ast.Attribute)
+                and isinstance(item.ctx, ast.Store)
+                and isinstance(item.value, ast.Name)
+                and item.value.id == "self"
+            ):
+                found.append((item.lineno, f"{node.name}.{item.attr}"))
+    return found
+
+
+def loaded_attributes(source):
+    """Attribute names that ``source`` loads (stores do not count), and
+    string constants spelling an identifier (getattr by name)."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                loaded.add(node.value)
+    return loaded
+
+
+def test_attribute_checker_flags_stored_but_unloaded():
+    lib = (
+        "class A:\n    def __init__(self, x):\n        self.x = x\n"
+        "        self.spare = x\n        self.count = 0\n"
+        "    def bump(self):\n        self.count += 1\n"
+        "class E(ValueError):\n    def __init__(self):\n        self.code = 1\n"
+    )
+    loaded = loaded_attributes(lib) | loaded_attributes("print(A(1).x)\n")
+    unloaded = [name for _, name in stored_attributes(lib)
+                if name.split(".")[-1] not in loaded]
+    assert unloaded == ["A.spare", "A.count", "A.count"]
+
+
+def test_no_instance_state_only_tests_read():
+    loaded = set()
+    for folder in ("src", "scripts", "benchmark"):
+        for path in (ROOT / folder).rglob("*.py"):
+            loaded |= loaded_attributes(path.read_text())
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in stored_attributes(path.read_text()):
+            if name.split(".")[-1] not in loaded:
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
 

@@ -189,13 +189,13 @@ def test_remainder_single_site_closed_form():
     mu, c = 0.2, 0.6
     grid = GridSpec(n=1, K=2, mu=mu)
     prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=1e-10, multiplier=M_CUBIC)
-    op = RangeOperator(grid, L_max=10, omega_sq=prob.omega_sq, coupling=prob.coupling)
+    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=prob.coupling)
     phi = np.zeros(grid.shape)
     phi[grid.K] = c
     w, rep = solve_range_equation(
-        phi, op, prob.p, prob.mu, smallness_threshold=np.inf
+        phi, op, prob.p, prob.mu, 10, smallness_threshold=np.inf
     )
-    R = kernel_remainder(phi, prob, w)
+    R = kernel_remainder(phi, prob, w, 10)
     beta = nonlinearity_coefficient(1.0)
     sigma3 = 1.0 - 9.0 * prob.omega_sq
     predicted = -(3.0 * beta**2 / (16.0 * sigma3)) * mu**2 * c**5
@@ -204,8 +204,9 @@ def test_remainder_single_site_closed_form():
 
 
 def test_remainder_projects_on_the_range_node_count():
-    # R and w must come from one collocation: with twice the default nodes
-    # the p = 1/2 projection differs from the default one by ~1e-4 relative
+    # R and w must come from one collocation, at the range solve's
+    # M = default_node_count(L, p), for an odd and an even window alike;
+    # at p = 1/2 another node count moves P1 far above the tolerance
     mu, a, p = 0.3, 0.25, 0.5
     profile = solve_ground_state(1, p)
     grid = GridSpec.for_radius(1, mu=mu, r_min=20.0)
@@ -213,16 +214,24 @@ def test_remainder_projects_on_the_range_node_count():
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, L_max=15, omega_sq=prob.omega_sq, coupling=a)
-    M = 8 * 16
-    assert M == 2 * default_node_count(15, p)
-    w, _ = solve_range_equation(phi, op, p, mu, collocation=M)
-    R = kernel_remainder(phi, prob, w, M=M)
-    u = mirror_block(w, grid)
-    u[0] = phi
-    first = apply_nonlinearity(u, p, M=M)[0]
-    R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
-    assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
+    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
+    for L in (15, 16):
+        M = default_node_count(L, p)
+        w, _ = solve_range_equation(phi, op, p, mu, L)
+        R = kernel_remainder(phi, prob, w, L)
+        u = mirror_block(w, grid)
+        u[0] = phi
+        first = apply_nonlinearity(u, p, M=M)[0]
+        R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
+        assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
+        # the node counts of the neighbouring window and of twice the
+        # density give a projection this test tells apart
+        for other in (default_node_count(L - 1, p), 2 * M):
+            R_other = -(
+                apply_nonlinearity(u, p, M=other)[0]
+                - np.abs(phi) ** (2.0 * p) * phi
+            )
+            assert np.max(np.abs(R_other - R_ref)) > 1e-9 * np.max(np.abs(R_ref))
 
 
 def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
@@ -236,7 +245,8 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
     phi = sample_reference(profile, grid, coupling=a)
-    rows, M = 512, 4096  # harmonics 1..1023 at Q = 2048: 2^20 entries
+    rows = 512  # harmonics 1..1023 at M = 4096, Q = 2048: 2^20 entries
+    assert default_node_count(2 * rows - 1, p) == 4096
     l = 2.0 * np.arange(rows)[:, None] + 1.0
     w = np.random.default_rng(6).standard_normal((rows, grid.K + 1)) / l**2
     w[0] = 0.0
@@ -249,11 +259,11 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
 
     # _cosine_product imports dct at call time, so the spy goes on scipy.fft
     monkeypatch.setattr(scipy.fft, "dct", spy)
-    R = kernel_remainder(phi, prob, w, M=M)
+    R = kernel_remainder(phi, prob, w, 2 * rows - 1)
     assert analyses and not any(analyses)  # DCT-IV synthesis only
     for module in (timespectral, kernelsolver):
         monkeypatch.setattr(module, "_MATRIX_ENTRIES", 1 << 21)
-    R_matrix = kernel_remainder(phi, prob, w, M=M)
+    R_matrix = kernel_remainder(phi, prob, w, 2 * rows - 1)
     assert np.max(np.abs(R - R_matrix)) <= 1e-13 * np.max(np.abs(R_matrix))
 
 
@@ -281,12 +291,12 @@ def _fd_newton_reference(phi0, prob, L_max, tol=1e-11, h=1e-6, max_iter=10):
     """Plain Newton on the reduced kernel equation, every column of the
     Jacobian G0' + R' a forward difference of the full residual."""
     grid = prob.grid
-    op = RangeOperator(grid, L_max, prob.omega_sq, prob.coupling)
+    op = RangeOperator(grid, prob.omega_sq, prob.coupling)
 
     def G(x):
         phi = unfold_symmetric(x, grid)
-        w, _ = solve_range_equation(phi, op, prob.p, prob.mu)
-        R = kernel_remainder(phi, prob, w)
+        w, _ = solve_range_equation(phi, op, prob.p, prob.mu, L_max)
+        R = kernel_remainder(phi, prob, w, L_max)
         return fold_symmetric(prob.apply_g0(phi) + R, grid)
 
     x = fold_symmetric(phi0, grid)

@@ -31,11 +31,14 @@ def block_shape(grid):
     return (grid.K + 1,) * grid.n
 
 
-def cubic_setup(mu, K=40, a=0.4, L_max=6):
+L_CUBIC = 6  # harmonic window of the cubic_setup solves
+
+
+def cubic_setup(mu, K=40, a=0.4):
     grid = GridSpec(n=1, K=K, mu=mu)
     profile = solve_ground_state(1, 1.0)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, L_max=L_max, omega_sq=omega_sq(mu), coupling=a)
+    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=a)
     return grid, phi, op
 
 
@@ -91,7 +94,7 @@ CENTERINGS = [
 
 def test_forward_inverse_identity_1d():
     grid = GridSpec(n=1, K=12, mu=0.3)
-    op = RangeOperator(grid, L_max=5, omega_sq=omega_sq(0.3), coupling=0.4)
+    op = RangeOperator(grid, omega_sq=omega_sq(0.3), coupling=0.4)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3,) + block_shape(grid))  # harmonics 1, 3, 5
     x[0] = 0.0
@@ -101,7 +104,7 @@ def test_forward_inverse_identity_1d():
 
 def test_forward_inverse_identity_2d():
     grid = GridSpec(n=2, K=6, mu=0.3, offsets=(0.5, 0.0))
-    op = RangeOperator(grid, L_max=4, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
+    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2,) + block_shape(grid))  # harmonics 1, 3
     x[0] = 0.0
@@ -113,7 +116,7 @@ def test_block_inverse_matches_dst_reference(n, offsets):
     # the even-sector basis on the block against the whole-box DST-I pair,
     # for a reflection-even stack with every odd row (l = 1 too) populated
     grid = GridSpec(n=n, K=17, mu=0.3, offsets=offsets)
-    op = RangeOperator(grid, L_max=7, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
+    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
     rng = np.random.default_rng(n)
     x = rng.standard_normal((4,) + block_shape(grid))
     ref = _dst_inverse(op, mirror_block(x, grid))[(slice(None),) + block_slices(grid)]
@@ -124,7 +127,7 @@ def test_block_inverse_matches_dst_reference(n, offsets):
 
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
-    op = RangeOperator(grid, L_max=3, omega_sq=omega_sq(0.3), coupling=0.4)
+    op = RangeOperator(grid, omega_sq=omega_sq(0.3), coupling=0.4)
     x = np.ones((2,) + block_shape(grid))  # harmonics 1 and 3
     out = op.solve(x)
     assert np.all(out[0] == 0.0)
@@ -141,7 +144,7 @@ def test_resonance_detection():
     a = 0.49
     w2 = (1.0 + 2.0 * a * (2.0 - 2.0 * np.cos(21.0 * np.pi / 22.0))) / 9.0
     with pytest.raises(ResonanceError) as err:
-        RangeOperator(grid, L_max=5, omega_sq=w2, coupling=a)
+        RangeOperator(grid, omega_sq=w2, coupling=a)
     assert err.value.harmonic == 3
     assert err.value.magnitude < 1e-12
 
@@ -149,37 +152,33 @@ def test_resonance_detection():
 def test_operator_guards_and_margins():
     grid = GridSpec(n=1, K=2, mu=0.3)
     with pytest.raises(GuardError):
-        RangeOperator(grid, L_max=3, omega_sq=1.6, coupling=0.3)
+        RangeOperator(grid, omega_sq=1.6, coupling=0.3)
     with pytest.raises(GuardError):
-        RangeOperator(grid, L_max=3, omega_sq=0.4, coupling=0.3)
+        RangeOperator(grid, omega_sq=0.4, coupling=0.3)
     with pytest.raises(GuardError):
-        RangeOperator(grid, L_max=3, omega_sq=0.9, coupling=-0.1)
+        RangeOperator(grid, omega_sq=0.9, coupling=-0.1)
     with pytest.raises(GuardError):
-        RangeOperator(grid, L_max=3, omega_sq=0.9, coupling=0.6)
+        RangeOperator(grid, omega_sq=0.9, coupling=0.6)
     # K = 2 (N = 5): the even-sector modes k = 1, 3, 5 have s = 2 - sqrt3,
     # 2, 2 + sqrt3, and the stiffest one is also the whole box's
-    op = RangeOperator(grid, L_max=5, omega_sq=0.99, coupling=0.2)
+    op = RangeOperator(grid, omega_sq=0.99, coupling=0.2)
     assert op.neumann_margin == pytest.approx(1.0 - 0.2 * (2.0 + np.sqrt(3.0)))
     # the tightest symbol is l = 3 at the stiffest even mode:
     # |1 - 9 * 0.99 + 0.2 (2 + sqrt3)|, closer to zero than any |l = 5| value
     assert op.spectral_margin == pytest.approx(7.91 - 0.2 * (2.0 + np.sqrt(3.0)))
-    assert op.worst_harmonic == 3
-    # a window without range harmonics leaves nothing to invert
-    op = RangeOperator(grid, L_max=2, omega_sq=0.99, coupling=0.2)
-    assert op.spectral_margin == np.inf and op.worst_harmonic is None
 
 
 @pytest.mark.parametrize("n, offsets", CENTERINGS)
 def test_margins_read_the_odd_harmonics_on_the_even_sector(n, offsets):
     # the margins against the whole-box DST-I spectrum restricted to the
-    # reflection-even modes (odd k) and the range harmonics l = 3, 5, ..., L
+    # reflection-even modes (odd k) and the range harmonics l = 3, 5, ..., 9
     grid = GridSpec(n=n, K=7, mu=0.3, offsets=offsets)
     w2, a = omega_sq(0.3, 0.03), 0.25
-    op = RangeOperator(grid, L_max=9, omega_sq=w2, coupling=a)
+    op = RangeOperator(grid, omega_sq=w2, coupling=a)
     s = _box_spectrum(grid, odd_only=True)
     margins = {l: np.min(np.abs((1.0 - w2 * l * l) + a * s)) for l in (3, 5, 7, 9)}
     assert op.spectral_margin == pytest.approx(min(margins.values()), rel=1e-14)
-    assert op.worst_harmonic == min(margins, key=margins.get) == 3
+    assert min(margins, key=margins.get) == 3
     assert op.neumann_margin == pytest.approx(1.0 - a * np.max(s), rel=1e-14)
     # an offset-1/2 axis has an even number of sites, so its stiffest mode
     # k = N is odd in the reflection and the even sector stops below it
@@ -187,11 +186,49 @@ def test_margins_read_the_odd_harmonics_on_the_even_sector(n, offsets):
     assert (np.max(s) < np.max(s_box)) == (0.5 in offsets)
 
 
+# guard edges of omega^2 and a, and values just past them
+_OMEGA_SQ_EDGES = (0.5, np.nextafter(0.5, 1.0), np.nextafter(1.5, 0.0), 1.5)
+_COUPLING_EDGES = (0.0, 1e-12, np.nextafter(0.5, 0.0), 0.5)
+
+
+def test_the_third_harmonic_is_the_worst_range_harmonic():
+    # the operator checks the symbol and takes spectral_margin at l = 3
+    # alone: under its guards every l >= 5 lies further from zero.  Draws
+    # run a little past the guards, where the constructor must refuse, and
+    # up to their edges; every operator built has the l = 3 margin as the
+    # minimum over l = 3, 5, ..., L of the even-sector reference spectrum
+    rng = np.random.default_rng(2009)
+    built = 0
+    for _ in range(3200):
+        n, offsets = CENTERINGS[rng.integers(len(CENTERINGS))]
+        grid = GridSpec(n=n, K=int(rng.integers(2, 25)), mu=0.3, offsets=offsets)
+        w2 = (
+            rng.choice(_OMEGA_SQ_EDGES) if rng.random() < 0.25
+            else rng.uniform(0.45, 1.55)
+        )
+        a = (
+            rng.choice(_COUPLING_EDGES) if rng.random() < 0.25
+            else rng.uniform(-0.02, 0.52)
+        )
+        if not (0.5 < w2 < 1.5 and 0.0 < a < 0.5):
+            with pytest.raises(GuardError):
+                RangeOperator(grid, omega_sq=w2, coupling=a)
+            continue
+        op = RangeOperator(grid, omega_sq=w2, coupling=a)
+        s = _box_spectrum(grid, odd_only=True)
+        l = np.arange(3, int(rng.integers(3, 60)) + 1, 2)
+        margins = [np.min(np.abs((1.0 - w2 * k * k) + a * s)) for k in l]
+        assert l[np.argmin(margins)] == 3
+        assert op.spectral_margin == pytest.approx(margins[0], rel=1e-14)
+        built += 1
+    assert built >= 2000
+
+
 def test_2d_neumann_margin_is_negative_but_solvable():
     # the naive series bound fails for a = 1/4 in 2d (a * s_max -> 2), yet
     # every symbol is still far from zero and direct inversion works
     grid = GridSpec(n=2, K=8, mu=0.3)
-    op = RangeOperator(grid, L_max=4, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
+    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
     assert op.neumann_margin < 0.0
     assert op.spectral_margin > 0.9
 
@@ -206,11 +243,11 @@ def test_decoupled_site_closed_form():
     grid = GridSpec(n=1, K=2, mu=mu)
     phi = np.zeros(grid.shape)
     phi[grid.K] = c
-    op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(mu), coupling=a)
+    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=a)
     beta = nonlinearity_coefficient(1.0)
     # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau), on the
-    # fundamental block (whose index 0 is the center site)
-    v = np.zeros(((op.L_max + 1) // 2,) + block_shape(grid))
+    # fundamental block (whose index 0 is the center site), harmonics 1, 3, 5
+    v = np.zeros((3,) + block_shape(grid))
     v[0] = phi[block_slices(grid)]
     g = apply_nonlinearity(v, 1.0)
     g[0] = 0.0
@@ -228,7 +265,7 @@ def test_decoupled_site_closed_form():
 def test_range_solution_is_fixed_point():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, tol=1e-13)
+    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13)
     assert report.converged
     v = np.zeros_like(w)
     v[0] = phi[block_slices(grid)]
@@ -244,10 +281,10 @@ def test_range_solution_is_fixed_point():
 def test_range_solution_structure():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu)
+    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
     # an odd-row stack on the fundamental block (reflection symmetry by
     # construction; even harmonics have no row)
-    assert w.shape == ((op.L_max + 1) // 2,) + block_shape(grid)
+    assert w.shape == ((L_CUBIC + 1) // 2,) + block_shape(grid)
     # bifurcating harmonic exactly empty
     assert np.all(w[0] == 0.0)
     assert report.contraction_rate < 0.1
@@ -257,9 +294,9 @@ def test_range_solution_structure():
 
 def test_quadratic_amplitude_scaling():
     grid, phi, op = cubic_setup(0.2)
-    w, _ = solve_range_equation(phi, op, p=1.0, mu=0.2)
+    w, _ = solve_range_equation(phi, op, p=1.0, mu=0.2, L_max=L_CUBIC)
     grid2, phi2, op2 = cubic_setup(0.1)
-    w2, _ = solve_range_equation(phi2, op2, p=1.0, mu=0.1)
+    w2, _ = solve_range_equation(phi2, op2, p=1.0, mu=0.1, L_max=L_CUBIC)
     # at frozen kernel amplitude the response scales like mu^2 (the phi
     # samples differ between grids, so compare peak thirds per site scale)
     ratio = np.max(np.abs(w[1])) / np.max(np.abs(w2[1]))  # harmonic 3
@@ -269,20 +306,35 @@ def test_quadratic_amplitude_scaling():
 def test_warm_start_short_circuits():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, tol=1e-13)
-    w2, report2 = solve_range_equation(phi, op, p=1.0, mu=mu, tol=1e-13, w_init=w)
+    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13)
+    w2, report2 = solve_range_equation(
+        phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13, w_init=w
+    )
     assert report2.iterations <= 2
     assert sobolev_time_norm(w2 - w) < 1e-12
+
+
+def test_narrow_warm_start_is_zero_padded():
+    # a w_init with fewer rows than the window starts its own rows and
+    # zeros above them: the bytes of an explicitly zero-padded start
+    mu = 0.3
+    grid, phi, op = cubic_setup(mu)
+    w, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
+    padded = np.concatenate([w, np.zeros((4,) + w.shape[1:])])
+    wide, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=13, w_init=w)
+    ref, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=13, w_init=padded)
+    assert wide.shape == padded.shape
+    assert wide.tobytes() == ref.tobytes()
 
 
 def test_smallness_guard_trips_at_large_mu():
     # the estimate is 0.219 at mu = 1.5 (observed rate 0.106)
     grid, phi, op = cubic_setup(1.5)
     with pytest.raises(GuardError, match="contraction regime"):
-        solve_range_equation(phi, op, p=1.0, mu=1.5)
+        solve_range_equation(phi, op, p=1.0, mu=1.5, L_max=L_CUBIC)
     # sweep amplitudes stay inside the regime
     grid, phi, op = cubic_setup(0.4)
-    solve_range_equation(phi, op, p=1.0, mu=0.4)
+    solve_range_equation(phi, op, p=1.0, mu=0.4, L_max=L_CUBIC)
 
 
 @pytest.mark.parametrize("mu", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4])
@@ -292,7 +344,7 @@ def test_smallness_estimate_tracks_the_observed_rate(mu):
     # guard refuses only amplitudes that really contract slowly
     grid, phi, op = cubic_setup(mu)
     _, report = solve_range_equation(
-        phi, op, p=1.0, mu=mu, smallness_threshold=np.inf
+        phi, op, p=1.0, mu=mu, L_max=L_CUBIC, smallness_threshold=np.inf
     )
     assert report.contraction_rate < report.smallness < 3.0 * report.contraction_rate
 
@@ -302,10 +354,11 @@ def test_divergence_reported():
     grid = GridSpec(n=1, K=8, mu=mu)
     phi = np.zeros(grid.shape)
     phi[grid.K] = 4.0
-    op = RangeOperator(grid, L_max=6, omega_sq=omega_sq(mu), coupling=0.4)
+    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=0.4)
     with pytest.raises(ConvergenceError, match="diverging"):
         solve_range_equation(
-            phi, op, p=1.0, mu=mu, smallness_threshold=np.inf, rate_guard=np.inf
+            phi, op, p=1.0, mu=mu, L_max=6, smallness_threshold=np.inf,
+            rate_guard=np.inf,
         )
 
 
@@ -313,7 +366,7 @@ def test_slow_contraction_guarded():
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
     with pytest.raises(GuardError, match="slowly"):
-        solve_range_equation(phi, op, p=1.0, mu=mu, rate_guard=1e-9)
+        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, rate_guard=1e-9)
 
 
 def test_2d_smoke():
@@ -321,25 +374,22 @@ def test_2d_smoke():
     profile = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=12, mu=mu)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, L_max=8, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, report = solve_range_equation(phi, op, p=0.5, mu=mu, tail_check=True)
+    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
+    w, report = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=8, tail_check=True)
     assert report.converged
-    assert w.shape == ((op.L_max + 1) // 2,) + block_shape(grid)
+    assert w.shape == (4,) + block_shape(grid)  # harmonics 1, 3, 5, 7
     assert np.all(w[0] == 0.0)
     assert report.w_norm > 0.0
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
     # but nonzero, and grows smaller when more harmonics are kept
     assert 0.0 < report.tail_fraction < 0.02
-    op2 = RangeOperator(
-        grid, L_max=16, omega_sq=omega_sq(mu, profile.multiplier), coupling=a
-    )
-    _, report2 = solve_range_equation(phi, op2, p=0.5, mu=mu, tail_check=True)
+    _, report2 = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=16, tail_check=True)
     assert report2.tail_fraction < 0.3 * report.tail_fraction
 
 
-def _full_box_picard(phi, op, p, mu, iterations):
+def _full_box_picard(phi, op, p, mu, L_max, iterations):
     """Reference: the Picard steps with the nonlinearity on every box site."""
-    v = np.zeros(((op.L_max + 1) // 2,) + op.grid.shape)
+    v = np.zeros(((L_max + 1) // 2,) + op.grid.shape)
     v[0] = phi
     w = np.zeros_like(v)
     tail = {}
@@ -358,12 +408,10 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
     phi = sample_reference(profile, grid, coupling=a)
     phi = mirror_block(phi[block_slices(grid)], grid)
-    op = RangeOperator(
-        grid, L_max=9, omega_sq=omega_sq(mu, profile.multiplier), coupling=a
-    )
-    w, report = solve_range_equation(phi, op, p=p, mu=mu, tail_check=True)
+    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
+    w, report = solve_range_equation(phi, op, p=p, mu=mu, L_max=9, tail_check=True)
     w_ref, tail_ref, forcing_ref = _full_box_picard(
-        phi, op, p, mu, report.iterations
+        phi, op, p, mu, 9, report.iterations
     )
     w_ref = w_ref[(slice(None),) + block_slices(grid)]
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import dct
 from scipy.integrate import quad
 
+import kgbreather.timespectral as timespectral
 from kgbreather.errors import GuardError
 from kgbreather.timespectral import (
     _MATRIX_ENTRIES,
@@ -172,10 +173,11 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
     assert tail["discarded"] == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
 
 
-def test_chunking_is_transparent():
+def test_chunking_is_transparent(monkeypatch):
     c = _odd_stack(np.random.default_rng(3), 7, 23)[1::2]
     full = apply_nonlinearity(c, p=0.75)
-    chunked = apply_nonlinearity(c, p=0.75, chunk=5)
+    monkeypatch.setattr(timespectral, "_CHUNK", 5)
+    chunked = apply_nonlinearity(c, p=0.75)
     assert np.array_equal(full, chunked)
 
 
@@ -250,15 +252,16 @@ def test_analysis_rows_are_the_leading_rows(rows):
 
 
 @pytest.mark.parametrize("analysis", [False, True])
-def test_collocation_does_not_depend_on_chunks(analysis):
+def test_collocation_does_not_depend_on_chunks(monkeypatch, analysis):
     # a BLAS product rounds by its shape, so chunks may move a column by
     # roundoff of its sums (about 1e-15 relative here), and no more
     c = _odd_stack(np.random.default_rng(9), 153, 300)[1::2]
     M = 1220
 
     def run(chunk):
+        monkeypatch.setattr(timespectral, "_CHUNK", chunk)
         out = np.empty(((M + 1) // 2, 300))
-        for sl, g in odd_collocation((c,), M, np.tanh, analysis, chunk=chunk):
+        for sl, g in odd_collocation((c,), M, np.tanh, analysis):
             out[:, sl] = g
         return out
 
