@@ -2,7 +2,8 @@
 """1D error-exponent sweep: assemble breathers along a decreasing mu list,
 fit log-log slopes of the error norms against mu, write table + slopes.
 
-Defaults reproduce the headline 1D run (p = 1, a = 0.25, site-centered):
+Defaults reproduce the headline 1D run (p = 1, a = 0.25, site-centered);
+every progress line prints that mu's wall time and the process peak so far:
 
     python3 scripts/run_scaling_1d.py --out out/scaling_1d
 
@@ -10,6 +11,7 @@ Expected slopes at the defaults: e_h2 2.50, e_sup 3.00, w_x2 2.50,
 dist_phi_dnls 2.00, dist_dnls_ref 2.00.
 """
 import argparse
+import resource
 import time
 
 from kgbreather.breather import SCALING_COLUMNS, scaling_study
@@ -34,19 +36,28 @@ def main():
     args = parse_args()
     mus = [float(tok) for tok in args.mu_list.split(",") if tok]
 
+    t0 = last = time.perf_counter()
+
     def progress(mu, row):
+        # this mu's wall time, and the process high-water mark so far
+        # (ru_maxrss is in KiB on Linux)
+        nonlocal last
+        now = time.perf_counter()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        cost = f"wall={now - last:.3f}s  peak_rss={peak:.0f} MB"
+        last = now
         if row is None:
-            print(f"mu={mu:6.4f}  FAILED")
+            print(f"mu={mu:6.4f}  FAILED  {cost}", flush=True)
         else:
             print(f"mu={mu:6.4f}  e_h2={row.e_h2:.5e}  e_sup={row.e_sup:.5e}  "
-                  f"residual={row.kg_residual:.2e}")
+                  f"residual={row.kg_residual:.2e}  {cost}", flush=True)
 
-    t0 = time.time()
     table = scaling_study(
         mus, n=1, p=args.p, coupling=args.a, mode=args.mode,
         l_max=args.l_max, r_min=args.r_min, progress=progress,
     )
-    print(f"sweep took {time.time() - t0:.1f}s; failures: {table.failures}")
+    print(f"sweep took {time.perf_counter() - t0:.2f}s; "
+          f"failures: {table.failures}")
 
     for name in SCALING_COLUMNS:
         if name == "kg_residual":

@@ -21,7 +21,9 @@ singular in the odd sector only up to exponentially small Peierls-Nabarro
 splittings, which the reduction removes wholesale.  G0' is built there
 directly (reduced_g0_jacobian): per axis the Dirichlet -lap on j = 0..K
 with the reflection folded into its first row, the axes joined by a
-Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block.
+Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block.  The
+scaled -lap pattern is built once per problem (DnlsProblem); each Newton
+step only adds its diagonal to a copy of the pattern's values.
 
 The kernel equation is solved by a chord iteration with the exact sparse
 G0'(phi) as its Jacobian.  The discrete NLS ground state is nondegenerate
@@ -33,6 +35,7 @@ mu the pipeline resolves, and never differentiates the range solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -82,6 +85,20 @@ class DnlsProblem:
     def omega_sq(self):
         return 1.0 - self.multiplier * self.mu**2
 
+    @cached_property
+    def scaled_minus_laplacian(self):
+        """(a/mu^2)(-lap) in orbit coordinates as CSC, built once per
+        problem, and the positions of its diagonal in ``data``, by column."""
+        mats = [_axis_minus_laplacian(self.grid.K, o) for o in self.grid.offsets]
+        if self.grid.n == 1:
+            minus_lap = mats[0]
+        else:
+            eye = sparse.identity(self.grid.K + 1)
+            minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
+        pattern = ((self.coupling / self.mu**2) * minus_lap).tocsc()
+        columns = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+        return pattern, np.flatnonzero(pattern.indices == columns)
+
     def apply_g0(self, phi):
         return (
             -(self.coupling / self.mu**2) * laplacian(phi)
@@ -106,19 +123,14 @@ def _axis_minus_laplacian(K, offset):
 
 def reduced_g0_jacobian(phi, prob):
     """Sparse G0'(phi) = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p) in the orbit
-    coordinates of lattice.fold_symmetric, for a reflection-even box phi."""
-    grid = prob.grid
-    mats = [_axis_minus_laplacian(grid.K, offset) for offset in grid.offsets]
-    if grid.n == 1:
-        minus_lap = mats[0]
-    else:
-        eye = sparse.identity(grid.K + 1)
-        minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
-    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(grid)]
-    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi_block.ravel()) ** (
-        2.0 * prob.p
-    )
-    return ((prob.coupling / prob.mu**2) * minus_lap + sparse.diags(diag)).tocsc()
+    coordinates of lattice.fold_symmetric, for a reflection-even box phi:
+    a copy of the cached pattern's values plus the diagonal."""
+    pattern, diagonal = prob.scaled_minus_laplacian
+    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(prob.grid)]
+    power = np.abs(phi_block.ravel()) ** (2.0 * prob.p)
+    data = pattern.data.copy()
+    data[diagonal] += prob.multiplier - (2.0 * prob.p + 1.0) * power
+    return sparse.csc_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
 
 
 @dataclass

@@ -30,8 +30,9 @@ odd DST-I modes k = 2m + 1, and restricted to the block they read
 m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
 sites that block site j stands for).  So the inverse on the block is
 V (sigma V^T . / symbol) per axis: one matrix product each way per axis,
-for every centering and any N.  Norms weight each block site by its orbit
-size, so they read the same as on the box.
+for every centering and any N; V is read off a table of the 4 (N+1)
+values of one period and shared by the axes of one offset.  Norms weight
+each block site by its orbit size, so they read the same as on the box.
 
 The symbol is therefore only ever divided on this even sector and for the
 odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
@@ -62,16 +63,22 @@ _RESONANCE_MARGIN = 1e-8  # a smaller |symbol| on a range harmonic is a Resonanc
 
 
 def _even_basis(N, K, offset):
-    """V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1)(j + offset) / (N+1)), j, m = 0..K."""
-    # the angle is pi t / (2 (N+1)) for the integer t = (2j + 2 offset)(2m+1);
-    # reducing t modulo the period 4 (N+1) first keeps cos at full accuracy
-    V = np.multiply.outer(
-        2.0 * np.arange(K + 1) + 2.0 * offset, 2.0 * np.arange(K + 1) + 1.0
-    )
-    np.fmod(V, 4.0 * (N + 1), out=V)
-    V *= np.pi / (2.0 * (N + 1))
-    np.cos(V, out=V)
-    V *= np.sqrt(2.0 / (N + 1))
+    """V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1)(j + offset) / (N+1)), j, m = 0..K.
+
+    The angle is pi t / (2 (N+1)) for the integer t = (2j + 2 offset)(2m+1),
+    so V gathers from a table of the 4 (N+1) values of one period at t mod
+    4 (N+1), in row blocks of at most 2^16 indices.  V is allocated first:
+    t < (2K+2)^2 stays below 2^63 for any V that fits in memory."""
+    table = np.cos(np.arange(4 * (N + 1)) * (np.pi / (2.0 * (N + 1))))
+    table *= np.sqrt(2.0 / (N + 1))
+    V = np.empty((K + 1, K + 1))
+    odd = 2 * np.arange(K + 1, dtype=np.int64) + 1
+    step = max(1, (1 << 16) // (K + 1))
+    for lo in range(0, K + 1, step):
+        rows = V[lo : lo + step]
+        t = np.multiply.outer(2 * np.arange(lo, lo + len(rows)) + int(2 * offset), odd)
+        t %= len(table)
+        np.take(table, t, out=rows, mode="clip")  # t is in range: no checked copy
     return V
 
 
@@ -95,13 +102,15 @@ class RangeOperator:
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
         s = []
-        self._basis = []
-        for ax in range(grid.n):
+        bases = {}  # N is set by K and the offset: one basis per offset
+        for ax, offset in enumerate(grid.offsets):
             N = grid.axis_length(ax)
             # the reflection-even Dirichlet modes are the odd k = 2m + 1
             k = np.arange(1, N + 1, 2)
             s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
-            self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
+            if offset not in bases:
+                bases[offset] = _even_basis(N, grid.K, offset)
+        self._basis = [bases[offset] for offset in grid.offsets]
         self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
         self.sigma = orbit_sizes(grid)
         # invertibility margin over every range harmonic, taken at l = 3

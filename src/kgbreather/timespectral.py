@@ -138,10 +138,11 @@ def nonlinearity_map(p):
     return apply
 
 
-def apply_nonlinearity(coeffs, p, M=None, tail=None, weights=None):
+def apply_nonlinearity(coeffs, p, *, M, tail=None, weights=None):
     """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
-    given by the odd-row stack ``coeffs`` (row j harmonic 2j+1); the
-    result has the same rows.
+    given by the odd-row stack ``coeffs`` (row j harmonic 2j+1), sampled
+    at M time nodes (the caller's window sets M: default_node_count(L, p)
+    for the window L); the result has the same rows.
 
     Works chunk-wise over the flattened spatial axes so the collocation
     buffer stays bounded for large 2d fields.  If ``tail`` is a dict, the
@@ -153,8 +154,6 @@ def apply_nonlinearity(coeffs, p, M=None, tail=None, weights=None):
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n_odd = coeffs.shape[0]
-    if M is None:
-        M = default_node_count(2 * n_odd - 1, p)
     out = np.empty((n_odd, coeffs.size // n_odd))
     weights = np.ones(out.shape[1]) if weights is None else np.ravel(weights)
     kept = discarded = 0.0

@@ -3,14 +3,18 @@
 The tests use them as independent oracles (the gradient energy of the P1
 interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
 that the in-place library versions must match bit for bit, the whole-box
-equation residual that the slab-wise one must match bit for bit) or to
-build inputs (the reflection-even part of a random field).  Each is the plain
-textbook formula, written for clarity rather than speed.
+equation residual that the slab-wise one must match bit for bit, the
+elementwise even-sector basis that the table lookup must match bit for bit,
+the per-call sparse build of G0' that the cached pattern must match bit for
+bit) or to build inputs (the reflection-even part of a random field).  Each
+is the plain textbook formula, written for clarity rather than speed.
 """
 import numpy as np
+from scipy import sparse
 
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
-from kgbreather.lattice import dirichlet_energy, laplacian, norm_l2
+from kgbreather.kernelsolver import _axis_minus_laplacian
+from kgbreather.lattice import block_slices, dirichlet_energy, laplacian, norm_l2
 from kgbreather.timespectral import nonlinearity_coefficient, odd_collocation
 
 
@@ -147,3 +151,36 @@ def whole_box_kg_residual(b):
     ):
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
+
+
+def elementwise_even_basis(N, K, offset):
+    """``kgbreather.rangesolver._even_basis`` entry by entry:
+    V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1)(j + offset) / (N+1)), the angle's
+    integer multiple t = (2j + 2 offset)(2m+1) of pi / (2 (N+1)) reduced
+    modulo the period 4 (N+1) before the cosine."""
+    V = np.multiply.outer(
+        2.0 * np.arange(K + 1) + 2.0 * offset, 2.0 * np.arange(K + 1) + 1.0
+    )
+    np.fmod(V, 4.0 * (N + 1), out=V)
+    V *= np.pi / (2.0 * (N + 1))
+    np.cos(V, out=V)
+    V *= np.sqrt(2.0 / (N + 1))
+    return V
+
+
+def assembled_g0_jacobian(phi, prob):
+    """``kgbreather.kernelsolver.reduced_g0_jacobian`` built from scratch on
+    every call: the per-axis -lap joined by a Kronecker sum, scaled by
+    a/mu^2, plus the sparse diagonal m - (2p+1)|phi|^(2p), converted to CSC."""
+    grid = prob.grid
+    mats = [_axis_minus_laplacian(grid.K, offset) for offset in grid.offsets]
+    if grid.n == 1:
+        minus_lap = mats[0]
+    else:
+        eye = sparse.identity(grid.K + 1)
+        minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
+    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(grid)]
+    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi_block.ravel()) ** (
+        2.0 * prob.p
+    )
+    return ((prob.coupling / prob.mu**2) * minus_lap + sparse.diags(diag)).tocsc()

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import kgbreather.breather as breather
+import kgbreather.kernelsolver as kernelsolver
 import kgbreather.rangesolver as rangesolver
 from kgbreather.breather import (
     Breather,
@@ -431,6 +432,35 @@ def test_a_widened_window_builds_one_range_operator(monkeypatch):
     ))
     assert b.L_max > 8
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.3, r_min=20.0, l_max=7),
+    PipelineConfig(n=2, p=0.5, coupling=0.25, mu=0.4, mode="st", r_min=8.0,
+                   l_max=7),
+], ids=["1d-st", "2d-st"])
+def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
+    """The scaled -lap of G0' is built once per axis and the even-sector
+    basis once per offset, for all the Newton steps of one assembly; a
+    second assembly of the same config builds its own."""
+    built = {"laplacian": 0, "basis": 0}
+
+    def counting(name, build):
+        def wrapped(*args):
+            built[name] += 1
+            return build(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernelsolver, "_axis_minus_laplacian",
+                        counting("laplacian", kernelsolver._axis_minus_laplacian))
+    monkeypatch.setattr(rangesolver, "_even_basis",
+                        counting("basis", rangesolver._even_basis))
+    for assemblies in (1, 2):
+        b = assemble_breather(cfg)
+        newton_steps = (b.reports["dnls_newton"]["iterations"]
+                        + b.reports["kernel_newton"]["iterations"])
+        assert newton_steps >= 2
+        assert built == {"laplacian": assemblies * cfg.n, "basis": assemblies}
 
 
 def test_oversize_residual_window_is_refused_up_front():

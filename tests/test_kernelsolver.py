@@ -32,7 +32,7 @@ from kgbreather.timespectral import (
     default_node_count,
     nonlinearity_coefficient,
 )
-from references import symmetrize
+from references import assembled_g0_jacobian, symmetrize
 
 M_CUBIC = 1.0 / 16.0
 
@@ -102,6 +102,24 @@ def test_reduced_jacobian_matches_folded_operator(n, offsets):
         )
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(J, J.T)
+
+
+@pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
+def test_reduced_jacobian_is_the_assembled_build_bit_for_bit(n, offsets):
+    # the cached scaled -lap plus this step's diagonal, against diags/kron
+    # rebuilt from scratch; two iterates share the one pattern
+    grid, prob, phi = _symmetric_problem(n, offsets, K=40 if n == 1 else 12)
+    pattern, _ = prob.scaled_minus_laplacian
+    for field in (phi, 1.5 * phi):
+        J = reduced_g0_jacobian(field, prob)
+        ref = assembled_g0_jacobian(field, prob)
+        assert J.format == "csc" and J.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(J, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.shares_memory(J.indices, pattern.indices)
+        assert not np.shares_memory(J.data, pattern.data)
+    assert prob.scaled_minus_laplacian[0] is pattern
 
 
 def test_reduced_jacobian_is_fd_of_folded_g0():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
+import kgbreather.rangesolver as rangesolver
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
 from kgbreather.lattice import (
@@ -16,9 +17,11 @@ from kgbreather.lattice import (
 from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
+    default_node_count,
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
+from references import elementwise_even_basis
 
 M_CUBIC = 1.0 / 16.0  # unit-mass 1d ground state multiplier at p = 1
 
@@ -123,6 +126,36 @@ def test_block_inverse_matches_dst_reference(n, offsets):
     got = op.solve(x)
     assert np.all(got[0] == 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# K + 1 = 301, 601 and 1,201 leave a partial last block of 2^16-index rows
+@pytest.mark.parametrize("K", [2, 3, 17, 150, 300, 600, 1200])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_even_basis_table_is_the_elementwise_formula(K, offset):
+    N = 2 * K + 1 if offset == 0.0 else 2 * K + 2
+    V = rangesolver._even_basis(N, K, offset)
+    assert V.dtype == np.float64 and V.shape == (K + 1, K + 1)
+    assert V.tobytes() == elementwise_even_basis(N, K, offset).tobytes()
+
+
+@pytest.mark.parametrize(
+    "offsets, built", [((0.0, 0.0), 1), ((0.5, 0.5), 1), ((0.0, 0.5), 2)]
+)
+def test_axes_of_one_offset_share_one_basis(monkeypatch, offsets, built):
+    calls = []
+    even_basis = rangesolver._even_basis
+
+    def counting(N, K, offset):
+        calls.append((N, offset))
+        return even_basis(N, K, offset)
+
+    monkeypatch.setattr(rangesolver, "_even_basis", counting)
+    op = RangeOperator(
+        GridSpec(n=2, K=9, mu=0.3, offsets=offsets),
+        omega_sq=omega_sq(0.3, 0.03), coupling=0.25,
+    )
+    assert len(calls) == built
+    assert (op._basis[0] is op._basis[1]) == (built == 1)
 
 
 def test_solve_discards_bifurcating_harmonic():
@@ -249,7 +282,7 @@ def test_decoupled_site_closed_form():
     # fundamental block (whose index 0 is the center site), harmonics 1, 3, 5
     v = np.zeros((3,) + block_shape(grid))
     v[0] = phi[block_slices(grid)]
-    g = apply_nonlinearity(v, 1.0)
+    g = apply_nonlinearity(v, 1.0, M=default_node_count(5, 1.0))
     g[0] = 0.0
     w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
@@ -269,7 +302,8 @@ def test_range_solution_is_fixed_point():
     assert report.converged
     v = np.zeros_like(w)
     v[0] = phi[block_slices(grid)]
-    g = apply_nonlinearity(v + w, p=1.0)
+    # 24 nodes, the count of the odd window 5 (the range solve takes 28)
+    g = apply_nonlinearity(v + w, p=1.0, M=default_node_count(5, 1.0))
     g[0] = 0.0
     again = mu**2 * op.solve(g)
     sigma = orbit_sizes(grid)
@@ -392,12 +426,13 @@ def _full_box_picard(phi, op, p, mu, L_max, iterations):
     v = np.zeros(((L_max + 1) // 2,) + op.grid.shape)
     v[0] = phi
     w = np.zeros_like(v)
+    M = default_node_count(2 * len(v) - 1, p)
     tail = {}
     for _ in range(iterations):
-        g = apply_nonlinearity(v + w, p, tail=tail)
+        g = apply_nonlinearity(v + w, p, M=M, tail=tail)
         g[0] = 0.0
         w = mu**2 * _dst_inverse(op, g)
-    forcing = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p), order=0)
+    forcing = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p, M=M), order=0)
     return w, tail["discarded"], forcing
 
 

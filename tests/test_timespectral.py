@@ -80,7 +80,7 @@ def test_cubic_single_mode_harmonics():
     # beta cos^3 = cos + (1/3) cos(3 tau) exactly at p = 1
     c = np.zeros((3, 1))
     c[0, 0] = 1.0
-    out = apply_nonlinearity(c, p=1.0)
+    out = apply_nonlinearity(c, p=1.0, M=default_node_count(5, 1.0))
     expected = np.zeros((3, 1))
     expected[0, 0] = 1.0
     expected[1, 0] = 1.0 / 3.0
@@ -92,7 +92,7 @@ def test_cubic_two_mode_against_quadrature():
     c = np.zeros((5, 2))
     c[0] = [0.7, -0.2]
     c[1] = [-0.3, 0.5]
-    out = apply_nonlinearity(c, p=1.0)
+    out = apply_nonlinearity(c, p=1.0, M=default_node_count(9, 1.0))
     beta = nonlinearity_coefficient(1.0)
     t = np.linspace(0.0, 2 * np.pi, 20001)
     for j in range(2):
@@ -175,20 +175,23 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
 
 def test_chunking_is_transparent(monkeypatch):
     c = _odd_stack(np.random.default_rng(3), 7, 23)[1::2]
-    full = apply_nonlinearity(c, p=0.75)
+    M = default_node_count(5, 0.75)
+    full = apply_nonlinearity(c, p=0.75, M=M)
     monkeypatch.setattr(timespectral, "_CHUNK", 5)
-    chunked = apply_nonlinearity(c, p=0.75)
+    chunked = apply_nonlinearity(c, p=0.75, M=M)
     assert np.array_equal(full, chunked)
 
 
 def test_tail_diagnostic():
     c = np.ones((1, 1))
     tail = {}
-    apply_nonlinearity(c, p=1.0, tail=tail)
+    apply_nonlinearity(c, p=1.0, M=default_node_count(1, 1.0), tail=tail)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
     assert tail["discarded"] == pytest.approx(1.0 / 3.0, rel=1e-12)
     tail = {}
-    apply_nonlinearity(np.zeros((1, 1)), p=1.0, tail=tail)
+    apply_nonlinearity(
+        np.zeros((1, 1)), p=1.0, M=default_node_count(1, 1.0), tail=tail
+    )
     assert tail["discarded"] == 0.0
 
 
