@@ -31,8 +31,8 @@ m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
 sites that block site j stands for).  So the inverse on the block is
 V (sigma V^T . / symbol) per axis: one matrix product each way per axis,
 for every centering and any N; V is read off a table of the 4 (N+1)
-values of one period and shared by the axes of one offset.  Norms weight
-each block site by its orbit size, so they read the same as on the box.
+values of one period.  Norms weight each block site by its orbit size,
+so they read the same as on the box.
 
 The symbol is therefore only ever divided on this even sector and for the
 odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
@@ -102,15 +102,13 @@ class RangeOperator:
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
         s = []
-        bases = {}  # N is set by K and the offset: one basis per offset
-        for ax, offset in enumerate(grid.offsets):
+        self._basis = []
+        for ax in range(grid.n):
             N = grid.axis_length(ax)
             # the reflection-even Dirichlet modes are the odd k = 2m + 1
             k = np.arange(1, N + 1, 2)
             s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
-            if offset not in bases:
-                bases[offset] = _even_basis(N, grid.K, offset)
-        self._basis = [bases[offset] for offset in grid.offsets]
+            self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
         self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
         self.sigma = orbit_sizes(grid)
         # invertibility margin over every range harmonic, taken at l = 3

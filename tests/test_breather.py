@@ -440,9 +440,9 @@ def test_a_widened_window_builds_one_range_operator(monkeypatch):
                    l_max=7),
 ], ids=["1d-st", "2d-st"])
 def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
-    """The scaled -lap of G0' is built once per axis and the even-sector
-    basis once per offset, for all the Newton steps of one assembly; a
-    second assembly of the same config builds its own."""
+    """The scaled -lap of G0' and the even-sector basis are built once per
+    axis, for all the Newton steps of one assembly; a second assembly of
+    the same config builds its own."""
     built = {"laplacian": 0, "basis": 0}
 
     def counting(name, build):
@@ -460,7 +460,8 @@ def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
         newton_steps = (b.reports["dnls_newton"]["iterations"]
                         + b.reports["kernel_newton"]["iterations"])
         assert newton_steps >= 2
-        assert built == {"laplacian": assemblies * cfg.n, "basis": assemblies}
+        assert built == {"laplacian": assemblies * cfg.n,
+                         "basis": assemblies * cfg.n}
 
 
 def test_oversize_residual_window_is_refused_up_front():

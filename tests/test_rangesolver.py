@@ -138,26 +138,6 @@ def test_even_basis_table_is_the_elementwise_formula(K, offset):
     assert V.tobytes() == elementwise_even_basis(N, K, offset).tobytes()
 
 
-@pytest.mark.parametrize(
-    "offsets, built", [((0.0, 0.0), 1), ((0.5, 0.5), 1), ((0.0, 0.5), 2)]
-)
-def test_axes_of_one_offset_share_one_basis(monkeypatch, offsets, built):
-    calls = []
-    even_basis = rangesolver._even_basis
-
-    def counting(N, K, offset):
-        calls.append((N, offset))
-        return even_basis(N, K, offset)
-
-    monkeypatch.setattr(rangesolver, "_even_basis", counting)
-    op = RangeOperator(
-        GridSpec(n=2, K=9, mu=0.3, offsets=offsets),
-        omega_sq=omega_sq(0.3, 0.03), coupling=0.25,
-    )
-    assert len(calls) == built
-    assert (op._basis[0] is op._basis[1]) == (built == 1)
-
-
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
     op = RangeOperator(grid, omega_sq=omega_sq(0.3), coupling=0.4)
