@@ -19,13 +19,14 @@ Newton runs in reduced coordinates, the orbit coordinates of the
 fundamental block (lattice.fold_symmetric): the full Jacobian is exactly
 singular in the odd sector only up to exponentially small Peierls-Nabarro
 splittings, which the reduction removes wholesale.  G0' is built there
-directly (reduced_g0_jacobian): per axis the Dirichlet -lap on j = 0..K
-with the reflection folded into its first row, the axes joined by a
-Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block.  The
-scaled -lap pattern is built once per problem (DnlsProblem); each Newton
-step only adds its diagonal to a copy of the pattern's values.
+directly: per axis the Dirichlet -lap on j = 0..K with the reflection
+folded into its first row (lattice.minus_laplacian_bands), the axes
+joined by a Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the
+block, whose scaled bands are built once per problem (DnlsProblem).  A
+Newton step is a tridiagonal solve in 1d (dgtsv, which pivots: G0' is
+indefinite) and a sparse LU in 2d.
 
-The kernel equation is solved by a chord iteration with the exact sparse
+The kernel equation is solved by a chord iteration with the exact
 G0'(phi) as its Jacobian.  The discrete NLS ground state is nondegenerate
 in the symmetric sector (Bambusi & Penati, Nonlinearity 23 (2010)), so G0'
 is invertible there, and the omitted R'(phi)
@@ -39,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, GuardError
@@ -47,6 +49,7 @@ from .lattice import (
     block_slices,
     fold_symmetric,
     laplacian,
+    minus_laplacian_bands,
     mirror_block,
     unfold_symmetric,
 )
@@ -86,18 +89,34 @@ class DnlsProblem:
         return 1.0 - self.multiplier * self.mu**2
 
     @cached_property
+    def scaled_bands(self):
+        """(diag, off) of (a/mu^2)(-lap) per axis, built once per problem."""
+        c = self.coupling / self.mu**2
+        bands = (minus_laplacian_bands(self.grid.K, o) for o in self.grid.offsets)
+        return [(c * d, c * e) for d, e in bands]
+
+    @cached_property
     def scaled_minus_laplacian(self):
-        """(a/mu^2)(-lap) in orbit coordinates as CSC, built once per
-        problem, and the positions of its diagonal in ``data``, by column."""
-        mats = [_axis_minus_laplacian(self.grid.K, o) for o in self.grid.offsets]
+        """The same as CSC, the axes joined by a Kronecker sum, and the
+        positions of its diagonal in ``data``, by column."""
+        mats = [sparse.diags([e, d, e], offsets=[-1, 0, 1])
+                for d, e in self.scaled_bands]
         if self.grid.n == 1:
-            minus_lap = mats[0]
+            pattern = mats[0].tocsc()
         else:
             eye = sparse.identity(self.grid.K + 1)
-            minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
-        pattern = ((self.coupling / self.mu**2) * minus_lap).tocsc()
+            pattern = (sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])).tocsc()
         columns = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
         return pattern, np.flatnonzero(pattern.indices == columns)
+
+    def newton_step(self, phi, rhs):
+        """G0'(phi)^-1 rhs in orbit coordinates: pivoting dgtsv in 1d (G0'
+        is indefinite; None if it is singular), a sparse LU in 2d."""
+        if self.grid.n == 1:
+            (diag, off), = self.scaled_bands
+            *_, step, info = dgtsv(off, diag + _g0_diagonal(phi, self), off, rhs)
+            return step if info == 0 else None
+        return splu(reduced_g0_jacobian(phi, self)).solve(rhs)
 
     def apply_g0(self, phi):
         return (
@@ -107,18 +126,11 @@ class DnlsProblem:
         )
 
 
-def _axis_minus_laplacian(K, offset):
-    # -lap along one axis of the block, j = 0..K, in orbit coordinates: the
-    # center of an offset-0 axis meets the orbit {1, -1} with weight sqrt(2);
-    # on an offset-1/2 axis sites 0 and -1 form one orbit, so the bond
-    # between them drops out of the (0, 0) entry
-    diag = np.full(K + 1, 2.0)
-    off = -np.ones(K)
-    if offset == 0.0:
-        off[0] = -np.sqrt(2.0)
-    else:
-        diag[0] = 1.0
-    return sparse.diags([off, diag, off], offsets=[-1, 0, 1])
+def _g0_diagonal(phi, prob):
+    # m - (2p+1)|phi|^(2p) on the block, flattened: G0' less its -lap part
+    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(prob.grid)]
+    power = np.abs(phi_block.ravel()) ** (2.0 * prob.p)
+    return prob.multiplier - (2.0 * prob.p + 1.0) * power
 
 
 def reduced_g0_jacobian(phi, prob):
@@ -126,10 +138,8 @@ def reduced_g0_jacobian(phi, prob):
     coordinates of lattice.fold_symmetric, for a reflection-even box phi:
     a copy of the cached pattern's values plus the diagonal."""
     pattern, diagonal = prob.scaled_minus_laplacian
-    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(prob.grid)]
-    power = np.abs(phi_block.ravel()) ** (2.0 * prob.p)
     data = pattern.data.copy()
-    data[diagonal] += prob.multiplier - (2.0 * prob.p + 1.0) * power
+    data[diagonal] += _g0_diagonal(phi, prob)
     return sparse.csc_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
 
 
@@ -156,8 +166,9 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter):
         if res <= tol * scale:
             report.converged = True
             break
-        J_red = reduced_g0_jacobian(phi, prob)
-        step = splu(J_red).solve(fold_symmetric(G, grid))
+        step = prob.newton_step(phi, fold_symmetric(G, grid))
+        if step is None:
+            raise ConvergenceError(f"G0' is singular at Newton iteration {iteration}")
         lam = 1.0
         for _ in range(8):  # step halvings before the search gives up
             x_try = x - lam * step
@@ -231,7 +242,7 @@ def solve_kernel_equation(
 ):
     """Chord Newton continuation of G(phi) = G0(phi) + R(phi) = 0 from phi0.
 
-    Every step solves with the exact sparse G0'(phi) in place of G'(phi).
+    Every step solves with the exact G0'(phi) in place of G'(phi).
     The dropped part R'(phi) is O(mu^2) small, so the iteration contracts
     at rate O(mu^2) (about 1e-3 per step at mu = 0.3) and needs no
     derivative of the range solve.  Each residual evaluation solves the

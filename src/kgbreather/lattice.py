@@ -215,7 +215,7 @@ def norm_q_mu(a, grid):
 # offset-0 axis has one.  Orbit coordinates scale the block values by
 # sqrt(orbit size), so folding preserves l2 norms and an operator that
 # commutes with the reflections becomes a symmetric matrix on the block
-# (kernelsolver.reduced_g0_jacobian builds G0' that way).
+# (per axis, -lap becomes the tridiagonal minus_laplacian_bands).
 
 
 def orbit_weights(grid):
@@ -232,6 +232,19 @@ def orbit_weights(grid):
 def orbit_sizes(grid):
     """Number of box sites (1, 2 or 4) that each block site stands for."""
     return np.rint(orbit_weights(grid) ** 2)
+
+
+def minus_laplacian_bands(K, offset):
+    """(diag, off) of -lap along one axis of the block in orbit coordinates:
+    an offset-0 center meets the orbit {1, -1} with weight sqrt(2); on an
+    offset-1/2 axis sites 0 and -1 form one orbit, a bond that drops out."""
+    diag = np.full(K + 1, 2.0)
+    off = -np.ones(K)
+    if offset == 0.0:
+        off[0] = -np.sqrt(2.0)
+    else:
+        diag[0] = 1.0
+    return diag, off
 
 
 def block_slices(grid):

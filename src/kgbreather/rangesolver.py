@@ -28,11 +28,14 @@ odd DST-I modes k = 2m + 1, and restricted to the block they read
     V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1) (j + offset) / (N+1)),
 
 m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
-sites that block site j stands for).  So the inverse on the block is
-V (sigma V^T . / symbol) per axis: one matrix product each way per axis,
-for every centering and any N; V is read off a table of the 4 (N+1)
-values of one period.  Norms weight each block site by its orbit size,
-so they read the same as on the box.
+sites that block site j stands for).  So in 2d the inverse on the block
+is V (sigma V^T . / symbol) per axis: one matrix product each way per
+axis, for every centering and any N; V is read off a table of the 4 (N+1)
+values of one period.  In 1d, with S = sqrt(sigma), S L_l S^-1 is the
+tridiagonal A_l = (1 - omega^2 l^2) + a (-lap) of minus_laplacian_bands,
+and -A_l > 3/2 is SPD (below): its LDL^T (LAPACK dptsv) solves a stack in
+O(rows K), with no basis.  Norms weight each block site by its orbit
+size, so they read the same as on the box.
 
 The symbol is therefore only ever divided on this even sector and for the
 odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
@@ -40,18 +43,19 @@ so it knows no window L: the window is an argument of the range solve.
 Under the guards 1/2 < omega^2 < 3/2 and 0 < a s < 4, every l >= 5 has
 symbol < 1 - 25/2 + 4 = -7.5, further from zero than any l = 3 value, so
 the constructor checks the symbol (ResonanceError) and takes
-spectral_margin at l = 3 alone.  With omega^2 > 1/2 and a < 1/2,
-|1 - 9 omega^2 + a s| > 3/2 in 1d, so a resonance is possible only in 2d
-(a s up to 8a), with omega^2 < 5/9.
+spectral_margin at l = 3 alone.  With omega^2 > 1/2 and a < 1/2, every
+1d symbol is below 1 - 9/2 + 2 = -3/2, so a resonance is possible only in
+2d (a s up to 8a), with omega^2 < 5/9.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceError, GuardError, ResonanceError
-from .lattice import block_slices, orbit_sizes
+from .lattice import block_slices, minus_laplacian_bands, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -83,13 +87,13 @@ def _even_basis(N, K, offset):
 
 
 class RangeOperator:
-    """Per-harmonic spectral inverse of L = omega^2 d_tautau + I - a lap on
-    the range: the odd harmonics l >= 3 on the reflection-even sector, for
-    any harmonic window.  The symbol is checked and inverted there alone,
-    on the even-sector DST-I spectrum ``_s``; spectral_margin and
-    neumann_margin read the same sector.  The smallest |symbol| over all
-    l >= 3 is the l = 3 one (module docstring), so the check and
-    spectral_margin read l = 3."""
+    """Per-harmonic inverse of L = omega^2 d_tautau + I - a lap on the
+    range, the odd harmonics l >= 3 on the reflection-even sector, for any
+    harmonic window: the LDL^T of -L_l in 1d (SPD under the guards, module
+    docstring), the even-sector basis in 2d.  The symbol is checked on the
+    even-sector DST-I spectrum ``_s``; spectral_margin and neumann_margin
+    read the same sector.  The smallest |symbol| over all l >= 3 is the
+    l = 3 one (module docstring), so the check and spectral_margin read l = 3."""
 
     def __init__(self, grid, omega_sq, coupling):
         if not (0.0 < coupling < 0.5):
@@ -102,15 +106,18 @@ class RangeOperator:
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
         s = []
-        self._basis = []
         for ax in range(grid.n):
             N = grid.axis_length(ax)
             # the reflection-even Dirichlet modes are the odd k = 2m + 1
             k = np.arange(1, N + 1, 2)
             s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
-            self._basis.append(_even_basis(N, grid.K, grid.offsets[ax]))
         self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
         self.sigma = orbit_sizes(grid)
+        if grid.n == 1:  # the -lap bands in orbit coordinates
+            self._bands = minus_laplacian_bands(grid.K, grid.offsets[0])
+        else:  # the even-sector basis per axis
+            self._basis = [_even_basis(N, grid.K, offset)
+                           for N, offset in zip(grid.shape, grid.offsets)]
         # invertibility margin over every range harmonic, taken at l = 3
         self.spectral_margin = float(np.min(np.abs(self._symbol(3))))
         if self.spectral_margin < _RESONANCE_MARGIN:
@@ -122,16 +129,6 @@ class RangeOperator:
     def _symbol(self, l):
         return (1.0 - self.omega_sq * l * l) + self.coupling * self._s
 
-    def _along_axes(self, x, transpose):
-        # apply V^T (transpose) or V along each spatial axis of a row stack
-        for ax, V in enumerate(self._basis):
-            A = V.T if transpose else V
-            if ax == self.grid.n - 1:  # trailing axis: one GEMM for all rows
-                x = (x.reshape(-1, x.shape[-1]) @ A.T).reshape(x.shape)
-            else:
-                x = A @ x
-        return x
-
     def solve(self, coeffs):
         """L^-1 restricted to the range, on odd-row fundamental-block
         stacks of shape (r, K+1[, K+1]), row j harmonic 2j+1: harmonic 1
@@ -139,10 +136,30 @@ class RangeOperator:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         out = np.empty_like(coeffs)
         out[0] = 0.0
-        hat = self._along_axes(coeffs[1:] * self.sigma, transpose=True)
+        if len(coeffs) == 1:
+            return out
+        if self.grid.n == 1:
+            # S^-1 (-A_l)^-1 (-S g): one band system, rows joined by zeros
+            diag, off = self._bands
+            l = 2.0 * np.arange(1, len(coeffs)) + 1.0
+            d = (self.omega_sq * l * l - 1.0)[:, None] - self.coupling * diag
+            e = np.tile(np.append(-self.coupling * off, 0.0), len(l))[:-1]
+            S = np.sqrt(self.sigma)
+            *_, x, info = dptsv(d.ravel(), e, (coeffs[1:] * -S).ravel(),
+                                overwrite_d=1, overwrite_e=1, overwrite_b=1)
+            if info > 0:
+                raise GuardError(f"range operator not definite (dptsv info {info})")
+            out[1:] = x.reshape(d.shape) / S
+            return out
+        # 2d: V^T, then V, along both spatial axes, the trailing one by one
+        # GEMM for all rows
+        V0, V1 = self._basis
+        hat = V0.T @ (coeffs[1:] * self.sigma)
+        hat = (hat.reshape(-1, hat.shape[-1]) @ V1).reshape(hat.shape)
         for j, row in enumerate(hat, start=1):
             row /= self._symbol(2 * j + 1)
-        out[1:] = self._along_axes(hat, transpose=False)
+        hat = V0 @ hat
+        out[1:] = (hat.reshape(-1, hat.shape[-1]) @ V1.T).reshape(hat.shape)
         return out
 
 

@@ -6,15 +6,25 @@ that the in-place library versions must match bit for bit, the whole-box
 equation residual that the slab-wise one must match bit for bit, the
 elementwise even-sector basis that the table lookup must match bit for bit,
 the per-call sparse build of G0' that the cached pattern must match bit for
-bit) or to build inputs (the reflection-even part of a random field).  Each
-is the plain textbook formula, written for clarity rather than speed.
+bit, the dense even-sector basis inverse and the sparse LU Newton step
+that the 1d band solves must match to roundoff) or to build inputs (the
+reflection-even part of a random field).  Each is the plain textbook
+formula, written for clarity rather than speed.
 """
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
-from kgbreather.kernelsolver import _axis_minus_laplacian
-from kgbreather.lattice import block_slices, dirichlet_energy, laplacian, norm_l2
+from kgbreather.kernelsolver import reduced_g0_jacobian
+from kgbreather.lattice import (
+    block_slices,
+    dirichlet_energy,
+    laplacian,
+    minus_laplacian_bands,
+    norm_l2,
+)
+from kgbreather.rangesolver import _even_basis
 from kgbreather.timespectral import nonlinearity_coefficient, odd_collocation
 
 
@@ -173,7 +183,10 @@ def assembled_g0_jacobian(phi, prob):
     every call: the per-axis -lap joined by a Kronecker sum, scaled by
     a/mu^2, plus the sparse diagonal m - (2p+1)|phi|^(2p), converted to CSC."""
     grid = prob.grid
-    mats = [_axis_minus_laplacian(grid.K, offset) for offset in grid.offsets]
+    mats = [
+        sparse.diags([off, diag, off], offsets=[-1, 0, 1])
+        for diag, off in (minus_laplacian_bands(grid.K, o) for o in grid.offsets)
+    ]
     if grid.n == 1:
         minus_lap = mats[0]
     else:
@@ -184,3 +197,22 @@ def assembled_g0_jacobian(phi, prob):
         2.0 * prob.p
     )
     return ((prob.coupling / prob.mu**2) * minus_lap + sparse.diags(diag)).tocsc()
+
+
+def basis_range_solve(op, coeffs):
+    """``kgbreather.rangesolver.RangeOperator.solve`` on a 1d stack through
+    the dense even-sector basis: V (sigma V^T g / symbol) row by row, the
+    per-mode inverse that the tridiagonal solve replaced."""
+    grid = op.grid
+    V = _even_basis(grid.axis_length(0), grid.K, grid.offsets[0])
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    out = np.zeros_like(coeffs)
+    for j in range(1, len(coeffs)):
+        out[j] = V @ ((V.T @ (coeffs[j] * op.sigma)) / op._symbol(2 * j + 1))
+    return out
+
+
+def lu_newton_step(phi, prob, rhs):
+    """``kgbreather.kernelsolver.DnlsProblem.newton_step`` by a sparse LU of
+    the assembled G0'(phi), as every Newton step was solved in 1d before."""
+    return splu(reduced_g0_jacobian(phi, prob)).solve(rhs)

@@ -434,16 +434,23 @@ def test_a_widened_window_builds_one_range_operator(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("cfg", [
+_ONE_PER_DIMENSION = [
     PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.3, r_min=20.0, l_max=7),
     PipelineConfig(n=2, p=0.5, coupling=0.25, mu=0.4, mode="st", r_min=8.0,
                    l_max=7),
-], ids=["1d-st", "2d-st"])
-def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
-    """The scaled -lap of G0' and the even-sector basis are built once per
-    axis, for all the Newton steps of one assembly; a second assembly of
-    the same config builds its own."""
-    built = {"laplacian": 0, "basis": 0}
+]
+
+
+@pytest.mark.parametrize("cfg, builds", zip(_ONE_PER_DIMENSION, [
+    {"bands": 2, "basis": 0}, {"bands": 2, "basis": 2},
+]), ids=["1d-st", "2d-st"])
+def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg, builds):
+    """The -lap bands and the even-sector basis are built once per use,
+    for all the Newton steps of one assembly: in 1d the bands once for G0'
+    and once for the range inverse, and no basis; in 2d the bands once per
+    axis for G0' and the basis once per axis.  A second assembly of the
+    same config builds its own."""
+    built = {"bands": 0, "basis": 0}
 
     def counting(name, build):
         def wrapped(*args):
@@ -451,8 +458,9 @@ def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
             return build(*args)
         return wrapped
 
-    monkeypatch.setattr(kernelsolver, "_axis_minus_laplacian",
-                        counting("laplacian", kernelsolver._axis_minus_laplacian))
+    bands = counting("bands", kernelsolver.minus_laplacian_bands)
+    monkeypatch.setattr(kernelsolver, "minus_laplacian_bands", bands)
+    monkeypatch.setattr(rangesolver, "minus_laplacian_bands", bands)
     monkeypatch.setattr(rangesolver, "_even_basis",
                         counting("basis", rangesolver._even_basis))
     for assemblies in (1, 2):
@@ -460,8 +468,31 @@ def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg):
         newton_steps = (b.reports["dnls_newton"]["iterations"]
                         + b.reports["kernel_newton"]["iterations"])
         assert newton_steps >= 2
-        assert built == {"laplacian": assemblies * cfg.n,
-                         "basis": assemblies * cfg.n}
+        assert built == {name: assemblies * count for name, count in builds.items()}
+
+
+@pytest.mark.parametrize("cfg", _ONE_PER_DIMENSION, ids=["1d-st", "2d-st"])
+def test_only_2d_assembly_runs_a_sparse_lu_or_builds_a_basis(monkeypatch, cfg):
+    """1d solves its tridiagonal G0' and range operators by LAPACK band
+    solvers, so a 1d assembly calls neither splu nor _even_basis; a 2d one
+    still calls both, once per Newton step and once per axis."""
+    calls = {"splu": 0, "basis": 0}
+
+    def counting(name, call):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernelsolver, "splu", counting("splu", kernelsolver.splu))
+    monkeypatch.setattr(rangesolver, "_even_basis",
+                        counting("basis", rangesolver._even_basis))
+    b = assemble_breather(cfg)
+    if cfg.n == 1:
+        assert calls == {"splu": 0, "basis": 0}
+    else:
+        assert calls == {"splu": b.reports["dnls_newton"]["iterations"]
+                         + b.reports["kernel_newton"]["iterations"], "basis": 2}
 
 
 def test_oversize_residual_window_is_refused_up_front():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.linalg import null_space
+from scipy.linalg import eigvalsh_tridiagonal, null_space
 
 import kgbreather.kernelsolver as kernelsolver
 import kgbreather.timespectral as timespectral
@@ -32,7 +32,7 @@ from kgbreather.timespectral import (
     default_node_count,
     nonlinearity_coefficient,
 )
-from references import assembled_g0_jacobian, symmetrize
+from references import assembled_g0_jacobian, lu_newton_step, symmetrize
 
 M_CUBIC = 1.0 / 16.0
 
@@ -120,6 +120,44 @@ def test_reduced_jacobian_is_the_assembled_build_bit_for_bit(n, offsets):
         assert np.shares_memory(J.indices, pattern.indices)
         assert not np.shares_memory(J.data, pattern.data)
     assert prob.scaled_minus_laplacian[0] is pattern
+
+
+@pytest.mark.parametrize("K", [2, 3, 17, 150, 600, 2500])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_1d_newton_step_matches_the_sparse_lu(K, offset):
+    """The pivoting band solve of G0' against the sparse LU that every 1d
+    Newton step used before, at the sampled reference and at the dNLS
+    solution, where G0' has one negative direction on every box that holds
+    the profile (K >= 17 at mu = 0.3, every K at mu = 30/K).  At mu = 0.3
+    the two agree to 1e-13.  At the sweep's mu = 30/K (a/mu^2 up to 2,800
+    at K = 2,500, condition number up to 1.7e5) two backward-stable solves
+    can only agree to about kappa * eps, the bound asserted there."""
+    profile = solve_ground_state(1, 1.0)
+    for mu in (0.3, min(2.5, 30.0 / K)):
+        grid = GridSpec(n=1, K=K, mu=mu, offsets=(offset,))
+        prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=0.4,
+                           multiplier=M_CUBIC)
+        phi0 = sample_reference(profile, grid, coupling=0.4)
+        rhs = np.random.default_rng(K).standard_normal(K + 1)
+        for phi in (phi0, solve_dnls_ground_state(prob, phi0)[0]):
+            got = prob.newton_step(phi, rhs)
+            ref = lu_newton_step(phi, prob, rhs)
+            J = reduced_g0_jacobian(phi, prob)
+            ev = np.abs(eigvalsh_tridiagonal(J.diagonal(), J.diagonal(1)))
+            tol = 1e-13 if mu == 0.3 else np.finfo(float).eps * ev.max() / ev.min()
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_singular_1d_g0_jacobian_is_a_convergence_error():
+    # 1d: a/mu^2 = 1, m = 1 and p = 1/2 make G0' = -lap + 1 - 2|phi|; with
+    # |phi| = 1/2, 1/2, 1 on an offset-1/2 block of K = 2 that is the
+    # Neumann Laplacian [[1, -1, 0], [-1, 2, -1], [0, -1, 1]], whose last
+    # pivot is exactly zero
+    grid = GridSpec(n=1, K=2, mu=0.5, offsets=(0.5,))
+    prob = DnlsProblem(grid=grid, p=0.5, mu=0.5, coupling=0.25, multiplier=1.0)
+    phi = mirror_block(np.array([0.5, 0.5, 1.0]), grid)
+    with pytest.raises(ConvergenceError, match="singular at Newton iteration 1"):
+        solve_dnls_ground_state(prob, phi)
 
 
 def test_reduced_jacobian_is_fd_of_folded_g0():

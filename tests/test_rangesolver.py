@@ -1,5 +1,7 @@
 """Range operator inversion and the Picard solve of the range equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
@@ -21,7 +23,7 @@ from kgbreather.timespectral import (
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
-from references import elementwise_even_basis
+from references import basis_range_solve, elementwise_even_basis
 
 M_CUBIC = 1.0 / 16.0  # unit-mass 1d ground state multiplier at p = 1
 
@@ -136,6 +138,53 @@ def test_even_basis_table_is_the_elementwise_formula(K, offset):
     V = rangesolver._even_basis(N, K, offset)
     assert V.dtype == np.float64 and V.shape == (K + 1, K + 1)
     assert V.tobytes() == elementwise_even_basis(N, K, offset).tobytes()
+
+
+# every K with a narrow and a working window; the 819- and 2,589-row
+# windows are those of the 1d p = 1/2 residual-target runs (L = 1,637 and
+# 5,176), stacked into one band system of up to 391k unknowns
+@pytest.mark.parametrize("K, rows", [
+    (K, rows) for K in (2, 3, 17, 150, 600, 2500) for rows in (2, 8)
+] + [(17, 819), (150, 819), (17, 2589), (150, 2589)])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("w2, a", [(omega_sq(0.3), 0.4), (0.51, 0.49)],
+                         ids=["nominal", "guard-corner"])
+def test_1d_tridiagonal_inverse_matches_the_basis_inverse(K, rows, offset, w2, a):
+    # the LDL^T solve of -L_l against the dense even-sector basis that 1d
+    # inverted through before, also at the guard corner omega^2 -> 1/2,
+    # a -> 1/2 where -L_3 is least definite
+    grid = GridSpec(n=1, K=K, mu=0.3, offsets=(offset,))
+    op = RangeOperator(grid, omega_sq=w2, coupling=a)
+    x = np.random.default_rng(K + rows).standard_normal((rows, K + 1))
+    ref = basis_range_solve(op, x)
+    got = op.solve(x)
+    assert np.all(got[0] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_1d_operator_and_solve_are_linear_in_memory():
+    # K = 4,000: a (K+1)^2 basis alone would be 128 MB; the band solve of
+    # 8 rows holds a few copies of the 256 kB stack
+    grid = GridSpec(n=1, K=4000, mu=0.01)
+    x = np.random.default_rng(0).standard_normal((8, grid.K + 1))
+    tracemalloc.start()
+    try:
+        op = RangeOperator(grid, omega_sq=omega_sq(0.01), coupling=0.25)
+        op.solve(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_indefinite_1d_operator_is_a_guard_error():
+    # unreachable under the constructor's guards (-L_l >= 3/2 there): force
+    # omega^2 below them, so that 9 omega^2 - 1 < 0 and the LDL^T of -L_3
+    # meets a negative pivot
+    op = RangeOperator(GridSpec(n=1, K=6, mu=0.3), omega_sq=0.9, coupling=0.25)
+    op.omega_sq = 0.1
+    with pytest.raises(GuardError, match="not definite"):
+        op.solve(np.ones((2, 7)))
 
 
 def test_solve_discards_bifurcating_harmonic():
