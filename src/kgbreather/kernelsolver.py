@@ -29,9 +29,16 @@ indefinite) and a sparse LU in 2d.
 The kernel equation is solved by a chord iteration with the exact
 G0'(phi) as its Jacobian.  The discrete NLS ground state is nondegenerate
 in the symmetric sector (Bambusi & Penati, Nonlinearity 23 (2010)), so G0'
-is invertible there, and the omitted R'(phi)
-is O(mu^2): the iteration contracts at rate O(mu^2), a few steps at every
-mu the pipeline resolves, and never differentiates the range solve.
+is invertible there, and the omitted R'(phi) is O(mu^2): the iteration
+contracts at rate O(mu^2), a few steps at every mu the pipeline resolves,
+and never differentiates the range solve.
+
+hessian_diagnostics checks that nondegeneracy on one path in both
+dimensions.  -lap is positive definite, so G0' lies strictly above the
+floor min(m - (2p+1)|phi|^(2p)), and a shift-invert about it finds the two
+lowest eigenvalues.  The lowest on the complement of q = phi/|phi| is the
+root between them of the secular function q.(G0' - s)^-1 q, which
+increases between those poles (Golub, SIAM Review 15 (1973) 318-334).
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import eigsh, splu
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
@@ -109,14 +116,18 @@ class DnlsProblem:
         columns = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
         return pattern, np.flatnonzero(pattern.indices == columns)
 
-    def newton_step(self, phi, rhs):
-        """G0'(phi)^-1 rhs in orbit coordinates: pivoting dgtsv in 1d (G0'
-        is indefinite; None if it is singular), a sparse LU in 2d."""
+    def newton_step(self, phi, rhs, shift=0.0):
+        """(G0'(phi) - shift)^-1 rhs in orbit coordinates: pivoting dgtsv
+        in 1d (G0' is indefinite), a sparse LU in 2d; None if singular."""
         if self.grid.n == 1:
             (diag, off), = self.scaled_bands
-            *_, step, info = dgtsv(off, diag + _g0_diagonal(phi, self), off, rhs)
+            *_, step, info = dgtsv(off, diag - shift + _g0_diagonal(phi, self), off, rhs)
             return step if info == 0 else None
-        return splu(reduced_g0_jacobian(phi, self)).solve(rhs)
+        try:
+            lu = splu(reduced_g0_jacobian(phi, self, shift))
+        except RuntimeError:  # "Factor is exactly singular"
+            return None
+        return lu.solve(rhs)
 
     def apply_g0(self, phi):
         return (
@@ -133,13 +144,13 @@ def _g0_diagonal(phi, prob):
     return prob.multiplier - (2.0 * prob.p + 1.0) * power
 
 
-def reduced_g0_jacobian(phi, prob):
-    """Sparse G0'(phi) = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p) in the orbit
-    coordinates of lattice.fold_symmetric, for a reflection-even box phi:
-    a copy of the cached pattern's values plus the diagonal."""
+def reduced_g0_jacobian(phi, prob, shift=0.0):
+    """Sparse G0'(phi) - shift, G0' = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p), in
+    the orbit coordinates of lattice.fold_symmetric, for a reflection-even
+    box phi: a copy of the cached pattern's values plus the diagonal."""
     pattern, diagonal = prob.scaled_minus_laplacian
     data = pattern.data.copy()
-    data[diagonal] += _g0_diagonal(phi, prob)
+    data[diagonal] += _g0_diagonal(phi, prob) - shift
     return sparse.csc_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
 
 
@@ -285,42 +296,27 @@ def hessian_diagnostics(phi, prob):
 
     The solution direction is a strict descent direction:
     <G0'(phi) phi, phi> = -2p sum |phi|^(2p+2) (exact at solutions); on the
-    orthogonal complement the operator should be positive definite, which
-    is the nondegeneracy condition behind the continuation.
+    orthogonal complement of q = phi/|phi| the operator should be positive
+    definite.  One shift-invert eigsh about the floor of G0', started from q
+    (so deterministic), gives its lowest eigenvalues l0 < l1, and a second
+    negative one raises GuardError; the tangent one is the secular root in
+    (l0, l1), each value of the secular function one newton_step.
     """
+    from scipy.optimize import brentq  # a top-level import slows every run
+
     phi = np.asarray(phi, dtype=np.float64)
     J_red = reduced_g0_jacobian(phi, prob)
     x = fold_symmetric(phi, prob.grid)
     curvature = float(x @ (J_red @ x))
     predicted = -2.0 * prob.p * float(np.sum(np.abs(phi) ** (2.0 * prob.p + 2.0)))
     q = x / np.linalg.norm(x)
-    dim = x.size
-    # restricting to the orthogonal complement of q is exact when done as
-    # P J P (P the projector): on q-perp this is the compression of J, and
-    # shifting the q direction upward keeps it out of the bottom spectrum
-    if dim <= 2500:  # dense eigensolve; sparse shift-invert above
-        dense = J_red.toarray()
-        evals = np.linalg.eigvalsh(dense)
-        min_abs = float(np.min(np.abs(evals)))
-        shift = 10.0 * float(np.max(np.abs(evals)))
-        P = np.eye(dim) - np.outer(q, q)
-        deflated = P @ dense @ P + shift * np.outer(q, q)
-        tangent_min = float(np.linalg.eigvalsh(deflated)[0])
-    else:
-        evals = eigsh(J_red, k=4, sigma=0.0, return_eigenvectors=False)
-        min_abs = float(np.min(np.abs(evals)))
-        shift = 10.0 * float(abs(eigsh(J_red, k=1, return_eigenvectors=False)[0]))
-
-        def deflated_matvec(v):
-            pv = v - q * np.dot(q, v)
-            w = J_red @ pv
-            return w - q * np.dot(q, w) + shift * q * np.dot(q, v)
-
-        defl = LinearOperator((dim, dim), matvec=deflated_matvec, dtype=np.float64)
-        tangent_min = float(eigsh(defl, k=1, which="SA", return_eigenvectors=False)[0])
-    return HessianDiagnostics(
-        curvature_along_solution=curvature,
-        predicted_curvature=predicted,
-        tangent_min_eigenvalue=tangent_min,
-        min_abs_eigenvalue=min_abs,
+    floor = float(np.min(_g0_diagonal(phi, prob)))
+    lo, hi = np.sort(eigsh(J_red, k=2, sigma=floor, v0=q, return_eigenvectors=False))
+    if hi <= 0.0:
+        raise GuardError(f"G0' has two negative directions ({lo:.3e}, {hi:.3e})")
+    inset = 1e-8 * (hi - lo)  # (G0' - s) stays factorable near the poles
+    tangent_min = brentq(
+        lambda s: q @ prob.newton_step(phi, q, shift=s),
+        lo + inset, hi - inset, xtol=1e-15,
     )
+    return HessianDiagnostics(curvature, predicted, tangent_min, float(min(abs(lo), hi)))

@@ -1,5 +1,7 @@
 """Kernel equation: energies, Newton continuation, hessian structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -148,16 +150,21 @@ def test_1d_newton_step_matches_the_sparse_lu(K, offset):
             assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
-def test_singular_1d_g0_jacobian_is_a_convergence_error():
-    # 1d: a/mu^2 = 1, m = 1 and p = 1/2 make G0' = -lap + 1 - 2|phi|; with
-    # |phi| = 1/2, 1/2, 1 on an offset-1/2 block of K = 2 that is the
-    # Neumann Laplacian [[1, -1, 0], [-1, 2, -1], [0, -1, 1]], whose last
-    # pivot is exactly zero
-    grid = GridSpec(n=1, K=2, mu=0.5, offsets=(0.5,))
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_g0_jacobian_is_a_convergence_error(n):
+    # a/mu^2 = 1, m = 1 and p = 1/2 make G0' = -lap + 1 - 2|phi| on an
+    # offset-1/2 block of K = 2, where the -lap diagonal is 1, 2, 2 per axis.
+    # 1d: |phi| = 1/2, 1/2, 1 leave the Neumann Laplacian
+    # [[1, -1, 0], [-1, 2, -1], [0, -1, 1]], whose last pivot is exactly
+    # zero.  2d: |phi| = (1 + the Kronecker-sum diagonal)/2 leaves minus
+    # the adjacency of the 3x3 grid graph, bipartite in 5 and 4 sites, so
+    # the sparse LU meets an exactly zero pivot
+    grid = GridSpec(n=n, K=2, mu=0.5, offsets=(0.5,) * n)
     prob = DnlsProblem(grid=grid, p=0.5, mu=0.5, coupling=0.25, multiplier=1.0)
-    phi = mirror_block(np.array([0.5, 0.5, 1.0]), grid)
+    diag = np.array([1.0, 2.0, 2.0])
+    block = np.array([0.5, 0.5, 1.0]) if n == 1 else (1 + np.add.outer(diag, diag)) / 2
     with pytest.raises(ConvergenceError, match="singular at Newton iteration 1"):
-        solve_dnls_ground_state(prob, phi)
+        solve_dnls_ground_state(prob, mirror_block(block, grid))
 
 
 def test_reduced_jacobian_is_fd_of_folded_g0():
@@ -400,10 +407,13 @@ def test_hessian_identity_and_positivity():
         hd_off.curvature_along_solution - hd_off.predicted_curvature
     ) / abs(hd_off.predicted_curvature)
     assert rel > 1e-3
+    # at twice the solution G0' has two negative directions (-1.16, -0.31)
+    with pytest.raises(GuardError, match="two negative directions"):
+        hessian_diagnostics(2.0 * phi, prob)
 
 
 def test_tangent_eigenvalue_against_explicit_complement():
-    grid, prob, phi0 = cubic_problem(0.4, r_min=12.0)  # small box, dense path
+    grid, prob, phi0 = cubic_problem(0.4, r_min=12.0)  # small box: dense basis
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
     J = reduced_g0_jacobian(phi, prob).toarray()
@@ -414,18 +424,22 @@ def test_tangent_eigenvalue_against_explicit_complement():
     assert hd.tangent_min_eigenvalue == pytest.approx(evals[0], rel=1e-9)
 
 
-def test_hessian_sparse_branch_matches_dense():
-    # 2d K = 50 has 51^2 = 2601 block sites, past the dense cutoff of 2500:
-    # hessian_diagnostics takes its sparse eigsh branch, checked here
-    # against dense eigensolves of the same reduced matrix
-    prof = solve_ground_state(2, 0.5)
-    mu, a = 0.3, 0.25
-    grid = GridSpec(n=2, K=50, mu=mu)
-    prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
+@pytest.mark.parametrize(
+    "n, mode, K, mu",
+    [(1, "st", 30, 0.3), (1, "p", 30, 0.3), (1, "st", 600, 0.05),
+     (1, "p", 600, 0.05), (2, "st", 50, 0.3), (2, "h1", 40, 0.3)],
+)
+def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
+    # against dense eigensolves of the same reduced matrix, and the same
+    # numbers on a second call
+    p, a = (1.0, 0.4) if n == 1 else (0.5, 0.25)
+    prof = solve_ground_state(n, p)
+    grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
+    prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=prof.multiplier)
     phi, _ = solve_dnls_ground_state(prob, sample_reference(prof, grid, coupling=a))
     hd = hessian_diagnostics(phi, prob)
+    assert hessian_diagnostics(phi, prob) == hd
     J = reduced_g0_jacobian(phi, prob).toarray()
-    assert J.shape == (2601, 2601)
     evals = np.linalg.eigvalsh(J)
     q = fold_symmetric(phi, grid)
     q /= np.linalg.norm(q)
@@ -440,6 +454,22 @@ def test_hessian_sparse_branch_matches_dense():
     assert hd.tangent_min_eigenvalue == pytest.approx(
         np.linalg.eigvalsh(deflated)[0], rel=1e-10
     )
+
+
+def test_hessian_diagnostics_hold_no_dense_matrix():
+    # 1d K = 2,000: a dense G0' alone would be 32 MB
+    grid = GridSpec(n=1, K=2000, mu=0.015)
+    prob = DnlsProblem(grid=grid, p=1.0, mu=0.015, coupling=0.4, multiplier=M_CUBIC)
+    phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.4)
+    phi, _ = solve_dnls_ground_state(prob, phi0)
+    hessian_diagnostics(phi, prob)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        hessian_diagnostics(phi, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_2d_kernel_smoke():
