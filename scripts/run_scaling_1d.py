@@ -60,8 +60,6 @@ def main():
           f"failures: {table.failures}")
 
     for name in SCALING_COLUMNS:
-        if name == "kg_residual":
-            continue  # floored at the truncation tail, not a power law
         try:
             fit = table.slope(name)
         except Exception as exc:

@@ -62,8 +62,6 @@ def main():
     print(f"sweep took {time.time() - t0:.1f}s; failures: {table.failures}")
 
     for name in SCALING_COLUMNS:
-        if name == "kg_residual":
-            continue
         try:
             fit = table.slope(name)
         except Exception as exc:

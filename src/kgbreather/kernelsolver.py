@@ -61,12 +61,7 @@ from .lattice import (
     unfold_symmetric,
 )
 from .rangesolver import RangeOperator, solve_range_equation
-from .timespectral import (
-    _MATRIX_ENTRIES,
-    default_node_count,
-    nonlinearity_map,
-    odd_collocation,
-)
+from .timespectral import default_node_count, nonlinearity_map, odd_collocation
 
 
 @dataclass(frozen=True)
@@ -221,10 +216,8 @@ def kernel_remainder(phi, prob, w, L_max):
     solve_range_equation returns it for the window ``L_max``; no range
     solve happens here.  N is sampled on the block at the Q quarter-period
     nodes of the range solve's own M = default_node_count(L_max, p) time
-    nodes, and P1 is row 0 of the same analysis product over the window's
-    odd harmonics that apply_nonlinearity computes, so R and the range
-    solve share one projection.  Past the size switch that product would
-    be a full DCT-IV, so there the one cached cosine row reads P1.  R is
+    nodes, so R and the range solve share one projection; the one cached
+    cosine row reads P1 off the samples at every window size.  R is
     returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
@@ -232,10 +225,9 @@ def kernel_remainder(phi, prob, w, L_max):
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
     u[0] = phi_block
-    rows = len(u) if len(u) * ((M + 1) // 2) <= _MATRIX_ENTRIES else 1
     first = np.empty(phi_block.shape)
     for sl, spectrum in odd_collocation(
-        (u,), M, nonlinearity_map(prob.p), analysis=True, rows=rows
+        (u,), M, nonlinearity_map(prob.p), analysis=True, rows=1
     ):
         first.reshape(-1)[sl] = spectrum[0]
     return mirror_block(

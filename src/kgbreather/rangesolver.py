@@ -59,6 +59,7 @@ from .lattice import block_slices, minus_laplacian_bands, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
     default_node_count,
+    harmonic_tail,
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
@@ -205,11 +206,12 @@ def solve_range_equation(
     ``w_init`` and the returned w are odd-row stacks on the fundamental
     block, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
     (no harmonic 1).  A ``w_init`` with fewer rows warm-starts those rows;
-    the others start at zero.  The forcing norm, a diagnostic that costs
-    one more nonlinearity pass, is only computed along with the tail
-    (``tail_check``).  Raises GuardError when the a-priori contraction
-    estimate exceeds ``smallness_threshold`` and ConvergenceError on
-    observed divergence.
+    the others start at zero.  ``tail_check`` adds two diagnostics, one
+    nonlinearity pass each after convergence, that leave w as it is: the
+    forcing norm, and the tail (harmonic_tail) of N(v + w) for the
+    returned w.  Raises GuardError when the a-priori contraction estimate
+    exceeds ``smallness_threshold`` and ConvergenceError on observed
+    divergence.
     """
     phi = np.asarray(phi, dtype=np.float64)
     beta = nonlinearity_coefficient(p)
@@ -232,26 +234,15 @@ def solve_range_equation(
             f"{smallness:.3f} > {smallness_threshold} (mu = {mu})"
         )
 
-    # forcing strength: X0 size of the nonlinearity before any range
-    # feedback (the bounded-inverse diagnostic divides w's size by this)
-    forcing_norm = np.nan
-    if tail_check:
-        forcing_norm = mu**2 * sobolev_time_norm(
-            apply_nonlinearity(v, p, M=M),
-            order=0,
-            weights=sigma,
-        )
-
     w = np.zeros_like(v)
     if w_init is not None:
         w[: len(w_init)] = w_init
-    tail = {} if tail_check else None
     updates = []
     rate = np.nan
     bad_steps = 0
     converged = False
     for iteration in range(1, max_iter + 1):
-        g = apply_nonlinearity(v + w, p, M=M, tail=tail, weights=sigma)
+        g = apply_nonlinearity(v + w, p, M=M)
         g[0] = 0.0
         w_next = mu**2 * op.solve(g)
         delta = sobolev_time_norm(w_next - w, weights=sigma)
@@ -282,6 +273,14 @@ def solve_range_equation(
     if not converged:
         raise ConvergenceError(f"range iteration not converged in {max_iter} steps")
 
+    # forcing strength: X0 size of the nonlinearity before any range
+    # feedback (the bounded-inverse diagnostic divides w's size by this)
+    forcing_norm = tail_fraction = np.nan
+    if tail_check:
+        forcing_norm = mu**2 * sobolev_time_norm(
+            apply_nonlinearity(v, p, M=M), order=0, weights=sigma
+        )
+        tail_fraction = harmonic_tail(v + w, p, M=M, weights=sigma)
     w_norm = sobolev_time_norm(w, weights=sigma)
     report = RangeReport(
         converged=True,
@@ -294,7 +293,7 @@ def solve_range_equation(
         w_norm=w_norm,
         forcing_norm=forcing_norm,
         response_ratio=w_norm / forcing_norm if forcing_norm else 0.0,
-        tail_fraction=tail["discarded"] if tail_check else np.nan,
+        tail_fraction=tail_fraction,
         updates=updates,
     )
     return w, report

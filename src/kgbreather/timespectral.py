@@ -24,7 +24,10 @@ products with the symmetric C[j, k] = cos(pi (2j+1)(2k+1) / (4Q)) over
 the r harmonics used: C[:r].T @ rows, (2/Q) C[:r] @ samples.  At
 most eight r x Q slices of <= 2^19 entries (4 MB) stay cached; a larger
 product is a zero-padded DCT-IV, as fast there on a 2-vCPU Xeon, and
-scipy.fft is imported only when such a product is first taken.
+scipy.fft is imported only when such a product is first taken.  That
+switch is known here alone; a caller picks r, and since a product rounds
+by its shape, each quantity keeps one r at every size: the stack's own
+rows in apply_nonlinearity, all Q in harmonic_tail, one row for P1.
 
 For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
 M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
@@ -138,39 +141,45 @@ def nonlinearity_map(p):
     return apply
 
 
-def apply_nonlinearity(coeffs, p, *, M, tail=None, weights=None):
+def apply_nonlinearity(coeffs, p, *, M):
     """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
     given by the odd-row stack ``coeffs`` (row j harmonic 2j+1), sampled
     at M time nodes (the caller's window sets M: default_node_count(L, p)
     for the window L); the result has the same rows.
 
     Works chunk-wise over the flattened spatial axes so the collocation
-    buffer stays bounded for large 2d fields.  If ``tail`` is a dict, the
-    relative l2 mass of the discarded odd harmonics past the stack's rows
-    is stored under 'discarded' (diagnostic for choosing L on
-    non-polynomial powers).  ``weights`` (one per site, default 1) weight
-    that mass per site, e.g. by orbit size when ``coeffs`` holds only the
-    fundamental block.
+    buffer stays bounded for large 2d fields.  The analysis product is
+    always over the stack's own rows, so the result depends on (coeffs,
+    p, M) alone: no diagnostic (harmonic_tail) changes its bits.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n_odd = coeffs.shape[0]
     out = np.empty((n_odd, coeffs.size // n_odd))
-    weights = np.ones(out.shape[1]) if weights is None else np.ravel(weights)
+    for sl, spectrum in odd_collocation(
+        (coeffs,), M, nonlinearity_map(p), analysis=True, rows=n_odd
+    ):
+        out[:, sl] = spectrum
+    return out.reshape(coeffs.shape)
+
+
+def harmonic_tail(coeffs, p, *, M, weights=None):
+    """l2 mass of the odd harmonics of beta |u|^(2p) u past the rows of
+    ``coeffs`` over that of the kept ones (u, M as for apply_nonlinearity),
+    from one analysis over all Q: a diagnostic for choosing L on
+    non-polynomial powers.  ``weights`` (one per site, default 1) weight
+    the mass per site, e.g. by orbit size on the fundamental block.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n_odd = coeffs.shape[0]
+    weights = np.ones(coeffs.size // n_odd) if weights is None else np.ravel(weights)
     kept = discarded = 0.0
     for sl, spectrum in odd_collocation(
-        (coeffs,),
-        M,
-        nonlinearity_map(p),
-        analysis=True,
-        rows=None if tail is not None else n_odd,
+        (coeffs,), M, nonlinearity_map(p), analysis=True
     ):
-        out[:, sl] = spectrum[:n_odd]
-        if tail is not None:
-            kept += float(np.sum(spectrum[:n_odd] ** 2, axis=0) @ weights[sl])
-            discarded += float(np.sum(spectrum[n_odd:] ** 2, axis=0) @ weights[sl])
-    if tail is not None:
-        tail["discarded"] = np.sqrt(discarded / kept) if kept > 0.0 else 0.0
-    return out.reshape(coeffs.shape)
+        mass = np.square(spectrum, out=spectrum) @ weights[sl]
+        kept += float(np.sum(mass[:n_odd]))
+        discarded += float(np.sum(mass[n_odd:]))
+    return np.sqrt(discarded / kept) if kept > 0.0 else 0.0
 
 
 def sobolev_time_norm(coeffs, order=2, omega=1.0, weights=None):

@@ -669,8 +669,9 @@ def test_scaling_guards():
                         r_min=15.0, l_max=5)
     with pytest.raises(GuardError):
         tab.slope("e_h2")  # only 2 rows
-    with pytest.raises(GuardError):
-        tab.slope("omega")  # not a fitted column
+    for name in ("omega", "kg_residual"):  # not fitted columns
+        with pytest.raises(GuardError, match="no slope"):
+            tab.slope(name)
 
 
 def test_scaling_records_failures_instead_of_raising():
@@ -740,6 +741,29 @@ def test_scaling_slopes_match_frozen_rates(sweep_1d):
     assert tab.slope("remainder_norm_mu").slope == pytest.approx(2.0, abs=0.15)
 
 
+# p = 1 over two more decades of mu, where the 1d rates are asymptotic
+DEEP_MUS = (0.02, 0.014, 0.01, 0.007, 0.005, 0.0035, 0.0025)
+DEEP_RATES = {"e_h2": 2.5, "e_sup": 3.0, "w_x2": 2.5, "tail_fraction": 2.0,
+              "dist_phi_dnls": 2.0, "dist_dnls_ref": 2.0, "remainder_norm_mu": 2.0}
+
+
+@pytest.fixture(scope="session", params=["st", "p"])
+def deep_sweep_1d(request):
+    """K up to 32,000 at r_min 80; 1d costs O(K), so under a second per
+    centering."""
+    return scaling_study(DEEP_MUS, n=1, p=1.0, coupling=0.25,
+                         mode=request.param, r_min=80.0)
+
+
+def test_deep_scaling_slopes_match_frozen_rates(deep_sweep_1d):
+    """Every fitted slope sits within 1.5e-5 of its rate (standard errors
+    2e-6 to 5e-6), so 1e-4 holds it; bending a column by a factor 1 + mu
+    moves its slope by about 8e-3."""
+    assert not deep_sweep_1d.failures
+    for name, rate in DEEP_RATES.items():
+        assert deep_sweep_1d.slope(name).slope == pytest.approx(rate, abs=1e-4), name
+
+
 def test_scaling_rows_monotone(sweep_1d):
     for name in ("e_h2", "e_sup", "w_x2", "dist_dnls_ref"):
         col = sweep_1d.column(name)
@@ -753,7 +777,11 @@ def test_scaling_table_files(tmp_path, sweep_1d):
     assert lines[0].startswith("#")
     assert lines[1].split(",")[0] == "mu"
     assert len(lines) == 2 + len(sweep_1d.rows)
+    assert "kg_residual" in lines[1].split(",")
     data = json.loads((tmp_path / "t.json").read_text())
+    # the roundoff-floor residual is reported by its maximum, not fitted
+    assert "kg_residual" not in data["slopes"]
+    assert data["kg_residual_max"] == max(sweep_1d.column("kg_residual"))
     assert data["slopes"]["e_h2"]["points"] == 4
     lo, hi = data["slopes"]["e_h2"]["ci"]
     assert lo < data["slopes"]["e_h2"]["slope"] < hi

@@ -7,7 +7,6 @@ import pytest
 import scipy.fft
 from scipy.linalg import eigvalsh_tridiagonal, null_space
 
-import kgbreather.kernelsolver as kernelsolver
 import kgbreather.timespectral as timespectral
 from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import sample_reference, solve_ground_state
@@ -298,8 +297,8 @@ def test_remainder_projects_on_the_range_node_count():
 
 
 def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
-    # a window whose analysis product would pass the 2^19 entries of the
-    # cosine cache: P1 comes from the one cached cosine row, not from a
+    # a window whose synthesis passes the 2^19 entries of the cosine
+    # cache: P1 still comes from the one cached cosine row, not from a
     # full-length DCT-IV analysis, and agrees with the matrix-side value
     mu, a, p = 0.3, 0.25, 0.5
     profile = solve_ground_state(1, p)
@@ -324,8 +323,7 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     monkeypatch.setattr(scipy.fft, "dct", spy)
     R = kernel_remainder(phi, prob, w, 2 * rows - 1)
     assert analyses and not any(analyses)  # DCT-IV synthesis only
-    for module in (timespectral, kernelsolver):
-        monkeypatch.setattr(module, "_MATRIX_ENTRIES", 1 << 21)
+    monkeypatch.setattr(timespectral, "_MATRIX_ENTRIES", 1 << 21)
     R_matrix = kernel_remainder(phi, prob, w, 2 * rows - 1)
     assert np.max(np.abs(R - R_matrix)) <= 1e-13 * np.max(np.abs(R_matrix))
 

@@ -17,6 +17,7 @@ from kgbreather.timespectral import (
     apply_nonlinearity,
     cos_moment,
     default_node_count,
+    harmonic_tail,
     nonlinearity_coefficient,
     nonlinearity_map,
     odd_collocation,
@@ -164,13 +165,13 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
     beta = nonlinearity_coefficient(p)
     v = synthesize(c, M)
     spectrum = analyze(beta * np.abs(v) ** (2 * p) * v, M - 1)
-    tail = {}
-    out = apply_nonlinearity(c[1::2], p=p, M=M, tail=tail)
+    out = apply_nonlinearity(c[1::2], p=p, M=M)
     scale = np.max(np.abs(spectrum))
     assert np.max(np.abs(out - spectrum[1 : L + 1 : 2])) <= 1e-14 * scale
     kept = np.sum(spectrum[: L + 1] ** 2)
     discarded = np.sum(spectrum[L + 1 :] ** 2)
-    assert tail["discarded"] == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
+    tail = harmonic_tail(c[1::2], p=p, M=M)
+    assert tail == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
 
 
 def test_chunking_is_transparent(monkeypatch):
@@ -183,16 +184,12 @@ def test_chunking_is_transparent(monkeypatch):
 
 
 def test_tail_diagnostic():
-    c = np.ones((1, 1))
-    tail = {}
-    apply_nonlinearity(c, p=1.0, M=default_node_count(1, 1.0), tail=tail)
+    M = default_node_count(1, 1.0)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
-    assert tail["discarded"] == pytest.approx(1.0 / 3.0, rel=1e-12)
-    tail = {}
-    apply_nonlinearity(
-        np.zeros((1, 1)), p=1.0, M=default_node_count(1, 1.0), tail=tail
+    assert harmonic_tail(np.ones((1, 1)), p=1.0, M=M) == pytest.approx(
+        1.0 / 3.0, rel=1e-12
     )
-    assert tail["discarded"] == 0.0
+    assert harmonic_tail(np.zeros((1, 1)), p=1.0, M=M) == 0.0
 
 
 def test_sobolev_norm_against_time_integral():
