@@ -325,7 +325,7 @@ def kg_residual(b: Breather):
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
     nonlinear = nonlinearity_map(b.p)
-    worst = 0.0
+    worst = 0.0  # np.maximum, not max(): a NaN slab must not drop out
     for sl in _slabs(b, M):
         start, stop = max(sl.start - 1, 0), min(sl.stop + 1, b.grid.shape[0])
         inner = slice(sl.start - start, sl.stop - start)
@@ -335,8 +335,8 @@ def kg_residual(b: Breather):
         for _, res in odd_collocation(
             (c, linear), M, lambda q, lq: np.subtract(lq, nonlinear(q), out=lq)
         ):
-            worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(res)))
+    return float(worst)
 
 
 @dataclass
@@ -387,7 +387,7 @@ def error_vs_reference(b: Breather):
         rows = b.box_rows(sl)
         rows[0] -= psi[sl]
         for _, values in odd_collocation((rows,), M):
-            e_sup = max(e_sup, float(np.max(np.abs(values))))
+            e_sup = np.maximum(e_sup, np.max(np.abs(values)))
     sup_bound = norm_q(amplitude * b.phi - psi, b.mu)
     for row in b.w[1:]:
         sup_bound += norm_q(amplitude * mirror_block(row, grid), b.mu)
@@ -398,7 +398,7 @@ def error_vs_reference(b: Breather):
             f"2 sqrt(mu) sum ||.||_Q = {sup_bound:.3e}"
         )
     return ErrorReport(
-        e_h2=e_h2, e_sup=e_sup, sup_bound=float(sup_bound),
+        e_h2=e_h2, e_sup=float(e_sup), sup_bound=float(sup_bound),
         w_x2=amplitude * sobolev_time_norm(b.w, order=2, omega=1.0, weights=sigma),
         harmonic_fraction=float(per_l[0] / total) if total else 0.0,
         tail_fraction=float(np.sqrt(np.sum(per_l[1:] ** 2)) / total) if total else 0.0,
@@ -604,6 +604,14 @@ def load_breather(path):
             offsets = struct.unpack_from(f"<{n}d", head, off)
             off += 8 * n
             grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
+            # the windows DnlsProblem and RangeOperator guard at assembly
+            check_exponent(n, p)
+            if not (0.0 < coupling < 0.5 and mu < np.inf and 0.0 < m < np.inf
+                    and m * mu * mu < 0.5 and 0.0 < omega
+                    and abs(omega * omega - 1.0) < 0.5):
+                raise GuardError(f"need 0 < a < 1/2, finite mu, 0 < m mu^2 < 1/2 "
+                                 f"and omega > 0 with |omega^2 - 1| < 1/2; got "
+                                 f"a={coupling}, mu={mu}, m={m}, omega={omega}")
         except (struct.error, GuardError) as exc:
             raise FormatError(f"{path}: corrupt header ({exc})") from exc
         modes = list(BREATHER_MODES[n].items())

@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
+from dataclasses import fields
 
 import numpy as np
 
 from .breather import (
+    SCALING_COLUMNS,
     PipelineConfig,
     assemble_breather,
     error_vs_reference,
@@ -39,15 +43,23 @@ from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
 # The one option table.  Per subcommand, option key -> (type, default,
 # help); a None default means "required".  build_parser turns key k into
 # the flag --k (underscores as dashes), and the config-file merge reads the
-# same keys, so an option exists in both places or in neither.
+# same keys, so an option exists in both places or in neither.  An option
+# that is a PipelineConfig field takes its type and default from there.
+_CONFIG = {f.name: f.default for f in fields(PipelineConfig)}
+
+
+def _config_option(key, help_text):
+    return (type(_CONFIG[key]), _CONFIG[key], help_text)
+
+
 _N = (int, None, "lattice dimension, 1 or 2")
 _P = (float, None, "nonlinearity exponent, 1/2 <= p < 2/n")
 _A = (float, None, "lattice coupling in (0, 1/2)")
-_MODE = (str, "st", "breather centering")
-_L_MAX = (int, 15, "harmonic window of the kernel continuation")
-_RESIDUAL_TARGET = (
-    float,
-    0.0,
+_MODE = _config_option("mode", "breather centering")
+_L_MAX = _config_option("l_max", "harmonic window of the kernel continuation")
+_R_MIN = _config_option("r_min", "physical box radius, K = r_min / mu")
+_RESIDUAL_TARGET = _config_option(
+    "residual_target",
     "widen the harmonic window of the final range pass until the truncated "
     "tail of the nonlinearity is below this residual (0: keep --l-max; "
     "wanted for non-integer p)",
@@ -67,11 +79,10 @@ _OPTIONS = {
         "mode": _MODE,
         "K": (int, 0, "explicit box half-width (overrides --r-min; 0: derive it)"),
         "l_max": _L_MAX,
-        "r_min": (float, 80.0, "physical box radius, K = r_min / mu"),
-        "tol": (float, 1e-12, "range-equation contraction tolerance"),
-        "kernel_tol": (
-            float,
-            1e-11,
+        "r_min": _R_MIN,
+        "tol": _config_option("tol", "range-equation contraction tolerance"),
+        "kernel_tol": _config_option(
+            "kernel_tol",
             "Newton tolerance on the kernel residual; its roundoff floor "
             "grows like a/mu^2, so values near 1e-13 end in a "
             "ConvergenceError at mu <= 0.02",
@@ -86,7 +97,7 @@ _OPTIONS = {
         "mode": _MODE,
         "mu_list": (str, None, "comma-separated, strictly decreasing"),
         "l_max": _L_MAX,
-        "r_min": (float, 80.0, "physical box radius, K = r_min / mu"),
+        "r_min": _R_MIN,
         "residual_target": _RESIDUAL_TARGET,
         "out": (str, "scaling", "basename of the .csv and .json outputs"),
     },
@@ -185,21 +196,15 @@ def _cmd_groundstate(opt):
     return 0
 
 
+def _config_kwargs(opt):
+    """The options that are PipelineConfig fields, and the coupling --a."""
+    return {"coupling": opt["a"], **{k: v for k, v in opt.items() if k in _CONFIG}}
+
+
 def _cmd_breather(opt):
-    r_min = opt["r_min"] if opt["K"] == 0 else opt["K"] * opt["mu"]
-    cfg = PipelineConfig(
-        n=opt["n"],
-        p=opt["p"],
-        coupling=opt["a"],
-        mu=opt["mu"],
-        mode=opt["mode"],
-        l_max=opt["l_max"],
-        r_min=r_min,
-        tol=opt["tol"],
-        kernel_tol=opt["kernel_tol"],
-        residual_target=opt["residual_target"],
-    )
-    b = assemble_breather(cfg)
+    if opt["K"] != 0:
+        opt["r_min"] = opt["K"] * opt["mu"]
+    b = assemble_breather(PipelineConfig(**_config_kwargs(opt)))
     err = error_vs_reference(b)
     residual = kg_residual(b)
     save_breather(f"{opt['out']}.kgbr", b)
@@ -218,24 +223,28 @@ def _cmd_breather(opt):
 
 def _cmd_scaling(opt):
     mus = _parse_mu_list(opt["mu_list"])
+    start = last = time.perf_counter()
 
     def progress(mu, row):
+        # this mu's wall time, and the process peak so far (ru_maxrss: KiB on Linux)
+        nonlocal last
+        now = time.perf_counter()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        cost = f"wall={now - last:.3f}s peak_rss={peak:.0f} MB"
+        last = now
         if row is None:
-            print(f"  mu={mu}: failed")
+            print(f"  mu={mu}: failed {cost}", flush=True)
         else:
             print(f"  mu={mu}: e_h2={row.e_h2:.4e} e_sup={row.e_sup:.4e} "
-                  f"residual={row.kg_residual:.2e}")
+                  f"residual={row.kg_residual:.2e} {cost}", flush=True)
 
-    table = scaling_study(
-        mus, n=opt["n"], p=opt["p"], coupling=opt["a"], mode=opt["mode"],
-        progress=progress, l_max=opt["l_max"], r_min=opt["r_min"],
-        residual_target=opt["residual_target"],
-    )
+    table = scaling_study(mus, progress=progress, **_config_kwargs(opt))
+    print(f"sweep took {time.perf_counter() - start:.2f}s")
     table.to_csv(f"{opt['out']}.csv")
     table.to_json(f"{opt['out']}.json")
     if table.failures:
         print(f"failures: {table.failures}")
-    for name in ("e_h2", "e_sup", "w_x2", "dist_phi_dnls", "dist_dnls_ref"):
+    for name in SCALING_COLUMNS:
         try:
             fit = table.slope(name)
         except GuardError as exc:

@@ -26,6 +26,11 @@ from scipy.special import gamma
 
 from .errors import ConvergenceError, GuardError
 
+# the 2d radial solve: node spacing, least Dirichlet radius, Newton steps
+_H = 0.01
+_R_MAX = 200.0
+_MAX_ITER = 50
+
 
 def check_exponent(n, p):
     """Admissible nonlinearity range 1/2 <= p < 2/n."""
@@ -125,7 +130,7 @@ def _petviashvili(p, extent, h, tol=1e-13, max_iter=500):
 
 
 @lru_cache(maxsize=8)
-def solve_ground_state(n, p, r_max=200.0, h=0.01, tol=1e-11, max_iter=50):
+def solve_ground_state(n, p, tol=1e-11):
     """Unit-mass ground state of -lap psi + m psi = psi^(2p+1) on R^n.
 
     Cached: the pipeline asks for the same profile once per continuation
@@ -145,6 +150,7 @@ def solve_ground_state(n, p, r_max=200.0, h=0.01, tol=1e-11, max_iter=50):
     from scipy.interpolate import CubicSpline
     # 2d: Petviashvili for the unscaled profile, rescale to unit mass,
     # then polish profile and multiplier together with the mass pinned.
+    h = _H
     r_u, u = _petviashvili(p, extent=60.0, h=h)
     mass_u = 2.0 * np.pi * simpson(u * u * r_u, dx=h)
     m = mass_u ** (-p / (1.0 - p))
@@ -153,7 +159,7 @@ def solve_ground_state(n, p, r_max=200.0, h=0.01, tol=1e-11, max_iter=50):
     )
     # the rescaled profile decays like e^(-sqrt(m) r); push the Dirichlet
     # truncation out far enough that it sits below machine precision
-    r_max = max(r_max, 35.0 / np.sqrt(m))
+    r_max = max(_R_MAX, 35.0 / np.sqrt(m))
     N = int(round(r_max / h))
     if N % 2:
         N += 1
@@ -171,7 +177,7 @@ def solve_ground_state(n, p, r_max=200.0, h=0.01, tol=1e-11, max_iter=50):
         return 2.0 * np.pi * np.dot(w * r, v * v)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         F_pde = lap @ psi + m * psi - np.abs(psi) ** (2.0 * p) * psi
         F_mass = mass(psi) - 1.0
         if np.max(np.abs(F_pde)) < tol and abs(F_mass) < 1e-12:

@@ -63,6 +63,9 @@ from .lattice import (
 from .rangesolver import RangeOperator, solve_range_equation
 from .timespectral import default_node_count, nonlinearity_map, odd_collocation
 
+_DNLS_MAX_ITER = 40  # Newton steps of the pure discrete NLS solve
+_KERNEL_MAX_ITER = 30  # chord steps of the kernel continuation
+
 
 @dataclass(frozen=True)
 class DnlsProblem:
@@ -203,9 +206,9 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter):
     return phi, report
 
 
-def solve_dnls_ground_state(prob, phi0, tol=1e-12, max_iter=40):
+def solve_dnls_ground_state(prob, phi0, tol=1e-12):
     """Newton solve of the pure discrete NLS equation G0(phi) = 0."""
-    return _newton_reduced(phi0, prob, prob.apply_g0, tol, max_iter)
+    return _newton_reduced(phi0, prob, prob.apply_g0, tol, _DNLS_MAX_ITER)
 
 
 def kernel_remainder(phi, prob, w, L_max):
@@ -235,14 +238,7 @@ def kernel_remainder(phi, prob, w, L_max):
     )
 
 
-def solve_kernel_equation(
-    phi0,
-    prob,
-    L_max=8,
-    tol=1e-11,
-    max_iter=30,
-    range_tol=1e-12,
-):
+def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
     """Chord Newton continuation of G(phi) = G0(phi) + R(phi) = 0 from phi0.
 
     Every step solves with the exact G0'(phi) in place of G'(phi).
@@ -269,7 +265,7 @@ def solve_kernel_equation(
         R = kernel_remainder(phi, prob, w, L_max)
         return prob.apply_g0(phi) + R
 
-    phi, report = _newton_reduced(phi0, prob, residual, tol, max_iter)
+    phi, report = _newton_reduced(phi0, prob, residual, tol, _KERNEL_MAX_ITER)
     report.range_iterations = state["range_iters"]
     # the last residual evaluated belongs to the accepted iterate
     return phi, state["w"], report, op

@@ -65,6 +65,9 @@ from .timespectral import (
 )
 
 _RESONANCE_MARGIN = 1e-8  # a smaller |symbol| on a range harmonic is a ResonanceError
+_MAX_ITER = 200  # Picard steps before the range solve is a ConvergenceError
+_RATE_GUARD = 0.9  # a slower observed contraction is a GuardError
+_SMALLNESS_THRESHOLD = 0.1  # a larger a-priori contraction estimate is a GuardError
 
 
 def _even_basis(N, K, offset):
@@ -193,9 +196,6 @@ def solve_range_equation(
     L_max,
     w_init=None,
     tol=1e-12,
-    max_iter=200,
-    rate_guard=0.9,
-    smallness_threshold=0.1,
     tail_check=False,
 ):
     """Picard iteration for the range component given the kernel profile.
@@ -210,8 +210,8 @@ def solve_range_equation(
     nonlinearity pass each after convergence, that leave w as it is: the
     forcing norm, and the tail (harmonic_tail) of N(v + w) for the
     returned w.  Raises GuardError when the a-priori contraction estimate
-    exceeds ``smallness_threshold`` and ConvergenceError on observed
-    divergence.
+    exceeds _SMALLNESS_THRESHOLD or the observed rate _RATE_GUARD, and
+    ConvergenceError on observed divergence or after _MAX_ITER steps.
     """
     phi = np.asarray(phi, dtype=np.float64)
     beta = nonlinearity_coefficient(p)
@@ -228,10 +228,10 @@ def solve_range_equation(
     smallness = (
         mu**2 * beta * (2.0 * p + 1.0) * amp ** (2.0 * p) / op.spectral_margin
     )
-    if smallness > smallness_threshold:
+    if smallness > _SMALLNESS_THRESHOLD:
         raise GuardError(
             f"amplitude outside the contraction regime: estimate "
-            f"{smallness:.3f} > {smallness_threshold} (mu = {mu})"
+            f"{smallness:.3f} > {_SMALLNESS_THRESHOLD} (mu = {mu})"
         )
 
     w = np.zeros_like(v)
@@ -241,7 +241,7 @@ def solve_range_equation(
     rate = np.nan
     bad_steps = 0
     converged = False
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         g = apply_nonlinearity(v + w, p, M=M)
         g[0] = 0.0
         w_next = mu**2 * op.solve(g)
@@ -263,15 +263,15 @@ def solve_range_equation(
                         f"range iteration diverging: update ratio {rate:.3f} "
                         f"at step {iteration}"
                     )
-            elif rate > rate_guard:
+            elif rate > _RATE_GUARD:
                 raise GuardError(
                     f"range iteration contracting too slowly: observed rate "
-                    f"{rate:.3f} > {rate_guard}"
+                    f"{rate:.3f} > {_RATE_GUARD}"
                 )
             else:
                 bad_steps = 0
     if not converged:
-        raise ConvergenceError(f"range iteration not converged in {max_iter} steps")
+        raise ConvergenceError(f"range iteration not converged in {_MAX_ITER} steps")
 
     # forcing strength: X0 size of the nonlinearity before any range
     # feedback (the bounded-inverse diagnostic divides w's size by this)

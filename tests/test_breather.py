@@ -650,6 +650,42 @@ def test_load_rejects_mode_code_contradicting_header(tmp_path, n, mode, code):
     assert main(["validate", "--input", str(path)]) == 4
 
 
+# byte offsets of the float fields of a .kgbr header, after the magic (4)
+# and version, n, K, L_max and mode code (24)
+_FLOAT_AT = {name: 28 + 8 * i for i, name in enumerate(("mu", "a", "p", "m", "omega"))}
+
+
+@pytest.mark.parametrize(("name", "value"), [
+    ("a", 0.7), ("omega", np.nan), ("omega", 1.3), ("omega", -0.998), ("mu", np.inf),
+    ("m", -3.0), ("m", 20.0), ("p", 5.0),
+])
+def test_validate_refuses_a_header_outside_the_guarded_windows(
+    tmp_path, capsys, small_1d, name, value
+):
+    """a outside (0, 1/2), a non-finite or non-positive mu, m outside
+    (0, 1/2 mu^2), omega <= 0 or |omega^2 - 1| >= 1/2, or p outside
+    check_exponent's range is a header no assembly writes: a malformed
+    file, exit 4, no output."""
+    path, out = tmp_path / "b.kgbr", tmp_path / "v.json"
+    save_breather(path, small_1d)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, _FLOAT_AT[name], value)
+    path.write_bytes(bytes(raw))
+    assert main(["validate", "--input", str(path), "--out", str(out)]) == 4
+    assert "corrupt header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_nan_in_the_range_stack_reaches_residual_and_sup_error(small_1d):
+    """The running maxima of kg_residual and of the sup error keep a NaN:
+    a slab of NaN values must not drop out of the maximum."""
+    w = small_1d.w.copy()
+    w[1, 3] = np.nan
+    b = dataclasses.replace(small_1d, w=w)
+    assert np.isnan(kg_residual(b))
+    assert np.isnan(error_vs_reference(b).e_sup)
+
+
 def test_report_json(tmp_path, small_1d):
     path = tmp_path / "report.json"
     save_breather_report(path, small_1d, extra={"note": 1})

@@ -4,6 +4,7 @@ subprocess check that the installed entry point exists end-to-end.
 """
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import kgbreather.cli as cli
+from kgbreather.breather import SCALING_COLUMNS
 from kgbreather.cli import _parse_mu_list, build_parser, main
 from kgbreather.errors import (
     ConvergenceError, FormatError, GuardError, ResonanceError,
@@ -158,12 +160,46 @@ def test_scaling_command(tmp_path, capsys):
         "--out", str(out),
     ])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "slope(e_h2)" in text
+    lines = capsys.readouterr().out.splitlines()
+    # every mu line carries its cost, and the sweep its total time
+    mu_lines = [line for line in lines if line.startswith("  mu=")]
+    assert len(mu_lines) == 4
+    assert all("wall=" in line and "peak_rss=" in line for line in mu_lines)
+    assert sum(line.startswith("sweep took ") for line in lines) == 1
+    # one slope line, with its stderr, per fitted column
+    for name in SCALING_COLUMNS:
+        assert sum(line.startswith(f"slope({name}) = ") and " +- " in line
+                   for line in lines) == 1
     data = json.loads((tmp_path / "sc.json").read_text())
     assert len(data["rows"]) == 4
     assert 2.0 < data["slopes"]["e_h2"]["slope"] < 3.0
     assert (tmp_path / "sc.csv").exists()
+
+
+def _readme_command_lines():
+    """Every command line of README.md that starts with ``kgbreather ``,
+    its backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands, parts = [], []
+    for line in text.splitlines():
+        line = line.strip()
+        if parts or line.startswith("kgbreather "):
+            parts.append(line.rstrip("\\"))
+            if not line.endswith("\\"):
+                commands.append(" ".join(parts))
+                parts = []
+    return commands
+
+
+def test_readme_command_lines_parse():
+    """The README's command lines, the headline sweeps among them, parse
+    against the option table and merge without a missing option."""
+    commands = _readme_command_lines()
+    assert sum(c.startswith("kgbreather scaling ") for c in commands) >= 3
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command, comments=True)[1:])
+        assert cli._merge(args, args.command)
 
 
 def test_fem_check_command(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 import scipy.fft
 from scipy.linalg import eigvalsh_tridiagonal, null_space
 
+import kgbreather.kernelsolver as kernelsolver
+import kgbreather.rangesolver as rangesolver
 import kgbreather.timespectral as timespectral
 from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import sample_reference, solve_ground_state
@@ -245,7 +247,7 @@ def test_dnls_solution_properties():
     )  # continuum mass a^(n/2), up to O(mu^2) discretization
 
 
-def test_remainder_single_site_closed_form():
+def test_remainder_single_site_closed_form(monkeypatch):
     # decoupled cubic site: R = -(3 beta^2 / (16 sigma3)) mu^2 c^5,
     # sigma3 = 1 - 9 omega^2 (per-site third-harmonic symbol)
     mu, c = 0.2, 0.6
@@ -254,9 +256,8 @@ def test_remainder_single_site_closed_form():
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=prob.coupling)
     phi = np.zeros(grid.shape)
     phi[grid.K] = c
-    w, rep = solve_range_equation(
-        phi, op, prob.p, prob.mu, 10, smallness_threshold=np.inf
-    )
+    monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
+    w, rep = solve_range_equation(phi, op, prob.p, prob.mu, 10)
     R = kernel_remainder(phi, prob, w, 10)
     beta = nonlinearity_coefficient(1.0)
     sigma3 = 1.0 - 9.0 * prob.omega_sq
@@ -492,7 +493,8 @@ def test_problem_guards():
         DnlsProblem(grid=grid, p=1.0, mu=-0.3, coupling=0.3, multiplier=0.05)
 
 
-def test_newton_iteration_budget():
+def test_newton_iteration_budget(monkeypatch):
     grid, prob, phi0 = cubic_problem(0.3)
+    monkeypatch.setattr(kernelsolver, "_DNLS_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_dnls_ground_state(prob, phi0, tol=1e-14, max_iter=1)
+        solve_dnls_ground_state(prob, phi0, tol=1e-14)

@@ -402,35 +402,34 @@ def test_smallness_guard_trips_at_large_mu():
 
 
 @pytest.mark.parametrize("mu", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4])
-def test_smallness_estimate_tracks_the_observed_rate(mu):
+def test_smallness_estimate_tracks_the_observed_rate(monkeypatch, mu):
     # the a-priori estimate bounds the contraction the Picard loop shows,
     # and by a factor near 2 (measured 2.07-2.39 on this table), so the
     # guard refuses only amplitudes that really contract slowly
     grid, phi, op = cubic_setup(mu)
-    _, report = solve_range_equation(
-        phi, op, p=1.0, mu=mu, L_max=L_CUBIC, smallness_threshold=np.inf
-    )
+    monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
+    _, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
     assert report.contraction_rate < report.smallness < 3.0 * report.contraction_rate
 
 
-def test_divergence_reported():
+def test_divergence_reported(monkeypatch):
     mu = 0.9
     grid = GridSpec(n=1, K=8, mu=mu)
     phi = np.zeros(grid.shape)
     phi[grid.K] = 4.0
     op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=0.4)
+    monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
+    monkeypatch.setattr(rangesolver, "_RATE_GUARD", np.inf)
     with pytest.raises(ConvergenceError, match="diverging"):
-        solve_range_equation(
-            phi, op, p=1.0, mu=mu, L_max=6, smallness_threshold=np.inf,
-            rate_guard=np.inf,
-        )
+        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=6)
 
 
-def test_slow_contraction_guarded():
+def test_slow_contraction_guarded(monkeypatch):
     mu = 0.3
     grid, phi, op = cubic_setup(mu)
+    monkeypatch.setattr(rangesolver, "_RATE_GUARD", 1e-9)
     with pytest.raises(GuardError, match="slowly"):
-        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, rate_guard=1e-9)
+        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
 
 
 def test_2d_smoke():
