@@ -38,7 +38,9 @@ from .lattice import (
     mode_offsets, norm_l2, norm_l2_mu, norm_q, norm_q_mu, orbit_sizes,
 )
 from .rangesolver import solve_range_equation
-from .timespectral import nonlinearity_map, odd_collocation, sobolev_time_norm
+from .timespectral import (
+    default_node_count, nonlinearity_map, odd_collocation, sobolev_time_norm,
+)
 
 _MAGIC = b"KGBR"
 _VERSION = 2
@@ -177,7 +179,7 @@ def _window_for_residual(phi, w, grid, config, target):
     |.|^(2p) kink makes that tail decay like C / l^3; C is calibrated from
     the measured spectrum just above the working window, and the window is
     widened until sum_{l > L} C / l^3 ~ C / (4 L^2) <= target / 2.  For
-    polynomial powers (integer 2p) the measured tail is already roundoff
+    polynomial powers (integer p) the measured tail is already roundoff
     and the working window stands.  ``w`` is the odd-row range stack on
     the fundamental block, whose sup over sites is the box's.
     """
@@ -185,7 +187,7 @@ def _window_for_residual(phi, w, grid, config, target):
     amplitude = config.mu ** (1.0 / config.p)
     u = amplitude * w
     u[0] += amplitude * phi[block_slices(grid)]
-    M = 8 * (l_max + 1)
+    M = default_node_count(2 * l_max + 1)
     # sup over sites of each odd harmonic of N(u), row j harmonic 2j+1
     sup_odd = np.zeros(M // 2)
     for _, spectrum in odd_collocation(
@@ -286,9 +288,9 @@ def reference_profile(b: Breather):
 
 
 def reference_coefficients(b: Breather):
-    """Continuum reference Psi as a coefficient stack on b's grid: the
+    """Continuum reference Psi as cosine rows 0 and 1 on b's grid: the
     sampled NLS profile rides the first harmonic alone."""
-    coeffs = np.zeros((b.L_max + 1,) + b.grid.shape)
+    coeffs = np.zeros((2,) + b.grid.shape)
     coeffs[1] = b.amplitude * reference_profile(b)
     return coeffs
 
@@ -320,7 +322,7 @@ def kg_residual(b: Breather):
     bit; the BLAS products of the collocation may round by the slab's
     shape.
     """
-    M = 4 * (b.L_max + 1)
+    M = default_node_count(b.L_max)
     l = np.arange(1, b.L_max + 1, 2)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
@@ -381,7 +383,7 @@ def error_vs_reference(b: Breather):
     diff[0] -= psi[home]
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega, weights=sigma)
     del diff, flat
-    M = 4 * (b.L_max + 1)
+    M = default_node_count(b.L_max)
     e_sup = 0.0
     for sl in _slabs(b, M):
         rows = b.box_rows(sl)
@@ -489,7 +491,9 @@ class ScalingTable:
             "mode": self.mode,
             "rows": [asdict(r) for r in self.rows],
             "failures": self.failures,
-            "kg_residual_max": max((r.kg_residual for r in self.rows), default=None),
+            # np.max, not max(): a NaN residual in any row must propagate
+            "kg_residual_max": (float(np.max(self.column("kg_residual")))
+                                if self.rows else None),
             "slopes": {},
         }
         for name in SCALING_COLUMNS:

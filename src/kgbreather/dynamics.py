@@ -84,7 +84,7 @@ def integrate_period(
     q, v = q0.copy(), np.zeros_like(q0)
     nonlin, kick, scratch = (np.empty_like(q) for _ in range(3))
     neighbors = _neighbor_views(q, kick, range(q.ndim))
-    dt = (2.0 * np.pi / b.omega) / steps_per_period
+    dt = b.period / steps_per_period
     # 0-d arrays spare each ufunc call the conversion of a Python float
     scalars = (-2.0 * q.ndim, b.coupling, beta, 2.0 * b.p, dt, 0.5 * dt)
     diagonal, coupling, beta_0d, power, dt_0d, half_dt = map(np.array, scalars)

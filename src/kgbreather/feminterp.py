@@ -25,17 +25,21 @@ import numpy as np
 from .errors import GuardError
 
 
+_NODES = 16  # Gauss nodes per segment of functional_remainder (1d)
+_REFINE = 2  # refinements of its composite triangle rule (2d)
+
+
 def _gauss01(nodes):
     x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _segment_power_integral(a, b, q, nodes=16):
+def _segment_power_integral(a, b, q):
     """int_0^1 |a + (b-a) t|^q dt for arrays a, b; kinks at sign changes
     are split so every sub-integrand is smooth."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    t, w = _gauss01(nodes)
+    t, w = _gauss01(_NODES)
     vals = a[:, None] * (1.0 - t[None, :]) + b[:, None] * t[None, :]
     out = np.abs(vals) ** q @ w
     crossing = np.flatnonzero((a * b < 0.0))
@@ -91,13 +95,13 @@ def _triangle_rule(refine):
     return pts, w
 
 
-def functional_remainder(values, grid, q, nodes=16, refine=2):
+def functional_remainder(values, grid, q):
     """(G_c, G_d, R_G) for the box field ``values`` on ``grid``: continuum
     power integral of its interpolant, its lattice Riemann counterpart,
     and their difference.
 
     G_c = int |Y|^(q+2) via per-element Gauss quadrature (composite
-    degree-5 on triangles, ``nodes``-point Gauss on segments), G_d =
+    degree-5 on triangles, _NODES-point Gauss on segments), G_d =
     mu^n sum |psi_j|^(q+2), R_G = G_c - G_d.
     """
     if q < 1.0:
@@ -112,10 +116,10 @@ def functional_remainder(values, grid, q, nodes=16, refine=2):
     power = q + 2.0
     g_d = mu**grid.n * float(np.sum(np.abs(values) ** power))
     if grid.n == 1:
-        segs = _segment_power_integral(pad[:-1], pad[1:], power, nodes=nodes)
+        segs = _segment_power_integral(pad[:-1], pad[1:], power)
         g_c = mu * float(np.sum(segs))
         return g_c, g_d, g_c - g_d
-    pts, w = _triangle_rule(refine)
+    pts, w = _triangle_rule(_REFINE)
     f00, f10 = pad[:-1, :-1].ravel(), pad[1:, :-1].ravel()
     f01, f11 = pad[:-1, 1:].ravel(), pad[1:, 1:].ravel()
     # cells (h, k) split along the diagonal from (h+1, k) to (h, k+1): the

@@ -30,6 +30,7 @@ from .errors import ConvergenceError, GuardError
 _H = 0.01
 _R_MAX = 200.0
 _MAX_ITER = 50
+_PROFILE_POINTS = 2000  # samples per profile that save_profile writes
 
 
 def check_exponent(n, p):
@@ -210,7 +211,7 @@ def solve_ground_state(n, p, tol=1e-11):
     )
 
 
-def save_profile(path, profile, points=2000):
+def save_profile(path, profile):
     """Write (radius, value) samples as CSV plus a JSON sidecar.
 
     The sidecar ``<path>.json`` records n, p, the multiplier, the centre
@@ -219,7 +220,7 @@ def save_profile(path, profile, points=2000):
     import json
 
     r_stop = min(profile.r_max, 60.0 / profile.decay_rate)
-    radii = np.linspace(0.0, r_stop, points)
+    radii = np.linspace(0.0, r_stop, _PROFILE_POINTS)
     with open(path, "w") as fh:
         fh.write("radius,value\n")
         for r, v in zip(radii, profile(radii)):

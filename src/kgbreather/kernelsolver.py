@@ -218,13 +218,13 @@ def kernel_remainder(phi, prob, w, L_max):
     ``w`` is an odd-row range stack on the fundamental block, as
     solve_range_equation returns it for the window ``L_max``; no range
     solve happens here.  N is sampled on the block at the Q quarter-period
-    nodes of the range solve's own M = default_node_count(L_max, p) time
+    nodes of the range solve's own M = default_node_count(L_max) time
     nodes, so R and the range solve share one projection; the one cached
     cosine row reads P1 off the samples at every window size.  R is
     returned on the whole box.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    M = default_node_count(L_max, prob.p)
+    M = default_node_count(L_max)
     phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
     u[0] = phi_block

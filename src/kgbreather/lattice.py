@@ -165,17 +165,15 @@ def laplacian(a, axes=None, out=None):
     return out
 
 
-def dirichlet_energy(a, axes=None):
+def dirichlet_energy(a):
     """Sum of squared nearest-neighbor differences, boundary bonds included.
 
     Equals <a, -lap a> exactly (the boundary bonds connect to the zero
     exterior), which is the form the energy functional wants.
     """
     a = np.asarray(a, dtype=np.float64)
-    if axes is None:
-        axes = tuple(range(a.ndim))
     total = 0.0
-    for ax in axes:
+    for ax in range(a.ndim):
         d = np.diff(a, axis=ax, prepend=0.0, append=0.0)
         total += float(np.sum(d * d))
     return total

@@ -202,7 +202,7 @@ def solve_range_equation(
 
     ``L_max`` is the harmonic window L: the returned w keeps the odd
     harmonics up to L, and the nonlinearity is sampled at
-    M = default_node_count(L, p) time nodes.  ``phi`` lives on the box;
+    M = default_node_count(L) time nodes.  ``phi`` lives on the box;
     ``w_init`` and the returned w are odd-row stacks on the fundamental
     block, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
     (no harmonic 1).  A ``w_init`` with fewer rows warm-starts those rows;
@@ -216,7 +216,7 @@ def solve_range_equation(
     phi = np.asarray(phi, dtype=np.float64)
     beta = nonlinearity_coefficient(p)
     sigma = op.sigma
-    M = default_node_count(L_max, p)
+    M = default_node_count(L_max)
     # the kernel part phi cos(tau), on the fundamental block
     phi_block = phi[block_slices(op.grid)]
     v = np.zeros(((L_max + 1) // 2,) + phi_block.shape)

@@ -29,10 +29,10 @@ switch is known here alone; a caller picks r, and since a product rounds
 by its shape, each quantity keeps one r at every size: the stack's own
 rows in apply_nonlinearity, all Q in harmonic_tail, one row for P1.
 
-For integer 2p the nonlinearity is a polynomial of degree 2p+1 and
+For integer p the nonlinearity is a polynomial of degree 2p+1 and
 M >= (p+1)(L+1) makes the projection onto the kept harmonics alias-free;
-for fractional powers the integrand is merely C^(2p+1) in time and M
-controls a spectrally small aliasing error.
+for other powers (|u| u at p = 1/2 among them) the integrand is merely
+finitely smooth in time and M controls a small aliasing error.
 """
 from __future__ import annotations
 
@@ -59,11 +59,11 @@ def nonlinearity_coefficient(p):
     return np.pi / cos_moment(p)
 
 
-def default_node_count(L, p):
-    """Node count for projecting |u|^(2p) u: alias-free for integer 2p,
-    comfortably oversampled (4 (L+1)) otherwise."""
-    exact = int(np.ceil((p + 1.0) * (L + 1))) + 1
-    return max(4 * (L + 1), exact)
+def default_node_count(L):
+    """Node count 4 (L+1) for projecting |u|^(2p) u onto the window L:
+    alias-free for integer p, as (p+1)(L+1) <= 3 (L+1) under p < 2, and
+    comfortably oversampled otherwise."""
+    return 4 * (L + 1)
 
 
 _MATRIX_ENTRIES = 1 << 19
@@ -144,7 +144,7 @@ def nonlinearity_map(p):
 def apply_nonlinearity(coeffs, p, *, M):
     """Odd cosine coefficients of beta |u|^(2p) u for the odd series u
     given by the odd-row stack ``coeffs`` (row j harmonic 2j+1), sampled
-    at M time nodes (the caller's window sets M: default_node_count(L, p)
+    at M time nodes (the caller's window sets M: default_node_count(L)
     for the window L); the result has the same rows.
 
     Works chunk-wise over the flattened spatial axes so the collocation

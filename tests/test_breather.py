@@ -132,9 +132,11 @@ def test_residual_and_symmetry(small_1d):
 
 def _reference_breather(b):
     """``b`` with its kernel profile replaced by the sampled continuum
-    profile and no range part: its stack is reference_coefficients(b)."""
+    profile and no range part: its stack is reference_coefficients(b),
+    rows 0 and 1, and zero beyond."""
     fake = dataclasses.replace(b, phi=reference_profile(b), w=np.zeros_like(b.w))
-    assert fake.coeffs.tobytes() == reference_coefficients(b).tobytes()
+    assert fake.coeffs[:2].tobytes() == reference_coefficients(b).tobytes()
+    assert not fake.coeffs[2:].any()
     return fake
 
 
@@ -821,6 +823,19 @@ def test_scaling_table_files(tmp_path, sweep_1d):
     assert data["slopes"]["e_h2"]["points"] == 4
     lo, hi = data["slopes"]["e_h2"]["ci"]
     assert lo < data["slopes"]["e_h2"]["slope"] < hi
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_scaling_json_keeps_a_nan_residual_in_any_row(tmp_path, sweep_1d, at):
+    """A NaN kg_residual makes kg_residual_max NaN in whichever row it
+    sits, as kg_residual itself propagates NaN; max() kept it only first."""
+    residuals = [1e-10, 2e-10, 3e-10]
+    residuals.insert(at, np.nan)
+    rows = [dataclasses.replace(r, kg_residual=x)
+            for r, x in zip(sweep_1d.rows, residuals, strict=True)]
+    dataclasses.replace(sweep_1d, rows=rows).to_json(tmp_path / "t.json")
+    data = json.loads((tmp_path / "t.json").read_text())
+    assert np.isnan(data["kg_residual_max"])
 
 
 def test_2d_modes_are_distinct_and_related():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgbreather.feminterp as feminterp
 from kgbreather.errors import GuardError
 from kgbreather.feminterp import functional_remainder
 from kgbreather.groundstate import sample_reference, solve_ground_state
@@ -188,11 +189,19 @@ def test_sign_crossing_oracle_1d():
     assert r_g == pytest.approx(-2.0, rel=1e-13)
 
 
-def test_single_pyramid_oracle_2d():
+def _g_c(monkeypatch, values, grid, q, **rule):
+    """G_c with the quadrature constants (_NODES, _REFINE) set to ``rule``."""
+    for name, value in rule.items():
+        monkeypatch.setattr(feminterp, name, value)
+    return functional_remainder(values, grid, q=q)[0]
+
+
+def test_single_pyramid_oracle_2d(monkeypatch):
     g = GridSpec(n=2, K=2, mu=1.0)
     vals = np.zeros(g.shape)
     vals[2, 2] = 1.0
-    g_c, g_d, r_g = functional_remainder(vals, g, q=2.0, refine=0)
+    monkeypatch.setattr(feminterp, "_REFINE", 0)
+    g_c, g_d, r_g = functional_remainder(vals, g, q=2.0)
     assert g_c == pytest.approx(1.0 / 5.0, rel=1e-13)
     assert g_d == pytest.approx(1.0, rel=0)
     assert r_g == pytest.approx(-4.0 / 5.0, rel=1e-13)
@@ -245,7 +254,7 @@ def test_remainder_integrates_the_pointwise_interpolant(n, offsets):
     )
 
 
-def test_noninteger_power_converges_with_refinement():
+def test_noninteger_power_converges_with_refinement(monkeypatch):
     """For the intended use (positive decaying profiles) the composite
     triangle rule is converged at the default level even for
     non-polynomial powers: the field only vanishes where it is already
@@ -253,32 +262,29 @@ def test_noninteger_power_converges_with_refinement():
     profile = solve_ground_state(2, 0.5)
     g = GridSpec.for_radius(n=2, mu=0.3, r_min=18.0)
     psi = sample_reference(profile, g)
-    coarse = functional_remainder(psi, g, q=1.5, refine=1)[0]
-    fine = functional_remainder(psi, g, q=1.5, refine=3)[0]
+    coarse = _g_c(monkeypatch, psi, g, 1.5, _REFINE=1)
+    fine = _g_c(monkeypatch, psi, g, 1.5, _REFINE=3)
     assert coarse == pytest.approx(fine, rel=1e-11)
 
 
-def test_sign_crossing_field_converges_2d():
+def test_sign_crossing_field_converges_2d(monkeypatch):
     """Fields with sign changes have |.|^3 kinks across triangles; the
     composite rule still converges, just algebraically."""
     values, g = _random_field(2, 4, 0.3, seed=11)
-    errs = [
-        abs(
-            functional_remainder(values, g, q=1.0, refine=r)[0]
-            - functional_remainder(values, g, q=1.0, refine=5)[0]
-        )
-        for r in (1, 2, 3)
-    ]
+    finest = _g_c(monkeypatch, values, g, 1.0, _REFINE=5)
+    errs = [abs(_g_c(monkeypatch, values, g, 1.0, _REFINE=r) - finest)
+            for r in (1, 2, 3)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-6
 
 
-def test_segment_rule_converged_1d():
+def test_segment_rule_converged_1d(monkeypatch):
     # after splitting at sign changes the only non-smoothness left is the
     # |t|^3.5 endpoint behaviour, where 16-node Gauss is ~1e-11 accurate
     values, g = _random_field(1, 8, 0.2, seed=12)
-    a = functional_remainder(values, g, q=1.5, nodes=16)[0]
-    b = functional_remainder(values, g, q=1.5, nodes=48)[0]
+    assert feminterp._NODES == 16
+    a = functional_remainder(values, g, q=1.5)[0]
+    b = _g_c(monkeypatch, values, g, 1.5, _NODES=48)
     assert a == pytest.approx(b, rel=1e-9)
 
 

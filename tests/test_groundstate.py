@@ -168,10 +168,10 @@ def test_save_profile_roundtrip(tmp_path):
 
     g = solve_ground_state(1, 1.0)
     path = tmp_path / "profile.csv"
-    save_profile(path, g, points=200)
+    save_profile(path, g)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "radius,value"
-    assert len(lines) == 201
+    assert len(lines) == 2001
     r0, v0 = (float(tok) for tok in lines[1].split(","))
     assert r0 == 0.0
     assert v0 == g.amplitude

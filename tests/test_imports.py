@@ -1,6 +1,6 @@
-"""Every name imported in src/, tests/, scripts/ and benchmark/ is used in
-its module, every function, class and method that src/ defines is read
-by the program itself (src/, scripts/, benchmark/), not by the tests alone,
+"""Every name imported in src/, tests/ and benchmark/ is used in its
+module, every function, class and method that src/ defines is read by
+the program itself (src/, benchmark/), not by the tests alone,
 and so is every attribute that a src/ class stores on ``self``,
 every entry point that the benchmark's tracer rebinds is still there, and
 a 1D run loads none of the scipy subpackages that only 2D needs."""
@@ -46,7 +46,7 @@ def test_checker_flags_unused_and_accepts_used():
 
 def test_no_unused_imports():
     found = []
-    for folder in ("src", "tests", "scripts", "benchmark"):
+    for folder in ("src", "tests", "benchmark"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
@@ -100,7 +100,7 @@ def test_name_checker_flags_unread_and_accepts_read():
 
 def test_no_names_only_tests_use():
     read = set()
-    for folder in ("src", "scripts", "benchmark"):
+    for folder in ("src", "benchmark"):
         for path in (ROOT / folder).rglob("*.py"):
             read |= read_names(path.read_text())
     found = []
@@ -161,7 +161,7 @@ def test_attribute_checker_flags_stored_but_unloaded():
 
 def test_no_instance_state_only_tests_read():
     loaded = set()
-    for folder in ("src", "scripts", "benchmark"):
+    for folder in ("src", "benchmark"):
         for path in (ROOT / folder).rglob("*.py"):
             loaded |= loaded_attributes(path.read_text())
     found = []

@@ -268,7 +268,7 @@ def test_remainder_single_site_closed_form(monkeypatch):
 
 def test_remainder_projects_on_the_range_node_count():
     # R and w must come from one collocation, at the range solve's
-    # M = default_node_count(L, p), for an odd and an even window alike;
+    # M = default_node_count(L), for an odd and an even window alike;
     # at p = 1/2 another node count moves P1 far above the tolerance
     mu, a, p = 0.3, 0.25, 0.5
     profile = solve_ground_state(1, p)
@@ -279,7 +279,7 @@ def test_remainder_projects_on_the_range_node_count():
     phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
     for L in (15, 16):
-        M = default_node_count(L, p)
+        M = default_node_count(L)
         w, _ = solve_range_equation(phi, op, p, mu, L)
         R = kernel_remainder(phi, prob, w, L)
         u = mirror_block(w, grid)
@@ -289,7 +289,7 @@ def test_remainder_projects_on_the_range_node_count():
         assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
         # the node counts of the neighbouring window and of twice the
         # density give a projection this test tells apart
-        for other in (default_node_count(L - 1, p), 2 * M):
+        for other in (default_node_count(L - 1), 2 * M):
             R_other = -(
                 apply_nonlinearity(u, p, M=other)[0]
                 - np.abs(phi) ** (2.0 * p) * phi
@@ -309,7 +309,7 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     )
     phi = sample_reference(profile, grid, coupling=a)
     rows = 512  # harmonics 1..1023 at M = 4096, Q = 2048: 2^20 entries
-    assert default_node_count(2 * rows - 1, p) == 4096
+    assert default_node_count(2 * rows - 1) == 4096
     l = 2.0 * np.arange(rows)[:, None] + 1.0
     w = np.random.default_rng(6).standard_normal((rows, grid.K + 1)) / l**2
     w[0] = 0.0

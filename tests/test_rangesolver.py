@@ -312,7 +312,7 @@ def test_decoupled_site_closed_form():
     # fundamental block (whose index 0 is the center site), harmonics 1, 3, 5
     v = np.zeros((3,) + block_shape(grid))
     v[0] = phi[block_slices(grid)]
-    g = apply_nonlinearity(v, 1.0, M=default_node_count(5, 1.0))
+    g = apply_nonlinearity(v, 1.0, M=default_node_count(5))
     g[0] = 0.0
     w0 = mu**2 * op.solve(g)
     predicted = mu**2 * beta * c**3 / (4.0 * (1.0 - 9.0 * omega_sq(mu)))
@@ -333,7 +333,7 @@ def test_range_solution_is_fixed_point():
     v = np.zeros_like(w)
     v[0] = phi[block_slices(grid)]
     # 24 nodes, the count of the odd window 5 (the range solve takes 28)
-    g = apply_nonlinearity(v + w, p=1.0, M=default_node_count(5, 1.0))
+    g = apply_nonlinearity(v + w, p=1.0, M=default_node_count(5))
     g[0] = 0.0
     again = mu**2 * op.solve(g)
     sigma = orbit_sizes(grid)
@@ -472,7 +472,7 @@ def _full_box_picard(phi, op, p, mu, L_max, iterations):
     v = np.zeros(((L_max + 1) // 2,) + op.grid.shape)
     v[0] = phi
     w = np.zeros_like(v)
-    M = default_node_count(2 * len(v) - 1, p)
+    M = default_node_count(2 * len(v) - 1)
     for _ in range(iterations):
         g = apply_nonlinearity(v + w, p, M=M)
         g[0] = 0.0

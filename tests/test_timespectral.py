@@ -81,7 +81,7 @@ def test_cubic_single_mode_harmonics():
     # beta cos^3 = cos + (1/3) cos(3 tau) exactly at p = 1
     c = np.zeros((3, 1))
     c[0, 0] = 1.0
-    out = apply_nonlinearity(c, p=1.0, M=default_node_count(5, 1.0))
+    out = apply_nonlinearity(c, p=1.0, M=default_node_count(5))
     expected = np.zeros((3, 1))
     expected[0, 0] = 1.0
     expected[1, 0] = 1.0 / 3.0
@@ -93,7 +93,7 @@ def test_cubic_two_mode_against_quadrature():
     c = np.zeros((5, 2))
     c[0] = [0.7, -0.2]
     c[1] = [-0.3, 0.5]
-    out = apply_nonlinearity(c, p=1.0, M=default_node_count(9, 1.0))
+    out = apply_nonlinearity(c, p=1.0, M=default_node_count(9))
     beta = nonlinearity_coefficient(1.0)
     t = np.linspace(0.0, 2 * np.pi, 20001)
     for j in range(2):
@@ -176,7 +176,7 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
 
 def test_chunking_is_transparent(monkeypatch):
     c = _odd_stack(np.random.default_rng(3), 7, 23)[1::2]
-    M = default_node_count(5, 0.75)
+    M = default_node_count(5)
     full = apply_nonlinearity(c, p=0.75, M=M)
     monkeypatch.setattr(timespectral, "_CHUNK", 5)
     chunked = apply_nonlinearity(c, p=0.75, M=M)
@@ -184,7 +184,7 @@ def test_chunking_is_transparent(monkeypatch):
 
 
 def test_tail_diagnostic():
-    M = default_node_count(1, 1.0)
+    M = default_node_count(1)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
     assert harmonic_tail(np.ones((1, 1)), p=1.0, M=M) == pytest.approx(
         1.0 / 3.0, rel=1e-12
@@ -217,7 +217,10 @@ def test_node_count_guards():
         list(odd_collocation((np.zeros((3, 1)),), 4))
     with pytest.raises(GuardError):
         apply_nonlinearity(np.zeros((3, 1)), p=1.0, M=4)
-    assert default_node_count(7, 1.0) >= 17  # alias-free for the cubic
+    assert default_node_count(7) >= 17  # alias-free for the cubic
+    # 4 (L+1) covers the alias-free count (p+1)(L+1) + 1 for every p < 2
+    for L in range(64):
+        assert default_node_count(L) >= np.ceil(2.999 * (L + 1)) + 1
 
 
 # The quarter-period primitive against the SciPy DCT-IV pair it replaced:
