@@ -10,10 +10,12 @@ breather and its convergence report always belong together.
 Physical units: the breather is q_j(t) = sum_l coeffs[l, j] cos(l omega t)
 with omega^2 = 1 - m mu^2 and coeffs = mu^(1/p) (phi, w): harmonic 1 is
 exactly mu^(1/p) phi by construction (the range projector zeroes l = 1),
-and the odd harmonics l >= 3 are mu^(1/p) w, the range part mirrored from
-the fundamental block.  The breather keeps phi, phi_dnls and that one block
-stack, and a .kgbr file holds just these; the whole-box checks build box
-values from them slab by slab.
+and the odd harmonics l >= 3 are mu^(1/p) w, the range part.  The
+breather keeps phi, phi_dnls and w on the fundamental block of the
+reflection-even box (lattice.mirror_block), and a .kgbr file holds just
+these; box values are built only where a whole-box number needs them: the
+slabs of kg_residual and of the sup error, the leapfrog's start field and
+the box norms of the reports.
 
 Accuracy is always reported against the continuum reference field
 Psi = mu^(1/p) psi(mu (j + offset) / sqrt(a)) cos(omega t): the sup and
@@ -101,12 +103,13 @@ class PipelineConfig:
 class Breather:
     """Assembled breather: kernel profile, range part, provenance.
 
-    ``phi`` and ``phi_dnls`` are mirror-even box fields.  ``w`` is the one
-    range stack, on the fundamental block, odd rows only: row j holds
-    harmonic 2j+1 (row 0 is zero, the range has no harmonic 1), in scaled
-    units; 1/8 of a box stack in 2d.  Box values are built slab by slab
-    (``box_rows``), amplitude * mirror(w_l) as a box stack would hold them.
-    A .kgbr file holds the blocks of phi and phi_dnls and w past row 0.
+    Every array lives on the fundamental block, (K+1,)*n per field.
+    ``phi`` and ``phi_dnls`` are fields there; ``w`` is the one range
+    stack, odd rows only: row j holds harmonic 2j+1 (row 0 is zero, the
+    range has no harmonic 1), in scaled units; 1/8 of a box stack in 2d.
+    Box values are built slab by slab (``box_rows``), amplitude * mirror
+    as a box stack would hold them.  A .kgbr file holds phi, phi_dnls and
+    w past row 0.
     """
 
     grid: GridSpec
@@ -142,19 +145,19 @@ class Breather:
     def box_rows(self, rows=slice(None)):
         """Physical odd cosine rows (row j harmonic 2j+1) of the box rows
         ``rows`` along the first axis: amplitude * mirror(w), row 0
-        amplitude * phi."""
+        amplitude * mirror(phi)."""
         out = mirror_block(self.w, self.grid, rows)
+        out[0] = mirror_block(self.phi, self.grid, rows)
         out *= self.amplitude
-        out[0] = self.amplitude * self.phi[rows]
         return out
 
     def start_field(self):
         """q(0) = sum_l coeffs[l] (every cos(l omega t) is 1 at t = 0), one
-        harmonic at a time in row order, amplitude * phi then amplitude *
-        mirror(w_l): np.sum(coeffs, axis=0) bit for bit (q never holds -0)."""
+        harmonic at a time in row order, amplitude * mirror(phi) then
+        amplitude * mirror(w_l): np.sum(coeffs, axis=0) bit for bit (q
+        never holds -0)."""
         q = np.zeros(self.grid.shape)
-        q += self.amplitude * self.phi
-        for row in self.w[1:]:
+        for row in (self.phi, *self.w[1:]):
             q += self.amplitude * mirror_block(row, self.grid)
         return q
 
@@ -164,11 +167,13 @@ class Breather:
         return float(self.amplitude * top)
 
     def symmetry_error(self):
-        """Largest reflection asymmetry across all harmonics, relative to
-        the overall amplitude.  The range harmonics are mirrored from the
-        block, so only harmonic 1, amplitude * phi, can be asymmetric."""
+        """Largest reflection asymmetry across all harmonics of the box
+        field, relative to the overall amplitude.  Every harmonic is
+        mirrored from the block, so harmonic 1, amplitude * mirror(phi),
+        stands for them all."""
         scale = self.peak()
-        return asymmetry(self.amplitude * self.phi) / scale if scale else 0.0
+        box = mirror_block(self.amplitude * self.phi, self.grid)
+        return asymmetry(box) / scale if scale else 0.0
 
 
 def _window_for_residual(phi, w, grid, config, target):
@@ -180,13 +185,13 @@ def _window_for_residual(phi, w, grid, config, target):
     the measured spectrum just above the working window, and the window is
     widened until sum_{l > L} C / l^3 ~ C / (4 L^2) <= target / 2.  For
     polynomial powers (integer p) the measured tail is already roundoff
-    and the working window stands.  ``w`` is the odd-row range stack on
-    the fundamental block, whose sup over sites is the box's.
+    and the working window stands.  ``phi`` and the odd-row range stack
+    ``w`` live on the fundamental block, whose sup over sites is the box's.
     """
     l_max = config.l_max
     amplitude = config.mu ** (1.0 / config.p)
     u = amplitude * w
-    u[0] += amplitude * phi[block_slices(grid)]
+    u[0] += amplitude * phi
     M = default_node_count(2 * l_max + 1)
     # sup over sites of each odd harmonic of N(u), row j harmonic 2j+1
     sup_odd = np.zeros(M // 2)
@@ -222,10 +227,11 @@ def assemble_breather(config: PipelineConfig):
         raise GuardError(f"box half-width K = {grid.K} is short of {_DECAY_LENGTHS:g} "
                          f"decay lengths sqrt(a/m)/mu = {decay:.3g}; raise r_min")
 
+    # the Newton solves, and the breather, hold the fundamental block
     phi_dnls, dnls_report = solve_dnls_ground_state(
-        prob, reference, tol=config.kernel_tol
+        prob, reference[block_slices(grid)], tol=config.kernel_tol
     )
-    kept = norm_l2(phi_dnls) / norm_l2(reference)
+    kept = norm_l2(mirror_block(phi_dnls, grid)) / norm_l2(reference)
     if not kept >= 0.5:
         raise GuardError(f"the discrete NLS solution kept {kept:.2e} of the "
                          f"sampled profile's l2 norm: no breather on this box")
@@ -250,7 +256,8 @@ def assemble_breather(config: PipelineConfig):
         tail_check=True,
     )
 
-    # kernel-equation residual of the final range component
+    # kernel-equation residual of the final range component, on the block:
+    # its sup is the box's
     R = kernel_remainder(phi, prob, w, L_res)
     g_residual = prob.apply_g0(phi) + R
 
@@ -266,9 +273,9 @@ def assemble_breather(config: PipelineConfig):
         "kernel_newton": asdict(kernel_report),
         "range": range_report.to_dict(),
         "kernel_residual_sup": float(np.max(np.abs(g_residual))),
-        "remainder_norm_mu": norm_l2_mu(R, grid),
-        "dist_phi_dnls": norm_q_mu(phi - phi_dnls, grid),
-        "dist_dnls_ref": norm_q_mu(phi_dnls - reference, grid),
+        "remainder_norm_mu": norm_l2_mu(mirror_block(R, grid), grid),
+        "dist_phi_dnls": norm_q_mu(mirror_block(phi - phi_dnls, grid), grid),
+        "dist_dnls_ref": norm_q_mu(mirror_block(phi_dnls, grid) - reference, grid),
     }
 
     b = Breather(
@@ -373,10 +380,10 @@ def error_vs_reference(b: Breather):
     sigma = orbit_sizes(grid)
     amplitude = b.amplitude
     psi = reference_profile(b)
-    dist_dnls_ref = norm_q_mu(b.phi_dnls - psi, grid)
+    dist_dnls_ref = norm_q_mu(mirror_block(b.phi_dnls, grid) - psi, grid)
     psi *= amplitude  # Psi's one harmonic, physical
     diff = amplitude * b.w  # the physical harmonics, harmonic 1 below
-    diff[0] = amplitude * b.phi[home]
+    diff[0] = amplitude * b.phi
     flat = diff.reshape(len(diff), -1)
     per_l = np.sqrt(np.einsum("ls,ls,s->l", flat, flat, sigma.ravel()))
     total = float(np.sqrt(np.sum(per_l**2)))
@@ -390,7 +397,7 @@ def error_vs_reference(b: Breather):
         rows[0] -= psi[sl]
         for _, values in odd_collocation((rows,), M):
             e_sup = np.maximum(e_sup, np.max(np.abs(values)))
-    sup_bound = norm_q(amplitude * b.phi - psi, b.mu)
+    sup_bound = norm_q(mirror_block(amplitude * b.phi, grid) - psi, b.mu)
     for row in b.w[1:]:
         sup_bound += norm_q(amplitude * mirror_block(row, grid), b.mu)
     sup_bound *= 2.0 * np.sqrt(b.mu)
@@ -404,7 +411,8 @@ def error_vs_reference(b: Breather):
         w_x2=amplitude * sobolev_time_norm(b.w, order=2, omega=1.0, weights=sigma),
         harmonic_fraction=float(per_l[0] / total) if total else 0.0,
         tail_fraction=float(np.sqrt(np.sum(per_l[1:] ** 2)) / total) if total else 0.0,
-        dist_phi_dnls=norm_q_mu(b.phi - b.phi_dnls, grid), dist_dnls_ref=dist_dnls_ref,
+        dist_phi_dnls=norm_q_mu(mirror_block(b.phi - b.phi_dnls, grid), grid),
+        dist_dnls_ref=dist_dnls_ref,
     )
 
 
@@ -530,8 +538,8 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
     stalled iterations) are recorded, not raised; any later slope fit
     insists on >= 4 surviving rows.  ``progress(mu, row)``, if given, is
     called after every mu, with row None when that mu failed.  One
-    breather is alive at a time: phi on the box and its range stack, odd
-    rows on the block.
+    breather is alive at a time: phi, phi_dnls and its odd-row range
+    stack, all on the fundamental block.
     """
     mus = [float(m) for m in mu_list]
     if len(mus) < 2 or any(b >= a for a, b in zip(mus, mus[1:])):
@@ -566,14 +574,9 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 def save_breather(path, b: Breather):
     """Binary dump: header (geometry, parameters, offsets), then phi, phi_dnls
     and the range rows of harmonics 3, 5, ..., L_max on the fundamental
-    block.  A breather the file cannot give back bit for bit (phi or
-    phi_dnls not mirror-even, harmonic-1 range row not +0) is a GuardError."""
+    block.  A breather the file cannot give back bit for bit (harmonic-1
+    range row not +0) is a GuardError."""
     g = b.grid
-    home = block_slices(g)
-    if any(mirror_block(f[home], g).tobytes() != f.tobytes()
-           for f in (b.phi, b.phi_dnls)):
-        raise GuardError("phi and phi_dnls must be mirror-even bit for bit: "
-                         "a .kgbr file holds their fundamental block only")
     if b.w[0].any() or np.signbit(b.w[0]).any():
         raise GuardError("a .kgbr file holds no harmonic-1 range row; it must be +0")
     mode_code = list(BREATHER_MODES[g.n]).index(b.mode)
@@ -581,15 +584,15 @@ def save_breather(path, b: Breather):
         fh.write(_MAGIC + struct.pack(_HEAD, _VERSION, g.n, g.K, b.L_max, mode_code,
                                       g.mu, b.coupling, b.p, b.multiplier, b.omega))
         fh.write(struct.pack(f"<{g.n}d", *g.offsets))
-        for arr in (b.phi[home], b.phi_dnls[home], b.w[1:]):
+        for arr in (b.phi, b.phi_dnls, b.w[1:]):
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_breather(path):
     """Read the save_breather layout in two reads into the arrays the
-    breather keeps, then mirror phi and phi_dnls onto the box.  Anything
-    else is a FormatError, version-1 files (box stacks) included: re-run
-    ``breather`` with the config in their JSON report to rebuild them."""
+    breather keeps.  Anything else is a FormatError, version-1 files (box
+    stacks) included: re-run ``breather`` with the config in their JSON
+    report to rebuild them."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -636,7 +639,7 @@ def load_breather(path):
         fh.seek(off)
         fh.readinto(profiles)
         fh.readinto(w[1:])
-    phi, phi_dnls = mirror_block(profiles, grid)
+    phi, phi_dnls = profiles
     return Breather(grid=grid, p=p, coupling=coupling, mu=mu, mode=mode,
                     multiplier=m, omega=omega, L_max=L_max, phi=phi,
                     phi_dnls=phi_dnls, w=w)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GuardError
+from .errors import GuardError
 from .lattice import _neighbor_views, dirichlet_energy
 from .timespectral import nonlinearity_coefficient
 
@@ -54,20 +54,15 @@ class IntegrationReport:
         }
 
 
-def integrate_period(
-    b,
-    steps_per_period=2048,
-    periods=1,
-    initial_coeffs=None,
-    max_drift=None,
-):
+def integrate_period(b, steps_per_period=2048, periods=1, initial_coeffs=None):
     """Velocity-Verlet over whole periods of the breather.
 
     ``initial_coeffs`` substitutes a different cosine-coefficient stack on
     the same grid (e.g. the continuum reference field) so competing seeds
-    can be raced under identical dynamics.  ``max_drift`` turns an energy
-    drift beyond the bound into a ConvergenceError: a symplectic scheme
-    that leaks energy signals a stepping problem, not a physics one.
+    can be raced under identical dynamics.  The report's energy drift,
+    the largest sampled |H(t) - H(0)| relative to max(|H(0)|, 1), reads
+    inf once the state blows up; a symplectic scheme that leaks energy
+    signals a stepping problem, not a physics one.
     """
     if not isinstance(steps_per_period, (int, np.integer)) or steps_per_period < 16:
         raise GuardError(f"need integer steps >= 16 per period, got {steps_per_period!r}")
@@ -115,11 +110,6 @@ def integrate_period(
             h = lattice_hamiltonian(q, v, b.coupling, b.p)
             # a blown-up state has a non-finite H, which max() would skip
             drift = max(drift, abs(h - h0) / h_scale) if np.isfinite(h) else np.inf
-            if max_drift is not None and drift > max_drift:
-                raise ConvergenceError(
-                    f"energy drift {drift:.3e} beyond bound {max_drift:.3e} "
-                    f"at step {step}"
-                )
 
     norm0 = float(np.linalg.norm(q0))
     if norm0 == 0.0:

@@ -15,14 +15,16 @@ The normalization of the model coupling beta makes P1[N(phi cos)] equal to
 |phi|^(2p) phi exactly, so R is quadratically small in mu and G0 is the
 discrete NLS that converges to the continuum ground state equation.
 
-Newton runs in reduced coordinates, the orbit coordinates of the
-fundamental block (lattice.fold_symmetric): the full Jacobian is exactly
-singular in the odd sector only up to exponentially small Peierls-Nabarro
-splittings, which the reduction removes wholesale.  G0' is built there
-directly: per axis the Dirichlet -lap on j = 0..K with the reflection
-folded into its first row (lattice.minus_laplacian_bands), the axes
-joined by a Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the
-block, whose scaled bands are built once per problem (DnlsProblem).  A
+Every field here, phi, G0, R and the range stack, lives on the
+fundamental block (indices j >= 0 per axis), the one representation of a
+reflection-even field, and Newton runs in its orbit coordinates, phi
+times lattice.orbit_weights: the full Jacobian is exactly singular in the
+odd sector only up to exponentially small Peierls-Nabarro splittings,
+which the reduction removes wholesale.  G0' is built there directly: per
+axis the Dirichlet -lap on j = 0..K with the reflection folded into its
+first row (lattice.minus_laplacian_bands), the axes joined by a
+Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block,
+whose scaled bands are built once per problem (DnlsProblem).  A
 Newton step is a tridiagonal solve in 1d (dgtsv, which pivots: G0' is
 indefinite) and a sparse LU in 2d.
 
@@ -53,12 +55,7 @@ from scipy.sparse.linalg import eigsh, splu
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
 from .lattice import (
-    block_slices,
-    fold_symmetric,
-    laplacian,
-    minus_laplacian_bands,
-    mirror_block,
-    unfold_symmetric,
+    laplacian, minus_laplacian_bands, mirror_block, orbit_weights, padded_block,
 )
 from .rangesolver import RangeOperator, solve_range_equation
 from .timespectral import default_node_count, nonlinearity_map, odd_collocation
@@ -128,8 +125,12 @@ class DnlsProblem:
         return lu.solve(rhs)
 
     def apply_g0(self, phi):
+        """G0 on the block, whose Laplacian runs over lattice.padded_block:
+        each block site reads the neighbours the box's Laplacian reads, in
+        its order, so G0 is the box's restricted to the block, bit for bit."""
+        lap = laplacian(padded_block(phi, self.grid))[(slice(1, None),) * self.grid.n]
         return (
-            -(self.coupling / self.mu**2) * laplacian(phi)
+            -(self.coupling / self.mu**2) * lap
             + self.multiplier * phi
             - np.abs(phi) ** (2.0 * self.p) * phi
         )
@@ -137,15 +138,14 @@ class DnlsProblem:
 
 def _g0_diagonal(phi, prob):
     # m - (2p+1)|phi|^(2p) on the block, flattened: G0' less its -lap part
-    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(prob.grid)]
-    power = np.abs(phi_block.ravel()) ** (2.0 * prob.p)
+    power = np.abs(np.ravel(phi)) ** (2.0 * prob.p)
     return prob.multiplier - (2.0 * prob.p + 1.0) * power
 
 
 def reduced_g0_jacobian(phi, prob, shift=0.0):
     """Sparse G0'(phi) - shift, G0' = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p), in
-    the orbit coordinates of lattice.fold_symmetric, for a reflection-even
-    box phi: a copy of the cached pattern's values plus the diagonal."""
+    orbit coordinates, for a block phi: a copy of the cached pattern's
+    values plus the diagonal."""
     pattern, diagonal = prob.scaled_minus_laplacian
     data = pattern.data.copy()
     data[diagonal] += _g0_diagonal(phi, prob) - shift
@@ -162,28 +162,28 @@ class NewtonReport:
 
 
 def _newton_reduced(phi0, prob, residual, tol, max_iter):
-    """Damped Newton in the reflection-symmetric orbit coordinates, every
-    step solved with G0' at the current iterate."""
-    grid = prob.grid
-    x = fold_symmetric(np.asarray(phi0, dtype=np.float64), grid)
-    phi = unfold_symmetric(x, grid)
-    G = residual(phi)
-    res = float(np.linalg.norm(fold_symmetric(G, grid)))
+    """Damped Newton in the orbit coordinates x = phi * orbit_weights of
+    the block, every step solved with G0' at the current iterate."""
+    weights = orbit_weights(prob.grid)
+    x = (np.asarray(phi0, dtype=np.float64) * weights).ravel()
+    phi = x.reshape(weights.shape) / weights
+    g = (residual(phi) * weights).ravel()
+    res = float(np.linalg.norm(g))
     report = NewtonReport(converged=False, iterations=0, residuals=[res])
     scale = max(1.0, float(np.linalg.norm(x)))
     for iteration in range(1, max_iter + 1):
         if res <= tol * scale:
             report.converged = True
             break
-        step = prob.newton_step(phi, fold_symmetric(G, grid))
+        step = prob.newton_step(phi, g)
         if step is None:
             raise ConvergenceError(f"G0' is singular at Newton iteration {iteration}")
         lam = 1.0
         for _ in range(8):  # step halvings before the search gives up
             x_try = x - lam * step
-            phi_try = unfold_symmetric(x_try, grid)
-            G_try = residual(phi_try)
-            res_try = float(np.linalg.norm(fold_symmetric(G_try, grid)))
+            phi_try = x_try.reshape(weights.shape) / weights
+            g_try = (residual(phi_try) * weights).ravel()
+            res_try = float(np.linalg.norm(g_try))
             if res_try < res or res_try <= tol * scale:
                 break
             lam *= 0.5
@@ -192,7 +192,7 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter):
                 f"Newton line search exhausted at iteration {iteration} "
                 f"(residual {res:.3e})"
             )
-        x, phi, G, res = x_try, phi_try, G_try, res_try
+        x, phi, g, res = x_try, phi_try, g_try, res_try
         report.iterations = iteration
         report.residuals.append(res)
         report.step_norms.append(float(np.linalg.norm(lam * step)))
@@ -207,7 +207,8 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter):
 
 
 def solve_dnls_ground_state(prob, phi0, tol=1e-12):
-    """Newton solve of the pure discrete NLS equation G0(phi) = 0."""
+    """Newton solve of the pure discrete NLS equation G0(phi) = 0, on the
+    block from the block phi0."""
     return _newton_reduced(phi0, prob, prob.apply_g0, tol, _DNLS_MAX_ITER)
 
 
@@ -215,27 +216,23 @@ def kernel_remainder(phi, prob, w, L_max):
     """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
     component w.
 
-    ``w`` is an odd-row range stack on the fundamental block, as
-    solve_range_equation returns it for the window ``L_max``; no range
-    solve happens here.  N is sampled on the block at the Q quarter-period
+    ``phi`` and R live on the block, and ``w`` is an odd-row range stack
+    there, as solve_range_equation returns it for the window ``L_max``;
+    no range solve happens here.  N is sampled at the Q quarter-period
     nodes of the range solve's own M = default_node_count(L_max) time
     nodes, so R and the range solve share one projection; the one cached
-    cosine row reads P1 off the samples at every window size.  R is
-    returned on the whole box.
+    cosine row reads P1 off the samples at every window size.
     """
     phi = np.asarray(phi, dtype=np.float64)
     M = default_node_count(L_max)
-    phi_block = phi[block_slices(prob.grid)]
     u = np.array(w, dtype=np.float64)
-    u[0] = phi_block
-    first = np.empty(phi_block.shape)
+    u[0] = phi
+    first = np.empty(phi.shape)
     for sl, spectrum in odd_collocation(
         (u,), M, nonlinearity_map(prob.p), analysis=True, rows=1
     ):
         first.reshape(-1)[sl] = spectrum[0]
-    return mirror_block(
-        -(first - np.abs(phi_block) ** (2.0 * prob.p) * phi_block), prob.grid
-    )
+    return -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
 
 
 def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
@@ -249,9 +246,9 @@ def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
     (warm-started from the previous w), then projects the nonlinearity
     with kernel_remainder on the same nodes.
 
-    Returns (phi, w, report, range_op); w is the range component of the
-    returned phi, an odd-row stack on the fundamental block, and range_op
-    serves any window on this grid.
+    phi0 and the returned phi live on the block.  Returns (phi, w, report,
+    range_op); w is the range component of the returned phi, an odd-row
+    stack on the block, and range_op serves any window on this grid.
     """
     op = RangeOperator(prob.grid, prob.omega_sq, prob.coupling)
     state = {"w": None, "range_iters": 0}
@@ -280,12 +277,13 @@ class HessianDiagnostics:
 
 
 def hessian_diagnostics(phi, prob):
-    """Spectral structure of G0' at a solution, in reduced coordinates.
+    """Spectral structure of G0' at a block solution phi, in orbit
+    coordinates.
 
     The solution direction is a strict descent direction:
-    <G0'(phi) phi, phi> = -2p sum |phi|^(2p+2) (exact at solutions); on the
-    orthogonal complement of q = phi/|phi| the operator should be positive
-    definite.  One shift-invert eigsh about the floor of G0', started from q
+    <G0'(phi) phi, phi> = -2p sum |phi|^(2p+2) (exact at solutions; the
+    sum runs over the mirrored box); on the orthogonal complement of
+    q = phi/|phi| the operator should be positive definite.  One shift-invert eigsh about the floor of G0', started from q
     (so deterministic), gives its lowest eigenvalues l0 < l1, and a second
     negative one raises GuardError; the tangent one is the secular root in
     (l0, l1), each value of the secular function one newton_step.
@@ -294,9 +292,10 @@ def hessian_diagnostics(phi, prob):
 
     phi = np.asarray(phi, dtype=np.float64)
     J_red = reduced_g0_jacobian(phi, prob)
-    x = fold_symmetric(phi, prob.grid)
+    x = (phi * orbit_weights(prob.grid)).ravel()
     curvature = float(x @ (J_red @ x))
-    predicted = -2.0 * prob.p * float(np.sum(np.abs(phi) ** (2.0 * prob.p + 2.0)))
+    box = mirror_block(phi, prob.grid)
+    predicted = -2.0 * prob.p * float(np.sum(np.abs(box) ** (2.0 * prob.p + 2.0)))
     q = x / np.linalg.norm(x)
     floor = float(np.min(_g0_diagonal(phi, prob)))
     lo, hi = np.sort(eigsh(J_red, k=2, sigma=floor, v0=q, return_eigenvectors=False))

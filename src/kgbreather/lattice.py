@@ -8,10 +8,13 @@ the box's shape (``GridSpec.shape``), and with these conventions a field
 that is even under reflection through the box center is exactly an array
 invariant under ``np.flip`` along each axis (``asymmetry`` measures how far
 it is from that).  Such a field is determined by its fundamental block
-(indices j >= 0 on each axis): the helpers below cut the block out and
-mirror it back (``block_slices`` / ``mirror_block``), weigh its sites by
-their orbit sizes, and give the orthonormal orbit coordinates
-(``fold_symmetric`` / ``unfold_symmetric``) in which the Newton solves run.
+(indices j >= 0 on each axis), which is how the program holds every such
+field: the helpers below cut the block out of a box field and mirror it
+back (``block_slices`` / ``mirror_block``), grow it by the mirrored
+neighbours its Laplacian reads (``padded_block``), and weigh its sites by
+their orbit sizes; scaled by the square roots of these
+(``orbit_weights``), the block values are the orthonormal orbit
+coordinates in which the Newton solves run.
 
 The module does no file I/O; the one snapshot format, ``.kgbr``, is read
 and written by ``breather.save_breather`` / ``load_breather``.
@@ -211,7 +214,7 @@ def norm_q_mu(a, grid):
 # Per axis the fundamental indices are j = 0..K; an interior orbit {j, -j}
 # (or {j, -1-j} for offset 1/2) has two members, the center j = 0 of an
 # offset-0 axis has one.  Orbit coordinates scale the block values by
-# sqrt(orbit size), so folding preserves l2 norms and an operator that
+# sqrt(orbit size), so they keep the box's l2 norms and an operator that
 # commutes with the reflections becomes a symmetric matrix on the block
 # (per axis, -lap becomes the tridiagonal minus_laplacian_bands).
 
@@ -253,6 +256,12 @@ def block_slices(grid):
     )
 
 
+def _block_index(j, offset):
+    """Block index that box index j reads: j itself, or its mirror image
+    -j (offset 0) or -1-j (offset 1/2)."""
+    return np.where(j >= 0, j, -j - (offset != 0.0))
+
+
 def mirror_block(block, grid, rows=slice(None)):
     """Reflection-even box field(s) holding ``block`` on the fundamental
     block; leading axes beyond the grid's (a harmonic index) ride along.
@@ -261,22 +270,15 @@ def mirror_block(block, grid, rows=slice(None)):
     (j, or its mirror image -j or -1-j) in one gather, so the output is
     the only allocation."""
     block = np.asarray(block, dtype=np.float64)
-    index = []
-    for ax in range(grid.n):
-        j = grid.axis_indices(ax)
-        index.append(np.where(j >= 0, j, -j - (grid.offsets[ax] != 0.0)))
+    index = [_block_index(grid.axis_indices(ax), offset)
+             for ax, offset in enumerate(grid.offsets)]
     index[0] = index[0][rows]
     return block[(slice(None),) * (block.ndim - grid.n) + np.ix_(*index)]
 
 
-def fold_symmetric(a, grid):
-    """Reduced coordinates of a reflection-even field (flattened)."""
-    a = np.asarray(a, dtype=np.float64)
-    return (a[block_slices(grid)] * orbit_weights(grid)).ravel()
+def padded_block(block, grid):
+    """The block field grown by one site below each axis, box index j = -1,
+    which holds its mirror image: what a block site's Laplacian reads."""
+    j = np.arange(-1, grid.K + 1)
+    return block[np.ix_(*(_block_index(j, o) for o in grid.offsets))]
 
-
-def unfold_symmetric(coeffs, grid):
-    """Inverse of fold_symmetric: rebuild the full reflection-even field."""
-    weights = orbit_weights(grid)
-    block = np.asarray(coeffs, dtype=np.float64).reshape(weights.shape)
-    return mirror_block(block / weights, grid)

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceError, GuardError, ResonanceError
-from .lattice import block_slices, minus_laplacian_bands, orbit_sizes
+from .lattice import minus_laplacian_bands, orbit_sizes
 from .timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -202,9 +202,9 @@ def solve_range_equation(
 
     ``L_max`` is the harmonic window L: the returned w keeps the odd
     harmonics up to L, and the nonlinearity is sampled at
-    M = default_node_count(L) time nodes.  ``phi`` lives on the box;
-    ``w_init`` and the returned w are odd-row stacks on the fundamental
-    block, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
+    M = default_node_count(L) time nodes.  ``phi`` lives on the
+    fundamental block; ``w_init`` and the returned w are odd-row stacks
+    there, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
     (no harmonic 1).  A ``w_init`` with fewer rows warm-starts those rows;
     the others start at zero.  ``tail_check`` adds two diagnostics, one
     nonlinearity pass each after convergence, that leave w as it is: the
@@ -217,10 +217,9 @@ def solve_range_equation(
     beta = nonlinearity_coefficient(p)
     sigma = op.sigma
     M = default_node_count(L_max)
-    # the kernel part phi cos(tau), on the fundamental block
-    phi_block = phi[block_slices(op.grid)]
-    v = np.zeros(((L_max + 1) // 2,) + phi_block.shape)
-    v[0] = phi_block
+    # the kernel part phi cos(tau)
+    v = np.zeros(((L_max + 1) // 2,) + phi.shape)
+    v[0] = phi
 
     # crude contraction estimate: Lipschitz constant of the projected
     # nonlinearity over the inversion margin, at the kernel amplitude

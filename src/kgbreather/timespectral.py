@@ -162,16 +162,16 @@ def apply_nonlinearity(coeffs, p, *, M):
     return out.reshape(coeffs.shape)
 
 
-def harmonic_tail(coeffs, p, *, M, weights=None):
+def harmonic_tail(coeffs, p, *, M, weights):
     """l2 mass of the odd harmonics of beta |u|^(2p) u past the rows of
     ``coeffs`` over that of the kept ones (u, M as for apply_nonlinearity),
     from one analysis over all Q: a diagnostic for choosing L on
-    non-polynomial powers.  ``weights`` (one per site, default 1) weight
-    the mass per site, e.g. by orbit size on the fundamental block.
+    non-polynomial powers.  ``weights`` (one per site) weight the mass
+    per site, e.g. by orbit size on the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n_odd = coeffs.shape[0]
-    weights = np.ones(coeffs.size // n_odd) if weights is None else np.ravel(weights)
+    weights = np.ravel(weights)
     kept = discarded = 0.0
     for sl, spectrum in odd_collocation(
         (coeffs,), M, nonlinearity_map(p), analysis=True
@@ -182,21 +182,18 @@ def harmonic_tail(coeffs, p, *, M, weights=None):
     return np.sqrt(discarded / kept) if kept > 0.0 else 0.0
 
 
-def sobolev_time_norm(coeffs, order=2, omega=1.0, weights=None):
+def sobolev_time_norm(coeffs, order=2, omega=1.0, *, weights):
     """H^order-in-time l2-in-space norm of u(t) = sum_j coeffs[j] cos(l w t)
     for the odd-row stack ``coeffs``, l = 2j+1.
 
     Parseval over one period 2pi/w: the l-th harmonic carries weight
-    (pi/w) * sum_{k<=order} (w l)^(2k).  ``weights`` (one per site,
-    default 1) weight the spatial sum, e.g. by orbit size when ``coeffs``
-    holds only the fundamental block.
+    (pi/w) * sum_{k<=order} (w l)^(2k).  ``weights`` (one per site)
+    weight the spatial sum, e.g. by orbit size when ``coeffs`` holds only
+    the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     l = 2.0 * np.arange(coeffs.shape[0]) + 1.0
     poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
     flat = coeffs.reshape(coeffs.shape[0], -1)
-    if weights is None:
-        spatial = np.einsum("ls,ls->l", flat, flat)
-    else:
-        spatial = np.einsum("ls,ls,s->l", flat, flat, np.ravel(weights))
+    spatial = np.einsum("ls,ls,s->l", flat, flat, np.ravel(weights))
     return float(np.sqrt(np.sum(np.pi / omega * poly * spatial)))

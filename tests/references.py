@@ -6,7 +6,8 @@ that the in-place library versions must match bit for bit, the whole-box
 equation residual that the slab-wise one must match bit for bit, the
 elementwise even-sector basis that the table lookup must match bit for bit,
 the per-call sparse build of G0' that the cached pattern must match bit for
-bit, the dense even-sector basis inverse and the sparse LU Newton step
+bit, the whole-box G0 that the block one must match bit for bit, the
+dense even-sector basis inverse and the sparse LU Newton step
 that the 1d band solves must match to roundoff) or to build inputs (the
 reflection-even part of a random field).  Each is the plain textbook
 formula, written for clarity rather than speed.
@@ -18,7 +19,6 @@ from scipy.sparse.linalg import splu
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
 from kgbreather.kernelsolver import reduced_g0_jacobian
 from kgbreather.lattice import (
-    block_slices,
     dirichlet_energy,
     laplacian,
     minus_laplacian_bands,
@@ -179,8 +179,8 @@ def elementwise_even_basis(N, K, offset):
 
 
 def assembled_g0_jacobian(phi, prob):
-    """``kgbreather.kernelsolver.reduced_g0_jacobian`` built from scratch on
-    every call: the per-axis -lap joined by a Kronecker sum, scaled by
+    """``kgbreather.kernelsolver.reduced_g0_jacobian`` for a block ``phi``,
+    built from scratch on every call: the per-axis -lap joined by a Kronecker sum, scaled by
     a/mu^2, plus the sparse diagonal m - (2p+1)|phi|^(2p), converted to CSC."""
     grid = prob.grid
     mats = [
@@ -192,11 +192,21 @@ def assembled_g0_jacobian(phi, prob):
     else:
         eye = sparse.identity(grid.K + 1)
         minus_lap = sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])
-    phi_block = np.asarray(phi, dtype=np.float64)[block_slices(grid)]
-    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi_block.ravel()) ** (
+    diag = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(np.ravel(phi)) ** (
         2.0 * prob.p
     )
     return ((prob.coupling / prob.mu**2) * minus_lap + sparse.diags(diag)).tocsc()
+
+
+def box_g0(phi, prob):
+    """G0(phi) = -(a/mu^2) lap phi + m phi - |phi|^(2p) phi on the whole box,
+    the formula that ``kgbreather.kernelsolver.DnlsProblem.apply_g0``
+    evaluates on the fundamental block."""
+    return (
+        -(prob.coupling / prob.mu**2) * laplacian(phi)
+        + prob.multiplier * phi
+        - np.abs(phi) ** (2.0 * prob.p) * phi
+    )
 
 
 def basis_range_solve(op, coeffs):

@@ -112,7 +112,8 @@ def test_2d_assembly_with_a_wide_window_is_deterministic():
 
 def test_first_harmonic_is_kernel_profile(small_1d):
     b = small_1d
-    assert b.coeffs[1].tobytes() == (b.mu ** (1.0 / b.p) * b.phi).tobytes()
+    kernel_part = b.mu ** (1.0 / b.p) * mirror_block(b.phi, b.grid)
+    assert b.coeffs[1].tobytes() == kernel_part.tobytes()
     assert np.all(b.w[0] == 0.0)
 
 
@@ -134,7 +135,8 @@ def _reference_breather(b):
     """``b`` with its kernel profile replaced by the sampled continuum
     profile and no range part: its stack is reference_coefficients(b),
     rows 0 and 1, and zero beyond."""
-    fake = dataclasses.replace(b, phi=reference_profile(b), w=np.zeros_like(b.w))
+    psi = reference_profile(b)[block_slices(b.grid)]
+    fake = dataclasses.replace(b, phi=psi, w=np.zeros_like(b.w))
     assert fake.coeffs[:2].tobytes() == reference_coefficients(b).tobytes()
     assert not fake.coeffs[2:].any()
     return fake
@@ -197,8 +199,8 @@ CENTERINGS = [(n, mode) for n in (1, 2) for mode in BREATHER_MODES[n]]
 
 
 def _odd_breather(n, mode, seed=5, K=5, L=7, mu=0.4):
-    """A Breather on a small box from random arrays (not assembled): a
-    mirror-even phi and phi_dnls and a random odd-row range stack."""
+    """A Breather on a small box from random arrays (not assembled): random
+    block fields phi and phi_dnls and a random odd-row range stack."""
     grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
     rng = np.random.default_rng(seed)
     block = ((L + 1) // 2,) + (K + 1,) * n
@@ -206,8 +208,8 @@ def _odd_breather(n, mode, seed=5, K=5, L=7, mu=0.4):
     w[0] = 0.0
     return Breather(
         grid=grid, p=0.5, coupling=0.25, mu=mu, mode=mode, multiplier=0.1,
-        omega=0.99, L_max=L, phi=mirror_block(rng.standard_normal(block[1:]), grid),
-        phi_dnls=mirror_block(rng.standard_normal(block[1:]), grid), w=w,
+        omega=0.99, L_max=L, phi=rng.standard_normal(block[1:]),
+        phi_dnls=rng.standard_normal(block[1:]), w=w,
     )
 
 
@@ -242,19 +244,16 @@ def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, rows):
     assert kg_residual(b) == whole_box_kg_residual(b)
 
 
-@pytest.mark.parametrize("name", ["phi", "phi_dnls", "w"])
+@pytest.mark.parametrize("name", ["w"])
 def test_save_refuses_what_the_file_cannot_give_back(tmp_path, small_2d, name):
-    """One perturbed corner site of phi or phi_dnls (the mirror image of a
-    block site) or a nonzero harmonic-1 range row: the block-only file
-    would drop it, so saving is a GuardError before any file exists."""
+    """A nonzero harmonic-1 range row: the file holds the range rows from
+    harmonic 3 on and would drop it, so saving is a GuardError before any
+    file exists.  phi and phi_dnls are blocks, which the file holds whole."""
     arr = getattr(small_2d, name).copy()
-    if name == "w":
-        arr[0, 3, 3] = 1e-300
-    else:
-        arr[0, 0] += 1e-4
+    arr[0, 3, 3] = 1e-300
     b = dataclasses.replace(small_2d, **{name: arr})
-    path = tmp_path / "asymmetric.kgbr"
-    with pytest.raises(GuardError, match="harmonic-1" if name == "w" else "mirror-even"):
+    path = tmp_path / "harmonic1.kgbr"
+    with pytest.raises(GuardError, match="harmonic-1"):
         save_breather(path, b)
     assert not path.exists()
 
@@ -315,10 +314,11 @@ def test_whole_box_checks_allocate_no_stack(monkeypatch):
 
 
 def test_assembled_2d_breather_holds_an_eighth_of_a_stack():
-    """Beyond its box fields (phi, phi_dnls) a breather keeps one range
-    stack on the fundamental block with its odd harmonics only: on a
-    plaquette-centred box with an odd window exactly 1/8 of one box stack
-    (two whole stacks were kept before).  The rest is the reports."""
+    """A breather keeps block arrays only: one range stack on the
+    fundamental block with its odd harmonics only, on a plaquette-centred
+    box with an odd window exactly 1/8 of one box stack (two whole stacks
+    were kept before), and the block fields phi and phi_dnls, each the
+    size of one row of it.  The rest is the reports."""
     cfg = PipelineConfig(
         n=2, p=0.5, coupling=0.25, mu=0.4, mode="p", r_min=12.0, l_max=7
     )
@@ -332,7 +332,8 @@ def test_assembled_2d_breather_holds_an_eighth_of_a_stack():
         tracemalloc.stop()
     stack = 8 * (b.L_max + 1) * b.grid.size
     assert b.w.nbytes == stack // 8
-    assert held - b.phi.nbytes - b.phi_dnls.nbytes <= stack // 8 + (32 << 10)
+    assert b.phi.shape == b.phi_dnls.shape == b.w.shape[1:]
+    assert held <= b.w.nbytes + 2 * b.w[0].nbytes + (32 << 10)
 
 
 def test_box_narrower_than_the_profile_is_refused_up_front(tmp_path):
@@ -578,7 +579,7 @@ def test_version_1_file_is_refused(tmp_path, small_1d):
 
 def test_load_holds_one_block_stack(tmp_path):
     """Loading reads the block arrays straight into their places: on a 2d
-    K = 40, L = 31 file it peaks below three block stacks plus two box
+    K = 40, L = 31 file it peaks below three block stacks plus two block
     fields."""
     b = _odd_breather(2, "h1", K=40, L=31)
     path = tmp_path / "b.kgbr"
@@ -617,9 +618,8 @@ def test_roundtrip_every_centering(tmp_path, n, mode, code):
     payload = np.frombuffer(raw, "<f8", offset=_payload_at(n)).reshape(
         (-1,) + b.w.shape[1:]
     )
-    home = block_slices(b.grid)
     assert len(payload) == 3
-    assert payload[:2].tobytes() == np.stack([b.phi[home], b.phi_dnls[home]]).tobytes()
+    assert payload[:2].tobytes() == np.stack([b.phi, b.phi_dnls]).tobytes()
     assert payload[2].tobytes() == b.w[1].tobytes()
     b2 = load_breather(path)
     assert (b2.grid, b2.mode, b2.mu, b2.coupling, b2.p, b2.L_max) == (
@@ -630,6 +630,25 @@ def test_roundtrip_every_centering(tmp_path, n, mode, code):
         assert getattr(b2, name).tobytes() == getattr(b, name).tobytes()
     save_breather(tmp_path / "again.kgbr", b2)
     assert (tmp_path / "again.kgbr").read_bytes() == raw
+
+
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_assembled_and_loaded_breathers_hold_block_fields(tmp_path, n, mode):
+    """phi and phi_dnls live on the fundamental block, (K+1,)*n, like the
+    rows of w, in an assembled breather and in the one its file gives
+    back; the box field of harmonic 1 is their mirror image."""
+    cfg = (PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.3, mode=mode,
+                          r_min=15.0, l_max=5) if n == 1 else
+           PipelineConfig(n=2, p=0.5, coupling=0.25, mu=0.4, mode=mode,
+                          r_min=8.0, l_max=5))
+    b = assemble_breather(cfg)
+    save_breather(tmp_path / "b.kgbr", b)
+    block = (b.grid.K + 1,) * n
+    for held in (b, load_breather(tmp_path / "b.kgbr")):
+        assert held.phi.shape == held.phi_dnls.shape == held.w.shape[1:] == block
+        assert held.coeffs[1].tobytes() == (
+            held.amplitude * mirror_block(held.phi, held.grid)
+        ).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -181,26 +181,21 @@ def test_save_profile_roundtrip(tmp_path):
     assert "unit mass" in meta["normalization"]
 
 
-def _counting_splu(monkeypatch, polish_solves=True):
-    """Count groundstate's LU factorizations; with ``polish_solves`` False
-    every one after the first (the Newton polish's) returns a zero step."""
+def _counting_splu(monkeypatch):
+    """Count groundstate's LU factorizations."""
     calls = []
     real = groundstate.splu
 
-    class ZeroStep:
-        def solve(self, rhs):
-            return np.zeros_like(rhs)
-
     def splu(matrix):
         calls.append(matrix.shape)
-        return real(matrix) if polish_solves or len(calls) == 1 else ZeroStep()
+        return real(matrix)
 
     monkeypatch.setattr(groundstate, "splu", splu)
     return calls
 
 
-def _polish_residual(p, u, h=0.01):
-    """max |-lap u + u - u^(2p+1)| on the polish grid."""
+def _petviashvili_residual(p, u, h=0.01):
+    """max |-lap u + u - u^(2p+1)| on the Petviashvili grid."""
     lap = groundstate._radial_laplacian_2d(u.size, h)
     return float(np.max(np.abs(lap @ u + u - u ** (2.0 * p + 1.0))))
 
@@ -208,23 +203,15 @@ def _polish_residual(p, u, h=0.01):
 @pytest.mark.parametrize("p", [0.5, 0.75])
 def test_polish_stops_at_the_roundoff_floor(monkeypatch, p):
     # Petviashvili already lands at the floor of A u (entries 4/h^2 = 4e4):
-    # the polish factors a few matrices at most, not 30
+    # it factors its own matrix once and needs no Newton polish
     calls = _counting_splu(monkeypatch)
     r, u = groundstate._petviashvili(p, extent=60.0, h=0.01)
-    assert len(calls) <= 3
-    assert _polish_residual(p, u) <= 1e-10  # the floor: eps * 8e4 * 2.4
-
-
-def test_polish_converges_from_a_loose_start(monkeypatch):
-    # stopped early, Petviashvili leaves a residual far above the floor;
-    # Newton takes it there in a few quadratic steps
-    calls = _counting_splu(monkeypatch)
-    r, u = groundstate._petviashvili(0.5, extent=60.0, h=0.01, tol=1e-4)
-    assert 2 <= len(calls) <= 8
-    assert _polish_residual(0.5, u) <= 1e-10
+    assert len(calls) == 1
+    assert _petviashvili_residual(p, u) <= 1e-10  # the floor: eps * 8e4 * 2.4
 
 
 def test_polish_that_stalls_above_the_floor_raises(monkeypatch):
-    _counting_splu(monkeypatch, polish_solves=False)
-    with pytest.raises(ConvergenceError, match="polish stalled"):
-        groundstate._petviashvili(0.5, extent=60.0, h=0.01, tol=1e-4)
+    # stopped early, Petviashvili leaves a residual far above the floor
+    monkeypatch.setattr(groundstate, "_PETVIASHVILI_TOL", 1e-4)
+    with pytest.raises(ConvergenceError, match="stalled at"):
+        groundstate._petviashvili(0.5, extent=60.0, h=0.01)

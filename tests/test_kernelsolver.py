@@ -23,11 +23,11 @@ from kgbreather.kernelsolver import (
 from kgbreather.lattice import (
     BREATHER_MODES,
     GridSpec,
+    block_slices,
     dirichlet_energy,
-    fold_symmetric,
     laplacian,
     mirror_block,
-    unfold_symmetric,
+    orbit_weights,
 )
 from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
@@ -35,7 +35,12 @@ from kgbreather.timespectral import (
     default_node_count,
     nonlinearity_coefficient,
 )
-from references import assembled_g0_jacobian, lu_newton_step, symmetrize
+from references import (
+    assembled_g0_jacobian,
+    box_g0,
+    lu_newton_step,
+    symmetrize,
+)
 
 M_CUBIC = 1.0 / 16.0
 
@@ -58,10 +63,22 @@ def lattice_mass(phi, grid):
 
 
 def cubic_problem(mu, a=0.4, r_min=60.0):
+    """Grid, problem, and the sampled ground state on the fundamental block."""
     grid = GridSpec.for_radius(1, mu=mu, r_min=r_min)
     prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=a, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=a)
-    return grid, prob, phi0
+    return grid, prob, phi0[block_slices(grid)]
+
+
+def to_orbit(phi, grid):
+    """Orbit coordinates of a block field, as the Newton solves use them."""
+    return (phi * orbit_weights(grid)).ravel()
+
+
+def from_orbit(x, grid):
+    """The block field of orbit coordinates ``x``."""
+    weights = orbit_weights(grid)
+    return x.reshape(weights.shape) / weights
 
 
 def test_energy_impulse_value():
@@ -75,12 +92,12 @@ def test_energy_impulse_value():
 
 
 def _symmetric_problem(n, offsets, K):
-    """Small box of one centering with a reflection-even, nonvanishing phi."""
+    """Small box of one centering with a nonvanishing phi on its block."""
     grid = GridSpec(n=n, K=K, mu=0.3, offsets=offsets)
     prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
     rng = np.random.default_rng(1)
     raw = 0.5 + 0.1 * rng.standard_normal(grid.shape)  # keep |phi| away from 0
-    return grid, prob, symmetrize(raw)
+    return grid, prob, symmetrize(raw)[block_slices(grid)]
 
 
 CENTERINGS = {
@@ -93,16 +110,17 @@ CENTERINGS = {
 @pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
 def test_reduced_jacobian_matches_folded_operator(n, offsets):
     # column k is the box operator G0'(phi) applied to the k-th orbit
-    # basis field and folded back
+    # basis field, mirrored onto the box, and cut back to orbit coordinates
     grid, prob, phi = _symmetric_problem(n, offsets, K=6 if n == 1 else 4)
     J = reduced_g0_jacobian(phi, prob).toarray()
-    d = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(phi) ** (2.0 * prob.p)
+    home = block_slices(grid)
+    box = mirror_block(phi, grid)
+    d = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(box) ** (2.0 * prob.p)
     ref = np.empty_like(J)
     for k, e in enumerate(np.eye(J.shape[0])):
-        u = unfold_symmetric(e, grid)
-        ref[:, k] = fold_symmetric(
-            (prob.coupling / prob.mu**2) * (-laplacian(u)) + d * u, grid
-        )
+        u = mirror_block(from_orbit(e, grid), grid)
+        g = (prob.coupling / prob.mu**2) * (-laplacian(u)) + d * u
+        ref[:, k] = to_orbit(g[home], grid)
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(J, J.T)
 
@@ -125,6 +143,19 @@ def test_reduced_jacobian_is_the_assembled_build_bit_for_bit(n, offsets):
     assert prob.scaled_minus_laplacian[0] is pattern
 
 
+@pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
+def test_block_g0_is_the_box_formula_on_the_block(n, offsets):
+    # each block site of the padded Laplacian reads the neighbours the
+    # box's reads, in its order: the box formula's bits, sign changes too
+    grid = GridSpec(n=n, K=37, mu=0.3, offsets=offsets)
+    prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
+    phi = np.random.default_rng(n).standard_normal((grid.K + 1,) * n)
+    got = prob.apply_g0(phi)
+    want = box_g0(mirror_block(phi, grid), prob)[block_slices(grid)]
+    assert got.shape == phi.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("K", [2, 3, 17, 150, 600, 2500])
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 def test_1d_newton_step_matches_the_sparse_lu(K, offset):
@@ -140,7 +171,7 @@ def test_1d_newton_step_matches_the_sparse_lu(K, offset):
         grid = GridSpec(n=1, K=K, mu=mu, offsets=(offset,))
         prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=0.4,
                            multiplier=M_CUBIC)
-        phi0 = sample_reference(profile, grid, coupling=0.4)
+        phi0 = sample_reference(profile, grid, coupling=0.4)[block_slices(grid)]
         rhs = np.random.default_rng(K).standard_normal(K + 1)
         for phi in (phi0, solve_dnls_ground_state(prob, phi0)[0]):
             got = prob.newton_step(phi, rhs)
@@ -165,18 +196,18 @@ def test_singular_g0_jacobian_is_a_convergence_error(n):
     diag = np.array([1.0, 2.0, 2.0])
     block = np.array([0.5, 0.5, 1.0]) if n == 1 else (1 + np.add.outer(diag, diag)) / 2
     with pytest.raises(ConvergenceError, match="singular at Newton iteration 1"):
-        solve_dnls_ground_state(prob, mirror_block(block, grid))
+        solve_dnls_ground_state(prob, block)
 
 
 def test_reduced_jacobian_is_fd_of_folded_g0():
     for n, offsets in CENTERINGS.values():
         grid, prob, phi = _symmetric_problem(n, offsets, K=5 if n == 1 else 3)
         J = reduced_g0_jacobian(phi, prob).toarray()
-        x = fold_symmetric(phi, grid)
+        x = to_orbit(phi, grid)
         h = 1e-6
 
         def g0(v):
-            return fold_symmetric(prob.apply_g0(unfold_symmetric(v, grid)), grid)
+            return to_orbit(prob.apply_g0(from_orbit(v, grid)), grid)
 
         for j in range(x.size):
             e = np.zeros_like(x)
@@ -203,8 +234,8 @@ def test_gradient_of_constrained_energy_is_2mun_g0():
         e = np.zeros_like(phi)
         e[j] = h
         grad_fd[j] = (energy(phi + e) - energy(phi - e)) / (2 * h)
-    grad = 2.0 * grid.mu**grid.n * prob.apply_g0(phi)
-    assert np.allclose(grad_fd, grad, atol=1e-7)
+    g0 = mirror_block(prob.apply_g0(phi[block_slices(grid)]), grid)
+    assert np.allclose(grad_fd, 2.0 * grid.mu**grid.n * g0, atol=1e-7)
 
 
 def test_single_site_limit():
@@ -215,14 +246,13 @@ def test_single_site_limit():
     grid = GridSpec(n=1, K=6, mu=mu)
     for p, m in ((1.0, 1.0 / 16.0), (0.75, 0.2)):
         prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=m)
-        phi0 = np.zeros(grid.shape)
-        phi0[grid.K] = m ** (1.0 / (2.0 * p))
+        phi0 = np.zeros(grid.K + 1)  # the block: the center, then j = 1..K
+        phi0[0] = m ** (1.0 / (2.0 * p))
         phi, report = solve_dnls_ground_state(prob, phi0)
         assert report.converged
         corrected = (m + 2.0 * a / mu**2) ** (1.0 / (2.0 * p))
-        assert phi[grid.K] == pytest.approx(corrected, rel=1e-12)
-        off = np.delete(phi, grid.K)
-        assert np.max(np.abs(off)) < 1e-8
+        assert phi[0] == pytest.approx(corrected, rel=1e-12)
+        assert np.max(np.abs(phi[1:])) < 1e-8
 
 
 def test_dnls_newton_quadratic_convergence():
@@ -241,8 +271,8 @@ def test_dnls_solution_properties():
     phi, _ = solve_dnls_ground_state(prob, phi0)
     assert np.max(np.abs(prob.apply_g0(phi))) < 1e-11
     assert np.max(np.abs(phi - phi0)) < 5e-3 * np.max(phi0)  # O(mu^2) shift
-    assert np.max(np.abs(phi - phi[::-1])) == 0.0
-    assert lattice_mass(phi, grid) == pytest.approx(
+    assert phi.shape == (grid.K + 1,)  # the fundamental block
+    assert lattice_mass(mirror_block(phi, grid), grid) == pytest.approx(
         np.sqrt(prob.coupling), rel=0.01
     )  # continuum mass a^(n/2), up to O(mu^2) discretization
 
@@ -254,15 +284,15 @@ def test_remainder_single_site_closed_form(monkeypatch):
     grid = GridSpec(n=1, K=2, mu=mu)
     prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=1e-10, multiplier=M_CUBIC)
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=prob.coupling)
-    phi = np.zeros(grid.shape)
-    phi[grid.K] = c
+    phi = np.zeros(grid.K + 1)
+    phi[0] = c
     monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
     w, rep = solve_range_equation(phi, op, prob.p, prob.mu, 10)
     R = kernel_remainder(phi, prob, w, 10)
     beta = nonlinearity_coefficient(1.0)
     sigma3 = 1.0 - 9.0 * prob.omega_sq
     predicted = -(3.0 * beta**2 / (16.0 * sigma3)) * mu**2 * c**5
-    assert R[grid.K] == pytest.approx(predicted, rel=0.02)
+    assert R[0] == pytest.approx(predicted, rel=0.02)
     assert rep.converged
 
 
@@ -276,24 +306,27 @@ def test_remainder_projects_on_the_range_node_count():
     prob = DnlsProblem(
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
-    phi = sample_reference(profile, grid, coupling=a)
+    box = sample_reference(profile, grid, coupling=a)
+    home = block_slices(grid)
+    phi = box[home]
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
     for L in (15, 16):
         M = default_node_count(L)
         w, _ = solve_range_equation(phi, op, p, mu, L)
         R = kernel_remainder(phi, prob, w, L)
+        # the projection on the whole box, cut to the block
         u = mirror_block(w, grid)
-        u[0] = phi
+        u[0] = box
         first = apply_nonlinearity(u, p, M=M)[0]
-        R_ref = -(first - np.abs(phi) ** (2.0 * p) * phi)
+        R_ref = -(first - np.abs(box) ** (2.0 * p) * box)[home]
         assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
         # the node counts of the neighbouring window and of twice the
         # density give a projection this test tells apart
         for other in (default_node_count(L - 1), 2 * M):
             R_other = -(
                 apply_nonlinearity(u, p, M=other)[0]
-                - np.abs(phi) ** (2.0 * p) * phi
-            )
+                - np.abs(box) ** (2.0 * p) * box
+            )[home]
             assert np.max(np.abs(R_other - R_ref)) > 1e-9 * np.max(np.abs(R_ref))
 
 
@@ -307,7 +340,7 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     prob = DnlsProblem(
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
-    phi = sample_reference(profile, grid, coupling=a)
+    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
     rows = 512  # harmonics 1..1023 at M = 4096, Q = 2048: 2^20 entries
     assert default_node_count(2 * rows - 1) == 4096
     l = 2.0 * np.arange(rows)[:, None] + 1.0
@@ -356,16 +389,16 @@ def _fd_newton_reference(phi0, prob, L_max, tol=1e-11, h=1e-6, max_iter=10):
     op = RangeOperator(grid, prob.omega_sq, prob.coupling)
 
     def G(x):
-        phi = unfold_symmetric(x, grid)
+        phi = from_orbit(x, grid)
         w, _ = solve_range_equation(phi, op, prob.p, prob.mu, L_max)
         R = kernel_remainder(phi, prob, w, L_max)
-        return fold_symmetric(prob.apply_g0(phi) + R, grid)
+        return to_orbit(prob.apply_g0(phi) + R, grid)
 
-    x = fold_symmetric(phi0, grid)
+    x = to_orbit(phi0, grid)
     for _ in range(max_iter):
         g = G(x)
         if np.linalg.norm(g) <= tol * max(1.0, np.linalg.norm(x)):
-            return unfold_symmetric(x, grid)
+            return from_orbit(x, grid)
         J = np.column_stack([(G(x + h * e) - g) / h for e in np.eye(x.size)])
         x = x - np.linalg.solve(J, g)
     raise ConvergenceError("finite-difference reference did not converge")
@@ -416,7 +449,7 @@ def test_tangent_eigenvalue_against_explicit_complement():
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
     J = reduced_g0_jacobian(phi, prob).toarray()
-    q = fold_symmetric(phi, grid)
+    q = to_orbit(phi, grid)
     q = q / np.linalg.norm(q)
     V = null_space(q[None, :])
     evals = np.linalg.eigvalsh(V.T @ J @ V)
@@ -435,12 +468,13 @@ def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
     prof = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
     prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=prof.multiplier)
-    phi, _ = solve_dnls_ground_state(prob, sample_reference(prof, grid, coupling=a))
+    phi0 = sample_reference(prof, grid, coupling=a)[block_slices(grid)]
+    phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
     assert hessian_diagnostics(phi, prob) == hd
     J = reduced_g0_jacobian(phi, prob).toarray()
     evals = np.linalg.eigvalsh(J)
-    q = fold_symmetric(phi, grid)
+    q = to_orbit(phi, grid)
     q /= np.linalg.norm(q)
     # P J P on the complement of q (P = 1 - q q^T), q itself shifted to the
     # top of the spectrum
@@ -460,6 +494,7 @@ def test_hessian_diagnostics_hold_no_dense_matrix():
     grid = GridSpec(n=1, K=2000, mu=0.015)
     prob = DnlsProblem(grid=grid, p=1.0, mu=0.015, coupling=0.4, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.4)
+    phi0 = phi0[block_slices(grid)]
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hessian_diagnostics(phi, prob)  # imports and caches outside the trace
     tracemalloc.start()
@@ -476,13 +511,12 @@ def test_2d_kernel_smoke():
     mu, a = 0.3, 0.25
     grid = GridSpec(n=2, K=45, mu=mu)
     prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
-    phi0 = sample_reference(prof, grid, coupling=a)
+    phi0 = sample_reference(prof, grid, coupling=a)[block_slices(grid)]
     phi, w, rep, op = solve_kernel_equation(phi0, prob, L_max=8)
     assert rep.converged
     assert rep.residuals[-1] < 1e-10
-    assert lattice_mass(phi, grid) == pytest.approx(a, rel=0.02)
-    for ax in range(2):
-        assert np.max(np.abs(phi - np.flip(phi, axis=ax))) == 0.0
+    assert phi.shape == w.shape[1:] == (grid.K + 1,) * 2  # the block
+    assert lattice_mass(mirror_block(phi, grid), grid) == pytest.approx(a, rel=0.02)
 
 
 def test_problem_guards():

@@ -11,16 +11,15 @@ from kgbreather.errors import GuardError
 from kgbreather.lattice import (
     GridSpec,
     asymmetry,
-    dirichlet_energy,
-    fold_symmetric,
     block_slices,
+    dirichlet_energy,
     laplacian,
     mirror_block,
     norm_l2,
     norm_l2_mu,
     norm_q,
     norm_q_mu,
-    unfold_symmetric,
+    orbit_weights,
 )
 from references import embedding_checks, lp_norm, padded_laplacian, symmetrize
 
@@ -279,20 +278,21 @@ def test_reflect_and_asymmetry():
     ],
 )
 def test_fold_unfold_roundtrip(grid):
+    # cutting out the block and mirroring it back gives the even field
     rng = np.random.default_rng(7)
     raw = symmetrize(rng.standard_normal(grid.shape))
-    c = fold_symmetric(raw, grid)
-    assert c.shape == ((grid.K + 1) ** grid.n,)
-    back = unfold_symmetric(c, grid)
-    assert np.allclose(back, raw, rtol=0, atol=1e-15)
-    # orthonormality: the fold preserves the l2 norm of symmetric fields
-    assert norm_l2(c) == pytest.approx(norm_l2(raw), rel=1e-13)
+    block = raw[block_slices(grid)]
+    assert block.shape == (grid.K + 1,) * grid.n
+    assert mirror_block(block, grid).tobytes() == raw.tobytes()
+    # orthonormality: orbit coordinates keep the l2 norm of even fields
+    x = block * orbit_weights(grid)
+    assert norm_l2(x) == pytest.approx(norm_l2(raw), rel=1e-13)
 
 
 def test_unfold_is_reflection_even():
     grid = GridSpec(n=2, K=3, mu=0.5, offsets=(0.5, 0.0))
-    c = np.random.default_rng(11).standard_normal((grid.K + 1) ** 2)
-    assert asymmetry(unfold_symmetric(c, grid)) == 0.0
+    block = np.random.default_rng(11).standard_normal((grid.K + 1,) * 2)
+    assert asymmetry(mirror_block(block, grid)) == 0.0
 
 
 

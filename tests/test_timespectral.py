@@ -170,7 +170,7 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
     assert np.max(np.abs(out - spectrum[1 : L + 1 : 2])) <= 1e-14 * scale
     kept = np.sum(spectrum[: L + 1] ** 2)
     discarded = np.sum(spectrum[L + 1 :] ** 2)
-    tail = harmonic_tail(c[1::2], p=p, M=M)
+    tail = harmonic_tail(c[1::2], p=p, M=M, weights=np.ones(17))
     assert tail == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
 
 
@@ -186,10 +186,11 @@ def test_chunking_is_transparent(monkeypatch):
 def test_tail_diagnostic():
     M = default_node_count(1)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
-    assert harmonic_tail(np.ones((1, 1)), p=1.0, M=M) == pytest.approx(
+    one = np.ones(1)
+    assert harmonic_tail(np.ones((1, 1)), p=1.0, M=M, weights=one) == pytest.approx(
         1.0 / 3.0, rel=1e-12
     )
-    assert harmonic_tail(np.zeros((1, 1)), p=1.0, M=M) == 0.0
+    assert harmonic_tail(np.zeros((1, 1)), p=1.0, M=M, weights=one) == 0.0
 
 
 def test_sobolev_norm_against_time_integral():
@@ -204,7 +205,7 @@ def test_sobolev_norm_against_time_integral():
         du = np.sum(-omega * l * c[:, j : j + 1] * np.sin(omega * l * t), axis=0)
         ddu = np.sum(-((omega * l) ** 2) * c[:, j : j + 1] * np.cos(omega * l * t), axis=0)
         total += np.trapezoid(u**2 + du**2 + ddu**2, t)
-    assert sobolev_time_norm(c, order=2, omega=omega) == pytest.approx(
+    assert sobolev_time_norm(c, order=2, omega=omega, weights=np.ones(3)) == pytest.approx(
         np.sqrt(total), rel=1e-8
     )
 
