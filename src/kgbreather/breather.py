@@ -86,8 +86,12 @@ class PipelineConfig:
         mode_offsets(self.n, self.mode)
         if self.l_max < 3:
             raise GuardError("need at least harmonics 0..3 to see the range part")
-        if self.residual_target < 0.0:
-            raise GuardError("residual_target must be >= 0")
+        if not self.residual_target >= 0.0:  # NaN too
+            raise GuardError(f"residual_target must be >= 0, got {self.residual_target}")
+        if not (self.tol >= 0.0 and self.kernel_tol >= 0.0):
+            raise GuardError(f"tol and kernel_tol must be >= 0, got {self.tol}, "
+                             f"{self.kernel_tol}")
+        _check_window(self.l_max, self.make_grid(), "l_max")
 
     @property
     def offsets(self):
@@ -168,12 +172,22 @@ class Breather:
 
     def symmetry_error(self):
         """Largest reflection asymmetry across all harmonics of the box
-        field, relative to the overall amplitude.  Every harmonic is
-        mirrored from the block, so harmonic 1, amplitude * mirror(phi),
-        stands for them all."""
+        field, relative to the overall amplitude: 0 by construction, as
+        every harmonic is mirrored from the block (harmonic 1 stands for
+        them all).  The real check is that G0 and G0' on the block are the
+        box's (tests test_block_g0_is_the_box_formula_on_the_block and
+        test_g0_jacobian_matvec_is_the_folded_box_operator)."""
         scale = self.peak()
         box = mirror_block(self.amplitude * self.phi, self.grid)
         return asymmetry(box) / scale if scale else 0.0
+
+
+def _check_window(L, grid, what):
+    """GuardError for a harmonic window L whose stack cannot fit: more than
+    2^27 values of (L+1) box fields."""
+    if (L + 1) * grid.size > (1 << 27):
+        raise GuardError(f"{what} wants a harmonic window of {L}; stack would not "
+                         f"fit in memory on this grid")
 
 
 def _window_for_residual(phi, w, grid, config, target):
@@ -205,11 +219,7 @@ def _window_for_residual(phi, w, grid, config, target):
     if C <= 2.0 * target * l_max**2:
         return l_max
     L = int(np.ceil(np.sqrt(C / (2.0 * target))))
-    if (L + 1) * grid.size > (1 << 27):
-        raise GuardError(
-            f"residual target {target:.1e} wants a harmonic window of "
-            f"{L}; stack would not fit in memory on this grid"
-        )
+    _check_window(L, grid, f"residual target {target:.1e}")
     return L
 
 
@@ -574,9 +584,15 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
 def save_breather(path, b: Breather):
     """Binary dump: header (geometry, parameters, offsets), then phi, phi_dnls
     and the range rows of harmonics 3, 5, ..., L_max on the fundamental
-    block.  A breather the file cannot give back bit for bit (harmonic-1
-    range row not +0) is a GuardError."""
+    block.  A breather the file cannot give back bit for bit (arrays not
+    of the block's shape, harmonic-1 range row not +0) is a GuardError."""
     g = b.grid
+    block = (g.K + 1,) * g.n
+    if not b.phi.shape == b.phi_dnls.shape == block == b.w.shape[1:] or (
+            len(b.w) != (b.L_max + 1) // 2):
+        raise GuardError(f"a .kgbr file holds fields of the block {block} and "
+                         f"{(b.L_max + 1) // 2} range rows; got {b.phi.shape}, "
+                         f"{b.phi_dnls.shape} and {b.w.shape}")
     if b.w[0].any() or np.signbit(b.w[0]).any():
         raise GuardError("a .kgbr file holds no harmonic-1 range row; it must be +0")
     mode_code = list(BREATHER_MODES[g.n]).index(b.mode)

@@ -8,7 +8,8 @@ through omega^2 = 1 - m mu^2.  In 1d everything is closed form.  In 2d the
 profile is computed radially: Petviashvili iteration for the unscaled
 equation, settled at the roundoff floor of its residual, then a bordered
 Newton solve (profile + multiplier, mass pinned by Simpson quadrature) on
-a fine grid.  scipy.integrate and scipy.interpolate are imported by that
+a fine grid; each step solves the tridiagonal radial Laplacian by LAPACK
+dgtsv.  scipy.integrate and scipy.interpolate are imported by that
 2d branch, so 1d never loads them.
 
 A profile for coupling a is the unit-coupling profile sampled at r/sqrt(a):
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
 from .errors import ConvergenceError, GuardError
@@ -78,7 +78,8 @@ class GroundStateProfile:
 
 
 def _radial_laplacian_2d(N, h):
-    """-lap_r on nodes r_i = i*h, i = 0..N-1, zero Dirichlet at r = N*h.
+    """-lap_r on nodes r_i = i*h, i = 0..N-1, zero Dirichlet at r = N*h, as
+    its (lower, diag, upper) bands.
 
     Regularity at the center: lap u(0) = 2 u''(0) ~ 4 (u_1 - u_0) / h^2.
     """
@@ -89,7 +90,16 @@ def _radial_laplacian_2d(N, h):
     upper[0] = -4.0 / h**2
     upper[1:] = -1.0 / h**2 - 1.0 / (2.0 * r[1:-1] * h)
     lower = -1.0 / h**2 + 1.0 / (2.0 * r[1:] * h)
-    return sparse.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csc")
+    return lower, diag, upper
+
+
+def _apply_bands(bands, u):
+    """The tridiagonal matrix of (lower, diag, upper) bands times u."""
+    lower, diag, upper = bands
+    out = diag * u
+    out[1:] += lower * u[:-1]
+    out[:-1] += upper * u[1:]
+    return out
 
 
 def _simpson_weights(N, h):
@@ -108,22 +118,23 @@ def _petviashvili(p, extent, h):
     solution."""
     N = int(round(extent / h))
     r = np.arange(N) * h
-    A = _radial_laplacian_2d(N, h) + sparse.identity(N, format="csc")
-    lu = splu(A)
+    lower, diag, upper = A = _radial_laplacian_2d(N, h)
+    diag += 1.0
     u = 3.0 * np.exp(-(r**2) / 4.0)
     gamma_exp = (2.0 * p + 1.0) / (2.0 * p)
     for _ in range(_PETVIASHVILI_MAX_ITER):
         nl = u ** (2.0 * p + 1.0)
-        ratio = np.dot(u * r, A @ u) / np.dot(u * r, nl)
-        u_next = ratio**gamma_exp * lu.solve(nl)
+        ratio = np.dot(u * r, _apply_bands(A, u)) / np.dot(u * r, nl)
+        u_next = ratio**gamma_exp * dgtsv(lower, diag, upper, nl)[3]
         delta = np.max(np.abs(u_next - u))
         u = u_next
         if delta < _PETVIASHVILI_TOL * np.max(np.abs(u)):
             break
     else:
         raise ConvergenceError("Petviashvili iteration did not settle")
-    floor = np.finfo(float).eps * abs(A).sum(axis=1).max() * np.max(u)
-    res = float(np.max(np.abs(A @ u - u ** (2.0 * p + 1.0))))
+    row_sums = _apply_bands([np.abs(band) for band in A], np.ones(N))
+    floor = np.finfo(float).eps * np.max(row_sums) * np.max(u)
+    res = float(np.max(np.abs(_apply_bands(A, u) - u ** (2.0 * p + 1.0))))
     if res > 10.0 * floor:
         raise ConvergenceError(f"Petviashvili iteration stalled at {res:.2e}")
     return r, u
@@ -141,9 +152,8 @@ def solve_ground_state(n, p, tol=1e-11):
         I_p = sech_moment(p)
         m = (p / ((p + 1.0) ** (1.0 / p) * I_p)) ** (2.0 * p / (2.0 - p))
         A = (m * (p + 1.0)) ** (1.0 / (2.0 * p))
-        return GroundStateProfile(
-            n=1, p=p, multiplier=m, amplitude=A, r_max=np.inf, el_residual=0.0
-        )
+        return GroundStateProfile(n=1, p=p, multiplier=m, amplitude=A, r_max=np.inf,
+                                  el_residual=0.0)
 
     # imported here: they pull in scipy.optimize and scipy.spatial, 1d needs none
     from scipy.integrate import simpson
@@ -154,9 +164,8 @@ def solve_ground_state(n, p, tol=1e-11):
     r_u, u = _petviashvili(p, extent=60.0, h=h)
     mass_u = 2.0 * np.pi * simpson(u * u * r_u, dx=h)
     m = mass_u ** (-p / (1.0 - p))
-    u_spline = CubicSpline(
-        np.append(r_u, r_u[-1] + h), np.append(u, 0.0), bc_type=((1, 0.0), "natural")
-    )
+    u_spline = CubicSpline(np.append(r_u, r_u[-1] + h), np.append(u, 0.0),
+                           bc_type=((1, 0.0), "natural"))
     # the rescaled profile decays like e^(-sqrt(m) r); push the Dirichlet
     # truncation out far enough that it sits below machine precision
     r_max = max(_R_MAX, 35.0 / np.sqrt(m))
@@ -164,10 +173,8 @@ def solve_ground_state(n, p, tol=1e-11):
     if N % 2:
         N += 1
     if N > 2_000_000:
-        raise GuardError(
-            f"p={p} too close to critical for n=2: multiplier {m:.3e} "
-            f"needs a radial domain of {r_max:.0f}"
-        )
+        raise GuardError(f"p={p} too close to critical for n=2: multiplier {m:.3e} "
+                         f"needs a radial domain of {r_max:.0f}")
     r = np.arange(N) * h
     psi = m ** (1.0 / (2.0 * p)) * u_spline(np.minimum(np.sqrt(m) * r, r_u[-1] + h))
     lap = _radial_laplacian_2d(N, h)
@@ -178,17 +185,15 @@ def solve_ground_state(n, p, tol=1e-11):
 
     converged = False
     for _ in range(_MAX_ITER):
-        F_pde = lap @ psi + m * psi - np.abs(psi) ** (2.0 * p) * psi
+        F_pde = _apply_bands(lap, psi) + m * psi - np.abs(psi) ** (2.0 * p) * psi
         F_mass = mass(psi) - 1.0
         if np.max(np.abs(F_pde)) < tol and abs(F_mass) < 1e-12:
             converged = True
             break
         # bordered system solved by block elimination: the PDE block stays
         # tridiagonal, the mass constraint contributes a rank-one border
-        Lplus = lap + sparse.diags(m - (2.0 * p + 1.0) * np.abs(psi) ** (2.0 * p))
-        lu = splu(Lplus.tocsc())
-        y_f = lu.solve(F_pde)
-        y_psi = lu.solve(psi)
+        diag = lap[1] + (m - (2.0 * p + 1.0) * np.abs(psi) ** (2.0 * p))
+        y_f, y_psi = dgtsv(lap[0], diag, lap[2], np.column_stack([F_pde, psi]))[3].T
         c = 4.0 * np.pi * (w * r * psi)
         dm = (np.dot(c, y_f) - F_mass) / np.dot(c, y_psi)
         psi = psi - (y_f - dm * y_psi)
@@ -196,17 +201,11 @@ def solve_ground_state(n, p, tol=1e-11):
     if not converged:
         raise ConvergenceError("bordered Newton for the 2d ground state stalled")
 
-    spline = CubicSpline(
-        np.append(r, r[-1] + h), np.append(psi, 0.0), bc_type=((1, 0.0), "natural")
-    )
+    spline = CubicSpline(np.append(r, r[-1] + h), np.append(psi, 0.0),
+                         bc_type=((1, 0.0), "natural"))
     return GroundStateProfile(
-        n=2,
-        p=p,
-        multiplier=float(m),
-        amplitude=float(psi[0]),
-        r_max=float(r[-1] + h),
-        el_residual=float(np.max(np.abs(F_pde))),
-        _spline=spline,
+        n=2, p=p, multiplier=float(m), amplitude=float(psi[0]), r_max=float(r[-1] + h),
+        el_residual=float(np.max(np.abs(F_pde))), _spline=spline,
     )
 
 

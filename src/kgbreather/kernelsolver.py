@@ -20,13 +20,13 @@ fundamental block (indices j >= 0 per axis), the one representation of a
 reflection-even field, and Newton runs in its orbit coordinates, phi
 times lattice.orbit_weights: the full Jacobian is exactly singular in the
 odd sector only up to exponentially small Peierls-Nabarro splittings,
-which the reduction removes wholesale.  G0' is built there directly: per
-axis the Dirichlet -lap on j = 0..K with the reflection folded into its
-first row (lattice.minus_laplacian_bands), the axes joined by a
-Kronecker sum, plus the diagonal m - (2p+1)|phi|^(2p) on the block,
-whose scaled bands are built once per problem (DnlsProblem).  A
-Newton step is a tridiagonal solve in 1d (dgtsv, which pivots: G0' is
-indefinite) and a sparse LU in 2d.
+which the reduction removes wholesale.  DnlsProblem holds -lap there
+once, as rangesolver.EvenSector (shared with the range inverse).  A
+Newton step is a pivoting tridiagonal solve in 1d (dgtsv: G0' is
+indefinite), and in 2d MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12
+(1975) 617-629) on the matrix-free G0', which takes its one negative
+direction, preconditioned by ((a/mu^2)(-lap) + m)^-1 on the sector: the
+Newton-CG of J. Yang, J. Comput. Phys. 228 (2009) 7007-7024.
 
 The kernel equation is solved by a chord iteration with the exact
 G0'(phi) as its Jacobian.  The discrete NLS ground state is nondegenerate
@@ -36,11 +36,11 @@ contracts at rate O(mu^2), a few steps at every mu the pipeline resolves,
 and never differentiates the range solve.
 
 hessian_diagnostics checks that nondegeneracy on one path in both
-dimensions.  -lap is positive definite, so G0' lies strictly above the
-floor min(m - (2p+1)|phi|^(2p)), and a shift-invert about it finds the two
-lowest eigenvalues.  The lowest on the complement of q = phi/|phi| is the
-root between them of the secular function q.(G0' - s)^-1 q, which
-increases between those poles (Golub, SIAM Review 15 (1973) 318-334).
+dimensions.  LOBPCG on the matrix-free G0', with the Newton
+preconditioner, finds its two lowest eigenvalues.  The lowest on the
+complement of q = phi/|phi| is the root between them of the secular
+function q.(G0' - s)^-1 q, which increases between those poles (Golub,
+SIAM Review 15 (1973) 318-334).
 """
 from __future__ import annotations
 
@@ -48,20 +48,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import eigsh, splu
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
-from .lattice import (
-    laplacian, minus_laplacian_bands, mirror_block, orbit_weights, padded_block,
-)
-from .rangesolver import RangeOperator, solve_range_equation
+from .lattice import laplacian, mirror_block, orbit_weights, padded_block
+from .rangesolver import EvenSector, RangeOperator, solve_range_equation
 from .timespectral import default_node_count, nonlinearity_map, odd_collocation
 
 _DNLS_MAX_ITER = 40  # Newton steps of the pure discrete NLS solve
 _KERNEL_MAX_ITER = 30  # chord steps of the kernel continuation
+# a 2d Newton step: MINRES's stopping rule and budget, and the backward
+# error above which its step has failed
+_MINRES_RTOL, _MINRES_MAX_ITER, _MINRES_CHECK = 1e-14, 500, 1e-8
+# the eigensolve: residual norm of the two lowest eigenpairs, and budget
+_LOBPCG_TOL, _LOBPCG_MAX_ITER = 1e-9, 200
 
 
 @dataclass(frozen=True)
@@ -81,75 +82,79 @@ class DnlsProblem:
         if not (0.0 < self.mu):
             raise GuardError(f"mu must be positive, got {self.mu}")
         if not (self.multiplier * self.mu**2 < 0.5):
-            raise GuardError(
-                f"need m mu^2 < 1/2 (got {self.multiplier * self.mu ** 2:.3f}); "
-                "the frequency would leave the invertibility window"
-            )
+            raise GuardError(f"need m mu^2 < 1/2 (got {self.multiplier * self.mu ** 2:.3f}); "
+                             "the frequency would leave the invertibility window")
 
     @property
     def omega_sq(self):
         return 1.0 - self.multiplier * self.mu**2
 
     @cached_property
-    def scaled_bands(self):
-        """(diag, off) of (a/mu^2)(-lap) per axis, built once per problem."""
-        c = self.coupling / self.mu**2
-        bands = (minus_laplacian_bands(self.grid.K, o) for o in self.grid.offsets)
-        return [(c * d, c * e) for d, e in bands]
+    def sector(self):
+        """The even-sector decomposition of -lap on the block, built once
+        per problem for the Newton steps and the range inverse."""
+        return EvenSector(self.grid)
 
     @cached_property
-    def scaled_minus_laplacian(self):
-        """The same as CSC, the axes joined by a Kronecker sum, and the
-        positions of its diagonal in ``data``, by column."""
-        mats = [sparse.diags([e, d, e], offsets=[-1, 0, 1])
-                for d, e in self.scaled_bands]
-        if self.grid.n == 1:
-            pattern = mats[0].tocsc()
-        else:
-            eye = sparse.identity(self.grid.K + 1)
-            pattern = (sparse.kron(mats[0], eye) + sparse.kron(eye, mats[1])).tocsc()
-        columns = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
-        return pattern, np.flatnonzero(pattern.indices == columns)
+    def preconditioner(self):
+        """((a/mu^2)(-lap) + m)^-1 in orbit coordinates, SPD, by the even
+        sector, for the 2d Newton steps and the eigensolve; it holds the
+        sector, not the problem that caches it, so it makes no cycle."""
+        from scipy.sparse.linalg import LinearOperator
+
+        sector, c, m = self.sector, self.coupling / self.mu**2, [self.multiplier]
+        return LinearOperator((sector.s.size,) * 2, dtype=np.float64, matvec=lambda x:
+                              sector.solve(x.reshape((1, *sector.s.shape)), c, m).ravel())
+
+    def g0_jacobian(self, phi):
+        """G0'(phi) in orbit coordinates, matrix-free: the Laplacian of
+        apply_g0 between the orbit weights, plus m - (2p+1)|phi|^(2p)."""
+        from scipy.sparse.linalg import LinearOperator
+
+        weights, diag = orbit_weights(self.grid), _g0_diagonal(phi, self)
+
+        def matvec(x):
+            u = np.reshape(x, weights.shape) / weights
+            return (self._minus_lap(u) * weights).ravel() + diag * np.ravel(x)
+
+        return LinearOperator((diag.size,) * 2, matvec=matvec, dtype=np.float64)
 
     def newton_step(self, phi, rhs, shift=0.0):
         """(G0'(phi) - shift)^-1 rhs in orbit coordinates: pivoting dgtsv
-        in 1d (G0' is indefinite), a sparse LU in 2d; None if singular."""
+        on the bands in 1d, preconditioned MINRES on g0_jacobian in 2d;
+        None if singular or not converged."""
         if self.grid.n == 1:
-            (diag, off), = self.scaled_bands
-            *_, step, info = dgtsv(off, diag - shift + _g0_diagonal(phi, self), off, rhs)
+            c, (diag, off) = self.coupling / self.mu**2, self.sector.bands
+            *_, step, info = dgtsv(c * off, c * diag - shift + _g0_diagonal(phi, self),
+                                   c * off, rhs)
             return step if info == 0 else None
-        try:
-            lu = splu(reduced_g0_jacobian(phi, self, shift))
-        except RuntimeError:  # "Factor is exactly singular"
-            return None
-        return lu.solve(rhs)
+        from scipy.sparse.linalg import minres
+
+        G0 = self.g0_jacobian(phi)
+        step, info = minres(G0, rhs, shift=shift, M=self.preconditioner,
+                            rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER)
+        # a singular G0' ends in a least-squares step: check its backward error
+        applied = G0 @ step
+        error = np.linalg.norm(rhs - applied + shift * step)
+        bound = _MINRES_CHECK * (np.linalg.norm(applied) + np.linalg.norm(rhs))
+        return step if info == 0 and error <= bound else None
+
+    def _minus_lap(self, u):
+        # -(a/mu^2) lap u on the block, read off lattice.padded_block
+        lap = laplacian(padded_block(u, self.grid))[(slice(1, None),) * self.grid.n]
+        return -(self.coupling / self.mu**2) * lap
 
     def apply_g0(self, phi):
         """G0 on the block, whose Laplacian runs over lattice.padded_block:
         each block site reads the neighbours the box's Laplacian reads, in
         its order, so G0 is the box's restricted to the block, bit for bit."""
-        lap = laplacian(padded_block(phi, self.grid))[(slice(1, None),) * self.grid.n]
-        return (
-            -(self.coupling / self.mu**2) * lap
-            + self.multiplier * phi
-            - np.abs(phi) ** (2.0 * self.p) * phi
-        )
+        return self._minus_lap(phi) + self.multiplier * phi - np.abs(phi) ** (2.0 * self.p) * phi
 
 
 def _g0_diagonal(phi, prob):
     # m - (2p+1)|phi|^(2p) on the block, flattened: G0' less its -lap part
     power = np.abs(np.ravel(phi)) ** (2.0 * prob.p)
     return prob.multiplier - (2.0 * prob.p + 1.0) * power
-
-
-def reduced_g0_jacobian(phi, prob, shift=0.0):
-    """Sparse G0'(phi) - shift, G0' = (a/mu^2)(-lap) + m - (2p+1)|phi|^(2p), in
-    orbit coordinates, for a block phi: a copy of the cached pattern's
-    values plus the diagonal."""
-    pattern, diagonal = prob.scaled_minus_laplacian
-    data = pattern.data.copy()
-    data[diagonal] += _g0_diagonal(phi, prob) - shift
-    return sparse.csc_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
 
 
 @dataclass
@@ -188,20 +193,16 @@ def _newton_reduced(phi0, prob, residual, tol, max_iter):
                 break
             lam *= 0.5
         else:
-            raise ConvergenceError(
-                f"Newton line search exhausted at iteration {iteration} "
-                f"(residual {res:.3e})"
-            )
+            raise ConvergenceError(f"Newton line search exhausted at iteration "
+                                   f"{iteration} (residual {res:.3e})")
         x, phi, g, res = x_try, phi_try, g_try, res_try
         report.iterations = iteration
         report.residuals.append(res)
         report.step_norms.append(float(np.linalg.norm(lam * step)))
     else:
         if res > tol * scale:
-            raise ConvergenceError(
-                f"Newton not converged in {max_iter} iterations "
-                f"(residual {res:.3e})"
-            )
+            raise ConvergenceError(f"Newton not converged in {max_iter} iterations "
+                                   f"(residual {res:.3e})")
         report.converged = True
     return phi, report
 
@@ -228,9 +229,8 @@ def kernel_remainder(phi, prob, w, L_max):
     u = np.array(w, dtype=np.float64)
     u[0] = phi
     first = np.empty(phi.shape)
-    for sl, spectrum in odd_collocation(
-        (u,), M, nonlinearity_map(prob.p), analysis=True, rows=1
-    ):
+    for sl, spectrum in odd_collocation((u,), M, nonlinearity_map(prob.p), analysis=True,
+                                        rows=1):
         first.reshape(-1)[sl] = spectrum[0]
     return -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
 
@@ -250,7 +250,7 @@ def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
     range_op); w is the range component of the returned phi, an odd-row
     stack on the block, and range_op serves any window on this grid.
     """
-    op = RangeOperator(prob.grid, prob.omega_sq, prob.coupling)
+    op = RangeOperator(prob.grid, prob.omega_sq, prob.coupling, prob.sector)
     state = {"w": None, "range_iters": 0}
 
     def residual(phi):
@@ -283,25 +283,30 @@ def hessian_diagnostics(phi, prob):
     The solution direction is a strict descent direction:
     <G0'(phi) phi, phi> = -2p sum |phi|^(2p+2) (exact at solutions; the
     sum runs over the mirrored box); on the orthogonal complement of
-    q = phi/|phi| the operator should be positive definite.  One shift-invert eigsh about the floor of G0', started from q
-    (so deterministic), gives its lowest eigenvalues l0 < l1, and a second
-    negative one raises GuardError; the tangent one is the secular root in
-    (l0, l1), each value of the secular function one newton_step.
+    q = phi/|phi| the operator should be positive definite.  LOBPCG on
+    the matrix-free G0', preconditioned as the 2d Newton steps and
+    started from q and a fixed second vector (so deterministic), gives
+    its lowest eigenvalues l0 < l1, and a second negative one raises
+    GuardError; the tangent one is the secular root in (l0, l1), each
+    value of the secular function one newton_step.
     """
-    from scipy.optimize import brentq  # a top-level import slows every run
+    # imported here: a top-level import slows every run
+    from scipy.optimize import brentq
+    from scipy.sparse.linalg import lobpcg
 
     phi = np.asarray(phi, dtype=np.float64)
-    J_red = reduced_g0_jacobian(phi, prob)
+    G0 = prob.g0_jacobian(phi)
     x = (phi * orbit_weights(prob.grid)).ravel()
-    curvature = float(x @ (J_red @ x))
+    curvature = float(x @ (G0 @ x))
     box = mirror_block(phi, prob.grid)
     predicted = -2.0 * prob.p * float(np.sum(np.abs(box) ** (2.0 * prob.p + 2.0)))
     q = x / np.linalg.norm(x)
-    floor = float(np.min(_g0_diagonal(phi, prob)))
-    lo, hi = np.sort(eigsh(J_red, k=2, sigma=floor, v0=q, return_eigenvectors=False))
+    start = np.column_stack([q, np.cos(np.arange(q.size))])
+    lo, hi = np.sort(lobpcg(G0, start, M=prob.preconditioner, tol=_LOBPCG_TOL,
+                            maxiter=_LOBPCG_MAX_ITER, largest=False)[0])
     if hi <= 0.0:
         raise GuardError(f"G0' has two negative directions ({lo:.3e}, {hi:.3e})")
-    inset = 1e-8 * (hi - lo)  # (G0' - s) stays factorable near the poles
+    inset = 1e-8 * (hi - lo)  # (G0' - s) stays solvable near the poles
     tangent_min = brentq(
         lambda s: q @ prob.newton_step(phi, q, shift=s),
         lo + inset, hi - inset, xtol=1e-15,

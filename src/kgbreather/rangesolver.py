@@ -28,14 +28,17 @@ odd DST-I modes k = 2m + 1, and restricted to the block they read
     V[j, m] = sqrt(2/(N+1)) cos(pi (2m+1) (j + offset) / (N+1)),
 
 m = 0..K, orthonormal under the orbit sizes sigma_j (the number of box
-sites that block site j stands for).  So in 2d the inverse on the block
-is V (sigma V^T . / symbol) per axis: one matrix product each way per
-axis, for every centering and any N; V is read off a table of the 4 (N+1)
-values of one period.  In 1d, with S = sqrt(sigma), S L_l S^-1 is the
-tridiagonal A_l = (1 - omega^2 l^2) + a (-lap) of minus_laplacian_bands,
-and -A_l > 3/2 is SPD (below): its LDL^T (LAPACK dptsv) solves a stack in
-O(rows K), with no basis.  Norms weight each block site by its orbit
-size, so they read the same as on the box.
+sites that block site j stands for), so U = S V, S = sqrt(sigma), is
+orthogonal, and in the orbit coordinates S g the operator -lap is the
+tridiagonal of minus_laplacian_bands per axis.  EvenSector holds this
+once per grid and inverts c (-lap) + d on it: by the LDL^T of the bands
+(LAPACK dptsv) in 1d, O(rows K) with no basis, and in 2d by U per axis,
+one matrix product each way per axis for every centering and any N, V
+read off a table of the 4 (N+1) values of one period.  The range inverse
+is S^-1 of it at c = -a, d = omega^2 l^2 - 1, on -S g (-L_l > 3/2 is SPD
+in 1d, below); the 2d Newton steps of kernelsolver use the same sector.
+Norms weight each block site by its orbit size, so they read the same as
+on the box.
 
 The symbol is therefore only ever divided on this even sector and for the
 odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
@@ -55,12 +58,9 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceError, GuardError, ResonanceError
-from .lattice import minus_laplacian_bands, orbit_sizes
+from .lattice import GridSpec, minus_laplacian_bands, orbit_sizes, orbit_weights
 from .timespectral import (
-    apply_nonlinearity,
-    default_node_count,
-    harmonic_tail,
-    nonlinearity_coefficient,
+    apply_nonlinearity, default_node_count, harmonic_tail, nonlinearity_coefficient,
     sobolev_time_norm,
 )
 
@@ -90,48 +90,72 @@ def _even_basis(N, K, offset):
     return V
 
 
+class EvenSector:
+    """-lap on the block in orbit coordinates on the reflection-even
+    sector of ``grid`` (module docstring): the DST-I spectrum ``s``, and
+    the bands in 1d or the orthogonal U = S V per axis in 2d."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        # the reflection-even Dirichlet modes are the odd k = 2m + 1
+        s = [2.0 - 2.0 * np.cos(np.pi * np.arange(1, N + 1, 2) / (N + 1)) for N in grid.shape]
+        self.s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
+        if grid.n == 1:
+            self.bands = minus_laplacian_bands(grid.K, grid.offsets[0])
+        else:
+            self.basis = [orbit_weights(GridSpec(1, grid.K, grid.mu, (o,)))[:, None]
+                          * _even_basis(N, grid.K, o) for N, o in zip(grid.shape, grid.offsets)]
+
+    def solve(self, x, c, d):
+        """(c (-lap) + d_j)^-1 x_j in orbit coordinates for every row j of a
+        stack x, (r, K+1[, K+1]); in 1d each must be positive definite
+        (dptsv, the rows joined by zeros)."""
+        if self.grid.n == 1:
+            diag, off = self.bands
+            dd = np.asarray(d, dtype=np.float64)[:, None] + c * diag
+            e = np.tile(np.append(c * off, 0.0), len(x))[:-1]
+            *_, y, info = dptsv(dd.ravel(), e, np.ravel(x), overwrite_d=1, overwrite_e=1)
+            if info > 0:
+                raise GuardError(f"operator not definite (dptsv info {info})")
+            return y.reshape(dd.shape)
+        # 2d: U^T, then U, along both axes, the trailing one by one GEMM
+        U0, U1 = self.basis
+        hat = U0.T @ x
+        hat = (hat.reshape(-1, hat.shape[-1]) @ U1).reshape(hat.shape)
+        for row, dj in zip(hat, d):
+            row /= c * self.s + dj
+        hat = U0 @ hat
+        return (hat.reshape(-1, hat.shape[-1]) @ U1.T).reshape(hat.shape)
+
+
 class RangeOperator:
     """Per-harmonic inverse of L = omega^2 d_tautau + I - a lap on the
     range, the odd harmonics l >= 3 on the reflection-even sector, for any
-    harmonic window: the LDL^T of -L_l in 1d (SPD under the guards, module
-    docstring), the even-sector basis in 2d.  The symbol is checked on the
-    even-sector DST-I spectrum ``_s``; spectral_margin and neumann_margin
-    read the same sector.  The smallest |symbol| over all l >= 3 is the
-    l = 3 one (module docstring), so the check and spectral_margin read l = 3."""
+    harmonic window, through ``sector`` (the grid's EvenSector, built here
+    when not given).  The symbol is checked on its spectrum, and
+    spectral_margin and neumann_margin read it; the smallest |symbol| over
+    all l >= 3 is the l = 3 one (module docstring), so both read l = 3."""
 
-    def __init__(self, grid, omega_sq, coupling):
+    def __init__(self, grid, omega_sq, coupling, sector=None):
         if not (0.0 < coupling < 0.5):
             raise GuardError(f"need coupling in (0, 1/2), got {coupling}")
         if not (abs(omega_sq - 1.0) < 0.5):
-            raise GuardError(
-                f"need |omega^2 - 1| < 1/2 for invertibility, got {omega_sq}"
-            )
+            raise GuardError(f"need |omega^2 - 1| < 1/2 for invertibility, got {omega_sq}")
         self.grid = grid
         self.omega_sq = float(omega_sq)
         self.coupling = float(coupling)
-        s = []
-        for ax in range(grid.n):
-            N = grid.axis_length(ax)
-            # the reflection-even Dirichlet modes are the odd k = 2m + 1
-            k = np.arange(1, N + 1, 2)
-            s.append(2.0 - 2.0 * np.cos(np.pi * k / (N + 1)))
-        self._s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
+        self.sector = EvenSector(grid) if sector is None else sector
         self.sigma = orbit_sizes(grid)
-        if grid.n == 1:  # the -lap bands in orbit coordinates
-            self._bands = minus_laplacian_bands(grid.K, grid.offsets[0])
-        else:  # the even-sector basis per axis
-            self._basis = [_even_basis(N, grid.K, offset)
-                           for N, offset in zip(grid.shape, grid.offsets)]
         # invertibility margin over every range harmonic, taken at l = 3
         self.spectral_margin = float(np.min(np.abs(self._symbol(3))))
         if self.spectral_margin < _RESONANCE_MARGIN:
             raise ResonanceError(3, self.spectral_margin)
         # margin of the naive Neumann-series bound (diagnostic only: the
         # direct per-mode inversion above does not rely on it)
-        self.neumann_margin = 1.0 - self.coupling * float(np.max(self._s))
+        self.neumann_margin = 1.0 - self.coupling * float(np.max(self.sector.s))
 
     def _symbol(self, l):
-        return (1.0 - self.omega_sq * l * l) + self.coupling * self._s
+        return (1.0 - self.omega_sq * l * l) + self.coupling * self.sector.s
 
     def solve(self, coeffs):
         """L^-1 restricted to the range, on odd-row fundamental-block
@@ -142,28 +166,10 @@ class RangeOperator:
         out[0] = 0.0
         if len(coeffs) == 1:
             return out
-        if self.grid.n == 1:
-            # S^-1 (-A_l)^-1 (-S g): one band system, rows joined by zeros
-            diag, off = self._bands
-            l = 2.0 * np.arange(1, len(coeffs)) + 1.0
-            d = (self.omega_sq * l * l - 1.0)[:, None] - self.coupling * diag
-            e = np.tile(np.append(-self.coupling * off, 0.0), len(l))[:-1]
-            S = np.sqrt(self.sigma)
-            *_, x, info = dptsv(d.ravel(), e, (coeffs[1:] * -S).ravel(),
-                                overwrite_d=1, overwrite_e=1, overwrite_b=1)
-            if info > 0:
-                raise GuardError(f"range operator not definite (dptsv info {info})")
-            out[1:] = x.reshape(d.shape) / S
-            return out
-        # 2d: V^T, then V, along both spatial axes, the trailing one by one
-        # GEMM for all rows
-        V0, V1 = self._basis
-        hat = V0.T @ (coeffs[1:] * self.sigma)
-        hat = (hat.reshape(-1, hat.shape[-1]) @ V1).reshape(hat.shape)
-        for j, row in enumerate(hat, start=1):
-            row /= self._symbol(2 * j + 1)
-        hat = V0 @ hat
-        out[1:] = (hat.reshape(-1, hat.shape[-1]) @ V1.T).reshape(hat.shape)
+        l = 2.0 * np.arange(1, len(coeffs)) + 1.0
+        S = np.sqrt(self.sigma)
+        np.divide(self.sector.solve(coeffs[1:] * -S, -self.coupling,
+                                    self.omega_sq * l * l - 1.0), S, out=out[1:])
         return out
 
 
@@ -188,16 +194,7 @@ class RangeReport:
         return out
 
 
-def solve_range_equation(
-    phi,
-    op,
-    p,
-    mu,
-    L_max,
-    w_init=None,
-    tol=1e-12,
-    tail_check=False,
-):
+def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12, tail_check=False):
     """Picard iteration for the range component given the kernel profile.
 
     ``L_max`` is the harmonic window L: the returned w keeps the odd
@@ -224,14 +221,10 @@ def solve_range_equation(
     # crude contraction estimate: Lipschitz constant of the projected
     # nonlinearity over the inversion margin, at the kernel amplitude
     amp = float(np.max(np.abs(phi)))
-    smallness = (
-        mu**2 * beta * (2.0 * p + 1.0) * amp ** (2.0 * p) / op.spectral_margin
-    )
+    smallness = mu**2 * beta * (2.0 * p + 1.0) * amp ** (2.0 * p) / op.spectral_margin
     if smallness > _SMALLNESS_THRESHOLD:
-        raise GuardError(
-            f"amplitude outside the contraction regime: estimate "
-            f"{smallness:.3f} > {_SMALLNESS_THRESHOLD} (mu = {mu})"
-        )
+        raise GuardError(f"amplitude outside the contraction regime: estimate "
+                         f"{smallness:.3f} > {_SMALLNESS_THRESHOLD} (mu = {mu})")
 
     w = np.zeros_like(v)
     if w_init is not None:
@@ -258,15 +251,11 @@ def solve_range_equation(
             if rate >= 1.0:
                 bad_steps += 1
                 if bad_steps >= 3:
-                    raise ConvergenceError(
-                        f"range iteration diverging: update ratio {rate:.3f} "
-                        f"at step {iteration}"
-                    )
+                    raise ConvergenceError(f"range iteration diverging: update ratio "
+                                           f"{rate:.3f} at step {iteration}")
             elif rate > _RATE_GUARD:
-                raise GuardError(
-                    f"range iteration contracting too slowly: observed rate "
-                    f"{rate:.3f} > {_RATE_GUARD}"
-                )
+                raise GuardError(f"range iteration contracting too slowly: observed "
+                                 f"rate {rate:.3f} > {_RATE_GUARD}")
             else:
                 bad_steps = 0
     if not converged:
@@ -276,23 +265,14 @@ def solve_range_equation(
     # feedback (the bounded-inverse diagnostic divides w's size by this)
     forcing_norm = tail_fraction = np.nan
     if tail_check:
-        forcing_norm = mu**2 * sobolev_time_norm(
-            apply_nonlinearity(v, p, M=M), order=0, weights=sigma
-        )
+        forcing_norm = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p, M=M), order=0,
+                                                 weights=sigma)
         tail_fraction = harmonic_tail(v + w, p, M=M, weights=sigma)
     w_norm = sobolev_time_norm(w, weights=sigma)
-    report = RangeReport(
-        converged=True,
-        iterations=len(updates),
-        final_update=updates[-1],
-        contraction_rate=rate,
-        smallness=smallness,
-        spectral_margin=op.spectral_margin,
-        neumann_margin=op.neumann_margin,
-        w_norm=w_norm,
-        forcing_norm=forcing_norm,
+    return w, RangeReport(
+        converged=True, iterations=len(updates), final_update=updates[-1],
+        contraction_rate=rate, smallness=smallness, spectral_margin=op.spectral_margin,
+        neumann_margin=op.neumann_margin, w_norm=w_norm, forcing_norm=forcing_norm,
         response_ratio=w_norm / forcing_norm if forcing_norm else 0.0,
-        tail_fraction=tail_fraction,
-        updates=updates,
+        tail_fraction=tail_fraction, updates=updates,
     )
-    return w, report

@@ -5,10 +5,10 @@ interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
 that the in-place library versions must match bit for bit, the whole-box
 equation residual that the slab-wise one must match bit for bit, the
 elementwise even-sector basis that the table lookup must match bit for bit,
-the per-call sparse build of G0' that the cached pattern must match bit for
-bit, the whole-box G0 that the block one must match bit for bit, the
-dense even-sector basis inverse and the sparse LU Newton step
-that the 1d band solves must match to roundoff) or to build inputs (the
+the whole-box G0 that the block one must match bit for bit, the
+assembled G0' that the matrix-free one must match to roundoff, the dense
+even-sector basis inverse and the sparse LU Newton step that the 1d band
+solves must match to roundoff) or to build inputs (the
 reflection-even part of a random field).  Each is the plain textbook
 formula, written for clarity rather than speed.
 """
@@ -17,7 +17,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
-from kgbreather.kernelsolver import reduced_g0_jacobian
 from kgbreather.lattice import (
     dirichlet_energy,
     laplacian,
@@ -179,9 +178,10 @@ def elementwise_even_basis(N, K, offset):
 
 
 def assembled_g0_jacobian(phi, prob):
-    """``kgbreather.kernelsolver.reduced_g0_jacobian`` for a block ``phi``,
-    built from scratch on every call: the per-axis -lap joined by a Kronecker sum, scaled by
-    a/mu^2, plus the sparse diagonal m - (2p+1)|phi|^(2p), converted to CSC."""
+    """``kgbreather.kernelsolver.DnlsProblem.g0_jacobian`` for a block
+    ``phi`` as a sparse matrix: the per-axis -lap in orbit coordinates
+    joined by a Kronecker sum, scaled by a/mu^2, plus the sparse diagonal
+    m - (2p+1)|phi|^(2p), converted to CSC."""
     grid = prob.grid
     mats = [
         sparse.diags([off, diag, off], offsets=[-1, 0, 1])
@@ -225,4 +225,4 @@ def basis_range_solve(op, coeffs):
 def lu_newton_step(phi, prob, rhs):
     """``kgbreather.kernelsolver.DnlsProblem.newton_step`` by a sparse LU of
     the assembled G0'(phi), as every Newton step was solved in 1d before."""
-    return splu(reduced_g0_jacobian(phi, prob)).solve(rhs)
+    return splu(assembled_g0_jacobian(phi, prob)).solve(rhs)

@@ -21,9 +21,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import kgbreather.breather as breather
-import kgbreather.kernelsolver as kernelsolver
 import kgbreather.rangesolver as rangesolver
 from kgbreather.breather import (
     Breather,
@@ -74,6 +74,26 @@ def test_config_guards():
         PipelineConfig(n=2, p=1.5, coupling=0.25, mu=0.2)  # p >= 2/n
     with pytest.raises(GuardError):
         PipelineConfig(n=1, p=0.3, coupling=0.25, mu=0.2)  # p < 1/2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("residual_target", np.nan), ("tol", -1.0), ("tol", np.nan),
+    ("kernel_tol", -1e-11), ("kernel_tol", np.nan),
+])
+def test_config_refuses_nan_and_negative_tolerances(field, value):
+    """A NaN residual target was ignored, and a NaN or negative tolerance
+    ended in a ConvergenceError after every Picard step: both are refused
+    when the config is made."""
+    with pytest.raises(GuardError, match=field):
+        PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.2, **{field: value})
+
+
+def test_config_refuses_a_working_window_that_cannot_fit():
+    # the stack guard of the widened window, for l_max: (L+1) * 1601 sites
+    # > 2^27 values
+    PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=80_000)
+    with pytest.raises(GuardError, match="l_max wants a harmonic window"):
+        PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=90_000)
 
 
 def test_mode_offset_map():
@@ -254,6 +274,23 @@ def test_save_refuses_what_the_file_cannot_give_back(tmp_path, small_2d, name):
     b = dataclasses.replace(small_2d, **{name: arr})
     path = tmp_path / "harmonic1.kgbr"
     with pytest.raises(GuardError, match="harmonic-1"):
+        save_breather(path, b)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["phi", "phi_dnls", "w", "w rows"])
+def test_save_refuses_arrays_not_of_the_block(tmp_path, name):
+    """K = 5, L = 7: a box-shaped phi, phi_dnls or range stack (11 sites
+    per row), or a range stack of 5 rows, would write a file that
+    load_breather refuses, so saving is a GuardError before any file
+    exists."""
+    b = _odd_breather(1, "st")
+    if name == "w rows":
+        b = dataclasses.replace(b, w=np.concatenate([b.w, b.w[-1:]]))
+    else:
+        b = dataclasses.replace(b, **{name: mirror_block(getattr(b, name), b.grid)})
+    path = tmp_path / "box.kgbr"
+    with pytest.raises(GuardError, match="block"):
         save_breather(path, b)
     assert not path.exists()
 
@@ -445,14 +482,13 @@ _ONE_PER_DIMENSION = [
 
 
 @pytest.mark.parametrize("cfg, builds", zip(_ONE_PER_DIMENSION, [
-    {"bands": 2, "basis": 0}, {"bands": 2, "basis": 2},
+    {"bands": 1, "basis": 0}, {"bands": 0, "basis": 2},
 ]), ids=["1d-st", "2d-st"])
 def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg, builds):
-    """The -lap bands and the even-sector basis are built once per use,
-    for all the Newton steps of one assembly: in 1d the bands once for G0'
-    and once for the range inverse, and no basis; in 2d the bands once per
-    axis for G0' and the basis once per axis.  A second assembly of the
-    same config builds its own."""
+    """The even-sector decomposition of -lap is built once per assembly,
+    for all the Newton steps and range solves of it: in 1d the bands
+    once, and no basis; in 2d the basis once per axis, and no bands.  A
+    second assembly of the same config builds its own."""
     built = {"bands": 0, "basis": 0}
 
     def counting(name, build):
@@ -461,9 +497,8 @@ def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg, builds)
             return build(*args)
         return wrapped
 
-    bands = counting("bands", kernelsolver.minus_laplacian_bands)
-    monkeypatch.setattr(kernelsolver, "minus_laplacian_bands", bands)
-    monkeypatch.setattr(rangesolver, "minus_laplacian_bands", bands)
+    monkeypatch.setattr(rangesolver, "minus_laplacian_bands",
+                        counting("bands", rangesolver.minus_laplacian_bands))
     monkeypatch.setattr(rangesolver, "_even_basis",
                         counting("basis", rangesolver._even_basis))
     for assemblies in (1, 2):
@@ -475,11 +510,12 @@ def test_each_assembly_builds_its_fixed_operators_once(monkeypatch, cfg, builds)
 
 
 @pytest.mark.parametrize("cfg", _ONE_PER_DIMENSION, ids=["1d-st", "2d-st"])
-def test_only_2d_assembly_runs_a_sparse_lu_or_builds_a_basis(monkeypatch, cfg):
+def test_only_2d_assembly_runs_minres_or_builds_a_basis(monkeypatch, cfg):
     """1d solves its tridiagonal G0' and range operators by LAPACK band
-    solvers, so a 1d assembly calls neither splu nor _even_basis; a 2d one
-    still calls both, once per Newton step and once per axis."""
-    calls = {"splu": 0, "basis": 0}
+    solvers, so a 1d assembly runs no MINRES and builds no basis; a 2d
+    one runs one MINRES per Newton step, builds the basis once per axis
+    and builds no bands."""
+    calls = {"minres": 0, "basis": 0, "bands": 0}
 
     def counting(name, call):
         def wrapped(*args, **kwargs):
@@ -487,15 +523,19 @@ def test_only_2d_assembly_runs_a_sparse_lu_or_builds_a_basis(monkeypatch, cfg):
             return call(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(kernelsolver, "splu", counting("splu", kernelsolver.splu))
+    monkeypatch.setattr(scipy.sparse.linalg, "minres",
+                        counting("minres", scipy.sparse.linalg.minres))
     monkeypatch.setattr(rangesolver, "_even_basis",
                         counting("basis", rangesolver._even_basis))
+    monkeypatch.setattr(rangesolver, "minus_laplacian_bands",
+                        counting("bands", rangesolver.minus_laplacian_bands))
     b = assemble_breather(cfg)
     if cfg.n == 1:
-        assert calls == {"splu": 0, "basis": 0}
+        assert calls == {"minres": 0, "basis": 0, "bands": 1}
     else:
-        assert calls == {"splu": b.reports["dnls_newton"]["iterations"]
-                         + b.reports["kernel_newton"]["iterations"], "basis": 2}
+        assert calls == {"minres": b.reports["dnls_newton"]["iterations"]
+                         + b.reports["kernel_newton"]["iterations"],
+                         "basis": 2, "bands": 0}
 
 
 def test_oversize_residual_window_is_refused_up_front():

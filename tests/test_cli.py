@@ -80,6 +80,26 @@ def test_guard_violation_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--l-max", "1000000000"], ["--residual-target", "nan"], ["--tol", "-1"],
+    ["--tol", "nan"], ["--kernel-tol", "nan"],
+], ids=["l-max", "residual-target-nan", "tol-negative", "tol-nan", "kernel-tol-nan"])
+def test_runs_that_cannot_work_exit_2_before_solving(monkeypatch, tmp_path, capsys, flags):
+    """A window whose stack cannot fit, a NaN residual target, and a NaN or
+    negative tolerance are guard violations found before any solve: no
+    assembly starts and no file is written."""
+    def assemble(config):
+        raise AssertionError("assembled a run that cannot work")
+
+    monkeypatch.setattr(cli, "assemble_breather", assemble)
+    out = tmp_path / "x"
+    rc = main(["breather", "--n", "1", "--p", "1", "--a", "0.25", "--mu", "0.1",
+               *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("error, code", [
     (GuardError("guard"), 2),
     (ResonanceError(3, 1e-9), 2),

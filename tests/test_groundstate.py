@@ -10,6 +10,7 @@ The 2d numbers are pinned against an independent shooting computation
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import simpson
 
 import kgbreather.groundstate as groundstate
@@ -181,32 +182,35 @@ def test_save_profile_roundtrip(tmp_path):
     assert "unit mass" in meta["normalization"]
 
 
-def _counting_splu(monkeypatch):
-    """Count groundstate's LU factorizations."""
-    calls = []
-    real = groundstate.splu
+def _counting_solves(monkeypatch):
+    """Record the diagonal of every tridiagonal solve groundstate makes."""
+    diagonals = []
+    real = groundstate.dgtsv
 
-    def splu(matrix):
-        calls.append(matrix.shape)
-        return real(matrix)
+    def dgtsv(lower, diag, upper, rhs):
+        diagonals.append(np.array(diag))
+        return real(lower, diag, upper, rhs)
 
-    monkeypatch.setattr(groundstate, "splu", splu)
-    return calls
+    monkeypatch.setattr(groundstate, "dgtsv", dgtsv)
+    return diagonals
 
 
 def _petviashvili_residual(p, u, h=0.01):
-    """max |-lap u + u - u^(2p+1)| on the Petviashvili grid."""
-    lap = groundstate._radial_laplacian_2d(u.size, h)
+    """max |-lap u + u - u^(2p+1)| on the Petviashvili grid, the radial
+    bands assembled as a sparse matrix."""
+    lower, diag, upper = groundstate._radial_laplacian_2d(u.size, h)
+    lap = sparse.diags([lower, diag, upper], offsets=[-1, 0, 1])
     return float(np.max(np.abs(lap @ u + u - u ** (2.0 * p + 1.0))))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])
 def test_polish_stops_at_the_roundoff_floor(monkeypatch, p):
     # Petviashvili already lands at the floor of A u (entries 4/h^2 = 4e4):
-    # it factors its own matrix once and needs no Newton polish
-    calls = _counting_splu(monkeypatch)
+    # every step solves its own matrix A, and it needs no Newton polish
+    diagonals = _counting_solves(monkeypatch)
     r, u = groundstate._petviashvili(p, extent=60.0, h=0.01)
-    assert len(calls) == 1
+    assert diagonals and all(d.tobytes() == diagonals[0].tobytes() for d in diagonals)
+    assert diagonals[0].size == u.size == 6000
     assert _petviashvili_residual(p, u) <= 1e-10  # the floor: eps * 8e4 * 2.4
 
 

@@ -3,7 +3,8 @@ module, every function, class and method that src/ defines is read by
 the program itself (src/, benchmark/), not by the tests alone,
 and so is every attribute that a src/ class stores on ``self``,
 every entry point that the benchmark's tracer rebinds is still there, and
-a 1D run loads none of the scipy subpackages that only 2D needs."""
+a 1D run loads none of the scipy subpackages that only 2D needs, sparse
+included."""
 import ast
 import importlib.util
 import json
@@ -208,7 +209,8 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert counts["range.calls"] >= 1 and counts["kernel.remainder_calls"] >= 1
 
 
-_TWO_D_ONLY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.fft")
+_TWO_D_ONLY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.fft",
+               "scipy.sparse")
 
 _LOADS_SCRIPT = """
 import json, sys
@@ -231,8 +233,11 @@ print(json.dumps(seen))
 
 def test_a_1d_run_loads_no_scipy_subpackage_that_only_2d_needs(tmp_path):
     """``import kgbreather`` and a whole 1D run (assemble, residual, errors,
-    save/load, leapfrog) leave scipy.interpolate, integrate, optimize and
-    fft unloaded; the first 2D ground-state solve loads what it uses."""
+    save/load, leapfrog) leave scipy.interpolate, integrate, optimize, fft
+    and sparse unloaded (no module of the package holds a sparse matrix,
+    and only the 2D Newton step and the eigensolve import
+    scipy.sparse.linalg); the first 2D ground-state solve loads what it
+    uses."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])

@@ -16,7 +16,6 @@ from kgbreather.kernelsolver import (
     DnlsProblem,
     hessian_diagnostics,
     kernel_remainder,
-    reduced_g0_jacobian,
     solve_dnls_ground_state,
     solve_kernel_equation,
 )
@@ -112,7 +111,7 @@ def test_reduced_jacobian_matches_folded_operator(n, offsets):
     # column k is the box operator G0'(phi) applied to the k-th orbit
     # basis field, mirrored onto the box, and cut back to orbit coordinates
     grid, prob, phi = _symmetric_problem(n, offsets, K=6 if n == 1 else 4)
-    J = reduced_g0_jacobian(phi, prob).toarray()
+    J = assembled_g0_jacobian(phi, prob).toarray()
     home = block_slices(grid)
     box = mirror_block(phi, grid)
     d = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(box) ** (2.0 * prob.p)
@@ -126,21 +125,23 @@ def test_reduced_jacobian_matches_folded_operator(n, offsets):
 
 
 @pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
-def test_reduced_jacobian_is_the_assembled_build_bit_for_bit(n, offsets):
-    # the cached scaled -lap plus this step's diagonal, against diags/kron
-    # rebuilt from scratch; two iterates share the one pattern
-    grid, prob, phi = _symmetric_problem(n, offsets, K=40 if n == 1 else 12)
-    pattern, _ = prob.scaled_minus_laplacian
-    for field in (phi, 1.5 * phi):
-        J = reduced_g0_jacobian(field, prob)
-        ref = assembled_g0_jacobian(field, prob)
-        assert J.format == "csc" and J.shape == ref.shape
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(J, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert np.shares_memory(J.indices, pattern.indices)
-        assert not np.shares_memory(J.data, pattern.data)
-    assert prob.scaled_minus_laplacian[0] is pattern
+def test_g0_jacobian_matvec_is_the_folded_box_operator(n, offsets):
+    # the matrix-free G0' of the Newton steps: column k is the box
+    # operator on the k-th orbit basis field, mirrored onto the box and
+    # cut back to orbit coordinates, and the assembled matrix's column
+    grid, prob, phi = _symmetric_problem(n, offsets, K=9 if n == 1 else 5)
+    G0 = prob.g0_jacobian(phi)
+    J = assembled_g0_jacobian(phi, prob).toarray()
+    home = block_slices(grid)
+    d = prob.multiplier - (2.0 * prob.p + 1.0) * np.abs(mirror_block(phi, grid)) ** (
+        2.0 * prob.p
+    )
+    for k, e in enumerate(np.eye(J.shape[0])):
+        u = mirror_block(from_orbit(e, grid), grid)
+        box = (prob.coupling / prob.mu**2) * (-laplacian(u)) + d * u
+        col = G0 @ e
+        assert np.max(np.abs(col - to_orbit(box[home], grid))) <= 1e-13 * np.max(np.abs(J))
+        assert np.max(np.abs(col - J[:, k])) <= 1e-13 * np.max(np.abs(J))
 
 
 @pytest.mark.parametrize("n, offsets", CENTERINGS.values(), ids=CENTERINGS.keys())
@@ -176,10 +177,31 @@ def test_1d_newton_step_matches_the_sparse_lu(K, offset):
         for phi in (phi0, solve_dnls_ground_state(prob, phi0)[0]):
             got = prob.newton_step(phi, rhs)
             ref = lu_newton_step(phi, prob, rhs)
-            J = reduced_g0_jacobian(phi, prob)
+            J = assembled_g0_jacobian(phi, prob)
             ev = np.abs(eigvalsh_tridiagonal(J.diagonal(), J.diagonal(1)))
             tol = 1e-13 if mu == 0.3 else np.finfo(float).eps * ev.max() / ev.min()
             assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["st", "h1"])
+def test_2d_newton_step_matches_a_dense_solve(mode):
+    """The preconditioned MINRES step against a dense solve of the
+    assembled G0', at the sampled reference (one negative direction) and
+    shifted between its two lowest eigenvalues, where the secular
+    function of hessian_diagnostics solves it."""
+    prof = solve_ground_state(2, 0.5)
+    grid = GridSpec(n=2, K=30, mu=0.3, offsets=BREATHER_MODES[2][mode])
+    prob = DnlsProblem(grid=grid, p=0.5, mu=0.3, coupling=0.25,
+                       multiplier=prof.multiplier)
+    phi = sample_reference(prof, grid, coupling=0.25)[block_slices(grid)]
+    J = assembled_g0_jacobian(phi, prob).toarray()
+    lo, hi = np.linalg.eigvalsh(J)[:2]
+    assert lo < 0.0 < hi
+    rhs = np.random.default_rng(3).standard_normal(J.shape[0])
+    for shift in (0.0, 0.5 * (lo + hi)):
+        got = prob.newton_step(phi, rhs, shift=shift)
+        want = np.linalg.solve(J - shift * np.eye(J.shape[0]), rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -200,20 +222,23 @@ def test_singular_g0_jacobian_is_a_convergence_error(n):
 
 
 def test_reduced_jacobian_is_fd_of_folded_g0():
+    # the assembled G0' and the matrix-free one of the Newton steps
     for n, offsets in CENTERINGS.values():
         grid, prob, phi = _symmetric_problem(n, offsets, K=5 if n == 1 else 3)
-        J = reduced_g0_jacobian(phi, prob).toarray()
+        J = assembled_g0_jacobian(phi, prob).toarray()
         x = to_orbit(phi, grid)
         h = 1e-6
 
         def g0(v):
             return to_orbit(prob.apply_g0(from_orbit(v, grid)), grid)
 
+        G0 = prob.g0_jacobian(phi)
         for j in range(x.size):
             e = np.zeros_like(x)
             e[j] = h
             col = (g0(x + e) - g0(x - e)) / (2 * h)
             assert np.allclose(col, J[:, j], rtol=0, atol=1e-8)
+            assert np.allclose(col, G0 @ (e / h), rtol=0, atol=1e-8)
 
 
 def test_gradient_of_constrained_energy_is_2mun_g0():
@@ -448,7 +473,7 @@ def test_tangent_eigenvalue_against_explicit_complement():
     grid, prob, phi0 = cubic_problem(0.4, r_min=12.0)  # small box: dense basis
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
-    J = reduced_g0_jacobian(phi, prob).toarray()
+    J = assembled_g0_jacobian(phi, prob).toarray()
     q = to_orbit(phi, grid)
     q = q / np.linalg.norm(q)
     V = null_space(q[None, :])
@@ -472,7 +497,7 @@ def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
     assert hessian_diagnostics(phi, prob) == hd
-    J = reduced_g0_jacobian(phi, prob).toarray()
+    J = assembled_g0_jacobian(phi, prob).toarray()
     evals = np.linalg.eigvalsh(J)
     q = to_orbit(phi, grid)
     q /= np.linalg.norm(q)
