@@ -13,9 +13,10 @@ exactly mu^(1/p) phi by construction (the range projector zeroes l = 1),
 and the odd harmonics l >= 3 are mu^(1/p) w, the range part.  The
 breather keeps phi, phi_dnls and w on the fundamental block of the
 reflection-even box (lattice.mirror_block), and a .kgbr file holds just
-these; box values are built only where a whole-box number needs them: the
-slabs of kg_residual and of the sup error, the leapfrog's start field and
-the box norms of the reports.
+these.  kg_residual and the sup error run on the block too: the residual
+and the error of a reflection-even wave are reflection-even, so their
+sups over the block are the box's.  Box values are built only for the
+leapfrog's start field, the box norms of the reports and ``coeffs``.
 
 Accuracy is always reported against the continuum reference field
 Psi = mu^(1/p) psi(mu (j + offset) / sqrt(a)) cos(omega t): the sup and
@@ -36,7 +37,7 @@ from .kernelsolver import (
     DnlsProblem, kernel_remainder, solve_dnls_ground_state, solve_kernel_equation,
 )
 from .lattice import (
-    BREATHER_MODES, GridSpec, asymmetry, block_slices, laplacian, mirror_block,
+    BREATHER_MODES, GridSpec, asymmetry, block_laplacian, block_slices, mirror_block,
     mode_offsets, norm_l2, norm_l2_mu, norm_q, norm_q_mu, orbit_sizes,
 )
 from .rangesolver import solve_range_equation
@@ -47,11 +48,6 @@ from .timespectral import (
 _MAGIC = b"KGBR"
 _VERSION = 2
 _HEAD = "<IIqII d d d d d"  # version, n, K, L_max, mode code, mu, a, p, m, omega
-
-# collocation values per slab of the whole-box checks (kg_residual and the
-# sup error of error_vs_reference): their sample buffers stay near 2 MB
-# whatever the box, instead of growing with it
-_SLAB_VALUES = 1 << 18
 
 # the box must reach this many decay lengths sqrt(a/m)/mu of the profile
 _DECAY_LENGTHS = 2.0
@@ -111,9 +107,10 @@ class Breather:
     ``phi`` and ``phi_dnls`` are fields there; ``w`` is the one range
     stack, odd rows only: row j holds harmonic 2j+1 (row 0 is zero, the
     range has no harmonic 1), in scaled units; 1/8 of a box stack in 2d.
-    Box values are built slab by slab (``box_rows``), amplitude * mirror
-    as a box stack would hold them.  A .kgbr file holds phi, phi_dnls and
-    w past row 0.
+    ``odd_rows`` scales phi and w to the physical odd rows, on which the
+    checks run; mirrored, they are the box stack ``coeffs``, which the
+    package never builds.  A .kgbr file holds phi, phi_dnls and w past
+    row 0.
     """
 
     grid: GridSpec
@@ -140,19 +137,18 @@ class Breather:
     @property
     def coeffs(self):
         """The physical cosine stack on the box, (L_max+1, *grid.shape), built
-        read-only per read for callers that want it whole; the package never does."""
+        read-only per read for callers that want it whole; the package never
+        does: its odd rows are mirror(odd_rows()), its even rows 0."""
         out = np.zeros((self.L_max + 1,) + self.grid.shape)
-        out[1::2] = self.box_rows()
+        out[1::2] = mirror_block(self.odd_rows(), self.grid)
         out.flags.writeable = False
         return out
 
-    def box_rows(self, rows=slice(None)):
-        """Physical odd cosine rows (row j harmonic 2j+1) of the box rows
-        ``rows`` along the first axis: amplitude * mirror(w), row 0
-        amplitude * mirror(phi)."""
-        out = mirror_block(self.w, self.grid, rows)
-        out[0] = mirror_block(self.phi, self.grid, rows)
-        out *= self.amplitude
+    def odd_rows(self):
+        """The physical odd rows on the block, a new array: row j is
+        harmonic 2j+1, amplitude * w[j], row 0 amplitude * phi."""
+        out = self.amplitude * self.w
+        out[0] = self.amplitude * self.phi
         return out
 
     def start_field(self):
@@ -166,8 +162,11 @@ class Breather:
         return q
 
     def peak(self):
-        """max |coeffs| bit for bit: scaling by the amplitude is monotone."""
-        top = max(0.0, self.phi.max(), -self.phi.min(), self.w.max(), -self.w.min())
+        """max |coeffs| bit for bit, NaN included: scaling by the amplitude
+        is monotone, and np.max, not max(), keeps a NaN."""
+        top = np.max(
+            [0.0, self.phi.max(), -self.phi.min(), self.w.max(), -self.w.min()]
+        )
         return float(self.amplitude * top)
 
     def symmetry_error(self):
@@ -312,14 +311,6 @@ def reference_coefficients(b: Breather):
     return coeffs
 
 
-def _slabs(b, M):
-    """Box rows along the first axis in slabs of about ``_SLAB_VALUES``
-    collocation values at M nodes (one slab for the usual 1d box)."""
-    rows = b.grid.shape[0]
-    step = max(1, _SLAB_VALUES // ((M // 2) * (b.grid.size // rows)))
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
 def kg_residual(b: Breather):
     """Sup over sites and collocation times of the lattice field equation
     applied to the breather:
@@ -329,32 +320,27 @@ def kg_residual(b: Breather):
     evaluated on 4 (L_max + 1) equispaced times (enough that the cubic
     image of the harmonic window is sampled alias-free).  The linear part
     acts per harmonic, so it is applied to the coefficients and synthesised
-    alongside q.  This check runs on the whole box, never on the
-    fundamental block: it builds the box values from the stored arrays and
-    applies the lattice operator there.
+    alongside q.
 
-    The box is walked in slabs of whole rows along the first spatial axis
-    (``_slabs``).  A slab's Laplacian reads one neighbour row on each side,
-    none at the box edge, so its linear part is the whole box's bit for
-    bit; the BLAS products of the collocation may round by the slab's
-    shape.
+    It runs on the fundamental block: the residual of a reflection-even
+    wave is reflection-even, so its sup there is the box's.  The Laplacian
+    is lattice.block_laplacian, which reads box rows -1..K and gives the
+    box's values bit for bit; the BLAS products of the collocation may
+    round by the block's shape.
     """
     M = default_node_count(b.L_max)
     l = np.arange(1, b.L_max + 1, 2)
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
-    spatial = tuple(range(1, b.grid.n + 1))
+    c = b.odd_rows()
+    linear = factors * c
+    for row, harmonic in zip(linear, c):  # one harmonic's temporaries at a time
+        row -= b.coupling * block_laplacian(harmonic, b.grid)
     nonlinear = nonlinearity_map(b.p)
-    worst = 0.0  # np.maximum, not max(): a NaN slab must not drop out
-    for sl in _slabs(b, M):
-        start, stop = max(sl.start - 1, 0), min(sl.stop + 1, b.grid.shape[0])
-        inner = slice(sl.start - start, sl.stop - start)
-        ext = b.box_rows(slice(start, stop))
-        c = ext[:, inner]
-        linear = factors * c - b.coupling * laplacian(ext, axes=spatial)[:, inner]
-        for _, res in odd_collocation(
-            (c, linear), M, lambda q, lq: np.subtract(lq, nonlinear(q), out=lq)
-        ):
-            worst = np.maximum(worst, np.max(np.abs(res)))
+    worst = 0.0  # np.maximum, not max(): a NaN chunk must not drop out
+    for _, res in odd_collocation(
+        (c, linear), M, lambda q, lq: np.subtract(lq, nonlinear(q), out=lq)
+    ):
+        worst = np.maximum(worst, np.max(np.abs(res)))
     return float(worst)
 
 
@@ -381,8 +367,9 @@ def error_vs_reference(b: Breather):
     Works on assembled and on loaded breathers alike: everything is
     recomputed from the stored arrays, and ``b`` is left untouched.  The
     l2 norms (e_h2, w_x2, the harmonic fractions) are orbit-weighted sums
-    over the fundamental block.  The sup error walks the box in the slabs
-    of kg_residual, and sup_bound takes the Q norm of one box harmonic at
+    over the fundamental block, and the sup error collocates the same
+    difference stack there: it is reflection-even, so its sup over the
+    block is the box's.  sup_bound takes the Q norm of one box harmonic at
     a time.
     """
     grid = b.grid
@@ -392,21 +379,16 @@ def error_vs_reference(b: Breather):
     psi = reference_profile(b)
     dist_dnls_ref = norm_q_mu(mirror_block(b.phi_dnls, grid) - psi, grid)
     psi *= amplitude  # Psi's one harmonic, physical
-    diff = amplitude * b.w  # the physical harmonics, harmonic 1 below
-    diff[0] = amplitude * b.phi
+    diff = b.odd_rows()  # the physical harmonics, less Psi below
     flat = diff.reshape(len(diff), -1)
     per_l = np.sqrt(np.einsum("ls,ls,s->l", flat, flat, sigma.ravel()))
     total = float(np.sqrt(np.sum(per_l**2)))
     diff[0] -= psi[home]
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega, weights=sigma)
+    e_sup = 0.0  # np.maximum, not max(): a NaN chunk must not drop out
+    for _, values in odd_collocation((diff,), default_node_count(b.L_max)):
+        e_sup = np.maximum(e_sup, np.max(np.abs(values)))
     del diff, flat
-    M = default_node_count(b.L_max)
-    e_sup = 0.0
-    for sl in _slabs(b, M):
-        rows = b.box_rows(sl)
-        rows[0] -= psi[sl]
-        for _, values in odd_collocation((rows,), M):
-            e_sup = np.maximum(e_sup, np.max(np.abs(values)))
     sup_bound = norm_q(mirror_block(amplitude * b.phi, grid) - psi, b.mu)
     for row in b.w[1:]:
         sup_bound += norm_q(amplitude * mirror_block(row, grid), b.mu)

@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
-from .lattice import laplacian, mirror_block, orbit_weights, padded_block
+from .lattice import block_laplacian, mirror_block, orbit_weights
 from .rangesolver import EvenSector, RangeOperator, solve_range_equation
 from .timespectral import default_node_count, nonlinearity_map, odd_collocation
 
@@ -140,14 +140,13 @@ class DnlsProblem:
         return step if info == 0 and error <= bound else None
 
     def _minus_lap(self, u):
-        # -(a/mu^2) lap u on the block, read off lattice.padded_block
-        lap = laplacian(padded_block(u, self.grid))[(slice(1, None),) * self.grid.n]
-        return -(self.coupling / self.mu**2) * lap
+        # -(a/mu^2) lap u on the block: the box's, lattice.block_laplacian
+        return -(self.coupling / self.mu**2) * block_laplacian(u, self.grid)
 
     def apply_g0(self, phi):
-        """G0 on the block, whose Laplacian runs over lattice.padded_block:
-        each block site reads the neighbours the box's Laplacian reads, in
-        its order, so G0 is the box's restricted to the block, bit for bit."""
+        """G0 on the block, whose Laplacian is lattice.block_laplacian: each
+        block site reads the neighbours the box's Laplacian reads, in its
+        order, so G0 is the box's restricted to the block, bit for bit."""
         return self._minus_lap(phi) + self.multiplier * phi - np.abs(phi) ** (2.0 * self.p) * phi
 
 

@@ -11,7 +11,8 @@ it is from that).  Such a field is determined by its fundamental block
 (indices j >= 0 on each axis), which is how the program holds every such
 field: the helpers below cut the block out of a box field and mirror it
 back (``block_slices`` / ``mirror_block``), grow it by the mirrored
-neighbours its Laplacian reads (``padded_block``), and weigh its sites by
+neighbours its Laplacian reads (``padded_block``) to take the box's
+Laplacian on the block (``block_laplacian``), and weigh its sites by
 their orbit sizes; scaled by the square roots of these
 (``orbit_weights``), the block values are the orthonormal orbit
 coordinates in which the Newton solves run.
@@ -262,23 +263,31 @@ def _block_index(j, offset):
     return np.where(j >= 0, j, -j - (offset != 0.0))
 
 
-def mirror_block(block, grid, rows=slice(None)):
+def _gather(block, grid, indices):
+    """block read at the box indices ``indices`` (one array per axis), each
+    through its block index, in one gather; leading axes ride along."""
+    index = np.ix_(*(_block_index(j, o) for j, o in zip(indices, grid.offsets)))
+    return block[(slice(None),) * (block.ndim - grid.n) + index]
+
+
+def mirror_block(block, grid):
     """Reflection-even box field(s) holding ``block`` on the fundamental
     block; leading axes beyond the grid's (a harmonic index) ride along.
-    ``rows`` picks box rows along the first spatial axis, so a slab of the
-    box costs no more than the slab.  Each box index reads its block index
-    (j, or its mirror image -j or -1-j) in one gather, so the output is
-    the only allocation."""
+    The output is the only allocation."""
     block = np.asarray(block, dtype=np.float64)
-    index = [_block_index(grid.axis_indices(ax), offset)
-             for ax, offset in enumerate(grid.offsets)]
-    index[0] = index[0][rows]
-    return block[(slice(None),) * (block.ndim - grid.n) + np.ix_(*index)]
+    return _gather(block, grid, [grid.axis_indices(ax) for ax in range(grid.n)])
 
 
 def padded_block(block, grid):
-    """The block field grown by one site below each axis, box index j = -1,
-    which holds its mirror image: what a block site's Laplacian reads."""
-    j = np.arange(-1, grid.K + 1)
-    return block[np.ix_(*(_block_index(j, o) for o in grid.offsets))]
+    """The block field(s) grown by one site below each axis, box index
+    j = -1, which holds its mirror image: what a block site's Laplacian
+    reads.  Leading axes ride along as in mirror_block."""
+    return _gather(block, grid, [np.arange(-1, grid.K + 1)] * grid.n)
 
+
+def block_laplacian(block, grid):
+    """The box Laplacian of the reflection-even field that ``block`` holds,
+    at the block's sites: ``laplacian`` over ``padded_block``, so each
+    site reads the neighbours the box's Laplacian reads, in its order, and
+    the values are the box's bit for bit."""
+    return laplacian(padded_block(block, grid))[(slice(1, None),) * grid.n]

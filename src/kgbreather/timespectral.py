@@ -7,7 +7,9 @@ midpoint nodes tau_k = pi (2k+1) / (2M) by a DCT-III / DCT-II pair; the
 test suite keeps that pair as the reference for what follows.
 
 Every chunked "synthesis -> pointwise map -> analysis" pass of the
-pipeline goes through ``odd_collocation`` and works on odd series only.
+pipeline goes through ``odd_collocation``, whose one bound holds each
+sample buffer to 2^21 values (16 MB) on any grid, and works on odd
+series only.
 Reversible breathers have u(tau + pi) = -u(tau), so only odd harmonics
 occur, and the odd nonlinearity keeps it that way.  So stacks hold the odd
 rows alone: row j of a stack is harmonic 2j+1, and an even harmonic has
@@ -68,8 +70,8 @@ def default_node_count(L):
 
 _MATRIX_ENTRIES = 1 << 19
 
-# columns per collocation chunk, capped at 2^24 // Q (odd_collocation)
-_CHUNK = 1 << 17
+# values per sample buffer of an odd_collocation chunk (16 MB)
+_CHUNK_VALUES = 1 << 21
 
 
 @lru_cache(maxsize=8)
@@ -103,9 +105,9 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None):
     it may overwrite them.  Yields (column slice, result): the (Q, n)
     samples or, with ``analysis``, the coefficients of their first
     ``rows`` (default Q) odd harmonics, row j holding harmonic 2j+1.
-    Chunks of ``_CHUNK`` columns, at most 2^24 // Q, bound a sample buffer
-    by 2^24 values (134 MB).  A BLAS product rounds by its shape: chunking
-    can move the last bits.
+    Chunks of ``_CHUNK_VALUES`` // Q columns (at least one) bound a sample
+    buffer by 2^21 values (16 MB) at any Q.  A BLAS product rounds by its
+    shape: chunking can move the last bits.
     """
     flats = [np.asarray(s, dtype=np.float64).reshape(len(s), -1) for s in stacks]
     Q = (M + 1) // 2
@@ -114,7 +116,7 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None):
             f"{M} nodes cannot resolve harmonic {2 * flats[0].shape[0] - 1}"
         )
     columns = flats[0].shape[1]
-    chunk = max(1, min(_CHUNK, (1 << 24) // Q))
+    chunk = max(1, _CHUNK_VALUES // Q)
     for lo in range(0, columns, chunk):
         sl = slice(lo, min(lo + chunk, columns))
         values = [_cosine_product(f[:, sl], Q, len(f), False) for f in flats]

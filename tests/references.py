@@ -3,8 +3,9 @@
 The tests use them as independent oracles (the gradient energy of the P1
 interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
 that the in-place library versions must match bit for bit, the whole-box
-equation residual that the slab-wise one must match bit for bit, the
-elementwise even-sector basis that the table lookup must match bit for bit,
+equation residual and sup error that the block ones must match to
+roundoff, the elementwise even-sector basis that the table lookup must
+match bit for bit,
 the whole-box G0 that the block one must match bit for bit, the
 assembled G0' that the matrix-free one must match to roundoff, the dense
 even-sector basis inverse and the sparse LU Newton step that the 1d band
@@ -16,6 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from kgbreather.breather import reference_coefficients
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
 from kgbreather.lattice import (
     dirichlet_energy,
@@ -159,6 +161,19 @@ def whole_box_kg_residual(b):
         lambda q, lq: lq - nonlinearity_coefficient(b.p) * np.abs(q) ** (2.0 * b.p) * q,
     ):
         worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def whole_box_sup_error(b):
+    """The sup error of ``kgbreather.breather.error_vs_reference`` in one
+    pass over the whole box: the odd rows of the whole coefficient stack
+    ``b.coeffs`` less Psi's one harmonic, collocated in
+    ``odd_collocation``'s default chunks."""
+    diff = b.coeffs[1::2].copy()
+    diff[0] -= reference_coefficients(b)[1]
+    worst = 0.0
+    for _, values in odd_collocation((diff,), 4 * (b.L_max + 1)):
+        worst = max(worst, float(np.max(np.abs(values))))
     return worst
 
 

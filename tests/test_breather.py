@@ -25,6 +25,7 @@ import scipy.sparse.linalg
 
 import kgbreather.breather as breather
 import kgbreather.rangesolver as rangesolver
+import kgbreather.timespectral as timespectral
 from kgbreather.breather import (
     Breather,
     PipelineConfig,
@@ -43,8 +44,8 @@ from kgbreather.errors import FormatError, GuardError
 from kgbreather.lattice import (
     BREATHER_MODES, GridSpec, block_slices, laplacian, mirror_block,
 )
-from kgbreather.timespectral import nonlinearity_coefficient
-from references import whole_box_kg_residual
+from kgbreather.timespectral import default_node_count, nonlinearity_coefficient
+from references import whole_box_kg_residual, whole_box_sup_error
 
 
 @pytest.fixture(scope="module")
@@ -238,14 +239,6 @@ def _payload_at(n):
     return 4 + struct.calcsize(breather._HEAD) + 8 * n
 
 
-def _set_slab_rows(monkeypatch, b, rows):
-    """Make kg_residual walk ``b`` in slabs of ``rows`` rows."""
-    width = b.grid.size // b.grid.shape[0]
-    monkeypatch.setattr(
-        breather, "_SLAB_VALUES", rows * 2 * (b.L_max + 1) * width
-    )
-
-
 @pytest.fixture(scope="module")
 def small_2d():
     """A cheap assembled 2d breather (62 x 62 sites, L = 7)."""
@@ -254,14 +247,28 @@ def small_2d():
     ))
 
 
-@pytest.mark.parametrize("rows", [1, 5, None])
+@pytest.mark.parametrize("columns", [1, 5, None])
 @pytest.mark.parametrize(("n", "mode"), CENTERINGS)
-def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, rows):
-    """Slabs of one row, of five (11 or 12 rows leave a short last slab)
-    and of the whole box all give the whole-box residual bit for bit."""
+def test_streamed_residual_is_the_whole_box_one(monkeypatch, n, mode, columns):
+    """kg_residual and the sup error run on the fundamental block, streamed
+    through odd_collocation in chunks of one column, of five (a short last
+    chunk) or of the whole block.  A reflection-even wave has a
+    reflection-even residual and error, so their sups are the whole box's
+    (references.whole_box_kg_residual and whole_box_sup_error, one pass
+    over b.coeffs), up to the rounding of the collocation products by
+    their shape.  The fields are localized, as a breather is, so the sups
+    sit at the center, where the block's Laplacian reads its mirrored row
+    -1."""
     b = _odd_breather(n, mode)
-    _set_slab_rows(monkeypatch, b, rows or b.grid.shape[0])
-    assert kg_residual(b) == whole_box_kg_residual(b)
+    envelope = np.exp(-sum(np.ix_(*(np.arange(b.grid.K + 1.0),) * n)))
+    b = dataclasses.replace(b, phi=b.phi * envelope, w=b.w * envelope)
+    residual, sup_error = whole_box_kg_residual(b), whole_box_sup_error(b)
+    Q = default_node_count(b.L_max) // 2
+    monkeypatch.setattr(
+        timespectral, "_CHUNK_VALUES", (columns or b.phi.size) * Q
+    )
+    assert kg_residual(b) == pytest.approx(residual, rel=1e-13)
+    assert error_vs_reference(b).e_sup == pytest.approx(sup_error, rel=1e-13)
 
 
 @pytest.mark.parametrize("name", ["w"])
@@ -296,11 +303,11 @@ def test_save_refuses_arrays_not_of_the_block(tmp_path, name):
 
 
 def test_error_report_does_not_depend_on_chunks(monkeypatch, small_2d):
-    """The sup error is synthesised in slabs; no ErrorReport field moves
-    with their size, and the breather is left as it was."""
+    """The sup error is synthesised in collocation chunks; no ErrorReport
+    field moves with their size, and the breather is left as it was."""
     before = small_2d.w.tobytes(), small_2d.phi.tobytes()
     full = error_vs_reference(small_2d).to_dict()
-    monkeypatch.setattr(breather, "_SLAB_VALUES", 100)
+    monkeypatch.setattr(timespectral, "_CHUNK_VALUES", 100)
     assert error_vs_reference(small_2d).to_dict() == full
     assert (small_2d.w.tobytes(), small_2d.phi.tobytes()) == before
 
@@ -330,16 +337,17 @@ def _allocation_peak(call):
 
 def test_whole_box_checks_allocate_no_stack(monkeypatch):
     """kg_residual, error_vs_reference and symmetry_error keep no
-    stack-sized temporary.  The golden 2d box is a single slab at the
-    default bound, so the bound drops to 2^12 collocation values (one row
-    of that box); each check then peaks at a fraction of one coefficient
-    stack.  What remains are fields of one harmonic's size (the reference
-    profile, one row of the difference); at L = 15 each is 1/16 of the
-    stack."""
+    stack-sized temporary.  The golden 2d block is a single collocation
+    chunk at the default bound, so the bound drops to 2^12 values per
+    sample buffer; each check then peaks at a fraction of one coefficient
+    stack.  What remains are block stacks (1/8 of the stack each: the
+    wave and its linear part, or the difference to Psi) and fields of one
+    harmonic's size (the reference profile, one mirrored row); at L = 15
+    each is 1/16 of the stack."""
     b = assemble_breather(PipelineConfig(
         n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3
     ))
-    monkeypatch.setattr(breather, "_SLAB_VALUES", 1 << 12)
+    monkeypatch.setattr(timespectral, "_CHUNK_VALUES", 1 << 12)
     stack = b.coeffs.nbytes
     for call in (
         lambda: kg_residual(b),
@@ -739,12 +747,18 @@ def test_validate_refuses_a_header_outside_the_guarded_windows(
 
 def test_a_nan_in_the_range_stack_reaches_residual_and_sup_error(small_1d):
     """The running maxima of kg_residual and of the sup error keep a NaN:
-    a slab of NaN values must not drop out of the maximum."""
+    a chunk of NaN values must not drop out of the maximum.  peak() is
+    max |coeffs|, NaN too, wherever the NaN sits; max() kept it only
+    first."""
     w = small_1d.w.copy()
     w[1, 3] = np.nan
     b = dataclasses.replace(small_1d, w=w)
     assert np.isnan(kg_residual(b))
     assert np.isnan(error_vs_reference(b).e_sup)
+    assert np.isnan(b.peak()) and np.isnan(np.max(np.abs(b.coeffs)))
+    phi = small_1d.phi.copy()
+    phi[0] = np.nan
+    assert np.isnan(dataclasses.replace(small_1d, phi=phi).peak())
 
 
 def test_report_json(tmp_path, small_1d):
@@ -809,9 +823,9 @@ def sweep_1d():
 def test_scaling_study_holds_one_breather_at_a_time(monkeypatch):
     """The last mu's breather is released before the next one assembles:
     a two-mu study peaks where its larger point alone does, not two
-    stacks of the first point above it.  The checks' slab buffers are
-    shrunk so that assembly sets every peak."""
-    monkeypatch.setattr(breather, "_SLAB_VALUES", 1 << 12)
+    stacks of the first point above it.  The collocation buffers are
+    shrunk so that the block stacks set every peak."""
+    monkeypatch.setattr(timespectral, "_CHUNK_VALUES", 1 << 12)
     kw = dict(n=2, p=0.5, coupling=0.25, mode="p", r_min=12.0, l_max=7)
 
     def point(mu):

@@ -11,6 +11,7 @@ from kgbreather.errors import GuardError
 from kgbreather.lattice import (
     GridSpec,
     asymmetry,
+    block_laplacian,
     block_slices,
     dirichlet_energy,
     laplacian,
@@ -287,6 +288,18 @@ def test_fold_unfold_roundtrip(grid):
     # orthonormality: orbit coordinates keep the l2 norm of even fields
     x = block * orbit_weights(grid)
     assert norm_l2(x) == pytest.approx(norm_l2(raw), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "offsets", [(0.0,), (0.5,), (0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
+)
+def test_block_laplacian_is_the_box_one_bit_for_bit(offsets):
+    """The Laplacian over the padded block is the box Laplacian of the
+    mirrored field at the block's sites, bit for bit."""
+    grid = GridSpec(n=len(offsets), K=4, mu=0.5, offsets=offsets)
+    block = np.random.default_rng(5).standard_normal((grid.K + 1,) * grid.n)
+    want = laplacian(mirror_block(block, grid))[block_slices(grid)]
+    assert block_laplacian(block, grid).tobytes() == want.tobytes()
 
 
 def test_unfold_is_reflection_even():

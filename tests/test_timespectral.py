@@ -178,7 +178,7 @@ def test_chunking_is_transparent(monkeypatch):
     c = _odd_stack(np.random.default_rng(3), 7, 23)[1::2]
     M = default_node_count(5)
     full = apply_nonlinearity(c, p=0.75, M=M)
-    monkeypatch.setattr(timespectral, "_CHUNK", 5)
+    monkeypatch.setattr(timespectral, "_CHUNK_VALUES", 5 * ((M + 1) // 2))
     chunked = apply_nonlinearity(c, p=0.75, M=M)
     assert np.array_equal(full, chunked)
 
@@ -263,7 +263,7 @@ def test_collocation_does_not_depend_on_chunks(monkeypatch, analysis):
     M = 1220
 
     def run(chunk):
-        monkeypatch.setattr(timespectral, "_CHUNK", chunk)
+        monkeypatch.setattr(timespectral, "_CHUNK_VALUES", chunk * ((M + 1) // 2))
         out = np.empty(((M + 1) // 2, 300))
         for sl, g in odd_collocation((c,), M, np.tanh, analysis):
             out[:, sl] = g
@@ -273,6 +273,19 @@ def test_collocation_does_not_depend_on_chunks(monkeypatch, analysis):
     scale = np.max(np.abs(whole))
     for chunk in (1, 7, 128, 299):
         assert np.max(np.abs(run(chunk) - whole)) <= 1e-14 * scale
+
+
+def test_chunks_hold_at_most_two_to_the_21_values():
+    # the 2d headline block (K = 200, 40,401 columns) at its final window
+    # (L = 304, M = 1220): every sample buffer, and its analysis, holds at
+    # most 2^21 values (16 MB), and the chunks cover every column once
+    columns, M = 40_401, 1220
+    seen = 0
+    for sl, g in odd_collocation((np.ones((1, columns)),), M, analysis=True):
+        assert sl.start == seen and (sl.stop - sl.start) * ((M + 1) // 2) <= 1 << 21
+        assert g.size <= 1 << 21
+        seen = sl.stop
+    assert seen == columns
 
 
 def test_cosine_cache_is_bounded_and_read_only():
