@@ -37,8 +37,8 @@ from .kernelsolver import (
     DnlsProblem, kernel_remainder, solve_dnls_ground_state, solve_kernel_equation,
 )
 from .lattice import (
-    BREATHER_MODES, GridSpec, asymmetry, block_laplacian, block_slices, mirror_block,
-    mode_offsets, norm_l2, norm_l2_mu, norm_q, norm_q_mu, orbit_sizes,
+    BREATHER_MODES, GridSpec, asymmetry, block_laplacian, block_norm_q, block_slices,
+    mirror_block, mode_offsets, norm_l2, norm_l2_mu, norm_q_mu, orbit_sizes,
 )
 from .rangesolver import solve_range_equation
 from .timespectral import (
@@ -251,8 +251,9 @@ def assemble_breather(config: PipelineConfig):
     )
 
     # final range pass: fresh report for the returned profile and, when
-    # asked, a longer harmonic tail (cheap: the same operator, warm start,
-    # feedback of the extra harmonics onto the low ones is far below
+    # asked, a longer harmonic tail (cheap: the same operator, a warm start
+    # whose first step synthesises only the working window's rows, and
+    # feedback of the extra harmonics onto the low ones far below
     # tolerance).  The range stack stays on the fundamental block, odd rows
     # only, for good.
     L_res = config.l_max
@@ -262,12 +263,12 @@ def assemble_breather(config: PipelineConfig):
         )
     w, range_report = solve_range_equation(
         phi, op, config.p, config.mu, L_res, w_init=w, tol=config.tol,
-        tail_check=True,
     )
 
-    # kernel-equation residual of the final range component, on the block:
-    # its sup is the box's
-    R = kernel_remainder(phi, prob, w, L_res)
+    # kernel-equation residual of the final range component, on the block
+    # (its sup is the box's), and the harmonic tail of N(phi cos + w) past
+    # the window, both off one synthesis of that wave
+    R, range_report.tail_fraction = kernel_remainder(phi, prob, w, L_res, tail=True)
     g_residual = prob.apply_g0(phi) + R
 
     reports = {
@@ -340,7 +341,7 @@ def kg_residual(b: Breather):
     for _, res in odd_collocation(
         (c, linear), M, lambda q, lq: np.subtract(lq, nonlinear(q), out=lq)
     ):
-        worst = np.maximum(worst, np.max(np.abs(res)))
+        worst = np.maximum(worst, np.max(np.abs(res, out=res)))
     return float(worst)
 
 
@@ -369,8 +370,8 @@ def error_vs_reference(b: Breather):
     l2 norms (e_h2, w_x2, the harmonic fractions) are orbit-weighted sums
     over the fundamental block, and the sup error collocates the same
     difference stack there: it is reflection-even, so its sup over the
-    block is the box's.  sup_bound takes the Q norm of one box harmonic at
-    a time.
+    block is the box's.  sup_bound takes the box Q norms of all its
+    harmonics in one pass on the block (lattice.block_norm_q).
     """
     grid = b.grid
     home = block_slices(grid)
@@ -384,15 +385,13 @@ def error_vs_reference(b: Breather):
     per_l = np.sqrt(np.einsum("ls,ls,s->l", flat, flat, sigma.ravel()))
     total = float(np.sqrt(np.sum(per_l**2)))
     diff[0] -= psi[home]
+    del psi, flat
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega, weights=sigma)
     e_sup = 0.0  # np.maximum, not max(): a NaN chunk must not drop out
     for _, values in odd_collocation((diff,), default_node_count(b.L_max)):
-        e_sup = np.maximum(e_sup, np.max(np.abs(values)))
-    del diff, flat
-    sup_bound = norm_q(mirror_block(amplitude * b.phi, grid) - psi, b.mu)
-    for row in b.w[1:]:
-        sup_bound += norm_q(amplitude * mirror_block(row, grid), b.mu)
-    sup_bound *= 2.0 * np.sqrt(b.mu)
+        e_sup = np.maximum(e_sup, np.max(np.abs(values, out=values)))
+    sup_bound = 2.0 * np.sqrt(b.mu) * np.sum(block_norm_q(diff, grid, b.mu))
+    del diff
     if e_sup > sup_bound * (1.0 + 1e-10):
         raise GuardError(
             f"sup-embedding invariant violated: e_sup={e_sup:.3e} exceeds "

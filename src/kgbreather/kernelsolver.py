@@ -52,9 +52,9 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
-from .lattice import block_laplacian, mirror_block, orbit_weights
+from .lattice import block_laplacian, mirror_block, orbit_sizes, orbit_weights
 from .rangesolver import EvenSector, RangeOperator, solve_range_equation
-from .timespectral import default_node_count, nonlinearity_map, odd_collocation
+from .timespectral import default_node_count, first_harmonic
 
 _DNLS_MAX_ITER = 40  # Newton steps of the pure discrete NLS solve
 _KERNEL_MAX_ITER = 30  # chord steps of the kernel continuation
@@ -212,7 +212,7 @@ def solve_dnls_ground_state(prob, phi0, tol=1e-12):
     return _newton_reduced(phi0, prob, prob.apply_g0, tol, _DNLS_MAX_ITER)
 
 
-def kernel_remainder(phi, prob, w, L_max):
+def kernel_remainder(phi, prob, w, L_max, tail=False):
     """R(phi) = -(P1[N(phi cos + w)] - |phi|^(2p) phi) for a given range
     component w.
 
@@ -221,17 +221,20 @@ def kernel_remainder(phi, prob, w, L_max):
     no range solve happens here.  N is sampled at the Q quarter-period
     nodes of the range solve's own M = default_node_count(L_max) time
     nodes, so R and the range solve share one projection; the one cached
-    cosine row reads P1 off the samples at every window size.
+    cosine row reads P1 off the samples at every window size
+    (timespectral.first_harmonic).  With ``tail``, returns (R, tail):
+    the same samples also give the harmonic tail of N(u) past the window,
+    orbit-weighted, from one all-Q analysis, and R keeps its bits.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    M = default_node_count(L_max)
     u = np.array(w, dtype=np.float64)
     u[0] = phi
-    first = np.empty(phi.shape)
-    for sl, spectrum in odd_collocation((u,), M, nonlinearity_map(prob.p), analysis=True,
-                                        rows=1):
-        first.reshape(-1)[sl] = spectrum[0]
-    return -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
+    first, tail_fraction = first_harmonic(
+        u, prob.p, M=default_node_count(L_max),
+        weights=orbit_sizes(prob.grid) if tail else None,
+    )
+    R = -(first - np.abs(phi) ** (2.0 * prob.p) * phi)
+    return (R, tail_fraction) if tail else R
 
 
 def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):

@@ -12,8 +12,9 @@ it is from that).  Such a field is determined by its fundamental block
 field: the helpers below cut the block out of a box field and mirror it
 back (``block_slices`` / ``mirror_block``), grow it by the mirrored
 neighbours its Laplacian reads (``padded_block``) to take the box's
-Laplacian on the block (``block_laplacian``), and weigh its sites by
-their orbit sizes; scaled by the square roots of these
+Laplacian (``block_laplacian``) and Q norm (``block_norm_q``) on the
+block, and weigh its sites by their orbit sizes; scaled by the square
+roots of these
 (``orbit_weights``), the block values are the orthonormal orbit
 coordinates in which the Newton solves run.
 
@@ -187,12 +188,6 @@ def norm_l2(a):
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
-def norm_q(a, mu=1.0):
-    """H^1-type norm: (sum a^2 + mu^-2 sum of squared differences)^(1/2)."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.sum(a * a) + dirichlet_energy(a) / (mu * mu)))
-
-
 def norm_l2_mu(a, grid):
     """l2 norm under the continuum volume element mu^n."""
     return grid.mu ** (grid.n / 2.0) * norm_l2(a)
@@ -289,5 +284,43 @@ def block_laplacian(block, grid):
     """The box Laplacian of the reflection-even field that ``block`` holds,
     at the block's sites: ``laplacian`` over ``padded_block``, so each
     site reads the neighbours the box's Laplacian reads, in its order, and
-    the values are the box's bit for bit."""
-    return laplacian(padded_block(block, grid))[(slice(1, None),) * grid.n]
+    the values are the box's bit for bit.  It acts on the trailing
+    ``grid.n`` axes, so each field of a stack gets its own Laplacian,
+    with the bits of a call on that field alone."""
+    padded = padded_block(block, grid)
+    spatial = range(padded.ndim - grid.n, padded.ndim)
+    return laplacian(padded, axes=spatial)[(Ellipsis,) + (slice(1, None),) * grid.n]
+
+
+def block_norm_q(block, grid, mu=1.0):
+    """The H^1-type norm (sum a^2 + mu^-2 sum of squared differences)^(1/2)
+    of the box field mirror_block(field) for every field of a block stack
+    (a float for one field), from the block alone, in one pass over the
+    stack.  The box's sum of squares is the orbit-weighted one.  Its
+    Dirichlet energy is a sum over bonds, and every box bond along an axis
+    is the mirror image of a block bond (j-1, j), j >= 1, or of the edge
+    bond (K, K+1) to the zero exterior, as many times as the orbit size of
+    the block site j (of K at the edge); the bond through an offset-1/2
+    center joins a site to its own mirror image and adds nothing.  So the
+    sums are the box's, in another order.  The bond differences are taken
+    along the flattened stack, whose entries at j = 0 (no bond) are
+    zeroed: one temporary the size of the stack, and no strided one."""
+    block = np.asarray(block, dtype=np.float64)
+    sigma = orbit_sizes(grid)
+    fields = block.reshape(-1, sigma.size)
+    flat, weights = fields.reshape(-1), sigma.ravel()
+    bonds = np.empty_like(fields)
+    cube = bonds.reshape((-1,) + sigma.shape)
+    spatial = "ij"[: grid.n]
+    energy = 0.0
+    for ax in range(grid.n):
+        after = (slice(None),) * (grid.n - 1 - ax)  # the axes past ax
+        stride = (grid.K + 1) ** len(after)
+        np.subtract(flat[stride:], flat[:-stride], out=bonds.reshape(-1)[stride:])
+        cube[(Ellipsis, 0) + after] = 0.0
+        edge = (Ellipsis, slice(-1, None)) + after
+        outer = fields.reshape(cube.shape)[edge]
+        energy = energy + np.einsum("fs,fs,s->f", bonds, bonds, weights) + np.einsum(
+            f"f{spatial},f{spatial},{spatial}->f", outer, outer, sigma[edge])
+    squares = np.einsum("fs,fs,s->f", fields, fields, weights)
+    return np.sqrt(squares + energy / (mu * mu)).reshape(block.shape[: block.ndim - grid.n])[()]

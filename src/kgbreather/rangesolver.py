@@ -53,6 +53,7 @@ spectral_margin at l = 3 alone.  With omega^2 > 1/2 and a < 1/2, every
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -60,8 +61,8 @@ from scipy.linalg.lapack import dptsv
 from .errors import ConvergenceError, GuardError, ResonanceError
 from .lattice import GridSpec, minus_laplacian_bands, orbit_sizes, orbit_weights
 from .timespectral import (
-    apply_nonlinearity, default_node_count, harmonic_tail, nonlinearity_coefficient,
-    sobolev_time_norm,
+    apply_nonlinearity, default_node_count, nonlinearity_coefficient, nonlinearity_map,
+    odd_collocation, sobolev_time_norm,
 )
 
 _RESONANCE_MARGIN = 1e-8  # a smaller |symbol| on a range harmonic is a ResonanceError
@@ -183,9 +184,9 @@ class RangeReport:
     spectral_margin: float
     neumann_margin: float
     w_norm: float
-    forcing_norm: float = np.nan  # X0 norm of N at w = 0 (with tail_check)
-    response_ratio: float = np.nan  # w_norm / forcing_norm (bounded-inverse check)
-    tail_fraction: float = np.nan
+    forcing_norm: float  # X0 norm of mu^2 N at w = 0
+    response_ratio: float  # w_norm / forcing_norm (bounded-inverse check)
+    tail_fraction: float = np.nan  # kernel_remainder's, set by the assembly
     updates: list = field(default_factory=list, repr=False)
 
     def to_dict(self):
@@ -194,7 +195,18 @@ class RangeReport:
         return out
 
 
-def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12, tail_check=False):
+@lru_cache(maxsize=8)
+def _unit_forcing(p, M, rows):
+    """sqrt(pi sum_j gamma_j^2) for the kept-row spectrum gamma of N(cos),
+    the odd collocation of a unit field at M nodes: the X0 norm of N(v)
+    for v = f cos per unit of || |f|^(2p) f ||, as N is homogeneous."""
+    ((_, gamma),) = odd_collocation(
+        (np.ones((1, 1)),), M, nonlinearity_map(p), analysis=True, rows=rows
+    )
+    return sobolev_time_norm(gamma, order=0, weights=np.ones(1))
+
+
+def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     """Picard iteration for the range component given the kernel profile.
 
     ``L_max`` is the harmonic window L: the returned w keeps the odd
@@ -203,12 +215,15 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12, tail_che
     fundamental block; ``w_init`` and the returned w are odd-row stacks
     there, ((L+1)//2, K+1[, K+1]) with row j harmonic 2j+1, and w[0] = 0
     (no harmonic 1).  A ``w_init`` with fewer rows warm-starts those rows;
-    the others start at zero.  ``tail_check`` adds two diagnostics, one
-    nonlinearity pass each after convergence, that leave w as it is: the
-    forcing norm, and the tail (harmonic_tail) of N(v + w) for the
-    returned w.  Raises GuardError when the a-priori contraction estimate
-    exceeds _SMALLNESS_THRESHOLD or the observed rate _RATE_GUARD, and
-    ConvergenceError on observed divergence or after _MAX_ITER steps.
+    the others start at zero, and the first step synthesises only the rows
+    that may be nonzero.  The report's forcing norm, the X0 norm of
+    mu^2 N(phi cos), is in closed form: N(phi cos) = |phi|^(2p) phi N(cos),
+    so it is mu^2 sqrt(pi sum_j gamma_j^2) ||phi^(2p+1)||, gamma the
+    kept-row spectrum of N(cos) (cached per p and window), with no pass
+    over the window.  The tail is kernel_remainder's.  Raises GuardError
+    when the a-priori contraction estimate exceeds _SMALLNESS_THRESHOLD or
+    the observed rate _RATE_GUARD, and ConvergenceError on observed
+    divergence or after _MAX_ITER steps.
     """
     phi = np.asarray(phi, dtype=np.float64)
     beta = nonlinearity_coefficient(p)
@@ -227,14 +242,17 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12, tail_che
                          f"{smallness:.3f} > {_SMALLNESS_THRESHOLD} (mu = {mu})")
 
     w = np.zeros_like(v)
+    known = 1  # rows of v + w that may be nonzero: phi's, and a warm start's
     if w_init is not None:
         w[: len(w_init)] = w_init
+        known = max(known, len(w_init))
     updates = []
     rate = np.nan
     bad_steps = 0
     converged = False
     for iteration in range(1, _MAX_ITER + 1):
-        g = apply_nonlinearity(v + w, p, M=M)
+        g = apply_nonlinearity(v[:known] + w[:known], p, M=M, rows=len(v))
+        known = len(v)
         g[0] = 0.0
         w_next = mu**2 * op.solve(g)
         delta = sobolev_time_norm(w_next - w, weights=sigma)
@@ -263,16 +281,13 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12, tail_che
 
     # forcing strength: X0 size of the nonlinearity before any range
     # feedback (the bounded-inverse diagnostic divides w's size by this)
-    forcing_norm = tail_fraction = np.nan
-    if tail_check:
-        forcing_norm = mu**2 * sobolev_time_norm(apply_nonlinearity(v, p, M=M), order=0,
-                                                 weights=sigma)
-        tail_fraction = harmonic_tail(v + w, p, M=M, weights=sigma)
+    power = np.abs(phi) ** (2.0 * p) * phi
+    forcing_norm = mu**2 * _unit_forcing(p, M, len(v)) * float(
+        np.sqrt(np.sum(sigma * power * power)))
     w_norm = sobolev_time_norm(w, weights=sigma)
     return w, RangeReport(
         converged=True, iterations=len(updates), final_update=updates[-1],
         contraction_rate=rate, smallness=smallness, spectral_margin=op.spectral_margin,
         neumann_margin=op.neumann_margin, w_norm=w_norm, forcing_norm=forcing_norm,
-        response_ratio=w_norm / forcing_norm if forcing_norm else 0.0,
-        tail_fraction=tail_fraction, updates=updates,
+        response_ratio=w_norm / forcing_norm if forcing_norm else 0.0, updates=updates,
     )

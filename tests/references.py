@@ -3,9 +3,9 @@
 The tests use them as independent oracles (the gradient energy of the P1
 interpolant, l^q norms, the allocating Laplacian and velocity-Verlet loop
 that the in-place library versions must match bit for bit, the whole-box
-equation residual and sup error that the block ones must match to
-roundoff, the elementwise even-sector basis that the table lookup must
-match bit for bit,
+equation residual, sup error and sup bound, and the box Q norm, that
+the block ones must match to roundoff, the elementwise even-sector
+basis that the table lookup must match bit for bit,
 the whole-box G0 that the block one must match bit for bit, the
 assembled G0' that the matrix-free one must match to roundoff, the dense
 even-sector basis inverse and the sparse LU Newton step that the 1d band
@@ -23,6 +23,7 @@ from kgbreather.lattice import (
     dirichlet_energy,
     laplacian,
     minus_laplacian_bands,
+    mirror_block,
     norm_l2,
 )
 from kgbreather.rangesolver import _even_basis
@@ -175,6 +176,26 @@ def whole_box_sup_error(b):
     for _, values in odd_collocation((diff,), 4 * (b.L_max + 1)):
         worst = max(worst, float(np.max(np.abs(values))))
     return worst
+
+
+def norm_q(a, mu=1.0):
+    """H^1-type norm of a box field: (sum a^2 + mu^-2 sum of squared
+    differences)^(1/2), the differences over every bond, boundary bonds
+    included; lattice.block_norm_q gives it from the block."""
+    a = np.asarray(a, dtype=np.float64)
+    return float(np.sqrt(np.sum(a * a) + dirichlet_energy(a) / (mu * mu)))
+
+
+def box_sup_bound(b):
+    """The sup bound of ``kgbreather.breather.error_vs_reference``, 2
+    sqrt(mu) sum_l ||diff_l||_Q, one box harmonic at a time: the first
+    harmonic less Psi's, then each range harmonic, each mirrored onto the
+    box and measured by ``norm_q``."""
+    psi = reference_coefficients(b)[1]
+    bound = norm_q(mirror_block(b.amplitude * b.phi, b.grid) - psi, b.mu)
+    for row in b.w[1:]:
+        bound += norm_q(b.amplitude * mirror_block(row, b.grid), b.mu)
+    return 2.0 * np.sqrt(b.mu) * bound
 
 
 def elementwise_even_basis(N, K, offset):

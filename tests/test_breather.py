@@ -45,7 +45,7 @@ from kgbreather.lattice import (
     BREATHER_MODES, GridSpec, block_slices, laplacian, mirror_block,
 )
 from kgbreather.timespectral import default_node_count, nonlinearity_coefficient
-from references import whole_box_kg_residual, whole_box_sup_error
+from references import box_sup_bound, whole_box_kg_residual, whole_box_sup_error
 
 
 @pytest.fixture(scope="module")
@@ -315,13 +315,53 @@ def test_error_report_does_not_depend_on_chunks(monkeypatch, small_2d):
 def test_error_report_restores_the_stack_on_error(monkeypatch):
     """The difference to Psi is formed in temporaries, never in the
     breather: a GuardError (here the sup-embedding check, its bound forced
-    to zero) leaves every stored array as it was."""
+    to zero by Q norms of zero) leaves every stored array as it was."""
     b = _odd_breather(2, "h1")
     before = [getattr(b, name).tobytes() for name in ("phi", "phi_dnls", "w")]
-    monkeypatch.setattr(breather, "norm_q", lambda a, mu: 0.0)
+    monkeypatch.setattr(breather, "block_norm_q", lambda a, grid, mu: np.zeros(len(a)))
     with pytest.raises(GuardError, match="sup-embedding"):
         error_vs_reference(b)
     assert [getattr(b, name).tobytes() for name in ("phi", "phi_dnls", "w")] == before
+
+
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_sup_bound_is_the_box_loop(n, mode):
+    """sup_bound, one orbit-weighted pass over the block's difference
+    stack, is references.box_sup_bound, the Q norm of one mirrored box
+    harmonic at a time, to roundoff, on all six centerings."""
+    b = _odd_breather(n, mode)
+    envelope = np.exp(-sum(np.ix_(*(np.arange(b.grid.K + 1.0),) * n)))
+    b = dataclasses.replace(b, phi=b.phi * envelope, w=b.w * envelope)
+    assert error_vs_reference(b).sup_bound == pytest.approx(box_sup_bound(b), rel=1e-12)
+
+
+def test_final_window_synthesises_the_wave_once(monkeypatch):
+    """The cosine products at the final window of a widened 2d assembly:
+    two per Picard step, the first synthesising only the working window's
+    rows of its warm start, then one synthesis of u = phi cos + w that the
+    remainder's P1 (one analysis row) and the tail (all Q) both read.  The
+    forcing norm is in closed form: no product of the window's size."""
+    calls = []
+    product = timespectral._cosine_product
+
+    def spy(x, Q, r, analysis):
+        calls.append((Q, r, x.shape, analysis))
+        return product(x, Q, r, analysis)
+
+    monkeypatch.setattr(timespectral, "_CHUNK_VALUES", 1 << 30)  # one chunk
+    monkeypatch.setattr(timespectral, "_cosine_product", spy)
+    cfg = PipelineConfig(n=2, p=0.5, coupling=0.25, mu=0.4, mode="st", r_min=8.0,
+                         l_max=7, residual_target=1e-7)
+    b = assemble_breather(cfg)
+    Q, rows = default_node_count(b.L_max) // 2, (b.L_max + 1) // 2
+    assert rows > 4 and Q != default_node_count(2 * cfg.l_max + 1) // 2
+    columns = b.phi.size
+    final = [c for c in calls if c[0] == Q and c[2][-1] == columns]
+    steps = b.reports["range"]["iterations"]
+    syntheses = [c[2][0] for c in final if not c[3]]
+    assert syntheses == [(cfg.l_max + 1) // 2] + [rows] * steps
+    assert [c[1] for c in final if c[3]] == [rows] * steps + [1, Q]
+    assert [(c[1], c[3]) for c in final[-3:]] == [(rows, False), (1, True), (Q, True)]
 
 
 def _allocation_peak(call):

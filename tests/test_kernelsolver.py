@@ -387,6 +387,25 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     assert np.max(np.abs(R - R_matrix)) <= 1e-13 * np.max(np.abs(R_matrix))
 
 
+@pytest.mark.parametrize("n, K, L", [(1, 300, 31), (2, 40, 15)])
+def test_tail_leaves_the_remainder_bitwise_unchanged(n, K, L):
+    # the tail is a diagnostic: R carries the same bits with and without
+    # it, on shapes where BLAS rounds the first row of an all-Q analysis
+    # product otherwise than the one-row product
+    mu, a, p = 0.3, 0.25, 0.5
+    profile = solve_ground_state(n, p)
+    grid = GridSpec(n=n, K=K, mu=mu)
+    prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a,
+                       multiplier=profile.multiplier)
+    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
+    w, _ = solve_range_equation(phi, op, p, mu, L)
+    R = kernel_remainder(phi, prob, w, L)
+    R_tail, tail = kernel_remainder(phi, prob, w, L, tail=True)
+    assert tail > 0.0
+    assert R_tail.tobytes() == R.tobytes()
+
+
 def _contraction(report):
     r = report.residuals
     return max(b / a for a, b in zip(r, r[1:]))

@@ -9,6 +9,7 @@ from scipy.fft import dstn, idstn
 import kgbreather.rangesolver as rangesolver
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
+from kgbreather.kernelsolver import DnlsProblem, kernel_remainder
 from kgbreather.lattice import (
     GridSpec,
     block_slices,
@@ -20,7 +21,7 @@ from kgbreather.rangesolver import RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     default_node_count,
-    harmonic_tail,
+    first_harmonic,
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
@@ -431,38 +432,31 @@ def test_slow_contraction_guarded(monkeypatch):
         solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
 
 
+def _tail(phi, op, p, mu, w, L):
+    """The harmonic tail of N(phi cos + w) past the window L, as the
+    assembly reads it: off the final kernel_remainder's samples."""
+    prob = DnlsProblem(grid=op.grid, p=p, mu=mu, coupling=op.coupling,
+                       multiplier=(1.0 - op.omega_sq) / mu**2)
+    return kernel_remainder(phi, prob, w, L, tail=True)[1]
+
+
 def test_2d_smoke():
     mu, a = 0.3, 0.25
     profile = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=12, mu=mu)
     phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
     op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, report = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=8, tail_check=True)
+    w, report = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=8)
     assert report.converged
     assert w.shape == (4,) + block_shape(grid)  # harmonics 1, 3, 5, 7
     assert np.all(w[0] == 0.0)
     assert report.w_norm > 0.0
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
     # but nonzero, and grows smaller when more harmonics are kept
-    assert 0.0 < report.tail_fraction < 0.02
-    _, report2 = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=16, tail_check=True)
-    assert report2.tail_fraction < 0.3 * report.tail_fraction
-
-
-@pytest.mark.parametrize("n, K, L", [(1, 300, 31), (2, 40, 15)])
-def test_tail_check_leaves_w_bitwise_unchanged(n, K, L):
-    # the tail is a diagnostic: w carries the same bits with and without
-    # it, on shapes where BLAS rounds the kept rows of an all-Q analysis
-    # product otherwise than the product over the kept rows alone
-    mu, a, p = 0.3, 0.25, 0.5
-    profile = solve_ground_state(n, p)
-    grid = GridSpec(n=n, K=K, mu=mu)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
-    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, plain = solve_range_equation(phi, op, p, mu, L)
-    w_tail, report = solve_range_equation(phi, op, p, mu, L, tail_check=True)
-    assert np.isnan(plain.tail_fraction) and report.tail_fraction > 0.0
-    assert w_tail.tobytes() == w.tobytes()
+    tail = _tail(phi, op, 0.5, mu, w, 8)
+    assert 0.0 < tail < 0.02
+    w2, _ = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=16)
+    assert _tail(phi, op, 0.5, mu, w2, 16) < 0.3 * tail
 
 
 def _full_box_picard(phi, op, p, mu, L_max, iterations):
@@ -480,7 +474,7 @@ def _full_box_picard(phi, op, p, mu, L_max, iterations):
     forcing = mu**2 * sobolev_time_norm(
         apply_nonlinearity(v, p, M=M), order=0, weights=ones
     )
-    return w, harmonic_tail(v + w, p, M=M, weights=ones), forcing
+    return w, first_harmonic(v + w, p, M=M, weights=ones)[1], forcing
 
 
 @pytest.mark.parametrize("n, offsets", CENTERINGS)
@@ -490,11 +484,34 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
     phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
     op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, report = solve_range_equation(phi, op, p=p, mu=mu, L_max=9, tail_check=True)
+    w, report = solve_range_equation(phi, op, p=p, mu=mu, L_max=9)
     w_ref, tail_ref, forcing_ref = _full_box_picard(
         mirror_block(phi, grid), op, p, mu, 9, report.iterations
     )
     w_ref = w_ref[(slice(None),) + block_slices(grid)]
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
-    assert report.tail_fraction == pytest.approx(tail_ref, rel=1e-12)
+    assert _tail(phi, op, p, mu, w, 9) == pytest.approx(tail_ref, rel=1e-12)
     assert report.forcing_norm == pytest.approx(forcing_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (1, 0.75), (1, 1.0), (2, 0.5), (2, 0.75)])
+def test_forcing_norm_in_closed_form_is_the_full_window_pass(n, p):
+    """N(phi cos) = |phi|^(2p) phi N(cos): the report's forcing norm, from
+    the spectrum of one unit field, is the X0 norm of mu^2 N(phi cos) from
+    a whole-window synthesis and analysis of phi cos, orbit-weighted (p =
+    1 only in 1d, where it is admissible)."""
+    L = 31 if n == 1 else 15
+    mu, a = 0.3, 0.25
+    grid = GridSpec(n=n, K=20, mu=mu, offsets=(0.5,) * n)
+    profile = solve_ground_state(n, p)
+    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
+    _, report = solve_range_equation(phi, op, p, mu, L)
+    v = np.zeros(((L + 1) // 2,) + phi.shape)
+    v[0] = phi
+    full = mu**2 * sobolev_time_norm(
+        apply_nonlinearity(v, p, M=default_node_count(L)), order=0,
+        weights=orbit_sizes(grid),
+    )
+    assert report.forcing_norm == pytest.approx(full, rel=1e-12)
+    assert report.response_ratio == report.w_norm / report.forcing_norm

@@ -17,7 +17,7 @@ from kgbreather.timespectral import (
     apply_nonlinearity,
     cos_moment,
     default_node_count,
-    harmonic_tail,
+    first_harmonic,
     nonlinearity_coefficient,
     nonlinearity_map,
     odd_collocation,
@@ -170,7 +170,7 @@ def test_quarter_period_nonlinearity_matches_midpoint_reference(p, L, M):
     assert np.max(np.abs(out - spectrum[1 : L + 1 : 2])) <= 1e-14 * scale
     kept = np.sum(spectrum[: L + 1] ** 2)
     discarded = np.sum(spectrum[L + 1 :] ** 2)
-    tail = harmonic_tail(c[1::2], p=p, M=M, weights=np.ones(17))
+    _, tail = first_harmonic(c[1::2], p, M=M, weights=np.ones(17))
     assert tail == pytest.approx(np.sqrt(discarded / kept), rel=1e-12)
 
 
@@ -187,10 +187,60 @@ def test_tail_diagnostic():
     M = default_node_count(1)
     # the discarded cos(3 tau) mass relative to the kept cos(tau) mass
     one = np.ones(1)
-    assert harmonic_tail(np.ones((1, 1)), p=1.0, M=M, weights=one) == pytest.approx(
+    assert first_harmonic(np.ones((1, 1)), 1.0, M=M, weights=one)[1] == pytest.approx(
         1.0 / 3.0, rel=1e-12
     )
-    assert harmonic_tail(np.zeros((1, 1)), p=1.0, M=M, weights=one) == 0.0
+    assert first_harmonic(np.zeros((1, 1)), 1.0, M=M, weights=one)[1] == 0.0
+    assert np.isnan(first_harmonic(np.ones((1, 1)), 1.0, M=M)[1])
+
+
+@pytest.mark.parametrize("matrix_entries", [_MATRIX_ENTRIES, 16])
+def test_first_harmonic_keeps_its_bits_with_the_tail(monkeypatch, matrix_entries):
+    """P1 comes from the one-row analysis of the samples with and without
+    the tail, bit for bit, at Q = 40 inside the cosine cache and past it
+    (a cache of 16 entries: every product is a DCT-IV, and P1 is row 0 of
+    the all-Q one); the tail is the share of the all-Q analysis past the
+    kept rows, weighted per site."""
+    monkeypatch.setattr(timespectral, "_MATRIX_ENTRIES", matrix_entries)
+    c = _odd_stack(np.random.default_rng(4), 20, 13)[1::2]
+    weights = np.arange(1.0, 14.0)
+    M = default_node_count(19)
+    first, no_tail = first_harmonic(c, 0.5, M=M)
+    with_tail, tail = first_harmonic(c, 0.5, M=M, weights=weights)
+    assert np.isnan(no_tail)
+    assert with_tail.tobytes() == first.tobytes()
+    ((_, one_row),) = odd_collocation((c,), M, nonlinearity_map(0.5), True, rows=1)
+    assert first.tobytes() == one_row[0].tobytes()
+    ((_, spectrum),) = odd_collocation((c,), M, nonlinearity_map(0.5), True)
+    mass = spectrum**2 @ weights
+    assert tail == pytest.approx(np.sqrt(np.sum(mass[10:]) / np.sum(mass[:10])), rel=1e-13)
+
+
+@pytest.mark.parametrize("held", [1, 8])
+@pytest.mark.parametrize("rows, M", [(8, 64), (152, 1220), (512, 4096)])
+def test_rows_known_to_be_zero_are_not_synthesised(monkeypatch, held, rows, M):
+    """A stack that holds only the first rows of the series (the rest
+    zero) projects to the bits of the whole stack: the synthesis product
+    takes its shape from the series, inside the cosine cache (M = 64 and
+    1220) and past it (512 rows at Q = 2048 is a DCT-IV, which pads the
+    rows back), and the zero rows are not multiplied."""
+    rng = np.random.default_rng(held + rows)
+    c = np.zeros((rows, 7))
+    c[:held] = rng.standard_normal((held, 7))
+    full = apply_nonlinearity(c, 0.5, M=M)
+    synthesised = []
+    product = timespectral._cosine_product
+
+    def spy(x, Q, r, analysis):
+        if not analysis:
+            synthesised.append(len(x))
+        return product(x, Q, r, analysis)
+
+    monkeypatch.setattr(timespectral, "_cosine_product", spy)
+    part = apply_nonlinearity(c[:held], 0.5, M=M, rows=rows)
+    assert synthesised == [held]
+    assert part.shape == full.shape
+    assert part.tobytes() == full.tobytes()
 
 
 def test_sobolev_norm_against_time_integral():
