@@ -139,18 +139,6 @@ def mode_offsets(n, mode):
         ) from None
 
 
-def _neighbor_views(a, out, axes):
-    """(out view, a view) pairs that laplacian sums in place, in its order."""
-    if np.shares_memory(a, out):
-        raise GuardError("laplacian output must not overlap its input")
-    pairs = []
-    for ax in axes:
-        lead = (slice(None),) * ax
-        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
-        pairs += [(out[lo], a[hi]), (out[hi], a[lo])]  # forward, then backward
-    return pairs
-
-
 def laplacian(a, axes=None, out=None):
     """Nearest-neighbor discrete Laplacian with zero Dirichlet exterior.
 
@@ -163,10 +151,15 @@ def laplacian(a, axes=None, out=None):
     if axes is None:
         axes = range(a.ndim)
     out = np.empty_like(a) if out is None else out
-    neighbors = _neighbor_views(a, out, axes)
+    if np.shares_memory(a, out):
+        raise GuardError("laplacian output must not overlap its input")
     np.multiply(a, -2.0 * len(axes), out=out)
-    for into, neighbor in neighbors:
-        into += neighbor
+    for ax in axes:
+        lead = (slice(None),) * ax
+        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+        # forward neighbor, then backward
+        for into, neighbor in ((out[lo], a[hi]), (out[hi], a[lo])):
+            into += neighbor
     return out
 
 

@@ -9,9 +9,14 @@ Oracle notes:
   dt four times the steps must shrink the error by ~16.
 * The continuum reference field seeded into the same integrator must
   return *worse* than the assembled breather: it is not a periodic orbit.
-* The in-place stepper must reproduce, bit for bit, the textbook loop in
-  ``tests/references.py`` that allocates a fresh array per operation, on
-  every centering's stride pattern of the neighbor views.
+* The in-place stepper must reproduce, bit for bit, the kick-drift loop
+  in ``tests/references.py`` that allocates a fresh array per operation,
+  on every centering's grid shape.
+* Kick-drift and textbook velocity-Verlet are one method in two operation
+  orders, so the stepper must match the textbook loop in
+  ``tests/references.py`` to roundoff: return error and energy drift to
+  1e-9 relative, the final energy to 1e-13 relative, and the initial
+  energy exactly.
 * The stepper allocates nothing per step: 64 and 4,096 steps per period
   peak at the same traced memory, and between two energy samples the
   traced peak rises by no more than one ``laplacian`` call's own buffers.
@@ -32,7 +37,7 @@ from kgbreather import dynamics
 from kgbreather.dynamics import integrate_period, lattice_hamiltonian
 from kgbreather.errors import GuardError
 from kgbreather.lattice import laplacian
-from references import verlet_report
+from references import leapfrog_report, verlet_report
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +151,22 @@ def test_stepper_is_bitwise_the_textbook_loop(b_config, seed, periods):
     got = integrate_period(
         b_config, steps_per_period=512, periods=periods, initial_coeffs=coeffs
     )
-    want = verlet_report(b_config, 512, periods=periods, initial_coeffs=coeffs)
+    want = leapfrog_report(b_config, 512, periods=periods, initial_coeffs=coeffs)
     assert got.to_dict() == want  # exact: same operations, same order
+
+
+@pytest.mark.parametrize("seed", ["breather", "continuum"])
+@pytest.mark.parametrize("periods", [1, 3])
+def test_stepper_matches_velocity_verlet_to_roundoff(b_config, seed, periods):
+    coeffs = None if seed == "breather" else reference_coefficients(b_config)
+    got = integrate_period(
+        b_config, steps_per_period=512, periods=periods, initial_coeffs=coeffs
+    ).to_dict()
+    want = verlet_report(b_config, 512, periods=periods, initial_coeffs=coeffs)
+    assert got["h_initial"] == want["h_initial"]
+    assert got["h_final"] == pytest.approx(want["h_final"], rel=1e-13, abs=0.0)
+    for key in ("return_error", "energy_drift"):
+        assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), key
 
 
 @pytest.mark.parametrize("name", ["1d-st-p1", "2d-h1-p0.5"])
