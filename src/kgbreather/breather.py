@@ -325,9 +325,9 @@ def kg_residual(b: Breather):
 
     It runs on the fundamental block: the residual of a reflection-even
     wave is reflection-even, so its sup there is the box's.  The Laplacian
-    is lattice.block_laplacian, which reads box rows -1..K and gives the
-    box's values bit for bit; the BLAS products of the collocation may
-    round by the block's shape.
+    is lattice.block_laplacian, the stencil on the block, whose site 0
+    reads its mirror image; it gives the box's values bit for bit.  The
+    BLAS products of the collocation may round by the block's shape.
     """
     M = default_node_count(b.L_max)
     l = np.arange(1, b.L_max + 1, 2)

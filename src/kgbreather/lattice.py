@@ -10,11 +10,10 @@ invariant under ``np.flip`` along each axis (``asymmetry`` measures how far
 it is from that).  Such a field is determined by its fundamental block
 (indices j >= 0 on each axis), which is how the program holds every such
 field: the helpers below cut the block out of a box field and mirror it
-back (``block_slices`` / ``mirror_block``), grow it by the mirrored
-neighbours its Laplacian reads (``padded_block``) to take the box's
-Laplacian (``block_laplacian``) and Q norm (``block_norm_q``) on the
-block, and weigh its sites by their orbit sizes; scaled by the square
-roots of these
+back (``block_slices`` / ``mirror_block``), take the box's Laplacian
+(``block_laplacian``, the stencil on the block, whose site 0 reads its
+mirror image) and Q norm (``block_norm_q``) on the block, and weigh its
+sites by their orbit sizes; scaled by the square roots of these
 (``orbit_weights``), the block values are the orthonormal orbit
 coordinates in which the Newton solves run.
 
@@ -139,30 +138,6 @@ def mode_offsets(n, mode):
         ) from None
 
 
-def laplacian(a, axes=None, out=None):
-    """Nearest-neighbor discrete Laplacian with zero Dirichlet exterior.
-
-    (lap a)_j = sum_{|e|=1} a_{j+e} - 2n a_j, acting over ``axes`` (all axes
-    by default, so stacks of fields can restrict to their spatial axes).
-    Neighbors are added in place, so with a preallocated ``out`` the call
-    allocates no array; an ``out`` that overlaps ``a`` raises GuardError.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if axes is None:
-        axes = range(a.ndim)
-    out = np.empty_like(a) if out is None else out
-    if np.shares_memory(a, out):
-        raise GuardError("laplacian output must not overlap its input")
-    np.multiply(a, -2.0 * len(axes), out=out)
-    for ax in axes:
-        lead = (slice(None),) * ax
-        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
-        # forward neighbor, then backward
-        for into, neighbor in ((out[lo], a[hi]), (out[hi], a[lo])):
-            into += neighbor
-    return out
-
-
 def dirichlet_energy(a):
     """Sum of squared nearest-neighbor differences, boundary bonds included.
 
@@ -247,42 +222,40 @@ def block_slices(grid):
 
 def _block_index(j, offset):
     """Block index that box index j reads: j itself, or its mirror image
-    -j (offset 0) or -1-j (offset 1/2)."""
-    return np.where(j >= 0, j, -j - (offset != 0.0))
-
-
-def _gather(block, grid, indices):
-    """block read at the box indices ``indices`` (one array per axis), each
-    through its block index, in one gather; leading axes ride along."""
-    index = np.ix_(*(_block_index(j, o) for j, o in zip(indices, grid.offsets)))
-    return block[(slice(None),) * (block.ndim - grid.n) + index]
+    -j (offset 0) or -1-j (offset 1/2).  That is half of the site's
+    distance from the center in half sites, |2j| or |2j + 1|, in plain
+    integer arithmetic, so a scalar j costs no array call."""
+    return abs(2 * j + (offset != 0.0)) // 2
 
 
 def mirror_block(block, grid):
     """Reflection-even box field(s) holding ``block`` on the fundamental
-    block; leading axes beyond the grid's (a harmonic index) ride along.
-    The output is the only allocation."""
+    block, read through each box index's block index in one gather;
+    leading axes beyond the grid's (a harmonic index) ride along.  The
+    output is the only allocation."""
     block = np.asarray(block, dtype=np.float64)
-    return _gather(block, grid, [grid.axis_indices(ax) for ax in range(grid.n)])
-
-
-def padded_block(block, grid):
-    """The block field(s) grown by one site below each axis, box index
-    j = -1, which holds its mirror image: what a block site's Laplacian
-    reads.  Leading axes ride along as in mirror_block."""
-    return _gather(block, grid, [np.arange(-1, grid.K + 1)] * grid.n)
+    index = np.ix_(*(_block_index(grid.axis_indices(ax), offset)
+                     for ax, offset in enumerate(grid.offsets)))
+    return block[(slice(None),) * (block.ndim - grid.n) + index]
 
 
 def block_laplacian(block, grid):
     """The box Laplacian of the reflection-even field that ``block`` holds,
-    at the block's sites: ``laplacian`` over ``padded_block``, so each
-    site reads the neighbours the box's Laplacian reads, in its order, and
-    the values are the box's bit for bit.  It acts on the trailing
-    ``grid.n`` axes, so each field of a stack gets its own Laplacian,
-    with the bits of a call on that field alone."""
-    padded = padded_block(block, grid)
-    spatial = range(padded.ndim - grid.n, padded.ndim)
-    return laplacian(padded, axes=spatial)[(Ellipsis,) + (slice(1, None),) * grid.n]
+    at the block's sites: -2n a, then axis by axis the forward neighbour
+    (site K's is the zero exterior) and the backward one (site 0's is its
+    mirror image, box index -1), the box's add order, so the values are
+    the box's bit for bit.  It acts on the trailing ``grid.n`` axes, so
+    each field of a stack gets its own Laplacian, with the bits of a call
+    on that field alone."""
+    block = np.asarray(block, dtype=np.float64)
+    out = block * (-2.0 * grid.n)
+    for ax, offset in enumerate(grid.offsets):
+        after = (slice(None),) * (grid.n - 1 - ax)  # the axes past ax
+        head, tail = (Ellipsis, slice(None, -1)) + after, (Ellipsis, slice(1, None)) + after
+        out[head] += block[tail]
+        out[tail] += block[head]
+        out[(Ellipsis, 0) + after] += block[(Ellipsis, _block_index(-1, offset)) + after]
+    return out
 
 
 def block_norm_q(block, grid, mu=1.0):

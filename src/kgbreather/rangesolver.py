@@ -229,9 +229,7 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     beta = nonlinearity_coefficient(p)
     sigma = op.sigma
     M = default_node_count(L_max)
-    # the kernel part phi cos(tau)
-    v = np.zeros(((L_max + 1) // 2,) + phi.shape)
-    v[0] = phi
+    rows = (L_max + 1) // 2
 
     # crude contraction estimate: Lipschitz constant of the projected
     # nonlinearity over the inversion margin, at the kernel amplitude
@@ -241,8 +239,8 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
         raise GuardError(f"amplitude outside the contraction regime: estimate "
                          f"{smallness:.3f} > {_SMALLNESS_THRESHOLD} (mu = {mu})")
 
-    w = np.zeros_like(v)
-    known = 1  # rows of v + w that may be nonzero: phi's, and a warm start's
+    w = np.zeros((rows,) + phi.shape)
+    known = 1  # rows of phi cos + w that may be nonzero: phi's, and a warm start's
     if w_init is not None:
         w[: len(w_init)] = w_init
         known = max(known, len(w_init))
@@ -251,10 +249,10 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     bad_steps = 0
     converged = False
     for iteration in range(1, _MAX_ITER + 1):
-        g = apply_nonlinearity(v[:known] + w[:known], p, M=M, rows=len(v))
-        known = len(v)
-        g[0] = 0.0
-        w_next = mu**2 * op.solve(g)
+        u = w[:known].copy()  # the kernel part phi cos(tau) in row 0, where w is 0
+        u[0] = phi
+        w_next = mu**2 * op.solve(apply_nonlinearity(u, p, M=M, rows=rows))
+        known = rows
         delta = sobolev_time_norm(w_next - w, weights=sigma)
         updates.append(delta)
         w = w_next
@@ -282,7 +280,7 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     # forcing strength: X0 size of the nonlinearity before any range
     # feedback (the bounded-inverse diagnostic divides w's size by this)
     power = np.abs(phi) ** (2.0 * p) * phi
-    forcing_norm = mu**2 * _unit_forcing(p, M, len(v)) * float(
+    forcing_norm = mu**2 * _unit_forcing(p, M, rows) * float(
         np.sqrt(np.sum(sigma * power * power)))
     w_norm = sobolev_time_norm(w, weights=sigma)
     return w, RangeReport(

@@ -1,9 +1,11 @@
 """Reference formulas that the library itself does not need.
 
 The tests use them as independent oracles (the gradient energy of the P1
-interpolant, l^q norms, the allocating Laplacian and kick-drift leapfrog
-loop that the in-place library versions must match bit for bit, the
-textbook velocity-Verlet loop that the stepper must match to roundoff,
+interpolant, l^q norms, the zero-padded box Laplacian that the block one
+must match bit for bit and that the box-field oracles below apply, the
+allocating kick-drift leapfrog loop that the in-place stepper must match
+bit for bit, the textbook velocity-Verlet loop that the stepper must
+match to roundoff,
 the whole-box equation residual, sup error and sup bound, and the box Q
 norm, that the block ones must match to roundoff, the elementwise even-sector
 basis that the table lookup must match bit for bit,
@@ -22,7 +24,6 @@ from kgbreather.breather import reference_coefficients
 from kgbreather.dynamics import IntegrationReport, lattice_hamiltonian
 from kgbreather.lattice import (
     dirichlet_energy,
-    laplacian,
     minus_laplacian_bands,
     mirror_block,
     norm_l2,
@@ -216,7 +217,7 @@ def whole_box_kg_residual(b):
     factors = (1.0 - (b.omega * l) ** 2).reshape((-1,) + (1,) * b.grid.n)
     spatial = tuple(range(1, b.grid.n + 1))
     odd = b.coeffs[1::2]
-    linear = factors * odd - b.coupling * laplacian(odd, axes=spatial)
+    linear = factors * odd - b.coupling * padded_laplacian(odd, axes=spatial)
     worst = 0.0
     for _, res in odd_collocation(
         (odd, linear),
@@ -301,7 +302,7 @@ def box_g0(phi, prob):
     the formula that ``kgbreather.kernelsolver.DnlsProblem.apply_g0``
     evaluates on the fundamental block."""
     return (
-        -(prob.coupling / prob.mu**2) * laplacian(phi)
+        -(prob.coupling / prob.mu**2) * padded_laplacian(phi)
         + prob.multiplier * phi
         - np.abs(phi) ** (2.0 * prob.p) * phi
     )

@@ -42,10 +42,12 @@ from kgbreather.breather import (
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
 from kgbreather.lattice import (
-    BREATHER_MODES, GridSpec, block_slices, laplacian, mirror_block,
+    BREATHER_MODES, GridSpec, block_slices, mirror_block,
 )
 from kgbreather.timespectral import default_node_count, nonlinearity_coefficient
-from references import box_sup_bound, whole_box_kg_residual, whole_box_sup_error
+from references import (
+    box_sup_bound, padded_laplacian, whole_box_kg_residual, whole_box_sup_error,
+)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +180,7 @@ def _per_node_residual(b):
         q_tt = (acc_basis[m] @ flat).reshape(b.grid.shape)
         res = (
             q_tt
-            - b.coupling * laplacian(q)
+            - b.coupling * padded_laplacian(q)
             + q
             - nonlinearity_coefficient(b.p) * np.abs(q) ** (2.0 * b.p) * q
         )

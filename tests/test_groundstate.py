@@ -146,7 +146,7 @@ def test_sample_reference_offset_grid():
 
 def test_sampled_profile_solves_lattice_equation_to_mu2():
     # stencil consistency: -(a/mu^2) lap phi + m phi - phi^(2p+1) = O(mu^2)
-    from kgbreather.lattice import laplacian
+    from references import padded_laplacian
 
     g = solve_ground_state(1, 1.0)
     a = 0.4
@@ -155,7 +155,7 @@ def test_sampled_profile_solves_lattice_equation_to_mu2():
         grid = GridSpec.for_radius(1, mu=mu, r_min=60.0)
         phi = sample_reference(g, grid, coupling=a)
         res = (
-            -(a / mu**2) * laplacian(phi)
+            -(a / mu**2) * padded_laplacian(phi)
             + g.multiplier * phi
             - np.abs(phi) ** (2.0 * g.p) * phi
         )

@@ -15,7 +15,6 @@ from kgbreather.lattice import (
     block_norm_q,
     block_slices,
     dirichlet_energy,
-    laplacian,
     mirror_block,
     norm_l2,
     norm_l2_mu,
@@ -37,7 +36,7 @@ def delta_center(grid):
 
 def test_laplacian_stencil_1d():
     g = GridSpec(n=1, K=4, mu=0.5)
-    lap = laplacian(delta_center(g))
+    lap = mirror_block(block_laplacian(delta_center(g)[block_slices(g)], g), g)
     expected = np.zeros(9)
     expected[3], expected[4], expected[5] = 1.0, -2.0, 1.0
     assert np.array_equal(lap, expected)
@@ -45,7 +44,7 @@ def test_laplacian_stencil_1d():
 
 def test_laplacian_stencil_2d():
     g = GridSpec(n=2, K=3, mu=0.5)
-    lap = laplacian(delta_center(g))
+    lap = mirror_block(block_laplacian(delta_center(g)[block_slices(g)], g), g)
     assert lap[3, 3] == -4.0
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         assert lap[3 + di, 3 + dj] == 1.0
@@ -54,9 +53,9 @@ def test_laplacian_stencil_2d():
 
 def test_laplacian_boundary_is_dirichlet():
     # a constant sequence is *not* in the kernel: the boundary leaks
-    g = GridSpec(n=1, K=2, mu=1.0)
-    lap = laplacian(np.ones(5))
-    assert np.array_equal(lap, [-1.0, 0.0, 0.0, 0.0, -1.0])
+    for offset in (0.0, 0.5):
+        g = GridSpec(n=1, K=2, mu=1.0, offsets=(offset,))
+        assert np.array_equal(block_laplacian(np.ones(3), g), [0.0, 0.0, -1.0])
 
 
 def test_dirichlet_energy_impulse():
@@ -68,48 +67,13 @@ def test_dirichlet_energy_impulse():
 
 
 def test_stack_axes_restriction():
-    # laplacian over trailing axes only, as the harmonic stacks use it
+    # the block Laplacian acts on the trailing grid axes only, as the
+    # harmonic stacks use it
     g = GridSpec(n=1, K=3, mu=1.0)
-    stack = np.stack([delta_center(g), 2.0 * delta_center(g)])
-    lap = laplacian(stack, axes=(1,))
-    assert np.array_equal(lap[0], laplacian(delta_center(g)))
-    assert np.array_equal(lap[1], 2.0 * laplacian(delta_center(g)))
-
-
-@pytest.mark.parametrize(
-    "shape, axes",
-    [((9,), None), ((10,), None), ((9, 10), None), ((4, 9, 10), (1, 2)), ((3, 8), (1,))],
-    ids=["1d-odd", "1d-even", "2d", "stack-2d", "stack-1d"],
-)
-def test_laplacian_is_bitwise_the_padded_reference(shape, axes):
-    # the in-place accumulation skips only the reference's boundary "+ 0.0"
-    # and keeps its order (forward then backward neighbor, axis by axis)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
-    want = padded_laplacian(a, axes=axes)
-    assert np.array_equal(laplacian(a, axes=axes), want)
-    out = np.full(shape, np.nan)  # stale contents must not leak through
-    assert laplacian(a, axes=axes, out=out) is out
-    assert np.array_equal(out, want)
-
-
-def test_laplacian_refuses_an_out_that_overlaps_its_input():
-    # summed in place into b itself, the neighbors would be read after they
-    # were overwritten: [-2, -8, -16, -24, -22] instead of [1, 0, 0, 0, -5]
-    buf = np.arange(6.0)
-    b = buf[:5]
-    assert np.array_equal(laplacian(b), [1.0, 0.0, 0.0, 0.0, -5.0])
-    for out in (b, b[::-1], buf[1:]):
-        with pytest.raises(GuardError, match="overlap"):
-            laplacian(b, out=out)
-    assert np.array_equal(buf, np.arange(6.0))  # refused before any write
-    a = np.arange(12.0).reshape(3, 4)
-    with pytest.raises(GuardError, match="overlap"):
-        laplacian(a, axes=(1,), out=a[:, ::-1])
-    # disjoint halves of one buffer do not overlap: accepted
-    pair = np.zeros(10)
-    pair[:5] = b
-    assert np.array_equal(laplacian(pair[:5], out=pair[5:]), [1.0, 0.0, 0.0, 0.0, -5.0])
+    delta = delta_center(g)[block_slices(g)]
+    lap = block_laplacian(np.stack([delta, 2.0 * delta]), g)
+    assert np.array_equal(lap[0], block_laplacian(delta, g))
+    assert np.array_equal(lap[1], 2.0 * block_laplacian(delta, g))
 
 
 # --- quadratic-form identities (property tests) ----------------------------
@@ -124,7 +88,7 @@ def _values(n_sites, seed):
 @settings(max_examples=40, deadline=None)
 def test_energy_is_laplacian_form_1d(seed, K):
     a = _values(2 * K + 1, seed)
-    quad = -float(np.dot(a, laplacian(a)))
+    quad = -float(np.dot(a, padded_laplacian(a)))
     assert dirichlet_energy(a) == pytest.approx(quad, rel=1e-12, abs=1e-12)
 
 
@@ -133,7 +97,7 @@ def test_energy_is_laplacian_form_1d(seed, K):
 def test_energy_is_laplacian_form_2d(seed, K):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2 * K + 1, 2 * K + 2))
-    quad = -float(np.sum(a * laplacian(a)))
+    quad = -float(np.sum(a * padded_laplacian(a)))
     assert dirichlet_energy(a) == pytest.approx(quad, rel=1e-12, abs=1e-12)
 
 
@@ -143,10 +107,10 @@ def test_laplacian_symmetric_negative(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(11)
     b = rng.standard_normal(11)
-    assert float(np.dot(a, laplacian(b))) == pytest.approx(
-        float(np.dot(laplacian(a), b)), rel=1e-12, abs=1e-12
+    assert float(np.dot(a, padded_laplacian(b))) == pytest.approx(
+        float(np.dot(padded_laplacian(a), b)), rel=1e-12, abs=1e-12
     )
-    assert float(np.dot(a, laplacian(a))) <= 1e-12
+    assert float(np.dot(a, padded_laplacian(a))) <= 1e-12
 
 
 @given(
@@ -294,12 +258,21 @@ def test_fold_unfold_roundtrip(grid):
     "offsets", [(0.0,), (0.5,), (0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
 )
 def test_block_laplacian_is_the_box_one_bit_for_bit(offsets):
-    """The Laplacian over the padded block is the box Laplacian of the
-    mirrored field at the block's sites, bit for bit."""
+    """The stencil on the block is the zero-padded box Laplacian of the
+    mirrored field at the block's sites, bit for bit, for one field and
+    for a stack.  Values spanning e^+-20 make every add round, so an add
+    out of the box's order (forward then backward neighbour, axis by
+    axis) shows, and so does a site 0 that reads anything but its mirror
+    image (site 1 on an offset-0 axis, itself on an offset-1/2 one)."""
     grid = GridSpec(n=len(offsets), K=4, mu=0.5, offsets=offsets)
-    block = np.random.default_rng(5).standard_normal((grid.K + 1,) * grid.n)
-    want = laplacian(mirror_block(block, grid))[block_slices(grid)]
-    assert block_laplacian(block, grid).tobytes() == want.tobytes()
+    rng = np.random.default_rng(7)
+    for stack in ((), (3,)):
+        shape = stack + (grid.K + 1,) * grid.n
+        block = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        spatial = tuple(range(len(stack), len(shape)))
+        want = padded_laplacian(mirror_block(block, grid), axes=spatial)
+        want = want[(Ellipsis,) + block_slices(grid)]
+        assert block_laplacian(block, grid).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

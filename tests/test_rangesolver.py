@@ -13,7 +13,6 @@ from kgbreather.kernelsolver import DnlsProblem, kernel_remainder
 from kgbreather.lattice import (
     GridSpec,
     block_slices,
-    laplacian,
     mirror_block,
     orbit_sizes,
 )
@@ -25,7 +24,7 @@ from kgbreather.timespectral import (
     nonlinearity_coefficient,
     sobolev_time_norm,
 )
-from references import basis_range_solve, elementwise_even_basis
+from references import basis_range_solve, elementwise_even_basis, padded_laplacian
 
 M_CUBIC = 1.0 / 16.0  # unit-mass 1d ground state multiplier at p = 1
 
@@ -57,7 +56,7 @@ def _forward(op, w):
     grid = op.grid
     full = mirror_block(w, grid)
     l = 2.0 * np.arange(full.shape[0]) + 1.0
-    out = -op.coupling * laplacian(full, axes=tuple(range(1, grid.n + 1)))
+    out = -op.coupling * padded_laplacian(full, axes=tuple(range(1, grid.n + 1)))
     out += (1.0 - op.omega_sq * l * l).reshape((-1,) + (1,) * grid.n) * full
     return out[(slice(None),) + block_slices(grid)]
 
