@@ -183,8 +183,8 @@ class Breather:
 
 def _check_window(L, grid, what):
     """GuardError for a harmonic window L whose stack cannot fit: more than
-    2^27 values of (L+1) box fields."""
-    if (L + 1) * grid.size > (1 << 27):
+    2^27 values in the odd-row block stack, (L+1)//2 fields of (K+1)^n."""
+    if (L + 1) // 2 * (grid.K + 1) ** grid.n > (1 << 27):
         raise GuardError(f"{what} wants a harmonic window of {L}; stack would not "
                          f"fit in memory on this grid")
 

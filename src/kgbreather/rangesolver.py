@@ -14,7 +14,8 @@ then solves the fixed-point problem
     w = mu^2 Linv P_range beta |phi cos + w|^(2p) (phi cos + w),
 
 a contraction for small amplitudes; solve_range_equation iterates it with a
-rate guard and an a-priori smallness estimate.
+rate guard and an a-priori smallness estimate, and stops on the Banach
+a-posteriori bound of the last update.
 
 phi, and with it every iterate w, is even under reflection through the box
 center, and the nonlinearity acts site by site.  So the whole solve works
@@ -32,11 +33,12 @@ sites that block site j stands for), so U = S V, S = sqrt(sigma), is
 orthogonal, and in the orbit coordinates S g the operator -lap is the
 tridiagonal of minus_laplacian_bands per axis.  EvenSector holds this
 once per grid and inverts c (-lap) + d on it: by the LDL^T of the bands
-(LAPACK dptsv) in 1d, O(rows K) with no basis, and in 2d by U per axis,
-one matrix product each way per axis for every centering and any N, V
-read off a table of the 4 (N+1) values of one period.  The range inverse
-is S^-1 of it at c = -a, d = omega^2 l^2 - 1, on -S g (-L_l > 3/2 is SPD
-in 1d, below); the 2d Newton steps of kernelsolver use the same sector.
+in 1d (LAPACK dpttrf once per (c, d), then dpttrs), O(rows K) with no
+basis, and in 2d by U per axis, one matrix product each way per axis for
+every centering and any N, V read off a table of the 4 (N+1) values of
+one period.  The range inverse is S^-1 of it at c = -a,
+d = omega^2 l^2 - 1, on -S g (-L_l > 3/2 is SPD in 1d, below); the 2d
+Newton steps of kernelsolver use the same sector.
 Norms weight each block site by its orbit size, so they read the same as
 on the box.
 
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConvergenceError, GuardError, ResonanceError
 from .lattice import GridSpec, minus_laplacian_bands, orbit_sizes, orbit_weights
@@ -69,6 +71,7 @@ _RESONANCE_MARGIN = 1e-8  # a smaller |symbol| on a range harmonic is a Resonanc
 _MAX_ITER = 200  # Picard steps before the range solve is a ConvergenceError
 _RATE_GUARD = 0.9  # a slower observed contraction is a GuardError
 _SMALLNESS_THRESHOLD = 0.1  # a larger a-priori contraction estimate is a GuardError
+_FACTORS_KEPT = 4  # 1d LDL^T factorizations an EvenSector keeps, oldest dropped first
 
 
 def _even_basis(N, K, offset):
@@ -103,6 +106,7 @@ class EvenSector:
         self.s = s[0] if grid.n == 1 else s[0][:, None] + s[1][None, :]
         if grid.n == 1:
             self.bands = minus_laplacian_bands(grid.K, grid.offsets[0])
+            self._factors = {}
         else:
             self.basis = [orbit_weights(GridSpec(1, grid.K, grid.mu, (o,)))[:, None]
                           * _even_basis(N, grid.K, o) for N, o in zip(grid.shape, grid.offsets)]
@@ -110,15 +114,12 @@ class EvenSector:
     def solve(self, x, c, d):
         """(c (-lap) + d_j)^-1 x_j in orbit coordinates for every row j of a
         stack x, (r, K+1[, K+1]); in 1d each must be positive definite
-        (dptsv, the rows joined by zeros)."""
+        (the rows joined by zeros, factored once per (c, d) by dpttrf and
+        solved by dpttrs: the two calls of dptsv, so its bits)."""
         if self.grid.n == 1:
-            diag, off = self.bands
-            dd = np.asarray(d, dtype=np.float64)[:, None] + c * diag
-            e = np.tile(np.append(c * off, 0.0), len(x))[:-1]
-            *_, y, info = dptsv(dd.ravel(), e, np.ravel(x), overwrite_d=1, overwrite_e=1)
-            if info > 0:
-                raise GuardError(f"operator not definite (dptsv info {info})")
-            return y.reshape(dd.shape)
+            d = np.asarray(d, dtype=np.float64)
+            y, _ = dpttrs(*self._factor(c, d), np.ravel(x))
+            return y.reshape(len(d), -1)
         # 2d: U^T, then U, along both axes, the trailing one by one GEMM
         U0, U1 = self.basis
         hat = U0.T @ x
@@ -127,6 +128,23 @@ class EvenSector:
             row /= c * self.s + dj
         hat = U0 @ hat
         return (hat.reshape(-1, hat.shape[-1]) @ U1.T).reshape(hat.shape)
+
+    def _factor(self, c, d):
+        """The LDL^T factors of the 1d bands of c (-lap) + d_j, the rows
+        joined by zeros, from dpttrf; the last _FACTORS_KEPT are kept."""
+        key = (float(c), d.tobytes())
+        factors = self._factors.get(key)
+        if factors is None:
+            diag, off = self.bands
+            dd = d[:, None] + c * diag
+            e = np.tile(np.append(c * off, 0.0), len(d))[:-1]
+            *factors, info = dpttrf(dd.ravel(), e, overwrite_d=1, overwrite_e=1)
+            if info > 0:
+                raise GuardError(f"operator not definite (dpttrf info {info})")
+            if len(self._factors) >= _FACTORS_KEPT:
+                del self._factors[next(iter(self._factors))]
+            self._factors[key] = factors
+        return factors
 
 
 class RangeOperator:
@@ -147,6 +165,8 @@ class RangeOperator:
         self.coupling = float(coupling)
         self.sector = EvenSector(grid) if sector is None else sector
         self.sigma = orbit_sizes(grid)
+        self._root_sigma = np.sqrt(self.sigma)
+        self._shifts = {}  # omega^2 l^2 - 1 over l = 3, 5, .. per row count
         # invertibility margin over every range harmonic, taken at l = 3
         self.spectral_margin = float(np.min(np.abs(self._symbol(3))))
         if self.spectral_margin < _RESONANCE_MARGIN:
@@ -167,10 +187,13 @@ class RangeOperator:
         out[0] = 0.0
         if len(coeffs) == 1:
             return out
-        l = 2.0 * np.arange(1, len(coeffs)) + 1.0
-        S = np.sqrt(self.sigma)
-        np.divide(self.sector.solve(coeffs[1:] * -S, -self.coupling,
-                                    self.omega_sq * l * l - 1.0), S, out=out[1:])
+        shift = self._shifts.get(len(coeffs))
+        if shift is None:
+            l = 2.0 * np.arange(1, len(coeffs)) + 1.0
+            shift = self._shifts[len(coeffs)] = self.omega_sq * l * l - 1.0
+        S = self._root_sigma
+        np.divide(self.sector.solve(coeffs[1:] * -S, -self.coupling, shift), S,
+                  out=out[1:])
         return out
 
 
@@ -179,6 +202,9 @@ class RangeReport:
     converged: bool
     iterations: int
     final_update: float
+    # delta s / (1 - s) at the last step, s the larger of smallness and the
+    # last update ratio: the X2 distance of w to the fixed point (inf at s >= 1)
+    error_bound: float
     contraction_rate: float
     smallness: float
     spectral_margin: float
@@ -220,7 +246,13 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     mu^2 N(phi cos), is in closed form: N(phi cos) = |phi|^(2p) phi N(cos),
     so it is mu^2 sqrt(pi sum_j gamma_j^2) ||phi^(2p+1)||, gamma the
     kept-row spectrum of N(cos) (cached per p and window), with no pass
-    over the window.  The tail is kernel_remainder's.  Raises GuardError
+    over the window.  The tail is kernel_remainder's.
+
+    The loop stops once the update delta, or the a-posteriori bound
+    delta s / (1 - s) on the distance to the fixed point (s < 1 the larger
+    of the a-priori estimate and the last update ratio), is at most
+    ``tol`` max(1, ||w||); the report's error_bound is that bound at the
+    last step, and its w_norm the ||w|| of that test.  Raises GuardError
     when the a-priori contraction estimate exceeds _SMALLNESS_THRESHOLD or
     the observed rate _RATE_GUARD, and ConvergenceError on observed
     divergence or after _MAX_ITER steps.
@@ -247,7 +279,6 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     updates = []
     rate = np.nan
     bad_steps = 0
-    converged = False
     for iteration in range(1, _MAX_ITER + 1):
         u = w[:known].copy()  # the kernel part phi cos(tau) in row 0, where w is 0
         u[0] = phi
@@ -256,14 +287,23 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
         delta = sobolev_time_norm(w_next - w, weights=sigma)
         updates.append(delta)
         w = w_next
-        scale = max(1.0, sobolev_time_norm(w, weights=sigma))
-        if delta <= tol * scale:
-            converged = True
-            break
+        w_norm = sobolev_time_norm(w, weights=sigma)  # the report's, at the last step
+        scale = max(1.0, w_norm)
+        ratio = delta / updates[-2] if len(updates) >= 2 and updates[-2] > 0.0 else np.nan
+        # Banach a-posteriori bound on the distance to the fixed point, at
+        # the larger of the a-priori and the observed rate (max drops NaN)
+        s = max(smallness, ratio)
+        bound = delta * s / (1.0 - s) if s < 1.0 else np.inf
         # judge contraction only while updates sit well above the target
-        # floor; ratios of roundoff-sized updates mean nothing
-        if delta > 10.0 * tol * scale and len(updates) >= 2 and updates[-2] > 0.0:
-            rate = updates[-1] / updates[-2]
+        # floor; ratios of roundoff-sized updates mean nothing.  The ratio
+        # is read before the stop test: the step that stops may be the
+        # last one above that floor
+        judged = delta > 10.0 * tol * scale and ratio == ratio
+        if judged:
+            rate = ratio
+        if min(delta, bound) <= tol * scale:
+            break
+        if judged:
             if rate >= 1.0:
                 bad_steps += 1
                 if bad_steps >= 3:
@@ -274,7 +314,7 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
                                  f"rate {rate:.3f} > {_RATE_GUARD}")
             else:
                 bad_steps = 0
-    if not converged:
+    else:
         raise ConvergenceError(f"range iteration not converged in {_MAX_ITER} steps")
 
     # forcing strength: X0 size of the nonlinearity before any range
@@ -282,10 +322,10 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     power = np.abs(phi) ** (2.0 * p) * phi
     forcing_norm = mu**2 * _unit_forcing(p, M, rows) * float(
         np.sqrt(np.sum(sigma * power * power)))
-    w_norm = sobolev_time_norm(w, weights=sigma)
     return w, RangeReport(
         converged=True, iterations=len(updates), final_update=updates[-1],
-        contraction_rate=rate, smallness=smallness, spectral_margin=op.spectral_margin,
-        neumann_margin=op.neumann_margin, w_norm=w_norm, forcing_norm=forcing_norm,
+        error_bound=float(bound), contraction_rate=rate, smallness=smallness,
+        spectral_margin=op.spectral_margin, neumann_margin=op.neumann_margin,
+        w_norm=w_norm, forcing_norm=forcing_norm,
         response_ratio=w_norm / forcing_norm if forcing_norm else 0.0, updates=updates,
     )

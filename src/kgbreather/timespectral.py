@@ -153,8 +153,12 @@ def nonlinearity_map(p):
     beta = nonlinearity_coefficient(p)
 
     def apply(v):
-        t = np.abs(v)
-        t **= 2.0 * p
+        if p == 1.0:
+            t = v * v  # |v| ** 2.0, bit for bit, in one operation
+        else:
+            t = np.abs(v)
+            if p != 0.5:  # |v| ** 1.0 is |v|
+                t **= 2.0 * p
         t *= beta
         v *= t
         return v
@@ -233,8 +237,16 @@ def sobolev_time_norm(coeffs, order=2, omega=1.0, *, weights):
     the fundamental block.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    l = 2.0 * np.arange(coeffs.shape[0]) + 1.0
-    poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
     flat = coeffs.reshape(coeffs.shape[0], -1)
     spatial = np.einsum("ls,ls,s->l", flat, flat, np.ravel(weights))
-    return float(np.sqrt(np.sum(np.pi / omega * poly * spatial)))
+    return float(np.sqrt(np.sum(_harmonic_weights(len(flat), order, omega) * spatial)))
+
+
+@lru_cache(maxsize=16)
+def _harmonic_weights(rows, order, omega):
+    """Read-only (pi/w) sum_{k<=order} (w l)^(2k) for l = 1, 3, .., 2 rows - 1."""
+    l = 2.0 * np.arange(rows) + 1.0
+    poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
+    out = np.pi / omega * poly
+    out.flags.writeable = False
+    return out

@@ -92,11 +92,11 @@ def test_config_refuses_nan_and_negative_tolerances(field, value):
 
 
 def test_config_refuses_a_working_window_that_cannot_fit():
-    # the stack guard of the widened window, for l_max: (L+1) * 1601 sites
-    # > 2^27 values
-    PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=80_000)
+    # the stack guard of the widened window, for l_max: the odd-row block
+    # stack, (L+1)//2 rows of K+1 = 801 sites, > 2^27 values past L = 335,124
+    PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=335_124)
     with pytest.raises(GuardError, match="l_max wants a harmonic window"):
-        PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=90_000)
+        PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.1, l_max=335_125)
 
 
 def test_mode_offset_map():

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
+from scipy.linalg.lapack import dptsv
 
+import kgbreather.breather as breather
 import kgbreather.rangesolver as rangesolver
 from kgbreather.errors import ConvergenceError, GuardError, ResonanceError
 from kgbreather.groundstate import sample_reference, solve_ground_state
@@ -16,7 +18,7 @@ from kgbreather.lattice import (
     mirror_block,
     orbit_sizes,
 )
-from kgbreather.rangesolver import RangeOperator, solve_range_equation
+from kgbreather.rangesolver import EvenSector, RangeOperator, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -179,14 +181,48 @@ def test_1d_operator_and_solve_are_linear_in_memory():
     assert peak < 4 << 20
 
 
+def _dptsv_solve(sector, x, c, d):
+    """Reference 1d inverse: one dptsv call on the bands of c (-lap) + d_j,
+    the rows joined by zeros."""
+    diag, off = sector.bands
+    dd = np.asarray(d, dtype=np.float64)[:, None] + c * diag
+    e = np.tile(np.append(c * off, 0.0), len(dd))[:-1]
+    *_, y, info = dptsv(dd.ravel(), e, np.ravel(x))
+    assert info == 0
+    return y.reshape(dd.shape)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 8, 152])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_factored_1d_solve_is_one_dptsv_call(rows, offset):
+    # dpttrf once per (c, d), then dpttrs: the two calls dptsv makes, so
+    # its bits, for the range shifts omega^2 l^2 - 1 at c = -a and the
+    # preconditioner's m at c = a / mu^2; a pair asked for again is solved
+    # from its kept factors, and past _FACTORS_KEPT pairs the oldest are
+    # dropped and factored anew when asked for again
+    mu, a = 0.3, 0.25
+    grid = GridSpec(n=1, K=150, mu=mu, offsets=(offset,))
+    sector = EvenSector(grid)
+    l = 2.0 * np.arange(1, rows + 1) + 1.0
+    pairs = [(-a, omega_sq(mu) * l * l - 1.0), (a / mu**2, np.full(rows, M_CUBIC))]
+    rng = np.random.default_rng(rows)
+    shifted = [(-a, d + k) for k in (1.0, 2.0, 3.0) for _, d in pairs]
+    for c, d in pairs + pairs[::-1] + shifted + pairs:
+        x = rng.standard_normal((rows, grid.K + 1))
+        assert sector.solve(x, c, d).tobytes() == _dptsv_solve(sector, x, c, d).tobytes()
+    assert len(sector._factors) == rangesolver._FACTORS_KEPT
+
+
 def test_indefinite_1d_operator_is_a_guard_error():
     # unreachable under the constructor's guards (-L_l >= 3/2 there): force
     # omega^2 below them, so that 9 omega^2 - 1 < 0 and the LDL^T of -L_3
-    # meets a negative pivot
+    # meets a negative pivot, every time: a failed factorization is not kept
     op = RangeOperator(GridSpec(n=1, K=6, mu=0.3), omega_sq=0.9, coupling=0.25)
     op.omega_sq = 0.1
-    with pytest.raises(GuardError, match="not definite"):
-        op.solve(np.ones((2, 7)))
+    for _ in range(2):
+        with pytest.raises(GuardError, match="not definite"):
+            op.solve(np.ones((2, 7)))
+    assert not op.sector._factors
 
 
 def test_solve_discards_bifurcating_harmonic():
@@ -409,6 +445,62 @@ def test_smallness_estimate_tracks_the_observed_rate(monkeypatch, mu):
     monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
     _, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
     assert report.contraction_rate < report.smallness < 3.0 * report.contraction_rate
+
+
+def _iterate_to_roundoff(phi, op, p, mu, L, w, steps=8):
+    """The range map w -> mu^2 Linv N(phi cos + w) of the window L, applied
+    ``steps`` times from w: the fixed point to roundoff at the rates
+    (<= 1e-2) of these tests."""
+    M, rows = default_node_count(L), (L + 1) // 2
+    for _ in range(steps):
+        u = w.copy()
+        u[0] = phi
+        w = mu**2 * op.solve(apply_nonlinearity(u, p, M=M, rows=rows))
+    return w
+
+
+def _check_stop_bound(phi, op, p, mu, L, w, report, tol):
+    # the returned w lies within the reported a-posteriori bound of the
+    # fixed point (up to a few ulps of w), the bound met the stop test, and
+    # the last update did not: the step that would only confirm is saved
+    sigma = op.sigma
+    ref = _iterate_to_roundoff(phi, op, p, mu, L, w)
+    distance = sobolev_time_norm(w - ref, weights=sigma)
+    scale = max(1.0, report.w_norm)
+    assert report.w_norm == sobolev_time_norm(w, weights=sigma)
+    assert distance <= report.error_bound + 4.0 * np.finfo(float).eps * report.w_norm
+    assert report.error_bound <= tol * scale < report.final_update
+    assert np.isfinite(report.contraction_rate)
+    assert report.contraction_rate < report.smallness
+
+
+def test_stop_rule_bound_holds_1d_site_centered():
+    # 1d p = 1 st at the sweep's mu = 0.2, K = 150, L = 15
+    mu = 0.2
+    grid, phi, op = cubic_setup(mu, K=150, a=0.25)
+    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=15)
+    _check_stop_bound(phi, op, 1.0, mu, 15, w, report, 1e-12)
+
+
+def test_stop_rule_bound_holds_on_the_widened_2d_pass(monkeypatch):
+    # the final pass of a 2d p = 1/2 h1 assembly whose window widens to
+    # L = 306: stopped on the bound after two steps, its observed rate
+    # (taken before the stop test) reported
+    passes = []
+
+    def final_pass(phi, op, p, mu, L, **kwargs):
+        w, report = solve_range_equation(phi, op, p, mu, L, **kwargs)
+        passes.append((phi, op, p, mu, L, kwargs["tol"], w, report))
+        return w, report
+
+    monkeypatch.setattr(breather, "solve_range_equation", final_pass)
+    b = breather.assemble_breather(breather.PipelineConfig(
+        n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3,
+        residual_target=8e-10,
+    ))
+    ((phi, op, p, mu, L, tol, w, report),) = passes
+    assert L == b.L_max == 306 and report.iterations == 2
+    _check_stop_bound(phi, op, p, mu, L, w, report, tol)
 
 
 def test_divergence_reported(monkeypatch):

@@ -139,12 +139,22 @@ def test_nonlinearity_preserves_odd_parity(p):
     assert np.max(np.abs(out)) > 1e-4
 
 
-@pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.5])
+# signed zeros, infinities, NaN, subnormals and squares that underflow
+# or overflow
+_SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1.3e-162,
+                   1e154, -1e155, 1e300]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.25, 1.5])
 def test_pointwise_map_is_the_written_formula_bitwise(p):
+    # p = 1/2 skips the power |v| ** 1.0 and p = 1 squares by v * v: both
+    # keep the formula's bits, as the general power does
     v = 0.4 * np.random.default_rng(12).standard_normal((61, 37))
+    v[0, : len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
     beta = nonlinearity_coefficient(p)
-    want = beta * np.abs(v) ** (2.0 * p) * v
-    got = nonlinearity_map(p)(v)
+    with np.errstate(over="ignore"):
+        want = beta * np.abs(v) ** (2.0 * p) * v
+        got = nonlinearity_map(p)(v)
     assert got is v  # evaluated into the sample buffer
     assert got.tobytes() == want.tobytes()
 
@@ -258,6 +268,23 @@ def test_sobolev_norm_against_time_integral():
     assert sobolev_time_norm(c, order=2, omega=omega, weights=np.ones(3)) == pytest.approx(
         np.sqrt(total), rel=1e-8
     )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 8, 152])
+@pytest.mark.parametrize("order, omega", [(0, 1.0), (2, 1.0), (2, 0.9985474797973757)])
+def test_sobolev_norm_cached_weights_are_the_inline_formula(rows, order, omega):
+    # the per-harmonic weights come from a cache per (rows, order, omega);
+    # the norm is the inline formula's, bit for bit, on every call
+    rng = np.random.default_rng(rows)
+    c = rng.standard_normal((rows, 3, 4))
+    weights = rng.integers(1, 5, (3, 4)).astype(float)
+    l = 2.0 * np.arange(rows) + 1.0
+    poly = sum((omega * l) ** (2 * k) for k in range(order + 1))
+    flat = c.reshape(rows, -1)
+    spatial = np.einsum("ls,ls,s->l", flat, flat, weights.ravel())
+    want = float(np.sqrt(np.sum(np.pi / omega * poly * spatial)))
+    for _ in range(2):
+        assert sobolev_time_norm(c, order=order, omega=omega, weights=weights) == want
 
 
 def test_node_count_guards():
