@@ -13,10 +13,12 @@ exactly mu^(1/p) phi by construction (the range projector zeroes l = 1),
 and the odd harmonics l >= 3 are mu^(1/p) w, the range part.  The
 breather keeps phi, phi_dnls and w on the fundamental block of the
 reflection-even box (lattice.mirror_block), and a .kgbr file holds just
-these.  kg_residual and the sup error run on the block too: the residual
-and the error of a reflection-even wave are reflection-even, so their
-sups over the block are the box's.  Box values are built only for the
-leapfrog's start field, the box norms of the reports and ``coeffs``.
+these, and the continuum reference psi is sampled there.  kg_residual
+and the sup error run on the block: the residual and the error of a
+reflection-even wave are reflection-even, so their sups over the block
+are the box's.  Every report norm is an orbit-weighted block sum or
+lattice.block_norm_q.  Box values are built only for box outputs: the
+leapfrog's start field and continuum seed, ``coeffs``, the symmetry check.
 
 Accuracy is always reported against the continuum reference field
 Psi = mu^(1/p) psi(mu (j + offset) / sqrt(a)) cos(omega t): the sup and
@@ -37,8 +39,8 @@ from .kernelsolver import (
     DnlsProblem, kernel_remainder, solve_dnls_ground_state, solve_kernel_equation,
 )
 from .lattice import (
-    BREATHER_MODES, GridSpec, asymmetry, block_laplacian, block_norm_q, block_slices,
-    mirror_block, mode_offsets, norm_l2, norm_l2_mu, norm_q_mu, orbit_sizes,
+    BREATHER_MODES, GridSpec, asymmetry, block_laplacian, block_norm_q, mirror_block,
+    mode_offsets, orbit_sizes,
 )
 from .rangesolver import solve_range_equation
 from .timespectral import (
@@ -238,9 +240,10 @@ def assemble_breather(config: PipelineConfig):
 
     # the Newton solves, and the breather, hold the fundamental block
     phi_dnls, dnls_report = solve_dnls_ground_state(
-        prob, reference[block_slices(grid)], tol=config.kernel_tol
+        prob, reference, tol=config.kernel_tol
     )
-    kept = norm_l2(mirror_block(phi_dnls, grid)) / norm_l2(reference)
+    sigma = orbit_sizes(grid)
+    kept = np.sqrt(np.sum(sigma * phi_dnls**2) / np.sum(sigma * reference**2))
     if not kept >= 0.5:
         raise GuardError(f"the discrete NLS solution kept {kept:.2e} of the "
                          f"sampled profile's l2 norm: no breather on this box")
@@ -283,9 +286,8 @@ def assemble_breather(config: PipelineConfig):
         "kernel_newton": asdict(kernel_report),
         "range": range_report.to_dict(),
         "kernel_residual_sup": float(np.max(np.abs(g_residual))),
-        "remainder_norm_mu": norm_l2_mu(mirror_block(R, grid), grid),
-        "dist_phi_dnls": norm_q_mu(mirror_block(phi - phi_dnls, grid), grid),
-        "dist_dnls_ref": norm_q_mu(mirror_block(phi_dnls, grid) - reference, grid),
+        "remainder_norm_mu": float(grid.mu ** (grid.n / 2.0) * np.sqrt(np.sum(sigma * R**2))),
+        **_continuum_distances(phi, phi_dnls, reference, grid),
     }
 
     b = Breather(
@@ -299,17 +301,27 @@ def assemble_breather(config: PipelineConfig):
 
 
 def reference_profile(b: Breather):
-    """Sampled continuum profile psi on b's grid (scaled units)."""
+    """Sampled continuum profile psi on b's fundamental block (scaled units)."""
     profile = solve_ground_state(b.grid.n, b.p)
     return sample_reference(profile, b.grid, coupling=b.coupling)
 
 
 def reference_coefficients(b: Breather):
-    """Continuum reference Psi as cosine rows 0 and 1 on b's grid: the
-    sampled NLS profile rides the first harmonic alone."""
+    """Continuum reference Psi as cosine rows 0 and 1 on b's box: the
+    sampled NLS profile, mirrored, rides the first harmonic alone."""
     coeffs = np.zeros((2,) + b.grid.shape)
-    coeffs[1] = b.amplitude * reference_profile(b)
+    coeffs[1] = b.amplitude * mirror_block(reference_profile(b), b.grid)
     return coeffs
+
+
+def _continuum_distances(phi, phi_dnls, psi, grid):
+    """dist_phi_dnls = ||phi - Phi||_{Q_mu} and dist_dnls_ref = ||Phi - psi||_{Q_mu}
+    for the kernel profile phi, the discrete NLS solution Phi and the
+    sampled profile psi on the block: mu^(n/2) times the box Q norms of
+    the two differences, in one lattice.block_norm_q pass."""
+    diffs = np.stack([phi - phi_dnls, phi_dnls - psi])
+    norms = grid.mu ** (grid.n / 2.0) * block_norm_q(diffs, grid, grid.mu)
+    return {"dist_phi_dnls": float(norms[0]), "dist_dnls_ref": float(norms[1])}
 
 
 def kg_residual(b: Breather):
@@ -371,20 +383,20 @@ def error_vs_reference(b: Breather):
     over the fundamental block, and the sup error collocates the same
     difference stack there: it is reflection-even, so its sup over the
     block is the box's.  sup_bound takes the box Q norms of all its
-    harmonics in one pass on the block (lattice.block_norm_q).
+    harmonics in one pass on the block (lattice.block_norm_q), and so do
+    the two Q_mu distances, with the floats assemble_breather reports.
     """
     grid = b.grid
-    home = block_slices(grid)
     sigma = orbit_sizes(grid)
     amplitude = b.amplitude
     psi = reference_profile(b)
-    dist_dnls_ref = norm_q_mu(mirror_block(b.phi_dnls, grid) - psi, grid)
+    distances = _continuum_distances(b.phi, b.phi_dnls, psi, grid)
     psi *= amplitude  # Psi's one harmonic, physical
     diff = b.odd_rows()  # the physical harmonics, less Psi below
     flat = diff.reshape(len(diff), -1)
     per_l = np.sqrt(np.einsum("ls,ls,s->l", flat, flat, sigma.ravel()))
     total = float(np.sqrt(np.sum(per_l**2)))
-    diff[0] -= psi[home]
+    diff[0] -= psi
     del psi, flat
     e_h2 = sobolev_time_norm(diff, order=2, omega=b.omega, weights=sigma)
     e_sup = 0.0  # np.maximum, not max(): a NaN chunk must not drop out
@@ -402,8 +414,7 @@ def error_vs_reference(b: Breather):
         w_x2=amplitude * sobolev_time_norm(b.w, order=2, omega=1.0, weights=sigma),
         harmonic_fraction=float(per_l[0] / total) if total else 0.0,
         tail_fraction=float(np.sqrt(np.sum(per_l[1:] ** 2)) / total) if total else 0.0,
-        dist_phi_dnls=norm_q_mu(mirror_block(b.phi - b.phi_dnls, grid), grid),
-        dist_dnls_ref=dist_dnls_ref,
+        **distances,
     )
 
 
@@ -525,16 +536,17 @@ class ScalingTable:
 def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kwargs):
     """Assemble one breather per mu and tabulate the reference distances.
 
-    mu values must be strictly decreasing.  Per-mu failures (guard trips,
-    stalled iterations) are recorded, not raised; any later slope fit
-    insists on >= 4 surviving rows.  ``progress(mu, row)``, if given, is
-    called after every mu, with row None when that mu failed.  One
-    breather is alive at a time: phi, phi_dnls and its odd-row range
+    mu values must be finite and strictly decreasing.  Per-mu failures
+    (guard trips, stalled iterations) are recorded, not raised; any later
+    slope fit insists on >= 4 surviving rows.  ``progress(mu, row)``, if
+    given, is called after every mu, with row None when that mu failed.
+    One breather is alive at a time: phi, phi_dnls and its odd-row range
     stack, all on the fundamental block.
     """
     mus = [float(m) for m in mu_list]
-    if len(mus) < 2 or any(b >= a for a, b in zip(mus, mus[1:])):
-        raise GuardError("mu list must be strictly decreasing")
+    # every comparison with a NaN is false, so a NaN anywhere fails this
+    if len(mus) < 2 or not all(np.inf > a > b > -np.inf for a, b in zip(mus, mus[1:])):
+        raise GuardError(f"mu list must be finite and strictly decreasing, got {mus}")
     rows, failures = [], {}
     for mu in mus:
         # release the last mu's breather before the next one assembles

@@ -39,7 +39,7 @@ from .dynamics import integrate_period
 from .errors import ConvergenceError, FormatError, GuardError
 from .feminterp import functional_remainder
 from .groundstate import sample_reference, save_profile, solve_ground_state
-from .lattice import BREATHER_MODES, GridSpec, norm_q_mu
+from .lattice import BREATHER_MODES, GridSpec, block_norm_q, mirror_block, orbit_sizes
 
 # The one option table.  Per subcommand, option key -> (type, default,
 # help); a None default means "required".  build_parser turns key k into
@@ -289,14 +289,15 @@ def _cmd_fem_check(opt):
     mus = _parse_mu_list(opt["mu_list"])
     profile = solve_ground_state(opt["n"], opt["p"])
     q = 2.0 * opt["p"]
+    power = 4.0 * opt["p"] + 2.0
     rows = []
     for mu in mus:
         grid = GridSpec.for_radius(opt["n"], mu=mu, r_min=opt["r_min"])
-        psi = sample_reference(profile, grid)
-        g_c, g_d, r_g = functional_remainder(psi, grid, q=q)
+        psi = sample_reference(profile, grid)  # on the block; both sums are the box's
+        g_c, g_d, r_g = functional_remainder(mirror_block(psi, grid), grid, q=q)
         chain = float(
-            mu**grid.n * np.sum(np.abs(psi) ** (4.0 * opt["p"] + 2.0))
-            / norm_q_mu(psi, grid) ** (4.0 * opt["p"] + 2.0)
+            mu**grid.n * np.sum(orbit_sizes(grid) * np.abs(psi) ** power)
+            / (mu ** (grid.n / 2.0) * block_norm_q(psi, grid, mu)) ** power
         )
         rows.append({"mu": mu, "G_c": g_c, "G_d": g_d, "R_G": r_g,
                      "embedding_ratio": chain})

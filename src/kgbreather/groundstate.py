@@ -26,6 +26,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
 from .errors import ConvergenceError, GuardError
+from .lattice import block_slices
 
 # the 2d radial solve: node spacing, least Dirichlet radius, Newton steps
 _H = 0.01
@@ -238,14 +239,13 @@ def save_profile(path, profile):
 
 
 def sample_reference(profile, grid, coupling=1.0):
-    """Ground state for the given coupling sampled at the lattice sites.
-
-    Returns the box field psi(|mu (j + offset)| / sqrt(coupling)); same
-    multiplier and amplitude as the unit-coupling profile.
-    """
+    """Ground state for the given coupling sampled at the lattice sites of
+    the fundamental block, psi(|mu (j + offset)| / sqrt(coupling)); same
+    multiplier and amplitude as the unit-coupling profile.  The profile is
+    radial, so lattice.mirror_block of the sample is the box field."""
     if not (coupling > 0.0):
         raise GuardError(f"coupling must be positive, got {coupling}")
     if profile.n != grid.n:
         raise GuardError(f"profile is {profile.n}d, grid is {grid.n}d")
-    radii = grid.radius_mesh(scale=np.sqrt(coupling))
+    radii = grid.radius_mesh(scale=np.sqrt(coupling))[block_slices(grid)]
     return profile(radii)

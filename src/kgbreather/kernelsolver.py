@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, GuardError
 from .groundstate import check_exponent
-from .lattice import block_laplacian, mirror_block, orbit_sizes, orbit_weights
+from .lattice import block_laplacian, orbit_sizes, orbit_weights
 from .rangesolver import EvenSector, RangeOperator, solve_range_equation
 from .timespectral import default_node_count, first_harmonic
 
@@ -284,10 +284,10 @@ def hessian_diagnostics(phi, prob):
 
     The solution direction is a strict descent direction:
     <G0'(phi) phi, phi> = -2p sum |phi|^(2p+2) (exact at solutions; the
-    sum runs over the mirrored box); on the orthogonal complement of
-    q = phi/|phi| the operator should be positive definite.  LOBPCG on
-    the matrix-free G0', preconditioned as the 2d Newton steps and
-    started from q and a fixed second vector (so deterministic), gives
+    box sum, taken orbit-weighted on the block); on the orthogonal
+    complement of q = phi/|phi| the operator should be positive definite.
+    LOBPCG on the matrix-free G0', preconditioned as the 2d Newton steps
+    and started from q and a fixed second vector (so deterministic), gives
     its lowest eigenvalues l0 < l1, and a second negative one raises
     GuardError; the tangent one is the secular root in (l0, l1), each
     value of the secular function one newton_step.
@@ -300,8 +300,8 @@ def hessian_diagnostics(phi, prob):
     G0 = prob.g0_jacobian(phi)
     x = (phi * orbit_weights(prob.grid)).ravel()
     curvature = float(x @ (G0 @ x))
-    box = mirror_block(phi, prob.grid)
-    predicted = -2.0 * prob.p * float(np.sum(np.abs(box) ** (2.0 * prob.p + 2.0)))
+    predicted = -2.0 * prob.p * float(
+        np.sum(orbit_sizes(prob.grid) * np.abs(phi) ** (2.0 * prob.p + 2.0)))
     q = x / np.linalg.norm(x)
     start = np.column_stack([q, np.cos(np.arange(q.size))])
     lo, hi = np.sort(lobpcg(G0, start, M=prob.preconditioner, tol=_LOBPCG_TOL,

@@ -12,10 +12,12 @@ it is from that).  Such a field is determined by its fundamental block
 field: the helpers below cut the block out of a box field and mirror it
 back (``block_slices`` / ``mirror_block``), take the box's Laplacian
 (``block_laplacian``, the stencil on the block, whose site 0 reads its
-mirror image) and Q norm (``block_norm_q``) on the block, and weigh its
-sites by their orbit sizes; scaled by the square roots of these
+mirror image) and Q norm (``block_norm_q``, the one H^1-type norm) on
+the block, and weigh its sites by their orbit sizes (a box sum is the
+orbit-weighted block sum); scaled by the square roots of these
 (``orbit_weights``), the block values are the orthonormal orbit
-coordinates in which the Newton solves run.
+coordinates in which the Newton solves run.  Box fields are built only
+for box outputs; ``dirichlet_energy`` serves the Hamiltonian on them.
 
 The module does no file I/O; the one snapshot format, ``.kgbr``, is read
 and written by ``breather.save_breather`` / ``load_breather``.
@@ -152,26 +154,6 @@ def dirichlet_energy(a):
     return total
 
 
-def norm_l2(a):
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-def norm_l2_mu(a, grid):
-    """l2 norm under the continuum volume element mu^n."""
-    return grid.mu ** (grid.n / 2.0) * norm_l2(a)
-
-
-def norm_q_mu(a, grid):
-    """Scaled H^1 norm: mu^n sum a^2 + mu^(n-2) sum of squared differences.
-
-    For a sampled profile a_j = psi(mu j) this converges to the continuum
-    H^1 norm of psi.  In 1d it dominates the sup norm with constant 1.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    mu, n = grid.mu, grid.n
-    return float(np.sqrt(mu**n * np.sum(a * a) + mu ** (n - 2) * dirichlet_energy(a)))
-
-
 # ---------------------------------------------------------------------------
 # reduction to the reflection-symmetric fundamental block
 #
@@ -262,13 +244,15 @@ def block_norm_q(block, grid, mu=1.0):
     """The H^1-type norm (sum a^2 + mu^-2 sum of squared differences)^(1/2)
     of the box field mirror_block(field) for every field of a block stack
     (a float for one field), from the block alone, in one pass over the
-    stack.  The box's sum of squares is the orbit-weighted one.  Its
-    Dirichlet energy is a sum over bonds, and every box bond along an axis
-    is the mirror image of a block bond (j-1, j), j >= 1, or of the edge
-    bond (K, K+1) to the zero exterior, as many times as the orbit size of
-    the block site j (of K at the edge); the bond through an offset-1/2
-    center joins a site to its own mirror image and adds nothing.  So the
-    sums are the box's, in another order.  The bond differences are taken
+    stack.  At mu the lattice spacing, mu^(n/2) times it is the Q_mu norm,
+    which for samples a_j = psi(mu j) tends to the continuum H^1 norm.
+    The box's sum of squares is the orbit-weighted one.  Its Dirichlet
+    energy is a sum over bonds, and every box bond along an axis is the
+    mirror image of a block bond (j-1, j), j >= 1, or of the edge bond
+    (K, K+1) to the zero exterior, as many times as the orbit size of the
+    block site j (of K at the edge); the bond through an offset-1/2 center
+    joins a site to its own mirror image and adds nothing.  So the sums
+    are the box's, in another order.  The bond differences are taken
     along the flattened stack, whose entries at j = 0 (no bond) are
     zeroed: one temporary the size of the stack, and no strided one."""
     block = np.asarray(block, dtype=np.float64)

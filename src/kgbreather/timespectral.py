@@ -148,8 +148,9 @@ def odd_collocation(stacks, M, pointwise=None, analysis=False, rows=None,
 
 def nonlinearity_map(p):
     """The pointwise map v -> beta |v|^(2p) v, written into v: the formula's
-    operations in its order, so its bits, with one temporary of v's size
-    instead of two."""
+    operations in its order, so its bits for every input but a NaN's
+    sign, with one temporary of v's size instead of two.  A NaN stays
+    NaN; at -NaN the map keeps v's sign where the formula gives +NaN."""
     beta = nonlinearity_coefficient(p)
 
     def apply(v):

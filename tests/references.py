@@ -26,7 +26,6 @@ from kgbreather.lattice import (
     dirichlet_energy,
     minus_laplacian_bands,
     mirror_block,
-    norm_l2,
 )
 from kgbreather.rangesolver import _even_basis
 from kgbreather.timespectral import nonlinearity_coefficient, odd_collocation
@@ -77,7 +76,7 @@ def embedding_checks(a, q):
     """True when the unit-constant embeddings l2 -> l^q (q >= 2) and
     l2 -> l^inf hold for ``a``, up to roundoff slack.  On sequence spaces
     both inequalities are exact with constant 1."""
-    l2 = norm_l2(a)
+    l2 = float(np.linalg.norm(a))
     slack = 1.0 + 1e-12
     return lp_norm(a, q) <= l2 * slack and float(np.max(np.abs(a))) <= l2 * slack
 

@@ -38,9 +38,9 @@ from kgbreather.kernelsolver import (
     hessian_diagnostics,
     solve_dnls_ground_state,
 )
-from kgbreather.lattice import GridSpec, block_slices, mirror_block, norm_q_mu
+from kgbreather.lattice import GridSpec, mirror_block
 from kgbreather.timespectral import cos_moment, odd_collocation
-from references import embedding_checks, gradient_identity_gap, symmetrize
+from references import embedding_checks, gradient_identity_gap, norm_q, symmetrize
 
 M_CUBIC = 1.0 / 16.0
 
@@ -123,7 +123,7 @@ def test_1_hessian_identity_at_solution(capsys):
     grid = GridSpec.for_radius(1, mu=0.2, r_min=40.0)
     prob = DnlsProblem(grid=grid, p=1.0, mu=0.2, coupling=0.25, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.25)
-    phi, _ = solve_dnls_ground_state(prob, phi0[block_slices(grid)], tol=1e-13)
+    phi, _ = solve_dnls_ground_state(prob, phi0, tol=1e-13)
     residual = float(np.max(np.abs(prob.apply_g0(phi))))
     assert residual < 1e-12  # precondition for the exact identity
     hd = hessian_diagnostics(phi, prob)
@@ -183,7 +183,7 @@ def test_2_discrete_sobolev_bound(capsys):
                 grid = GridSpec(n=n, K=K, mu=mu)
                 a = rng.standard_normal(grid.shape)
                 ratio = float(np.max(np.abs(a))) / (
-                    2.0 * np.sqrt(mu) * norm_q_mu(a, grid)
+                    2.0 * np.sqrt(mu) * mu ** (n / 2.0) * norm_q(a, mu)
                 )
                 worst = max(worst, ratio)
     ok = _verdict(capsys, "2 sobolev bound", worst <= 1.0,
@@ -217,7 +217,7 @@ def test_2_hessian_signs(capsys):
             grid=grid, p=1.0, mu=mu, coupling=0.25, multiplier=M_CUBIC
         )
         phi0 = sample_reference(ground, grid, coupling=0.25)
-        phi, _ = solve_dnls_ground_state(prob, phi0[block_slices(grid)])
+        phi, _ = solve_dnls_ground_state(prob, phi0)
         hd = hessian_diagnostics(phi, prob)
         assert hd.curvature_along_solution < 0.0
         assert hd.tangent_min_eigenvalue > 0.0
@@ -391,7 +391,7 @@ def test_7_fem_remainder_slopes(capsys):
         remainders = []
         for mu in mus:
             grid = GridSpec.for_radius(n, mu=mu, r_min=r_min)
-            psi = sample_reference(profile, grid)
+            psi = mirror_block(sample_reference(profile, grid), grid)
             _, _, r_g = functional_remainder(psi, grid, q=2.0 * p)
             remainders.append(abs(r_g))
         slopes[n] = float(np.polyfit(np.log(mus), np.log(remainders), 1)[0])

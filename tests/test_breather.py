@@ -41,12 +41,14 @@ from kgbreather.breather import (
 )
 from kgbreather.cli import main
 from kgbreather.errors import FormatError, GuardError
+from kgbreather.groundstate import solve_ground_state
+from kgbreather.kernelsolver import DnlsProblem, kernel_remainder
 from kgbreather.lattice import (
-    BREATHER_MODES, GridSpec, block_slices, mirror_block,
+    BREATHER_MODES, GridSpec, mirror_block,
 )
 from kgbreather.timespectral import default_node_count, nonlinearity_coefficient
 from references import (
-    box_sup_bound, padded_laplacian, whole_box_kg_residual, whole_box_sup_error,
+    box_sup_bound, norm_q, padded_laplacian, whole_box_kg_residual, whole_box_sup_error,
 )
 
 
@@ -158,7 +160,7 @@ def _reference_breather(b):
     """``b`` with its kernel profile replaced by the sampled continuum
     profile and no range part: its stack is reference_coefficients(b),
     rows 0 and 1, and zero beyond."""
-    psi = reference_profile(b)[block_slices(b.grid)]
+    psi = reference_profile(b)
     fake = dataclasses.replace(b, phi=psi, w=np.zeros_like(b.w))
     assert fake.coeffs[:2].tobytes() == reference_coefficients(b).tobytes()
     assert not fake.coeffs[2:].any()
@@ -335,6 +337,53 @@ def test_sup_bound_is_the_box_loop(n, mode):
     envelope = np.exp(-sum(np.ix_(*(np.arange(b.grid.K + 1.0),) * n)))
     b = dataclasses.replace(b, phi=b.phi * envelope, w=b.w * envelope)
     assert error_vs_reference(b).sup_bound == pytest.approx(box_sup_bound(b), rel=1e-12)
+
+
+@pytest.mark.parametrize(("n", "mode"), CENTERINGS)
+def test_reference_coefficients_keep_their_bytes(n, mode):
+    """The continuum seed is the profile sampled at every box site: the
+    block sample, mirrored, gives row 1 amplitude * psi bit for bit, and
+    row 0 stays +0."""
+    b = _odd_breather(n, mode)
+    profile = solve_ground_state(n, b.p)
+    want = np.zeros((2,) + b.grid.shape)
+    want[1] = b.amplitude * profile(b.grid.radius_mesh(scale=np.sqrt(b.coupling)))
+    assert reference_coefficients(b).tobytes() == want.tobytes()
+
+
+def _box_report_norms(b):
+    """dist_phi_dnls, dist_dnls_ref and remainder_norm_mu by the box
+    formulas: mu^(n/2) times references.norm_q of the mirrored differences
+    (psi sampled at every box site), and mu^(n/2) times the plain l2 norm
+    of the mirrored kernel remainder."""
+    g = b.grid
+    scale = b.mu ** (g.n / 2.0)
+    psi = solve_ground_state(g.n, b.p)(g.radius_mesh(scale=np.sqrt(b.coupling)))
+    phi, phi_dnls = mirror_block(b.phi, g), mirror_block(b.phi_dnls, g)
+    prob = DnlsProblem(grid=g, p=b.p, mu=b.mu, coupling=b.coupling,
+                       multiplier=b.multiplier)
+    R = mirror_block(kernel_remainder(b.phi, prob, b.w, b.L_max), g)
+    return {
+        "dist_phi_dnls": scale * norm_q(phi - phi_dnls, b.mu),
+        "dist_dnls_ref": scale * norm_q(phi_dnls - psi, b.mu),
+        "remainder_norm_mu": scale * float(np.linalg.norm(R)),
+    }
+
+
+@pytest.mark.parametrize("name", ["small_1d", "small_2d"])
+def test_report_norms_are_the_error_report_and_box_ones(request, tmp_path, name):
+    """The Q_mu distances that assemble_breather reports are the floats of
+    error_vs_reference, on the assembled breather and on the one its file
+    gives back; they and remainder_norm_mu, all taken on the block, are
+    the box formulas to 1e-13."""
+    b = request.getfixturevalue(name)
+    save_breather(tmp_path / "b.kgbr", b)
+    for held in (b, load_breather(tmp_path / "b.kgbr")):
+        err = error_vs_reference(held)
+        assert err.dist_phi_dnls == b.reports["dist_phi_dnls"]
+        assert err.dist_dnls_ref == b.reports["dist_dnls_ref"]
+    for key, want in _box_report_norms(b).items():
+        assert b.reports[key] == pytest.approx(want, rel=1e-13)
 
 
 def test_final_window_synthesises_the_wave_once(monkeypatch):
@@ -818,6 +867,12 @@ def test_scaling_guards():
         scaling_study([0.1, 0.2], n=1, p=1.0, coupling=0.25)  # increasing
     with pytest.raises(GuardError):
         scaling_study([0.2], n=1, p=1.0, coupling=0.25)  # single point
+    # every comparison with a NaN is false, so 0.4, nan, 0.45 passed the
+    # order check and ran; non-finite mu are refused before any assembly
+    for mus in ([0.4, np.nan, 0.45], [0.4, np.nan, 0.35, 0.3, 0.25],
+                [np.nan, 0.3], [0.3, np.nan], [np.inf, 0.3], [0.3, 0.2, -np.inf]):
+        with pytest.raises(GuardError, match="finite and strictly decreasing"):
+            scaling_study(mus, n=1, p=1.0, coupling=0.25)
     tab = scaling_study([0.3, 0.2], n=1, p=1.0, coupling=0.25,
                         r_min=15.0, l_max=5)
     with pytest.raises(GuardError):

@@ -12,12 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgbreather.breather as breather
 import kgbreather.cli as cli
 from kgbreather.breather import SCALING_COLUMNS
 from kgbreather.cli import _parse_mu_list, build_parser, main
 from kgbreather.errors import (
     ConvergenceError, FormatError, GuardError, ResonanceError,
 )
+from kgbreather.groundstate import sample_reference, solve_ground_state
+from kgbreather.lattice import GridSpec, mirror_block
+from references import norm_q
 
 
 def test_parser_builds_and_knows_subcommands():
@@ -239,6 +243,30 @@ def test_fem_check_command(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["rg_slope"] == pytest.approx(2.0, abs=0.1)
     assert all(r["R_G"] < 0.0 for r in data["rows"])
+    # the embedding ratio, from block sums, is the box formula
+    # mu^n sum |psi|^6 / ||psi||_{Q_mu}^6 on the mirrored sample
+    profile = solve_ground_state(1, 1.0)
+    for row in data["rows"]:
+        mu = row["mu"]
+        grid = GridSpec.for_radius(1, mu=mu, r_min=25.0)
+        psi = mirror_block(sample_reference(profile, grid), grid)
+        want = mu * np.sum(psi**6) / (np.sqrt(mu) * norm_q(psi, mu)) ** 6
+        assert row["embedding_ratio"] == pytest.approx(want, rel=1e-13)
+
+
+def test_scaling_refuses_a_nan_mu_exits_2(monkeypatch, tmp_path, capsys):
+    """0.4, nan, 0.35, ... is not a decreasing list, though a NaN passes
+    every b >= a test: the sweep refuses it before any assembly, with
+    exit code 2 and no output files."""
+    def assemble(config):
+        raise AssertionError("assembled a breather of a refused sweep")
+
+    monkeypatch.setattr(breather, "assemble_breather", assemble)
+    rc = main(["scaling", "--n", "1", "--p", "1", "--a", "0.25",
+               "--mu-list", "0.4,nan,0.35,0.3,0.25", "--out", str(tmp_path / "sc")])
+    assert rc == 2
+    assert "finite and strictly decreasing" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_subprocess(tmp_path):

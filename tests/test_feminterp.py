@@ -23,8 +23,8 @@ import kgbreather.feminterp as feminterp
 from kgbreather.errors import GuardError
 from kgbreather.feminterp import functional_remainder
 from kgbreather.groundstate import sample_reference, solve_ground_state
-from kgbreather.lattice import GridSpec, norm_q_mu
-from references import gradient_energy, gradient_identity_gap
+from kgbreather.lattice import GridSpec, mirror_block
+from references import gradient_energy, gradient_identity_gap, norm_q
 
 
 def _random_field(n, K, mu, seed, offsets=None):
@@ -261,7 +261,7 @@ def test_noninteger_power_converges_with_refinement(monkeypatch):
     exponentially small, so the |.|^(q+2) fractional kink is harmless."""
     profile = solve_ground_state(2, 0.5)
     g = GridSpec.for_radius(n=2, mu=0.3, r_min=18.0)
-    psi = sample_reference(profile, g)
+    psi = mirror_block(sample_reference(profile, g), g)
     coarse = _g_c(monkeypatch, psi, g, 1.5, _REFINE=1)
     fine = _g_c(monkeypatch, psi, g, 1.5, _REFINE=3)
     assert coarse == pytest.approx(fine, rel=1e-11)
@@ -305,12 +305,12 @@ def test_remainder_shrinks_with_spacing():
     q = 2.0  # power gap exponent: q = 2p at p = 1
     for mu in (0.4, 0.2, 0.1):
         g = GridSpec.for_radius(n=1, mu=mu, r_min=45.0)
-        psi = sample_reference(profile, g)
+        psi = mirror_block(sample_reference(profile, g), g)
         _, _, r_g = functional_remainder(psi, g, q=q)
         rows.append(abs(r_g))
         ratios.append(
             mu**g.n * float(np.sum(np.abs(psi) ** (4 * 1.0 + 2)))
-            / norm_q_mu(psi, g) ** (4 * 1.0 + 2)
+            / (mu ** (g.n / 2.0) * norm_q(psi, mu)) ** (4 * 1.0 + 2)
         )
     assert rows[0] > rows[1] > rows[2]
     # mu-uniform bound on the embedding-chain ratio

@@ -22,7 +22,9 @@ from kgbreather.groundstate import (
     sech_moment,
     solve_ground_state,
 )
-from kgbreather.lattice import GridSpec, asymmetry
+from kgbreather.lattice import (
+    BREATHER_MODES, GridSpec, asymmetry, block_slices, mirror_block,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +128,7 @@ def test_sample_reference_coupling_rescale():
     g = solve_ground_state(1, 1.0)
     grid = GridSpec(n=1, K=40, mu=0.25)
     a = 0.4
-    psi = sample_reference(g, grid, coupling=a)
+    psi = mirror_block(sample_reference(g, grid, coupling=a), grid)
     x = grid.position_axes()[0]
     assert np.allclose(psi, g(np.abs(x) / np.sqrt(a)), rtol=1e-15)
     assert asymmetry(psi) == 0.0
@@ -139,9 +141,27 @@ def test_sample_reference_coupling_rescale():
 def test_sample_reference_offset_grid():
     g = solve_ground_state(1, 1.0)
     grid = GridSpec(n=1, K=40, mu=0.25, offsets=(0.5,))
-    psi = sample_reference(g, grid)
+    psi = mirror_block(sample_reference(g, grid), grid)
     assert asymmetry(psi) == 0.0
     assert np.max(psi) == pytest.approx(g(np.array([0.125]))[0], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("n", "mode"), [(n, mode) for n in (1, 2) for mode in BREATHER_MODES[n]]
+)
+def test_block_reference_mirrors_to_the_box_sample(n, mode):
+    """The reference is sampled on the fundamental block only, and its
+    mirror image is the profile sampled at every box site, bit for bit:
+    the 1d closed form and the 2d spline evaluate each radius alone, and
+    a site and its mirror images share one radius."""
+    p, K = (1.0, 60) if n == 1 else (0.5, 40)
+    profile = solve_ground_state(n, p)
+    grid = GridSpec(n=n, K=K, mu=0.3, offsets=BREATHER_MODES[n][mode])
+    block = sample_reference(profile, grid, coupling=0.35)
+    assert block.shape == (K + 1,) * n
+    box = profile(grid.radius_mesh(scale=np.sqrt(0.35)))
+    assert box[block_slices(grid)].tobytes() == block.tobytes()
+    assert mirror_block(block, grid).tobytes() == box.tobytes()
 
 
 def test_sampled_profile_solves_lattice_equation_to_mu2():
@@ -153,7 +173,7 @@ def test_sampled_profile_solves_lattice_equation_to_mu2():
     errs = []
     for mu in (0.2, 0.1, 0.05):
         grid = GridSpec.for_radius(1, mu=mu, r_min=60.0)
-        phi = sample_reference(g, grid, coupling=a)
+        phi = mirror_block(sample_reference(g, grid, coupling=a), grid)
         res = (
             -(a / mu**2) * padded_laplacian(phi)
             + g.multiplier * phi

@@ -66,7 +66,7 @@ def cubic_problem(mu, a=0.4, r_min=60.0):
     grid = GridSpec.for_radius(1, mu=mu, r_min=r_min)
     prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=a, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=a)
-    return grid, prob, phi0[block_slices(grid)]
+    return grid, prob, phi0
 
 
 def to_orbit(phi, grid):
@@ -172,7 +172,7 @@ def test_1d_newton_step_matches_the_sparse_lu(K, offset):
         grid = GridSpec(n=1, K=K, mu=mu, offsets=(offset,))
         prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=0.4,
                            multiplier=M_CUBIC)
-        phi0 = sample_reference(profile, grid, coupling=0.4)[block_slices(grid)]
+        phi0 = sample_reference(profile, grid, coupling=0.4)
         rhs = np.random.default_rng(K).standard_normal(K + 1)
         for phi in (phi0, solve_dnls_ground_state(prob, phi0)[0]):
             got = prob.newton_step(phi, rhs)
@@ -193,7 +193,7 @@ def test_2d_newton_step_matches_a_dense_solve(mode):
     grid = GridSpec(n=2, K=30, mu=0.3, offsets=BREATHER_MODES[2][mode])
     prob = DnlsProblem(grid=grid, p=0.5, mu=0.3, coupling=0.25,
                        multiplier=prof.multiplier)
-    phi = sample_reference(prof, grid, coupling=0.25)[block_slices(grid)]
+    phi = sample_reference(prof, grid, coupling=0.25)
     J = assembled_g0_jacobian(phi, prob).toarray()
     lo, hi = np.linalg.eigvalsh(J)[:2]
     assert lo < 0.0 < hi
@@ -331,9 +331,9 @@ def test_remainder_projects_on_the_range_node_count():
     prob = DnlsProblem(
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
-    box = sample_reference(profile, grid, coupling=a)
+    phi = sample_reference(profile, grid, coupling=a)
+    box = mirror_block(phi, grid)
     home = block_slices(grid)
-    phi = box[home]
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
     for L in (15, 16):
         M = default_node_count(L)
@@ -365,7 +365,7 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     prob = DnlsProblem(
         grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
     )
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     rows = 512  # harmonics 1..1023 at M = 4096, Q = 2048: 2^20 entries
     assert default_node_count(2 * rows - 1) == 4096
     l = 2.0 * np.arange(rows)[:, None] + 1.0
@@ -397,7 +397,7 @@ def test_tail_leaves_the_remainder_bitwise_unchanged(n, K, L):
     grid = GridSpec(n=n, K=K, mu=mu)
     prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a,
                        multiplier=profile.multiplier)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
     w, _ = solve_range_equation(phi, op, p, mu, L)
     R = kernel_remainder(phi, prob, w, L)
@@ -512,10 +512,13 @@ def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
     prof = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
     prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=prof.multiplier)
-    phi0 = sample_reference(prof, grid, coupling=a)[block_slices(grid)]
+    phi0 = sample_reference(prof, grid, coupling=a)
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
     assert hessian_diagnostics(phi, prob) == hd
+    # the orbit-weighted block sum is the sum over the mirrored box
+    box_sum = np.sum(np.abs(mirror_block(phi, grid)) ** (2.0 * p + 2.0))
+    assert hd.predicted_curvature == pytest.approx(-2.0 * p * box_sum, rel=1e-13)
     J = assembled_g0_jacobian(phi, prob).toarray()
     evals = np.linalg.eigvalsh(J)
     q = to_orbit(phi, grid)
@@ -538,7 +541,6 @@ def test_hessian_diagnostics_hold_no_dense_matrix():
     grid = GridSpec(n=1, K=2000, mu=0.015)
     prob = DnlsProblem(grid=grid, p=1.0, mu=0.015, coupling=0.4, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.4)
-    phi0 = phi0[block_slices(grid)]
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hessian_diagnostics(phi, prob)  # imports and caches outside the trace
     tracemalloc.start()
@@ -555,7 +557,7 @@ def test_2d_kernel_smoke():
     mu, a = 0.3, 0.25
     grid = GridSpec(n=2, K=45, mu=mu)
     prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
-    phi0 = sample_reference(prof, grid, coupling=a)[block_slices(grid)]
+    phi0 = sample_reference(prof, grid, coupling=a)
     phi, w, rep, op = solve_kernel_equation(phi0, prob, L_max=8)
     assert rep.converged
     assert rep.residuals[-1] < 1e-10

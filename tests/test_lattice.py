@@ -16,9 +16,7 @@ from kgbreather.lattice import (
     block_slices,
     dirichlet_energy,
     mirror_block,
-    norm_l2,
-    norm_l2_mu,
-    norm_q_mu,
+    orbit_sizes,
     orbit_weights,
 )
 from references import embedding_checks, lp_norm, norm_q, padded_laplacian, symmetrize
@@ -117,13 +115,15 @@ def test_laplacian_symmetric_negative(seed):
     seed=st.integers(0, 2**32 - 1),
     mu=st.floats(0.05, 1.0),
     K=st.integers(2, 20),
+    offset=st.sampled_from([0.0, 0.5]),
 )
 @settings(max_examples=40, deadline=None)
-def test_sup_bounded_by_scaled_q_norm_1d(seed, mu, K):
-    # discrete Agmon inequality: sup|a|^2 <= 2 ||a|| ||da|| <= ||a||_{Q,mu}^2
-    g = GridSpec(n=1, K=K, mu=mu)
-    a = _values(g.shape[0], seed)
-    assert np.max(np.abs(a)) <= norm_q_mu(a, g) * (1.0 + 1e-12)
+def test_sup_bounded_by_scaled_q_norm_1d(seed, mu, K, offset):
+    # discrete Agmon inequality: sup|a|^2 <= 2 ||a|| ||da|| <= ||a||_{Q,mu}^2,
+    # ||a||_{Q,mu} = mu^(1/2) block_norm_q for the even field of a random block
+    g = GridSpec(n=1, K=K, mu=mu, offsets=(offset,))
+    block = _values(K + 1, seed)
+    assert np.max(np.abs(block)) <= np.sqrt(mu) * block_norm_q(block, g, mu) * (1.0 + 1e-12)
 
 
 @given(
@@ -145,7 +145,7 @@ def test_sup_bounded_by_sqrt_mu_q_norm(seed, mu, n):
 def test_embedding_checks_random(seed, q):
     a = _values(37, seed)
     assert embedding_checks(a, q)
-    assert lp_norm(a, q) <= norm_l2(a) * (1.0 + 1e-12)
+    assert lp_norm(a, q) <= np.linalg.norm(a) * (1.0 + 1e-12)
 
 
 def test_embedding_checks_examples_and_guard():
@@ -164,13 +164,16 @@ def test_embedding_checks_examples_and_guard():
 
 
 def test_mu_scaled_norms_match_continuum():
-    # sampled Gaussian: mu-weighted sums converge to the integrals
-    g = GridSpec(n=1, K=4000, mu=0.01)
-    x = g.position_axes()[0]
-    a = np.exp(-(x**2))
-    assert norm_l2_mu(a, g) ** 2 == pytest.approx(np.sqrt(np.pi / 2), rel=1e-6)
-    # H1 part: integral of (d/dx exp(-x^2))^2 = sqrt(pi/2)
-    assert norm_q_mu(a, g) ** 2 == pytest.approx(2 * np.sqrt(np.pi / 2), rel=1e-4)
+    # sampled Gaussian on the block of either centering: the mu-weighted
+    # orbit sums (mu^n sum a^2 and ||a||_{Q,mu}^2) converge to the integrals
+    for offset in (0.0, 0.5):
+        g = GridSpec(n=1, K=4000, mu=0.01, offsets=(offset,))
+        a = np.exp(-(g.position_axes()[0][block_slices(g)] ** 2))
+        l2_sq = g.mu * np.sum(orbit_sizes(g) * a * a)
+        assert l2_sq == pytest.approx(np.sqrt(np.pi / 2), rel=1e-6)
+        # H1 part: integral of (d/dx exp(-x^2))^2 = sqrt(pi/2)
+        q_sq = g.mu * block_norm_q(a, g, g.mu) ** 2
+        assert q_sq == pytest.approx(2 * np.sqrt(np.pi / 2), rel=1e-4)
 
 
 # --- geometry --------------------------------------------------------------
@@ -251,7 +254,7 @@ def test_fold_unfold_roundtrip(grid):
     assert mirror_block(block, grid).tobytes() == raw.tobytes()
     # orthonormality: orbit coordinates keep the l2 norm of even fields
     x = block * orbit_weights(grid)
-    assert norm_l2(x) == pytest.approx(norm_l2(raw), rel=1e-13)
+    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(raw), rel=1e-13)
 
 
 @pytest.mark.parametrize(

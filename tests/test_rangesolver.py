@@ -46,7 +46,7 @@ def cubic_setup(mu, K=40, a=0.4):
     """Grid, the sampled ground state on its fundamental block, operator."""
     grid = GridSpec(n=1, K=K, mu=mu)
     profile = solve_ground_state(1, 1.0)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=a)
     return grid, phi, op
 
@@ -535,7 +535,7 @@ def test_2d_smoke():
     mu, a = 0.3, 0.25
     profile = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=12, mu=mu)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=8)
     assert report.converged
@@ -573,7 +573,7 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     p, mu, a = (1.0, 0.3, 0.4) if n == 1 else (0.5, 0.3, 0.25)
     profile = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     w, report = solve_range_equation(phi, op, p=p, mu=mu, L_max=9)
     w_ref, tail_ref, forcing_ref = _full_box_picard(
@@ -595,7 +595,7 @@ def test_forcing_norm_in_closed_form_is_the_full_window_pass(n, p):
     mu, a = 0.3, 0.25
     grid = GridSpec(n=n, K=20, mu=mu, offsets=(0.5,) * n)
     profile = solve_ground_state(n, p)
-    phi = sample_reference(profile, grid, coupling=a)[block_slices(grid)]
+    phi = sample_reference(profile, grid, coupling=a)
     op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
     _, report = solve_range_equation(phi, op, p, mu, L)
     v = np.zeros(((L + 1) // 2,) + phi.shape)

@@ -140,22 +140,27 @@ def test_nonlinearity_preserves_odd_parity(p):
 
 
 # signed zeros, infinities, NaN, subnormals and squares that underflow
-# or overflow
+# or overflow; -NaN comes last
 _SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1.3e-162,
-                   1e154, -1e155, 1e300]
+                   1e154, -1e155, 1e300, -np.nan]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.25, 1.5])
 def test_pointwise_map_is_the_written_formula_bitwise(p):
     # p = 1/2 skips the power |v| ** 1.0 and p = 1 squares by v * v: both
-    # keep the formula's bits, as the general power does
+    # keep the formula's bits, as the general power does, for every input
+    # but -NaN, which maps to a NaN of either sign
     v = 0.4 * np.random.default_rng(12).standard_normal((61, 37))
     v[0, : len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    minus_nan = (0, len(_SPECIAL_VALUES) - 1)
+    assert np.isnan(v[minus_nan]) and np.signbit(v[minus_nan])
     beta = nonlinearity_coefficient(p)
     with np.errstate(over="ignore"):
         want = beta * np.abs(v) ** (2.0 * p) * v
         got = nonlinearity_map(p)(v)
     assert got is v  # evaluated into the sample buffer
+    assert np.isnan(got[minus_nan]) and np.isnan(want[minus_nan])
+    got[minus_nan] = want[minus_nan] = 0.0
     assert got.tobytes() == want.tobytes()
 
 
