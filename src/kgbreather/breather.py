@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, FormatError, GuardError
-from .groundstate import check_exponent, sample_reference, solve_ground_state
+from .groundstate import check_parameters, sample_reference, solve_ground_state
 from .kernelsolver import (
     DnlsProblem, kernel_remainder, solve_dnls_ground_state, solve_kernel_equation,
 )
@@ -76,19 +76,13 @@ class PipelineConfig:
     residual_target: float = 0.0
 
     def __post_init__(self):
-        check_exponent(self.n, self.p)
-        if not (0.0 < self.coupling < 0.5):
-            raise GuardError(f"coupling must sit in (0, 1/2), got {self.coupling}")
-        if not (0.0 < self.mu):
-            raise GuardError(f"mu must be positive, got {self.mu}")
+        check_parameters(self.n, self.p, self.coupling, self.mu)  # m: at assembly
         mode_offsets(self.n, self.mode)
         if self.l_max < 3:
             raise GuardError("need at least harmonics 0..3 to see the range part")
-        if not self.residual_target >= 0.0:  # NaN too
-            raise GuardError(f"residual_target must be >= 0, got {self.residual_target}")
-        if not (self.tol >= 0.0 and self.kernel_tol >= 0.0):
-            raise GuardError(f"tol and kernel_tol must be >= 0, got {self.tol}, "
-                             f"{self.kernel_tol}")
+        for name in ("tol", "kernel_tol", "residual_target"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN too
+                raise GuardError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         _check_window(self.l_max, self.make_grid(), "l_max")
 
     @property
@@ -112,13 +106,12 @@ class Breather:
     ``odd_rows`` scales phi and w to the physical odd rows, on which the
     checks run; mirrored, they are the box stack ``coeffs``, which the
     package never builds.  A .kgbr file holds phi, phi_dnls and w past
-    row 0.
+    row 0.  mu is the grid's.
     """
 
     grid: GridSpec
     p: float
     coupling: float
-    mu: float
     mode: str
     multiplier: float
     omega: float
@@ -127,6 +120,10 @@ class Breather:
     phi_dnls: np.ndarray = field(repr=False)  # pure discrete-NLS solution
     w: np.ndarray = field(repr=False)  # odd-row range stack on the block
     reports: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def mu(self):
+        return self.grid.mu
 
     @property
     def amplitude(self):
@@ -154,14 +151,10 @@ class Breather:
         return out
 
     def start_field(self):
-        """q(0) = sum_l coeffs[l] (every cos(l omega t) is 1 at t = 0), one
-        harmonic at a time in row order, amplitude * mirror(phi) then
-        amplitude * mirror(w_l): np.sum(coeffs, axis=0) bit for bit (q
-        never holds -0)."""
-        q = np.zeros(self.grid.shape)
-        for row in (self.phi, *self.w[1:]):
-            q += self.amplitude * mirror_block(row, self.grid)
-        return q
+        """q(0) = sum_l coeffs[l] (every cos(l omega t) is 1 at t = 0): the
+        odd rows summed on the block in row order, then mirrored once,
+        np.sum(coeffs, axis=0) bit for bit (q never holds -0)."""
+        return mirror_block(np.sum(self.odd_rows(), axis=0), self.grid)
 
     def peak(self):
         """max |coeffs| bit for bit, NaN included: scaling by the amplitude
@@ -191,7 +184,7 @@ def _check_window(L, grid, what):
                          f"fit in memory on this grid")
 
 
-def _window_for_residual(phi, w, grid, config, target):
+def _window_for_residual(phi, w, prob, l_max, target):
     """Harmonic window needed for a truncation residual below ``target``.
 
     The cosine spectrum of N(u) = beta |u|^(2p) u beyond the kept window
@@ -200,18 +193,18 @@ def _window_for_residual(phi, w, grid, config, target):
     the measured spectrum just above the working window, and the window is
     widened until sum_{l > L} C / l^3 ~ C / (4 L^2) <= target / 2.  For
     polynomial powers (integer p) the measured tail is already roundoff
-    and the working window stands.  ``phi`` and the odd-row range stack
-    ``w`` live on the fundamental block, whose sup over sites is the box's.
+    and the working window ``l_max`` stands.  ``phi`` and the odd-row range
+    stack ``w`` live on the fundamental block of the problem ``prob``, whose
+    sup over sites is the box's.
     """
-    l_max = config.l_max
-    amplitude = config.mu ** (1.0 / config.p)
+    amplitude = prob.mu ** (1.0 / prob.p)
     u = amplitude * w
     u[0] += amplitude * phi
     M = default_node_count(2 * l_max + 1)
     # sup over sites of each odd harmonic of N(u), row j harmonic 2j+1
     sup_odd = np.zeros(M // 2)
     for _, spectrum in odd_collocation(
-        (u,), M, nonlinearity_map(config.p), analysis=True
+        (u,), M, nonlinearity_map(prob.p), analysis=True
     ):
         np.maximum(sup_odd, np.max(np.abs(spectrum), axis=1), out=sup_odd)
     # calibrate on the odd harmonics above the working window
@@ -220,7 +213,7 @@ def _window_for_residual(phi, w, grid, config, target):
     if C <= 2.0 * target * l_max**2:
         return l_max
     L = int(np.ceil(np.sqrt(C / (2.0 * target))))
-    _check_window(L, grid, f"residual target {target:.1e}")
+    _check_window(L, prob.grid, f"residual target {target:.1e}")
     return L
 
 
@@ -229,8 +222,8 @@ def assemble_breather(config: PipelineConfig):
     grid = config.make_grid()
     profile = solve_ground_state(config.n, config.p)
     reference = sample_reference(profile, grid, coupling=config.coupling)
-    prob = DnlsProblem(grid=grid, p=config.p, mu=config.mu,
-                       coupling=config.coupling, multiplier=profile.multiplier)
+    prob = DnlsProblem(grid=grid, p=config.p, coupling=config.coupling,
+                       multiplier=profile.multiplier)
     # a box narrower than the profile leaves the discrete NLS nothing to
     # localise, and its Newton solve then lands on the zero field
     decay = np.sqrt(config.coupling / profile.multiplier) / config.mu
@@ -248,25 +241,21 @@ def assemble_breather(config: PipelineConfig):
         raise GuardError(f"the discrete NLS solution kept {kept:.2e} of the "
                          f"sampled profile's l2 norm: no breather on this box")
 
-    phi, w, kernel_report, op = solve_kernel_equation(
+    phi, w, kernel_report = solve_kernel_equation(
         phi_dnls, prob, L_max=config.l_max, tol=config.kernel_tol,
         range_tol=config.tol,
     )
 
     # final range pass: fresh report for the returned profile and, when
-    # asked, a longer harmonic tail (cheap: the same operator, a warm start
+    # asked, a longer harmonic tail (cheap: the problem's operator, a warm start
     # whose first step synthesises only the working window's rows, and
     # feedback of the extra harmonics onto the low ones far below
     # tolerance).  The range stack stays on the fundamental block, odd rows
     # only, for good.
     L_res = config.l_max
     if config.residual_target > 0.0:
-        L_res = _window_for_residual(
-            phi, w, grid, config, config.residual_target
-        )
-    w, range_report = solve_range_equation(
-        phi, op, config.p, config.mu, L_res, w_init=w, tol=config.tol,
-    )
+        L_res = _window_for_residual(phi, w, prob, config.l_max, config.residual_target)
+    w, range_report = solve_range_equation(phi, prob, L_res, w_init=w, tol=config.tol)
 
     # kernel-equation residual of the final range component, on the block
     # (its sup is the box's), and the harmonic tail of N(phi cos + w) past
@@ -291,8 +280,8 @@ def assemble_breather(config: PipelineConfig):
     }
 
     b = Breather(
-        grid=grid, p=config.p, coupling=config.coupling, mu=config.mu,
-        mode=config.mode, multiplier=profile.multiplier,
+        grid=grid, p=config.p, coupling=config.coupling, mode=config.mode,
+        multiplier=profile.multiplier,
         omega=float(np.sqrt(prob.omega_sq)), L_max=L_res, phi=phi,
         phi_dnls=phi_dnls, w=w, reports=reports,
     )
@@ -536,7 +525,8 @@ class ScalingTable:
 def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kwargs):
     """Assemble one breather per mu and tabulate the reference distances.
 
-    mu values must be finite and strictly decreasing.  Per-mu failures
+    mu values must be finite and strictly decreasing, the rest valid for
+    PipelineConfig.  Per-mu failures
     (guard trips, stalled iterations) are recorded, not raised; any later
     slope fit insists on >= 4 surviving rows.  ``progress(mu, row)``, if
     given, is called after every mu, with row None when that mu failed.
@@ -547,6 +537,8 @@ def scaling_study(mu_list, n, p, coupling, mode="st", progress=None, **config_kw
     # every comparison with a NaN is false, so a NaN anywhere fails this
     if len(mus) < 2 or not all(np.inf > a > b > -np.inf for a, b in zip(mus, mus[1:])):
         raise GuardError(f"mu list must be finite and strictly decreasing, got {mus}")
+    # a check that fails at the largest mu fails at all (boxes grow as mu falls)
+    PipelineConfig(n=n, p=p, coupling=coupling, mu=mus[0], mode=mode, **config_kwargs)
     rows, failures = [], {}
     for mu in mus:
         # release the last mu's breather before the next one assembles
@@ -599,9 +591,10 @@ def save_breather(path, b: Breather):
 
 def load_breather(path):
     """Read the save_breather layout in two reads into the arrays the
-    breather keeps.  Anything else is a FormatError, version-1 files (box
-    stacks) included: re-run ``breather`` with the config in their JSON
-    report to rebuild them."""
+    breather keeps.  A header outside the paper's window (its DnlsProblem
+    refuses it) or with an omega out of range is a FormatError, as is
+    anything else, version-1 files (box stacks) included: re-run
+    ``breather`` with the config in their JSON report to rebuild them."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -620,14 +613,10 @@ def load_breather(path):
             offsets = struct.unpack_from(f"<{n}d", head, off)
             off += 8 * n
             grid = GridSpec(n=n, K=K, mu=mu, offsets=offsets)
-            # the windows DnlsProblem and RangeOperator guard at assembly
-            check_exponent(n, p)
-            if not (0.0 < coupling < 0.5 and mu < np.inf and 0.0 < m < np.inf
-                    and m * mu * mu < 0.5 and 0.0 < omega
-                    and abs(omega * omega - 1.0) < 0.5):
-                raise GuardError(f"need 0 < a < 1/2, finite mu, 0 < m mu^2 < 1/2 "
-                                 f"and omega > 0 with |omega^2 - 1| < 1/2; got "
-                                 f"a={coupling}, mu={mu}, m={m}, omega={omega}")
+            DnlsProblem(grid=grid, p=p, coupling=coupling, multiplier=m)
+            if not (0.0 < omega and abs(omega * omega - 1.0) < 0.5):
+                raise GuardError(f"need omega > 0 with |omega^2 - 1| < 1/2, "
+                                 f"got omega={omega}")
         except (struct.error, GuardError) as exc:
             raise FormatError(f"{path}: corrupt header ({exc})") from exc
         modes = list(BREATHER_MODES[n].items())
@@ -649,9 +638,8 @@ def load_breather(path):
         fh.readinto(profiles)
         fh.readinto(w[1:])
     phi, phi_dnls = profiles
-    return Breather(grid=grid, p=p, coupling=coupling, mu=mu, mode=mode,
-                    multiplier=m, omega=omega, L_max=L_max, phi=phi,
-                    phi_dnls=phi_dnls, w=w)
+    return Breather(grid=grid, p=p, coupling=coupling, mode=mode, multiplier=m,
+                    omega=omega, L_max=L_max, phi=phi, phi_dnls=phi_dnls, w=w)
 
 
 def save_breather_report(path, b: Breather, extra=None):

@@ -287,12 +287,13 @@ def _cmd_validate(opt):
 
 def _cmd_fem_check(opt):
     mus = _parse_mu_list(opt["mu_list"])
+    # every box first: a mu or r_min that makes none is refused before any solve
+    grids = [GridSpec.for_radius(opt["n"], mu=mu, r_min=opt["r_min"]) for mu in mus]
     profile = solve_ground_state(opt["n"], opt["p"])
     q = 2.0 * opt["p"]
     power = 4.0 * opt["p"] + 2.0
     rows = []
-    for mu in mus:
-        grid = GridSpec.for_radius(opt["n"], mu=mu, r_min=opt["r_min"])
+    for mu, grid in zip(mus, grids):
         psi = sample_reference(profile, grid)  # on the block; both sums are the box's
         g_c, g_d, r_g = functional_remainder(mirror_block(psi, grid), grid, q=q)
         chain = float(

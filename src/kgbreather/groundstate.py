@@ -44,6 +44,18 @@ def check_exponent(n, p):
         raise GuardError(f"need 1/2 <= p < {2.0 / n} for n={n}, got p={p}")
 
 
+def check_parameters(n, p, coupling, mu, multiplier=None):
+    """The paper's window: 1/2 <= p < 2/n, 0 < a < 1/2, 0 < mu < inf and,
+    given m, 0 < m mu^2 < 1/2, so 1/2 < omega^2 = 1 - m mu^2 < 1."""
+    check_exponent(n, p)
+    if not (0.0 < coupling < 0.5):
+        raise GuardError(f"coupling must sit in (0, 1/2), got {coupling}")
+    if not (0.0 < mu < np.inf):
+        raise GuardError(f"mu must be positive and finite, got {mu}")
+    if multiplier is not None and not (0.0 < multiplier * mu**2 < 0.5):
+        raise GuardError(f"need 0 < m mu^2 < 1/2, got m={multiplier}, mu={mu}")
+
+
 def sech_moment(p):
     """int_R sech(y)^(2/p) dy = sqrt(pi) Gamma(1/p) / Gamma(1/p + 1/2)."""
     return np.sqrt(np.pi) * gamma(1.0 / p) / gamma(1.0 / p + 0.5)
@@ -146,9 +158,11 @@ def solve_ground_state(n, p, tol=1e-11):
     """Unit-mass ground state of -lap psi + m psi = psi^(2p+1) on R^n.
 
     Cached: the pipeline asks for the same profile once per continuation
-    step and the 2d solve is not free.
+    step and the 2d solve is not free.  ``tol`` must be finite and positive.
     """
     check_exponent(n, p)
+    if not (0.0 < tol < np.inf):
+        raise GuardError(f"tol must be finite and positive, got {tol}")
     if n == 1:
         I_p = sech_moment(p)
         m = (p / ((p + 1.0) ** (1.0 / p) * I_p)) ** (2.0 * p / (2.0 - p))

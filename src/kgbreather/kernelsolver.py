@@ -21,7 +21,7 @@ reflection-even field, and Newton runs in its orbit coordinates, phi
 times lattice.orbit_weights: the full Jacobian is exactly singular in the
 odd sector only up to exponentially small Peierls-Nabarro splittings,
 which the reduction removes wholesale.  DnlsProblem holds -lap there
-once, as rangesolver.EvenSector (shared with the range inverse).  A
+once, as rangesolver.EvenSector, shared with its range_operator.  A
 Newton step is a pivoting tridiagonal solve in 1d (dgtsv: G0' is
 indefinite), and in 2d MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12
 (1975) 617-629) on the matrix-free G0', which takes its one negative
@@ -51,7 +51,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, GuardError
-from .groundstate import check_exponent
+from .groundstate import check_parameters
 from .lattice import block_laplacian, orbit_sizes, orbit_weights
 from .rangesolver import EvenSector, RangeOperator, solve_range_equation
 from .timespectral import default_node_count, first_harmonic
@@ -67,23 +67,20 @@ _LOBPCG_TOL, _LOBPCG_MAX_ITER = 1e-9, 200
 
 @dataclass(frozen=True)
 class DnlsProblem:
-    """Parameters of the kernel equation on a fixed box."""
+    """Parameters of the kernel equation on a fixed box, in the paper's
+    window (groundstate.check_parameters); mu is the grid's."""
 
     grid: object
     p: float
-    mu: float
     coupling: float
     multiplier: float
 
     def __post_init__(self):
-        check_exponent(self.grid.n, self.p)
-        if not (0.0 < self.coupling < 0.5):
-            raise GuardError(f"coupling must sit in (0, 1/2), got {self.coupling}")
-        if not (0.0 < self.mu):
-            raise GuardError(f"mu must be positive, got {self.mu}")
-        if not (self.multiplier * self.mu**2 < 0.5):
-            raise GuardError(f"need m mu^2 < 1/2 (got {self.multiplier * self.mu ** 2:.3f}); "
-                             "the frequency would leave the invertibility window")
+        check_parameters(self.grid.n, self.p, self.coupling, self.mu, self.multiplier)
+
+    @property
+    def mu(self):
+        return self.grid.mu
 
     @property
     def omega_sq(self):
@@ -94,6 +91,11 @@ class DnlsProblem:
         """The even-sector decomposition of -lap on the block, built once
         per problem for the Newton steps and the range inverse."""
         return EvenSector(self.grid)
+
+    @cached_property
+    def range_operator(self):
+        """The range inverse of this problem, for every harmonic window."""
+        return RangeOperator(self)
 
     @cached_property
     def preconditioner(self):
@@ -248,17 +250,14 @@ def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
     (warm-started from the previous w), then projects the nonlinearity
     with kernel_remainder on the same nodes.
 
-    phi0 and the returned phi live on the block.  Returns (phi, w, report,
-    range_op); w is the range component of the returned phi, an odd-row
-    stack on the block, and range_op serves any window on this grid.
+    phi0 and the returned phi live on the block.  Returns (phi, w, report);
+    w, solved with prob.range_operator, is the range component of the
+    returned phi, an odd-row stack on the block.
     """
-    op = RangeOperator(prob.grid, prob.omega_sq, prob.coupling, prob.sector)
     state = {"w": None, "range_iters": 0}
 
     def residual(phi):
-        w, rep = solve_range_equation(
-            phi, op, prob.p, prob.mu, L_max, w_init=state["w"], tol=range_tol
-        )
+        w, rep = solve_range_equation(phi, prob, L_max, w_init=state["w"], tol=range_tol)
         state["w"] = w
         state["range_iters"] += rep.iterations
         R = kernel_remainder(phi, prob, w, L_max)
@@ -267,7 +266,7 @@ def solve_kernel_equation(phi0, prob, L_max=8, tol=1e-11, range_tol=1e-12):
     phi, report = _newton_reduced(phi0, prob, residual, tol, _KERNEL_MAX_ITER)
     report.range_iterations = state["range_iters"]
     # the last residual evaluated belongs to the accepted iterate
-    return phi, state["w"], report, op
+    return phi, state["w"], report
 
 
 @dataclass

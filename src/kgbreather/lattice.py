@@ -60,8 +60,8 @@ class GridSpec:
     @classmethod
     def for_radius(cls, n, mu, r_min, offsets=None):
         """Smallest box with K*mu >= r_min (physical decay radius)."""
-        if not (mu > 0.0) or not (r_min > 0.0):
-            raise GuardError("need mu > 0 and r_min > 0")
+        if not (0.0 < mu < np.inf and 0.0 < r_min and r_min / mu < np.inf):
+            raise GuardError(f"need 0 < mu < inf, r_min > 0, r_min/mu finite: {mu}, {r_min}")
         # relative slack: r_min = K * mu must give back K for any K, and
         # the rounding error of the ratio grows with it
         K = int(np.ceil(r_min / mu * (1.0 - 1e-12)))

@@ -45,10 +45,11 @@ on the box.
 The symbol is therefore only ever divided on this even sector and for the
 odd harmonics l = 3, 5, ..., L.  The operator acts harmonic by harmonic,
 so it knows no window L: the window is an argument of the range solve.
-Under the guards 1/2 < omega^2 < 3/2 and 0 < a s < 4, every l >= 5 has
-symbol < 1 - 25/2 + 4 = -7.5, further from zero than any l = 3 value, so
-the constructor checks the symbol (ResonanceError) and takes
-spectral_margin at l = 3 alone.  With omega^2 > 1/2 and a < 1/2, every
+The operator is built from a kernelsolver.DnlsProblem, inside the paper's
+window (groundstate.check_parameters): 0 < a < 1/2 and 1/2 < omega^2 < 1.
+There, with 0 < a s < 4, every l >= 5 has symbol < 1 - 25/2 + 4 = -7.5,
+further from zero than any l = 3 value, so the constructor checks the
+symbol (ResonanceError) and takes spectral_margin at l = 3 alone.  Every
 1d symbol is below 1 - 9/2 + 2 = -3/2, so a resonance is possible only in
 2d (a s up to 8a), with omega^2 < 5/9.
 """
@@ -150,21 +151,15 @@ class EvenSector:
 class RangeOperator:
     """Per-harmonic inverse of L = omega^2 d_tautau + I - a lap on the
     range, the odd harmonics l >= 3 on the reflection-even sector, for any
-    harmonic window, through ``sector`` (the grid's EvenSector, built here
-    when not given).  The symbol is checked on its spectrum, and
-    spectral_margin and neumann_margin read it; the smallest |symbol| over
-    all l >= 3 is the l = 3 one (module docstring), so both read l = 3."""
+    harmonic window, at the omega^2, a and EvenSector of ``prob``.  The
+    symbol is checked on its spectrum; spectral_margin and neumann_margin
+    read it at l = 3, its smallest |symbol| over l >= 3 (module docstring)."""
 
-    def __init__(self, grid, omega_sq, coupling, sector=None):
-        if not (0.0 < coupling < 0.5):
-            raise GuardError(f"need coupling in (0, 1/2), got {coupling}")
-        if not (abs(omega_sq - 1.0) < 0.5):
-            raise GuardError(f"need |omega^2 - 1| < 1/2 for invertibility, got {omega_sq}")
-        self.grid = grid
-        self.omega_sq = float(omega_sq)
-        self.coupling = float(coupling)
-        self.sector = EvenSector(grid) if sector is None else sector
-        self.sigma = orbit_sizes(grid)
+    def __init__(self, prob):
+        self.omega_sq = prob.omega_sq
+        self.coupling = prob.coupling
+        self.sector = prob.sector
+        self.sigma = orbit_sizes(prob.grid)
         self._root_sigma = np.sqrt(self.sigma)
         self._shifts = {}  # omega^2 l^2 - 1 over l = 3, 5, .. per row count
         # invertibility margin over every range harmonic, taken at l = 3
@@ -232,8 +227,9 @@ def _unit_forcing(p, M, rows):
     return sobolev_time_norm(gamma, order=0, weights=np.ones(1))
 
 
-def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
-    """Picard iteration for the range component given the kernel profile.
+def solve_range_equation(phi, prob, L_max, w_init=None, tol=1e-12):
+    """Picard iteration for the range component given the kernel profile,
+    at the p, mu and range operator of the problem ``prob``.
 
     ``L_max`` is the harmonic window L: the returned w keeps the odd
     harmonics up to L, and the nonlinearity is sampled at
@@ -258,6 +254,7 @@ def solve_range_equation(phi, op, p, mu, L_max, w_init=None, tol=1e-12):
     divergence or after _MAX_ITER steps.
     """
     phi = np.asarray(phi, dtype=np.float64)
+    p, mu, op = prob.p, prob.mu, prob.range_operator
     beta = nonlinearity_coefficient(p)
     sigma = op.sigma
     M = default_node_count(L_max)

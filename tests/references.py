@@ -311,7 +311,7 @@ def basis_range_solve(op, coeffs):
     """``kgbreather.rangesolver.RangeOperator.solve`` on a 1d stack through
     the dense even-sector basis: V (sigma V^T g / symbol) row by row, the
     per-mode inverse that the tridiagonal solve replaced."""
-    grid = op.grid
+    grid = op.sector.grid
     V = _even_basis(grid.axis_length(0), grid.K, grid.offsets[0])
     coeffs = np.asarray(coeffs, dtype=np.float64)
     out = np.zeros_like(coeffs)

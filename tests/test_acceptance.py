@@ -121,7 +121,7 @@ def test_1_fem_gradient_identity(capsys):
 
 def test_1_hessian_identity_at_solution(capsys):
     grid = GridSpec.for_radius(1, mu=0.2, r_min=40.0)
-    prob = DnlsProblem(grid=grid, p=1.0, mu=0.2, coupling=0.25, multiplier=M_CUBIC)
+    prob = DnlsProblem(grid=grid, p=1.0, coupling=0.25, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.25)
     phi, _ = solve_dnls_ground_state(prob, phi0, tol=1e-13)
     residual = float(np.max(np.abs(prob.apply_g0(phi))))
@@ -214,7 +214,7 @@ def test_2_hessian_signs(capsys):
     for mu in (0.1, 0.2):
         grid = GridSpec.for_radius(1, mu=mu, r_min=40.0)
         prob = DnlsProblem(
-            grid=grid, p=1.0, mu=mu, coupling=0.25, multiplier=M_CUBIC
+            grid=grid, p=1.0, coupling=0.25, multiplier=M_CUBIC
         )
         phi0 = sample_reference(ground, grid, coupling=0.25)
         phi, _ = solve_dnls_ground_state(prob, phi0)

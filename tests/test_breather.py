@@ -93,6 +93,31 @@ def test_config_refuses_nan_and_negative_tolerances(field, value):
         PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.2, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["tol", "kernel_tol", "residual_target"])
+def test_config_refuses_infinite_tolerances(field):
+    """kernel_tol = inf stopped both Newton solves at iteration 0, reported
+    as converged, with a kg_residual of 2.5e-5; tol = inf stopped every
+    Picard solve after one step.  An infinite tolerance or residual target
+    is refused like a NaN one, and 0 is still accepted (for the residual
+    target: keep the working window)."""
+    with pytest.raises(GuardError, match=field):
+        PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.2, **{field: np.inf})
+    PipelineConfig(n=1, p=1.0, coupling=0.25, mu=0.2, **{field: 0.0})
+
+
+def test_config_and_problem_check_one_window():
+    """The config checks the paper's window without m: a mu that is not
+    positive and finite is refused when the config is made.  The
+    assembly's DnlsProblem checks it with m: at p = 1 (m = 1/16) and
+    mu = 3, m mu^2 = 0.5625 >= 1/2 is refused before any Newton solve."""
+    for mu in (np.inf, np.nan, 0.0, -0.2):
+        with pytest.raises(GuardError, match="mu"):
+            PipelineConfig(n=1, p=1.0, coupling=0.25, mu=mu)
+    cfg = PipelineConfig(n=1, p=1.0, coupling=0.25, mu=3.0, r_min=30.0)
+    with pytest.raises(GuardError, match=r"0 < m mu\^2 < 1/2"):
+        assemble_breather(cfg)
+
+
 def test_config_refuses_a_working_window_that_cannot_fit():
     # the stack guard of the widened window, for l_max: the odd-row block
     # stack, (L+1)//2 rows of K+1 = 801 sites, > 2^27 values past L = 335,124
@@ -148,6 +173,13 @@ def test_frequency_convention(small_1d):
         np.sqrt(1.0 - b.multiplier * b.mu**2), rel=0, abs=0
     )
     assert b.period == pytest.approx(2.0 * np.pi / b.omega)
+
+
+def test_breather_reads_mu_from_its_grid(small_1d):
+    # mu has one source: the breather and its problem read the grid's
+    assert small_1d.mu is small_1d.grid.mu
+    with pytest.raises(AttributeError):
+        small_1d.mu = 0.3
 
 
 def test_residual_and_symmetry(small_1d):
@@ -232,7 +264,7 @@ def _odd_breather(n, mode, seed=5, K=5, L=7, mu=0.4):
     w = 0.3 * rng.standard_normal(block)
     w[0] = 0.0
     return Breather(
-        grid=grid, p=0.5, coupling=0.25, mu=mu, mode=mode, multiplier=0.1,
+        grid=grid, p=0.5, coupling=0.25, mode=mode, multiplier=0.1,
         omega=0.99, L_max=L, phi=rng.standard_normal(block[1:]),
         phi_dnls=rng.standard_normal(block[1:]), w=w,
     )
@@ -360,8 +392,7 @@ def _box_report_norms(b):
     scale = b.mu ** (g.n / 2.0)
     psi = solve_ground_state(g.n, b.p)(g.radius_mesh(scale=np.sqrt(b.coupling)))
     phi, phi_dnls = mirror_block(b.phi, g), mirror_block(b.phi_dnls, g)
-    prob = DnlsProblem(grid=g, p=b.p, mu=b.mu, coupling=b.coupling,
-                       multiplier=b.multiplier)
+    prob = DnlsProblem(grid=g, p=b.p, coupling=b.coupling, multiplier=b.multiplier)
     R = mirror_block(kernel_remainder(b.phi, prob, b.w, b.L_max), g)
     return {
         "dist_phi_dnls": scale * norm_q(phi - phi_dnls, b.mu),
@@ -817,15 +848,16 @@ _FLOAT_AT = {name: 28 + 8 * i for i, name in enumerate(("mu", "a", "p", "m", "om
 
 @pytest.mark.parametrize(("name", "value"), [
     ("a", 0.7), ("omega", np.nan), ("omega", 1.3), ("omega", -0.998), ("mu", np.inf),
-    ("m", -3.0), ("m", 20.0), ("p", 5.0),
+    ("m", -3.0), ("m", 20.0), ("p", 5.0), ("m", 0.0),
 ])
 def test_validate_refuses_a_header_outside_the_guarded_windows(
     tmp_path, capsys, small_1d, name, value
 ):
     """a outside (0, 1/2), a non-finite or non-positive mu, m outside
-    (0, 1/2 mu^2), omega <= 0 or |omega^2 - 1| >= 1/2, or p outside
-    check_exponent's range is a header no assembly writes: a malformed
-    file, exit 4, no output."""
+    (0, 1/2 mu^2), m <= 0 included, omega <= 0 or |omega^2 - 1| >= 1/2, or
+    p outside check_exponent's range is a header no assembly writes: the
+    DnlsProblem of the header refuses it, a malformed file, exit 4, no
+    output."""
     path, out = tmp_path / "b.kgbr", tmp_path / "v.json"
     save_breather(path, small_1d)
     raw = bytearray(path.read_bytes())

@@ -104,6 +104,67 @@ def test_runs_that_cannot_work_exit_2_before_solving(monkeypatch, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+# one valid set of options per subcommand that has a float option
+_VALID_ARGS = {
+    "groundstate": ["--n", "1", "--p", "1"],
+    "breather": ["--n", "1", "--p", "1", "--a", "0.25", "--mu", "0.3", "--r-min", "15"],
+    "scaling": ["--n", "1", "--p", "1", "--a", "0.25", "--mu-list", "0.4,0.35,0.3,0.25",
+                "--r-min", "10"],
+    "fem-check": ["--n", "1", "--p", "1", "--mu-list", "0.3,0.2", "--r-min", "10"],
+}
+_FLOAT_OPTIONS = [(command, key) for command, options in cli._OPTIONS.items()
+                  for key, (typ, _, _) in options.items() if typ is float]
+
+
+def _refused_before_solving(monkeypatch, tmp_path, capsys, argv):
+    """main(argv) exits 2 with an error line, assembles nothing, prints
+    nothing to stdout (every command prints only after a solve) and
+    writes no file."""
+    def assemble(config):
+        raise AssertionError("assembled a run that cannot work")
+
+    monkeypatch.setattr(cli, "assemble_breather", assemble)
+    monkeypatch.setattr(breather, "assemble_breather", assemble)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_subcommand_with_a_float_option_is_covered():
+    assert {command for command, _ in _FLOAT_OPTIONS} == set(_VALID_ARGS)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, key", _FLOAT_OPTIONS,
+                         ids=[f"{c}-{k}" for c, k in _FLOAT_OPTIONS])
+def test_every_float_option_refuses_inf_and_nan(monkeypatch, tmp_path, capsys,
+                                                command, key, value):
+    """Each float option of the option table, set to inf or nan with every
+    other option valid, is a guard violation found before any solve.
+    breather --r-min inf, --tol inf, --kernel-tol inf and
+    --residual-target inf, and groundstate --tol inf, used to run (or end
+    in a traceback)."""
+    flag = "--" + key.replace("_", "-")
+    _refused_before_solving(monkeypatch, tmp_path, capsys,
+                            [command, *_VALID_ARGS[command], flag, value])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fem-check", "--n", "1", "--p", "1", "--mu-list", "0.2,0.15,0.1,inf",
+     "--r-min", "10"],
+    ["fem-check", "--n", "1", "--p", "1", "--mu-list", "0.2,1e-300", "--r-min", "1e300"],
+    ["groundstate", "--n", "2", "--p", "0.5", "--tol", "-1"],
+], ids=["fem-check-inf-mu", "fem-check-overflowing-box", "groundstate-negative-tol"])
+def test_runs_with_no_box_or_no_tolerance_exit_2_before_solving(monkeypatch, tmp_path,
+                                                                capsys, argv):
+    """A mu list holding inf printed its finite rows and then ended in a
+    LinAlgError; a box whose r_min/mu overflows raised OverflowError; a
+    negative tolerance ran 50 bordered Newton steps and then exited 3."""
+    _refused_before_solving(monkeypatch, tmp_path, capsys, argv)
+
+
 @pytest.mark.parametrize("error, code", [
     (GuardError("guard"), 2),
     (ResonanceError(3, 1e-9), 2),

@@ -17,6 +17,7 @@ import kgbreather.groundstate as groundstate
 from kgbreather.errors import ConvergenceError, GuardError
 from kgbreather.groundstate import (
     check_exponent,
+    check_parameters,
     sample_reference,
     save_profile,
     sech_moment,
@@ -122,6 +123,29 @@ def test_exponent_guards():
     with pytest.raises(GuardError):
         check_exponent(2, 1.0)
     check_exponent(2, 0.5)
+
+
+@pytest.mark.parametrize("n, p", [(1, 1.0), (2, 0.5)])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
+def test_ground_state_refuses_a_tolerance_that_is_not_finite_and_positive(n, p, tol):
+    # tol = -1 ran all 50 bordered Newton steps of the 2d solve and then
+    # raised ConvergenceError; the 1d closed form takes no tolerance, but
+    # is held to the same rule
+    with pytest.raises(GuardError, match="tol must be finite and positive"):
+        solve_ground_state(n, p, tol=tol)
+
+
+def test_check_parameters_bounds():
+    # 1/2 <= p < 2/n, 0 < a < 1/2 and 0 < mu < inf; with m, 0 < m mu^2 < 1/2
+    check_parameters(1, 1.0, 0.25, 0.3)
+    check_parameters(2, 0.5, 0.25, 0.3, multiplier=1.0)
+    for args in ((1, 2.0, 0.25, 0.3), (1, 1.0, 0.5, 0.3), (1, 1.0, 0.0, 0.3),
+                 (1, 1.0, 0.25, 0.0), (1, 1.0, 0.25, np.inf), (1, 1.0, 0.25, np.nan),
+                 (1, 1.0, 0.25, 0.3, 0.0), (1, 1.0, 0.25, 0.3, -1.0),
+                 (1, 1.0, 0.25, 0.3, 0.5 / 0.09 + 1e-9), (1, 1.0, 0.25, 0.3, np.inf),
+                 (1, 1.0, 0.25, 0.3, np.nan)):
+        with pytest.raises(GuardError):
+            check_parameters(*args)
 
 
 def test_sample_reference_coupling_rescale():

@@ -27,7 +27,7 @@ from kgbreather.lattice import (
     mirror_block,
     orbit_weights,
 )
-from kgbreather.rangesolver import RangeOperator, solve_range_equation
+from kgbreather.rangesolver import solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -64,7 +64,7 @@ def lattice_mass(phi, grid):
 def cubic_problem(mu, a=0.4, r_min=60.0):
     """Grid, problem, and the sampled ground state on the fundamental block."""
     grid = GridSpec.for_radius(1, mu=mu, r_min=r_min)
-    prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=a, multiplier=M_CUBIC)
+    prob = DnlsProblem(grid=grid, p=1.0, coupling=a, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=a)
     return grid, prob, phi0
 
@@ -93,7 +93,7 @@ def test_energy_impulse_value():
 def _symmetric_problem(n, offsets, K):
     """Small box of one centering with a nonvanishing phi on its block."""
     grid = GridSpec(n=n, K=K, mu=0.3, offsets=offsets)
-    prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
+    prob = DnlsProblem(grid=grid, p=0.75, coupling=0.2, multiplier=0.05)
     rng = np.random.default_rng(1)
     raw = 0.5 + 0.1 * rng.standard_normal(grid.shape)  # keep |phi| away from 0
     return grid, prob, symmetrize(raw)[block_slices(grid)]
@@ -149,7 +149,7 @@ def test_block_g0_is_the_box_formula_on_the_block(n, offsets):
     # each block site of the padded Laplacian reads the neighbours the
     # box's reads, in its order: the box formula's bits, sign changes too
     grid = GridSpec(n=n, K=37, mu=0.3, offsets=offsets)
-    prob = DnlsProblem(grid=grid, p=0.75, mu=0.3, coupling=0.2, multiplier=0.05)
+    prob = DnlsProblem(grid=grid, p=0.75, coupling=0.2, multiplier=0.05)
     phi = np.random.default_rng(n).standard_normal((grid.K + 1,) * n)
     got = prob.apply_g0(phi)
     want = box_g0(mirror_block(phi, grid), prob)[block_slices(grid)]
@@ -170,7 +170,7 @@ def test_1d_newton_step_matches_the_sparse_lu(K, offset):
     profile = solve_ground_state(1, 1.0)
     for mu in (0.3, min(2.5, 30.0 / K)):
         grid = GridSpec(n=1, K=K, mu=mu, offsets=(offset,))
-        prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=0.4,
+        prob = DnlsProblem(grid=grid, p=1.0, coupling=0.4,
                            multiplier=M_CUBIC)
         phi0 = sample_reference(profile, grid, coupling=0.4)
         rhs = np.random.default_rng(K).standard_normal(K + 1)
@@ -191,7 +191,7 @@ def test_2d_newton_step_matches_a_dense_solve(mode):
     function of hessian_diagnostics solves it."""
     prof = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=30, mu=0.3, offsets=BREATHER_MODES[2][mode])
-    prob = DnlsProblem(grid=grid, p=0.5, mu=0.3, coupling=0.25,
+    prob = DnlsProblem(grid=grid, p=0.5, coupling=0.25,
                        multiplier=prof.multiplier)
     phi = sample_reference(prof, grid, coupling=0.25)
     J = assembled_g0_jacobian(phi, prob).toarray()
@@ -214,7 +214,7 @@ def test_singular_g0_jacobian_is_a_convergence_error(n):
     # the adjacency of the 3x3 grid graph, bipartite in 5 and 4 sites, so
     # the sparse LU meets an exactly zero pivot
     grid = GridSpec(n=n, K=2, mu=0.5, offsets=(0.5,) * n)
-    prob = DnlsProblem(grid=grid, p=0.5, mu=0.5, coupling=0.25, multiplier=1.0)
+    prob = DnlsProblem(grid=grid, p=0.5, coupling=0.25, multiplier=1.0)
     diag = np.array([1.0, 2.0, 2.0])
     block = np.array([0.5, 0.5, 1.0]) if n == 1 else (1 + np.add.outer(diag, diag)) / 2
     with pytest.raises(ConvergenceError, match="singular at Newton iteration 1"):
@@ -244,7 +244,7 @@ def test_reduced_jacobian_is_fd_of_folded_g0():
 def test_gradient_of_constrained_energy_is_2mun_g0():
     # grad_phi [ H0 + m * mass ] = 2 mu^n G0(phi), checked by central FD
     grid = GridSpec(n=1, K=6, mu=0.35)
-    prob = DnlsProblem(grid=grid, p=1.0, mu=0.35, coupling=0.3, multiplier=M_CUBIC)
+    prob = DnlsProblem(grid=grid, p=1.0, coupling=0.3, multiplier=M_CUBIC)
     rng = np.random.default_rng(3)
     phi = symmetrize(0.4 * rng.standard_normal(grid.shape))
 
@@ -270,7 +270,7 @@ def test_single_site_limit():
     mu, a = 0.3, 1e-10
     grid = GridSpec(n=1, K=6, mu=mu)
     for p, m in ((1.0, 1.0 / 16.0), (0.75, 0.2)):
-        prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=m)
+        prob = DnlsProblem(grid=grid, p=p, coupling=a, multiplier=m)
         phi0 = np.zeros(grid.K + 1)  # the block: the center, then j = 1..K
         phi0[0] = m ** (1.0 / (2.0 * p))
         phi, report = solve_dnls_ground_state(prob, phi0)
@@ -307,12 +307,11 @@ def test_remainder_single_site_closed_form(monkeypatch):
     # sigma3 = 1 - 9 omega^2 (per-site third-harmonic symbol)
     mu, c = 0.2, 0.6
     grid = GridSpec(n=1, K=2, mu=mu)
-    prob = DnlsProblem(grid=grid, p=1.0, mu=mu, coupling=1e-10, multiplier=M_CUBIC)
-    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=prob.coupling)
+    prob = DnlsProblem(grid=grid, p=1.0, coupling=1e-10, multiplier=M_CUBIC)
     phi = np.zeros(grid.K + 1)
     phi[0] = c
     monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
-    w, rep = solve_range_equation(phi, op, prob.p, prob.mu, 10)
+    w, rep = solve_range_equation(phi, prob, 10)
     R = kernel_remainder(phi, prob, w, 10)
     beta = nonlinearity_coefficient(1.0)
     sigma3 = 1.0 - 9.0 * prob.omega_sq
@@ -329,15 +328,14 @@ def test_remainder_projects_on_the_range_node_count():
     profile = solve_ground_state(1, p)
     grid = GridSpec.for_radius(1, mu=mu, r_min=20.0)
     prob = DnlsProblem(
-        grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
+        grid=grid, p=p, coupling=a, multiplier=profile.multiplier
     )
     phi = sample_reference(profile, grid, coupling=a)
     box = mirror_block(phi, grid)
     home = block_slices(grid)
-    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
     for L in (15, 16):
         M = default_node_count(L)
-        w, _ = solve_range_equation(phi, op, p, mu, L)
+        w, _ = solve_range_equation(phi, prob, L)
         R = kernel_remainder(phi, prob, w, L)
         # the projection on the whole box, cut to the block
         u = mirror_block(w, grid)
@@ -363,7 +361,7 @@ def test_remainder_past_the_size_switch_reads_one_cosine_row(monkeypatch):
     profile = solve_ground_state(1, p)
     grid = GridSpec(n=1, K=8, mu=mu)
     prob = DnlsProblem(
-        grid=grid, p=p, mu=mu, coupling=a, multiplier=profile.multiplier
+        grid=grid, p=p, coupling=a, multiplier=profile.multiplier
     )
     phi = sample_reference(profile, grid, coupling=a)
     rows = 512  # harmonics 1..1023 at M = 4096, Q = 2048: 2^20 entries
@@ -395,11 +393,10 @@ def test_tail_leaves_the_remainder_bitwise_unchanged(n, K, L):
     mu, a, p = 0.3, 0.25, 0.5
     profile = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=K, mu=mu)
-    prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a,
+    prob = DnlsProblem(grid=grid, p=p, coupling=a,
                        multiplier=profile.multiplier)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, omega_sq=prob.omega_sq, coupling=a)
-    w, _ = solve_range_equation(phi, op, p, mu, L)
+    w, _ = solve_range_equation(phi, prob, L)
     R = kernel_remainder(phi, prob, w, L)
     R_tail, tail = kernel_remainder(phi, prob, w, L, tail=True)
     assert tail > 0.0
@@ -417,7 +414,7 @@ def test_kernel_newton_full_jacobian_quadratic():
     rates = []
     for mu in (0.3, 0.15):
         grid, prob, phi0 = cubic_problem(mu)
-        phi, w, report, op = solve_kernel_equation(phi0, prob, L_max=8)
+        phi, w, report = solve_kernel_equation(phi0, prob, L_max=8)
         assert report.converged
         assert report.residuals[-1] < 1e-11
         assert np.all(w[0] == 0.0)
@@ -430,11 +427,10 @@ def _fd_newton_reference(phi0, prob, L_max, tol=1e-11, h=1e-6, max_iter=10):
     """Plain Newton on the reduced kernel equation, every column of the
     Jacobian G0' + R' a forward difference of the full residual."""
     grid = prob.grid
-    op = RangeOperator(grid, prob.omega_sq, prob.coupling)
 
     def G(x):
         phi = from_orbit(x, grid)
-        w, _ = solve_range_equation(phi, op, prob.p, prob.mu, L_max)
+        w, _ = solve_range_equation(phi, prob, L_max)
         R = kernel_remainder(phi, prob, w, L_max)
         return to_orbit(prob.apply_g0(phi) + R, grid)
 
@@ -451,7 +447,7 @@ def _fd_newton_reference(phi0, prob, L_max, tol=1e-11, h=1e-6, max_iter=10):
 def test_kernel_quasi_newton_agrees_with_full():
     grid, prob, phi0 = cubic_problem(0.3)
     phi_full = _fd_newton_reference(phi0, prob, L_max=8)
-    phi_g0, _, rep, _ = solve_kernel_equation(phi0, prob, L_max=8)
+    phi_g0, _, rep = solve_kernel_equation(phi0, prob, L_max=8)
     assert rep.converged
     assert np.max(np.abs(phi_full - phi_g0)) < 1e-10
 
@@ -462,7 +458,7 @@ def test_kernel_solution_shifts_from_dnls_at_order_mu2():
     for mu in (0.3, 0.15):
         grid, prob, phi0 = cubic_problem(mu)
         phi_d, _ = solve_dnls_ground_state(prob, phi0)
-        phi_k, _, _, _ = solve_kernel_equation(phi0, prob, L_max=8)
+        phi_k, _, _ = solve_kernel_equation(phi0, prob, L_max=8)
         shifts.append(np.max(np.abs(phi_k - phi_d)) / np.max(np.abs(phi_d)))
     assert shifts[1] < 0.35 * shifts[0]
 
@@ -511,7 +507,7 @@ def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
     p, a = (1.0, 0.4) if n == 1 else (0.5, 0.25)
     prof = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=K, mu=mu, offsets=BREATHER_MODES[n][mode])
-    prob = DnlsProblem(grid=grid, p=p, mu=mu, coupling=a, multiplier=prof.multiplier)
+    prob = DnlsProblem(grid=grid, p=p, coupling=a, multiplier=prof.multiplier)
     phi0 = sample_reference(prof, grid, coupling=a)
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hd = hessian_diagnostics(phi, prob)
@@ -539,7 +535,7 @@ def test_hessian_diagnostics_match_dense_eigensolves(n, mode, K, mu):
 def test_hessian_diagnostics_hold_no_dense_matrix():
     # 1d K = 2,000: a dense G0' alone would be 32 MB
     grid = GridSpec(n=1, K=2000, mu=0.015)
-    prob = DnlsProblem(grid=grid, p=1.0, mu=0.015, coupling=0.4, multiplier=M_CUBIC)
+    prob = DnlsProblem(grid=grid, p=1.0, coupling=0.4, multiplier=M_CUBIC)
     phi0 = sample_reference(solve_ground_state(1, 1.0), grid, coupling=0.4)
     phi, _ = solve_dnls_ground_state(prob, phi0)
     hessian_diagnostics(phi, prob)  # imports and caches outside the trace
@@ -556,9 +552,9 @@ def test_2d_kernel_smoke():
     prof = solve_ground_state(2, 0.5)
     mu, a = 0.3, 0.25
     grid = GridSpec(n=2, K=45, mu=mu)
-    prob = DnlsProblem(grid=grid, p=0.5, mu=mu, coupling=a, multiplier=prof.multiplier)
+    prob = DnlsProblem(grid=grid, p=0.5, coupling=a, multiplier=prof.multiplier)
     phi0 = sample_reference(prof, grid, coupling=a)
-    phi, w, rep, op = solve_kernel_equation(phi0, prob, L_max=8)
+    phi, w, rep = solve_kernel_equation(phi0, prob, L_max=8)
     assert rep.converged
     assert rep.residuals[-1] < 1e-10
     assert phi.shape == w.shape[1:] == (grid.K + 1,) * 2  # the block
@@ -566,11 +562,25 @@ def test_2d_kernel_smoke():
 
 
 def test_problem_guards():
+    """The problem holds the paper's window, groundstate.check_parameters:
+    1/2 <= p < 2/n, 0 < a < 1/2, mu (the grid's, read-only) positive and
+    finite, and 0 < m mu^2 < 1/2, so that 1/2 < omega^2 < 1.  m = -1 at
+    mu = 0.3 (omega^2 = 1.09, inside the phonon band) was accepted, and
+    the dNLS Newton then converged to the zero field."""
     grid = GridSpec(n=1, K=4, mu=0.3)
+    good = dict(grid=grid, p=1.0, coupling=0.3, multiplier=0.05)
+    prob = DnlsProblem(**good)
+    assert prob.mu is grid.mu and 0.5 < prob.omega_sq < 1.0
+    with pytest.raises(AttributeError):
+        prob.mu = 0.2
     with pytest.raises(GuardError):
-        DnlsProblem(grid=grid, p=1.0, mu=0.3, coupling=0.6, multiplier=0.05)
-    with pytest.raises(GuardError):
-        DnlsProblem(grid=grid, p=1.0, mu=-0.3, coupling=0.3, multiplier=0.05)
+        GridSpec(n=1, K=4, mu=-0.3)
+    for bad in (dict(coupling=0.6), dict(coupling=0.0), dict(p=2.0), dict(p=0.4),
+                dict(multiplier=-1.0), dict(multiplier=0.0), dict(multiplier=-0.0),
+                dict(multiplier=5.6), dict(multiplier=np.inf), dict(multiplier=np.nan),
+                dict(grid=GridSpec(n=1, K=4, mu=np.inf))):
+        with pytest.raises(GuardError):
+            DnlsProblem(**{**good, **bad})
 
 
 def test_newton_iteration_budget(monkeypatch):

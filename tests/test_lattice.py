@@ -200,6 +200,13 @@ def test_for_radius_guard():
     assert (g.K - 1) * g.mu < 20.0
     with pytest.raises(GuardError):
         GridSpec.for_radius(1, mu=-0.1, r_min=20.0)
+    # a non-finite mu or r_min, or an r_min/mu that overflows, makes no box:
+    # a GuardError, where int(inf) raised OverflowError and mu = inf gave
+    # a box of K = 2 at infinite spacing
+    for mu, r_min in ((0.1, np.inf), (np.inf, 10.0), (np.nan, 10.0), (0.1, np.nan),
+                      (1e-300, 1e300)):
+        with pytest.raises(GuardError, match="r_min/mu finite"):
+            GridSpec.for_radius(1, mu=mu, r_min=r_min)
 
 
 def test_for_radius_gives_back_K():

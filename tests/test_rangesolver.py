@@ -18,7 +18,7 @@ from kgbreather.lattice import (
     mirror_block,
     orbit_sizes,
 )
-from kgbreather.rangesolver import EvenSector, RangeOperator, solve_range_equation
+from kgbreather.rangesolver import EvenSector, solve_range_equation
 from kgbreather.timespectral import (
     apply_nonlinearity,
     default_node_count,
@@ -42,20 +42,32 @@ def block_shape(grid):
 L_CUBIC = 6  # harmonic window of the cubic_setup solves
 
 
+def problem(grid, a, m=M_CUBIC, p=None):
+    """The kernel problem of coupling a and multiplier m on ``grid``, at
+    p = 1/n unless given (admissible in both dimensions)."""
+    return DnlsProblem(grid=grid, p=1.0 / grid.n if p is None else p, coupling=a,
+                       multiplier=m)
+
+
+def operator(grid, w2, a):
+    """The range operator at omega^2 = w2 (up to the rounding of
+    m = (1 - w2)/mu^2) and coupling a, built from its problem."""
+    return problem(grid, a, m=(1.0 - w2) / grid.mu**2).range_operator
+
+
 def cubic_setup(mu, K=40, a=0.4):
-    """Grid, the sampled ground state on its fundamental block, operator."""
+    """Grid, the sampled ground state on its fundamental block, problem."""
     grid = GridSpec(n=1, K=K, mu=mu)
     profile = solve_ground_state(1, 1.0)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=a)
-    return grid, phi, op
+    return grid, phi, problem(grid, a)
 
 
 def _forward(op, w):
     """Reference forward operator on odd-row block stacks (row j harmonic
     2j+1): mirror onto the box, apply (1 - omega^2 l^2) - a lap there,
     restrict."""
-    grid = op.grid
+    grid = op.sector.grid
     full = mirror_block(w, grid)
     l = 2.0 * np.arange(full.shape[0]) + 1.0
     out = -op.coupling * padded_laplacian(full, axes=tuple(range(1, grid.n + 1)))
@@ -78,8 +90,8 @@ def _dst_inverse(op, coeffs):
     """Reference inverse on odd-row whole-box stacks: one DST-I pair per
     harmonic l = 2j+1 >= 3, with the symbol over the whole box spectrum."""
     out = np.zeros_like(coeffs)
-    axes = tuple(range(op.grid.n))
-    s = _box_spectrum(op.grid)
+    axes = tuple(range(op.sector.grid.n))
+    s = _box_spectrum(op.sector.grid)
     for j in range(1, coeffs.shape[0]):
         l = 2 * j + 1
         symbol = (1.0 - op.omega_sq * l * l) + op.coupling * s
@@ -103,7 +115,7 @@ CENTERINGS = [
 
 def test_forward_inverse_identity_1d():
     grid = GridSpec(n=1, K=12, mu=0.3)
-    op = RangeOperator(grid, omega_sq=omega_sq(0.3), coupling=0.4)
+    op = problem(grid, 0.4).range_operator
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3,) + block_shape(grid))  # harmonics 1, 3, 5
     x[0] = 0.0
@@ -113,7 +125,7 @@ def test_forward_inverse_identity_1d():
 
 def test_forward_inverse_identity_2d():
     grid = GridSpec(n=2, K=6, mu=0.3, offsets=(0.5, 0.0))
-    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
+    op = problem(grid, 0.25, m=0.0323).range_operator
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2,) + block_shape(grid))  # harmonics 1, 3
     x[0] = 0.0
@@ -125,7 +137,7 @@ def test_block_inverse_matches_dst_reference(n, offsets):
     # the even-sector basis on the block against the whole-box DST-I pair,
     # for a reflection-even stack with every odd row (l = 1 too) populated
     grid = GridSpec(n=n, K=17, mu=0.3, offsets=offsets)
-    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.03), coupling=0.25)
+    op = problem(grid, 0.25, m=0.03).range_operator
     rng = np.random.default_rng(n)
     x = rng.standard_normal((4,) + block_shape(grid))
     ref = _dst_inverse(op, mirror_block(x, grid))[(slice(None),) + block_slices(grid)]
@@ -158,7 +170,7 @@ def test_1d_tridiagonal_inverse_matches_the_basis_inverse(K, rows, offset, w2, a
     # inverted through before, also at the guard corner omega^2 -> 1/2,
     # a -> 1/2 where -L_3 is least definite
     grid = GridSpec(n=1, K=K, mu=0.3, offsets=(offset,))
-    op = RangeOperator(grid, omega_sq=w2, coupling=a)
+    op = operator(grid, w2, a)
     x = np.random.default_rng(K + rows).standard_normal((rows, K + 1))
     ref = basis_range_solve(op, x)
     got = op.solve(x)
@@ -173,7 +185,7 @@ def test_1d_operator_and_solve_are_linear_in_memory():
     x = np.random.default_rng(0).standard_normal((8, grid.K + 1))
     tracemalloc.start()
     try:
-        op = RangeOperator(grid, omega_sq=omega_sq(0.01), coupling=0.25)
+        op = problem(grid, 0.25).range_operator
         op.solve(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -214,10 +226,10 @@ def test_factored_1d_solve_is_one_dptsv_call(rows, offset):
 
 
 def test_indefinite_1d_operator_is_a_guard_error():
-    # unreachable under the constructor's guards (-L_l >= 3/2 there): force
-    # omega^2 below them, so that 9 omega^2 - 1 < 0 and the LDL^T of -L_3
+    # unreachable inside the problem's window (-L_l >= 3/2 there): force
+    # omega^2 below it, so that 9 omega^2 - 1 < 0 and the LDL^T of -L_3
     # meets a negative pivot, every time: a failed factorization is not kept
-    op = RangeOperator(GridSpec(n=1, K=6, mu=0.3), omega_sq=0.9, coupling=0.25)
+    op = operator(GridSpec(n=1, K=6, mu=0.3), 0.9, 0.25)
     op.omega_sq = 0.1
     for _ in range(2):
         with pytest.raises(GuardError, match="not definite"):
@@ -227,7 +239,7 @@ def test_indefinite_1d_operator_is_a_guard_error():
 
 def test_solve_discards_bifurcating_harmonic():
     grid = GridSpec(n=1, K=5, mu=0.3)
-    op = RangeOperator(grid, omega_sq=omega_sq(0.3), coupling=0.4)
+    op = problem(grid, 0.4).range_operator
     x = np.ones((2,) + block_shape(grid))  # harmonics 1 and 3
     out = op.solve(x)
     assert np.all(out[0] == 0.0)
@@ -235,33 +247,32 @@ def test_solve_discards_bifurcating_harmonic():
 
 
 def test_resonance_detection():
-    # in 1d |1 - 9 omega^2 + a s| > 3/2 under the guards, so only a 2d box
+    # in 1d |1 - 9 omega^2 + a s| > 3/2 inside the window, so only a 2d box
     # can resonate.  K = 10 (N = 21): the stiffest even-sector mode is
     # k = 21 on both axes, s_max = 2 (2 - 2 cos(21 pi/22)); picking
-    # omega^2 = (1 + a s_max)/9 puts the l = 3 symbol exactly on zero there
-    # while keeping |omega^2 - 1| < 1/2
+    # omega^2 = (1 + a s_max)/9 = 0.5455 puts the l = 3 symbol on zero
+    # there (to the rounding of m) while keeping 1/2 < omega^2 < 1
     grid = GridSpec(n=2, K=10, mu=0.3)
     a = 0.49
     w2 = (1.0 + 2.0 * a * (2.0 - 2.0 * np.cos(21.0 * np.pi / 22.0))) / 9.0
     with pytest.raises(ResonanceError) as err:
-        RangeOperator(grid, omega_sq=w2, coupling=a)
+        operator(grid, w2, a)
     assert err.value.harmonic == 3
     assert err.value.magnitude < 1e-12
 
 
 def test_operator_guards_and_margins():
+    # the operator is built from a problem, and the problem holds the
+    # window 1/2 < omega^2 < 1 (0 < m mu^2 < 1/2) and 0 < a < 1/2: an
+    # omega^2 in [1, 3/2), which the operator once took, is refused too
     grid = GridSpec(n=1, K=2, mu=0.3)
-    with pytest.raises(GuardError):
-        RangeOperator(grid, omega_sq=1.6, coupling=0.3)
-    with pytest.raises(GuardError):
-        RangeOperator(grid, omega_sq=0.4, coupling=0.3)
-    with pytest.raises(GuardError):
-        RangeOperator(grid, omega_sq=0.9, coupling=-0.1)
-    with pytest.raises(GuardError):
-        RangeOperator(grid, omega_sq=0.9, coupling=0.6)
+    for w2, a in ((1.6, 0.3), (0.4, 0.3), (1.2, 0.3), (1.0, 0.3), (0.9, -0.1),
+                  (0.9, 0.6)):
+        with pytest.raises(GuardError):
+            operator(grid, w2, a)
     # K = 2 (N = 5): the even-sector modes k = 1, 3, 5 have s = 2 - sqrt3,
     # 2, 2 + sqrt3, and the stiffest one is also the whole box's
-    op = RangeOperator(grid, omega_sq=0.99, coupling=0.2)
+    op = operator(grid, 0.99, 0.2)
     assert op.neumann_margin == pytest.approx(1.0 - 0.2 * (2.0 + np.sqrt(3.0)))
     # the tightest symbol is l = 3 at the stiffest even mode:
     # |1 - 9 * 0.99 + 0.2 (2 + sqrt3)|, closer to zero than any |l = 5| value
@@ -274,7 +285,7 @@ def test_margins_read_the_odd_harmonics_on_the_even_sector(n, offsets):
     # reflection-even modes (odd k) and the range harmonics l = 3, 5, ..., 9
     grid = GridSpec(n=n, K=7, mu=0.3, offsets=offsets)
     w2, a = omega_sq(0.3, 0.03), 0.25
-    op = RangeOperator(grid, omega_sq=w2, coupling=a)
+    op = problem(grid, a, m=0.03).range_operator
     s = _box_spectrum(grid, odd_only=True)
     margins = {l: np.min(np.abs((1.0 - w2 * l * l) + a * s)) for l in (3, 5, 7, 9)}
     assert op.spectral_margin == pytest.approx(min(margins.values()), rel=1e-14)
@@ -286,17 +297,18 @@ def test_margins_read_the_odd_harmonics_on_the_even_sector(n, offsets):
     assert (np.max(s) < np.max(s_box)) == (0.5 in offsets)
 
 
-# guard edges of omega^2 and a, and values just past them
-_OMEGA_SQ_EDGES = (0.5, np.nextafter(0.5, 1.0), np.nextafter(1.5, 0.0), 1.5)
+# edges of the window in omega^2 and a, and values just past them
+_OMEGA_SQ_EDGES = (0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0)
 _COUPLING_EDGES = (0.0, 1e-12, np.nextafter(0.5, 0.0), 0.5)
 
 
 def test_the_third_harmonic_is_the_worst_range_harmonic():
     # the operator checks the symbol and takes spectral_margin at l = 3
-    # alone: under its guards every l >= 5 lies further from zero.  Draws
-    # run a little past the guards, where the constructor must refuse, and
-    # up to their edges; every operator built has the l = 3 margin as the
-    # minimum over l = 3, 5, ..., L of the even-sector reference spectrum
+    # alone: inside the problem's window every l >= 5 lies further from
+    # zero.  Draws of omega^2 = 1 - m mu^2 over (1/2, 1) and of a run a
+    # little past the window, where the problem must refuse, and up to its
+    # edges; every operator built has the l = 3 margin as the minimum over
+    # l = 3, 5, ..., L of the even-sector reference spectrum
     rng = np.random.default_rng(2009)
     built = 0
     for _ in range(3200):
@@ -304,17 +316,19 @@ def test_the_third_harmonic_is_the_worst_range_harmonic():
         grid = GridSpec(n=n, K=int(rng.integers(2, 25)), mu=0.3, offsets=offsets)
         w2 = (
             rng.choice(_OMEGA_SQ_EDGES) if rng.random() < 0.25
-            else rng.uniform(0.45, 1.55)
+            else rng.uniform(0.475, 1.025)
         )
         a = (
             rng.choice(_COUPLING_EDGES) if rng.random() < 0.25
             else rng.uniform(-0.02, 0.52)
         )
-        if not (0.5 < w2 < 1.5 and 0.0 < a < 0.5):
+        m = (1.0 - w2) / grid.mu**2
+        if not (0.0 < m * grid.mu**2 < 0.5 and 0.0 < a < 0.5):
             with pytest.raises(GuardError):
-                RangeOperator(grid, omega_sq=w2, coupling=a)
+                operator(grid, w2, a)
             continue
-        op = RangeOperator(grid, omega_sq=w2, coupling=a)
+        op = operator(grid, w2, a)
+        w2 = op.omega_sq
         s = _box_spectrum(grid, odd_only=True)
         l = np.arange(3, int(rng.integers(3, 60)) + 1, 2)
         margins = [np.min(np.abs((1.0 - w2 * k * k) + a * s)) for k in l]
@@ -328,7 +342,7 @@ def test_2d_neumann_margin_is_negative_but_solvable():
     # the naive series bound fails for a = 1/4 in 2d (a * s_max -> 2), yet
     # every symbol is still far from zero and direct inversion works
     grid = GridSpec(n=2, K=8, mu=0.3)
-    op = RangeOperator(grid, omega_sq=omega_sq(0.3, 0.0323), coupling=0.25)
+    op = problem(grid, 0.25, m=0.0323).range_operator
     assert op.neumann_margin < 0.0
     assert op.spectral_margin > 0.9
 
@@ -341,7 +355,7 @@ def test_decoupled_site_closed_form():
     # of the response is mu^2 beta c^3 / (4 (1 - 9 omega^2))
     mu, c, a = 0.3, 0.8, 1e-12
     grid = GridSpec(n=1, K=2, mu=mu)
-    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=a)
+    op = problem(grid, a).range_operator
     beta = nonlinearity_coefficient(1.0)
     # first Picard iterate w0 = mu^2 Linv P_range N(phi cos tau), on the
     # fundamental block (whose index 0 is the center site), harmonics 1, 3, 5
@@ -362,15 +376,15 @@ def test_decoupled_site_closed_form():
 
 def test_range_solution_is_fixed_point():
     mu = 0.3
-    grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13)
+    grid, phi, prob = cubic_setup(mu)
+    w, report = solve_range_equation(phi, prob, L_max=L_CUBIC, tol=1e-13)
     assert report.converged
     v = np.zeros_like(w)
     v[0] = phi
     # 24 nodes, the count of the odd window 5 (the range solve takes 28)
     g = apply_nonlinearity(v + w, p=1.0, M=default_node_count(5))
     g[0] = 0.0
-    again = mu**2 * op.solve(g)
+    again = mu**2 * prob.range_operator.solve(g)
     sigma = orbit_sizes(grid)
     assert sobolev_time_norm(again - w, weights=sigma) < 1e-12 * max(
         1.0, sobolev_time_norm(w, weights=sigma)
@@ -379,8 +393,8 @@ def test_range_solution_is_fixed_point():
 
 def test_range_solution_structure():
     mu = 0.3
-    grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
+    grid, phi, prob = cubic_setup(mu)
+    w, report = solve_range_equation(phi, prob, L_max=L_CUBIC)
     # an odd-row stack on the fundamental block (reflection symmetry by
     # construction; even harmonics have no row)
     assert w.shape == ((L_CUBIC + 1) // 2,) + block_shape(grid)
@@ -392,10 +406,10 @@ def test_range_solution_structure():
 
 
 def test_quadratic_amplitude_scaling():
-    grid, phi, op = cubic_setup(0.2)
-    w, _ = solve_range_equation(phi, op, p=1.0, mu=0.2, L_max=L_CUBIC)
-    grid2, phi2, op2 = cubic_setup(0.1)
-    w2, _ = solve_range_equation(phi2, op2, p=1.0, mu=0.1, L_max=L_CUBIC)
+    grid, phi, prob = cubic_setup(0.2)
+    w, _ = solve_range_equation(phi, prob, L_max=L_CUBIC)
+    grid2, phi2, prob2 = cubic_setup(0.1)
+    w2, _ = solve_range_equation(phi2, prob2, L_max=L_CUBIC)
     # at frozen kernel amplitude the response scales like mu^2 (the phi
     # samples differ between grids, so compare peak thirds per site scale)
     ratio = np.max(np.abs(w[1])) / np.max(np.abs(w2[1]))  # harmonic 3
@@ -404,10 +418,10 @@ def test_quadratic_amplitude_scaling():
 
 def test_warm_start_short_circuits():
     mu = 0.3
-    grid, phi, op = cubic_setup(mu)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13)
+    grid, phi, prob = cubic_setup(mu)
+    w, report = solve_range_equation(phi, prob, L_max=L_CUBIC, tol=1e-13)
     w2, report2 = solve_range_equation(
-        phi, op, p=1.0, mu=mu, L_max=L_CUBIC, tol=1e-13, w_init=w
+        phi, prob, L_max=L_CUBIC, tol=1e-13, w_init=w
     )
     assert report2.iterations <= 2
     assert sobolev_time_norm(w2 - w, weights=orbit_sizes(grid)) < 1e-12
@@ -417,23 +431,23 @@ def test_narrow_warm_start_is_zero_padded():
     # a w_init with fewer rows than the window starts its own rows and
     # zeros above them: the bytes of an explicitly zero-padded start
     mu = 0.3
-    grid, phi, op = cubic_setup(mu)
-    w, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
+    grid, phi, prob = cubic_setup(mu)
+    w, _ = solve_range_equation(phi, prob, L_max=L_CUBIC)
     padded = np.concatenate([w, np.zeros((4,) + w.shape[1:])])
-    wide, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=13, w_init=w)
-    ref, _ = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=13, w_init=padded)
+    wide, _ = solve_range_equation(phi, prob, L_max=13, w_init=w)
+    ref, _ = solve_range_equation(phi, prob, L_max=13, w_init=padded)
     assert wide.shape == padded.shape
     assert wide.tobytes() == ref.tobytes()
 
 
 def test_smallness_guard_trips_at_large_mu():
     # the estimate is 0.219 at mu = 1.5 (observed rate 0.106)
-    grid, phi, op = cubic_setup(1.5)
+    grid, phi, prob = cubic_setup(1.5)
     with pytest.raises(GuardError, match="contraction regime"):
-        solve_range_equation(phi, op, p=1.0, mu=1.5, L_max=L_CUBIC)
+        solve_range_equation(phi, prob, L_max=L_CUBIC)
     # sweep amplitudes stay inside the regime
-    grid, phi, op = cubic_setup(0.4)
-    solve_range_equation(phi, op, p=1.0, mu=0.4, L_max=L_CUBIC)
+    grid, phi, prob = cubic_setup(0.4)
+    solve_range_equation(phi, prob, L_max=L_CUBIC)
 
 
 @pytest.mark.parametrize("mu", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4])
@@ -441,13 +455,13 @@ def test_smallness_estimate_tracks_the_observed_rate(monkeypatch, mu):
     # the a-priori estimate bounds the contraction the Picard loop shows,
     # and by a factor near 2 (measured 2.07-2.39 on this table), so the
     # guard refuses only amplitudes that really contract slowly
-    grid, phi, op = cubic_setup(mu)
+    grid, phi, prob = cubic_setup(mu)
     monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
-    _, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
+    _, report = solve_range_equation(phi, prob, L_max=L_CUBIC)
     assert report.contraction_rate < report.smallness < 3.0 * report.contraction_rate
 
 
-def _iterate_to_roundoff(phi, op, p, mu, L, w, steps=8):
+def _iterate_to_roundoff(phi, prob, L, w, steps=8):
     """The range map w -> mu^2 Linv N(phi cos + w) of the window L, applied
     ``steps`` times from w: the fixed point to roundoff at the rates
     (<= 1e-2) of these tests."""
@@ -455,16 +469,17 @@ def _iterate_to_roundoff(phi, op, p, mu, L, w, steps=8):
     for _ in range(steps):
         u = w.copy()
         u[0] = phi
-        w = mu**2 * op.solve(apply_nonlinearity(u, p, M=M, rows=rows))
+        w = prob.mu**2 * prob.range_operator.solve(
+            apply_nonlinearity(u, prob.p, M=M, rows=rows))
     return w
 
 
-def _check_stop_bound(phi, op, p, mu, L, w, report, tol):
+def _check_stop_bound(phi, prob, L, w, report, tol):
     # the returned w lies within the reported a-posteriori bound of the
     # fixed point (up to a few ulps of w), the bound met the stop test, and
     # the last update did not: the step that would only confirm is saved
-    sigma = op.sigma
-    ref = _iterate_to_roundoff(phi, op, p, mu, L, w)
+    sigma = prob.range_operator.sigma
+    ref = _iterate_to_roundoff(phi, prob, L, w)
     distance = sobolev_time_norm(w - ref, weights=sigma)
     scale = max(1.0, report.w_norm)
     assert report.w_norm == sobolev_time_norm(w, weights=sigma)
@@ -477,9 +492,9 @@ def _check_stop_bound(phi, op, p, mu, L, w, report, tol):
 def test_stop_rule_bound_holds_1d_site_centered():
     # 1d p = 1 st at the sweep's mu = 0.2, K = 150, L = 15
     mu = 0.2
-    grid, phi, op = cubic_setup(mu, K=150, a=0.25)
-    w, report = solve_range_equation(phi, op, p=1.0, mu=mu, L_max=15)
-    _check_stop_bound(phi, op, 1.0, mu, 15, w, report, 1e-12)
+    grid, phi, prob = cubic_setup(mu, K=150, a=0.25)
+    w, report = solve_range_equation(phi, prob, L_max=15)
+    _check_stop_bound(phi, prob, 15, w, report, 1e-12)
 
 
 def test_stop_rule_bound_holds_on_the_widened_2d_pass(monkeypatch):
@@ -488,9 +503,9 @@ def test_stop_rule_bound_holds_on_the_widened_2d_pass(monkeypatch):
     # (taken before the stop test) reported
     passes = []
 
-    def final_pass(phi, op, p, mu, L, **kwargs):
-        w, report = solve_range_equation(phi, op, p, mu, L, **kwargs)
-        passes.append((phi, op, p, mu, L, kwargs["tol"], w, report))
+    def final_pass(phi, prob, L, **kwargs):
+        w, report = solve_range_equation(phi, prob, L, **kwargs)
+        passes.append((phi, prob, L, kwargs["tol"], w, report))
         return w, report
 
     monkeypatch.setattr(breather, "solve_range_equation", final_pass)
@@ -498,9 +513,9 @@ def test_stop_rule_bound_holds_on_the_widened_2d_pass(monkeypatch):
         n=2, p=0.5, coupling=0.25, mu=0.3, mode="h1", r_min=40 * 0.3,
         residual_target=8e-10,
     ))
-    ((phi, op, p, mu, L, tol, w, report),) = passes
+    ((phi, prob, L, tol, w, report),) = passes
     assert L == b.L_max == 306 and report.iterations == 2
-    _check_stop_bound(phi, op, p, mu, L, w, report, tol)
+    _check_stop_bound(phi, prob, L, w, report, tol)
 
 
 def test_divergence_reported(monkeypatch):
@@ -508,26 +523,24 @@ def test_divergence_reported(monkeypatch):
     grid = GridSpec(n=1, K=8, mu=mu)
     phi = np.zeros(block_shape(grid))
     phi[0] = 4.0
-    op = RangeOperator(grid, omega_sq=omega_sq(mu), coupling=0.4)
+    prob = problem(grid, 0.4)
     monkeypatch.setattr(rangesolver, "_SMALLNESS_THRESHOLD", np.inf)
     monkeypatch.setattr(rangesolver, "_RATE_GUARD", np.inf)
     with pytest.raises(ConvergenceError, match="diverging"):
-        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=6)
+        solve_range_equation(phi, prob, L_max=6)
 
 
 def test_slow_contraction_guarded(monkeypatch):
     mu = 0.3
-    grid, phi, op = cubic_setup(mu)
+    grid, phi, prob = cubic_setup(mu)
     monkeypatch.setattr(rangesolver, "_RATE_GUARD", 1e-9)
     with pytest.raises(GuardError, match="slowly"):
-        solve_range_equation(phi, op, p=1.0, mu=mu, L_max=L_CUBIC)
+        solve_range_equation(phi, prob, L_max=L_CUBIC)
 
 
-def _tail(phi, op, p, mu, w, L):
+def _tail(phi, prob, w, L):
     """The harmonic tail of N(phi cos + w) past the window L, as the
     assembly reads it: off the final kernel_remainder's samples."""
-    prob = DnlsProblem(grid=op.grid, p=p, mu=mu, coupling=op.coupling,
-                       multiplier=(1.0 - op.omega_sq) / mu**2)
     return kernel_remainder(phi, prob, w, L, tail=True)[1]
 
 
@@ -536,24 +549,25 @@ def test_2d_smoke():
     profile = solve_ground_state(2, 0.5)
     grid = GridSpec(n=2, K=12, mu=mu)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, report = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=8)
+    prob = problem(grid, a, m=profile.multiplier, p=0.5)
+    w, report = solve_range_equation(phi, prob, L_max=8)
     assert report.converged
     assert w.shape == (4,) + block_shape(grid)  # harmonics 1, 3, 5, 7
     assert np.all(w[0] == 0.0)
     assert report.w_norm > 0.0
     # |u| u is not band limited: the discarded-harmonic diagnostic is small
     # but nonzero, and grows smaller when more harmonics are kept
-    tail = _tail(phi, op, 0.5, mu, w, 8)
+    tail = _tail(phi, prob, w, 8)
     assert 0.0 < tail < 0.02
-    w2, _ = solve_range_equation(phi, op, p=0.5, mu=mu, L_max=16)
-    assert _tail(phi, op, 0.5, mu, w2, 16) < 0.3 * tail
+    w2, _ = solve_range_equation(phi, prob, L_max=16)
+    assert _tail(phi, prob, w2, 16) < 0.3 * tail
 
 
-def _full_box_picard(phi, op, p, mu, L_max, iterations):
+def _full_box_picard(phi, prob, L_max, iterations):
     """Reference: the Picard steps with the nonlinearity on every site of
     the box field ``phi``, and the tail of the converged iterate."""
-    v = np.zeros(((L_max + 1) // 2,) + op.grid.shape)
+    op, p, mu = prob.range_operator, prob.p, prob.mu
+    v = np.zeros(((L_max + 1) // 2,) + op.sector.grid.shape)
     v[0] = phi
     w = np.zeros_like(v)
     M = default_node_count(2 * len(v) - 1)
@@ -561,7 +575,7 @@ def _full_box_picard(phi, op, p, mu, L_max, iterations):
         g = apply_nonlinearity(v + w, p, M=M)
         g[0] = 0.0
         w = mu**2 * _dst_inverse(op, g)
-    ones = np.ones(op.grid.size)
+    ones = np.ones(op.sector.grid.size)
     forcing = mu**2 * sobolev_time_norm(
         apply_nonlinearity(v, p, M=M), order=0, weights=ones
     )
@@ -574,14 +588,14 @@ def test_block_nonlinearity_matches_full_box(n, offsets):
     profile = solve_ground_state(n, p)
     grid = GridSpec(n=n, K=9, mu=mu, offsets=offsets)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    w, report = solve_range_equation(phi, op, p=p, mu=mu, L_max=9)
+    prob = problem(grid, a, m=profile.multiplier, p=p)
+    w, report = solve_range_equation(phi, prob, L_max=9)
     w_ref, tail_ref, forcing_ref = _full_box_picard(
-        mirror_block(phi, grid), op, p, mu, 9, report.iterations
+        mirror_block(phi, grid), prob, 9, report.iterations
     )
     w_ref = w_ref[(slice(None),) + block_slices(grid)]
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
-    assert _tail(phi, op, p, mu, w, 9) == pytest.approx(tail_ref, rel=1e-12)
+    assert _tail(phi, prob, w, 9) == pytest.approx(tail_ref, rel=1e-12)
     assert report.forcing_norm == pytest.approx(forcing_ref, rel=1e-12)
 
 
@@ -596,8 +610,8 @@ def test_forcing_norm_in_closed_form_is_the_full_window_pass(n, p):
     grid = GridSpec(n=n, K=20, mu=mu, offsets=(0.5,) * n)
     profile = solve_ground_state(n, p)
     phi = sample_reference(profile, grid, coupling=a)
-    op = RangeOperator(grid, omega_sq=omega_sq(mu, profile.multiplier), coupling=a)
-    _, report = solve_range_equation(phi, op, p, mu, L)
+    prob = problem(grid, a, m=profile.multiplier, p=p)
+    _, report = solve_range_equation(phi, prob, L)
     v = np.zeros(((L + 1) // 2,) + phi.shape)
     v[0] = phi
     full = mu**2 * sobolev_time_norm(
